@@ -9,16 +9,16 @@ proportion to the added measure, the integral has no finite limit.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (BracketingFailed, Divergent, DivergentProfile,
                      PreconditionFailed)
-from .indexfuncs import IndexFunction
+from .indexfuncs import IndexFunction, solve_increasing
 from .multipliers import Multiplier
-from .noise import (DeterministicNoise, WhiteNoiseSampler,
+from .noise import (GAUSSIAN, DeterministicNoise, WhiteNoiseSampler,
                     concentrated_direction, sample_white,
                     worst_case_deterministic)
 from .rearrangement import (decreasing_rearrangement, distribution_function,
@@ -200,49 +200,51 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
             raise ValueError("degenerate multiplier range")
         alpha_grid = np.geomspace(lo, hi, 64)
     alpha_grid = np.asarray(alpha_grid, float)
+    if np.any(np.diff(alpha_grid) <= 0):  # the binning below needs the order
+        raise ValueError("alpha grid must be strictly increasing")
 
     widths = np.diff(rearr.knots)
     r_vals = rearr.values
-    d_sq = np.empty(alpha_grid.shape)
-    bounds = np.empty(alpha_grid.shape)
-    for i, alpha in enumerate(alpha_grid):
-        mask_r = r_vals > alpha
-        with np.errstate(divide="ignore", over="ignore"):
-            from_rearr = float(np.sum(widths[mask_r] / r_vals[mask_r] ** 2))
-        if not np.isfinite(from_rearr):
-            raise ValueError(
-                f"1/b^2 overflows at alpha = {alpha:.3g}; raise the grid floor"
-            )
-        mask_d = vals > alpha
-        from_domain = float(np.sum(weights[mask_d] / vals[mask_d] ** 2))
-        if abs(from_rearr - from_domain) > 1e-9 * (1.0 + from_domain):
-            raise AssertionError(
-                "rearrangement- and domain-side variance integrals disagree"
-            )
-        d_sq[i] = from_rearr
-        bounds[i] = np.sqrt(distribution_function(b, space, float(alpha))) / alpha
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # {b_* > alpha} is a prefix of the descending rearrangement
+        prefix = np.concatenate(([0.0], np.cumsum(widths / r_vals ** 2)))
+        d_sq = prefix[r_vals.size - np.searchsorted(r_vals[::-1], alpha_grid,
+                                                    side="right")]
+        # domain side, without the sort: w / b^2 binned by the number of grid
+        # points below each node, then summed over the bins above each alpha
+        below = np.searchsorted(alpha_grid, vals, side="left")
+        binned = np.bincount(below, weights=weights / vals ** 2,
+                             minlength=alpha_grid.size + 1)
+        from_domain = np.cumsum(binned[::-1])[::-1][1:]
+    overflow = ~np.isfinite(d_sq)
+    if np.any(overflow):
+        raise ValueError(
+            f"1/b^2 overflows at alpha = {alpha_grid[np.argmax(overflow)]:.3g}; "
+            "raise the grid floor"
+        )
+    if np.any(np.abs(d_sq - from_domain) > 1e-9 * (1.0 + from_domain)):
+        raise AssertionError(
+            "rearrangement- and domain-side variance integrals disagree"
+        )
+    bounds = np.sqrt(distribution_function(b, space, alpha_grid)) / alpha_grid
     return IllposednessProfile(alpha_grid, np.sqrt(d_sq), bounds, finite=True)
 
 
-def _assert_increasing(fn, lo, hi, label):
-    samples = np.geomspace(lo, hi, 9)
-    vals = np.array([fn(a) for a in samples])
+def _solve_monotone(fn, target, bracket, phi, label):
+    """Root of the increasing fn = target on ``bracket`` clipped to phi's domain."""
+    lo = bracket[0]
+    if phi.domain[0] > 0:
+        lo = max(lo, phi.domain[0] * (1 + 1e-9))
+    hi = min(bracket[1], phi.domain[1])
+    vals = np.array([fn(a) for a in np.geomspace(lo, hi, 9)])
     if np.any(np.diff(vals) <= 0):
         raise PreconditionFailed(f"{label} is not strictly increasing on the bracket")
-    return samples, vals
-
-
-def _solve_monotone(fn, target, lo, hi, label):
-    _assert_increasing(fn, lo, hi, label)
-    f_lo, f_hi = fn(lo), fn(hi)
-    if not (f_lo <= target <= f_hi):
+    if not (vals[0] <= target <= vals[-1]):
         raise BracketingFailed(
-            f"{label}: target {target:.6g} outside [{f_lo:.6g}, {f_hi:.6g}] "
+            f"{label}: target {target:.6g} outside [{vals[0]:.6g}, {vals[-1]:.6g}] "
             f"on the bracket [{lo:.3g}, {hi:.3g}]"
         )
-    root = brentq(lambda x: np.log(fn(np.exp(x))) - np.log(target),
-                  np.log(lo), np.log(hi), xtol=1e-12)
-    return float(np.exp(root))
+    return solve_increasing(fn, target, lo, hi)
 
 
 def choose_alpha_deterministic(phi: IndexFunction, delta: float,
@@ -250,9 +252,7 @@ def choose_alpha_deterministic(phi: IndexFunction, delta: float,
     """A-priori choice: solve alpha * phi(alpha) = delta by bisection."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    lo = max(bracket[0], phi.domain[0] * (1 + 1e-9) if phi.domain[0] > 0 else bracket[0])
-    hi = min(bracket[1], phi.domain[1])
-    return _solve_monotone(lambda a: a * float(phi(a)), delta, lo, hi,
+    return _solve_monotone(lambda a: a * float(phi(a)), delta, bracket, phi,
                            "alpha * phi(alpha)")
 
 
@@ -263,11 +263,9 @@ def choose_alpha_white(phi: IndexFunction, profile: IllposednessProfile,
         raise ValueError("delta must be positive")
     if not profile.finite:
         raise DivergentProfile("effective ill-posedness profile is divergent")
-    lo = max(bracket[0], phi.domain[0] * (1 + 1e-9) if phi.domain[0] > 0 else bracket[0])
     hi = bracket[1] if bracket[1] is not None else float(profile.alpha_grid[-1])
-    hi = min(hi, phi.domain[1])
     return _solve_monotone(lambda a: float(phi(a)) / profile.d_at(a), delta,
-                           lo, hi, "phi(alpha) / D(alpha)")
+                           (bracket[0], hi), phi, "phi(alpha) / D(alpha)")
 
 
 def deterministic_error_bound(c_phi: float, c_minus1: float, phi: IndexFunction,
@@ -448,14 +446,16 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
                    phi: IndexFunction, delta: float, mode: str,
                    c_phi: float, n_reps: int = 1, seed: int = 0,
                    stream_base: int = 0,
-                   profile: IllposednessProfile | None = None) -> RateRow:
+                   profile: IllposednessProfile | None = None,
+                   distribution: str = GAUSSIAN) -> RateRow:
     """One row of a rate study: choose alpha*, evaluate error and bound.
 
     Deterministic mode perturbs the data with the worst admissible noise
     (all mass at the node where the filter is largest, attaining the
     sup-norm of the filter); white mode averages ``n_reps`` Monte Carlo
-    replications on noise streams ``stream_base + r``.  The bound column
-    is the simplified at-alpha-star form of the a-priori error estimate.
+    replications on noise streams ``stream_base + r`` drawn from
+    ``distribution``.  The bound column is the simplified at-alpha-star
+    form of the a-priori error estimate.
     """
     b, space, f = problem.b, problem.space, problem.f_true
     vals = b.values_on(space)
@@ -477,7 +477,8 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
             raise ValueError("white mode needs an ill-posedness profile")
         alpha_star = choose_alpha_white(phi, profile, delta)
         bound = white_bound_at_star(c_phi, scheme.c_0, phi, alpha_star, rho)
-        sampler = WhiteNoiseSampler(seed, stream_id=stream_base)
+        sampler = WhiteNoiseSampler(seed, stream_id=stream_base,
+                                    distribution=distribution)
         mc = monte_carlo_rms(scheme, alpha_star, b, space, f, delta,
                              sampler, n_reps, bound=bound)
         err, stderr = mc.rms, mc.stderr
@@ -491,6 +492,45 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
                    violated=bool(violated))
 
 
+def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
+                 phi: IndexFunction, deltas, mode: str, c_phi: float,
+                 n_reps: int = 1, seed: int = 0,
+                 profile: IllposednessProfile | None = None, threads: int = 1,
+                 distribution: str = GAUSSIAN) -> RateStudyResult:
+    """One ``evaluate_delta`` row per delta, in order, and the fitted slopes.
+
+    Delta k draws from streams ``100_000 * (k + 1) + r``, so ``threads``
+    (workers over the deltas) does not change the rows.  The slopes fit
+    log(error) and log(phi(alpha*)) against log(delta) on the middle 80%
+    of the points; they are None below 4 rows.
+    """
+    if mode == WHITE and profile is None:
+        profile = effective_illposedness(problem.b, problem.space)
+
+    def one(k_delta):
+        k, delta = k_delta
+        return evaluate_delta(problem, scheme, phi, float(delta), mode, c_phi,
+                              n_reps=n_reps, seed=seed,
+                              stream_base=100_000 * (k + 1), profile=profile,
+                              distribution=distribution)
+
+    if threads > 1 and len(deltas) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(one, enumerate(deltas)))
+    else:
+        rows = [one(kd) for kd in enumerate(deltas)]
+
+    fitted = theoretical = None
+    if len(rows) >= 4:
+        fitted = fit_loglog_slope(deltas, [r.error for r in rows])
+        theoretical = fit_loglog_slope(
+            deltas,
+            [problem.source_scale * float(phi(r.alpha_star)) for r in rows])
+    return RateStudyResult(mode=mode, rows=tuple(rows), fitted_slope=fitted,
+                           theoretical_slope=theoretical, c_phi=c_phi,
+                           seed=seed)
+
+
 def rate_study(problem: MultiplicationProblem, scheme: Scheme,
                phi: IndexFunction, deltas, n_reps: int, mode: str,
                seed: int = 0,
@@ -499,9 +539,7 @@ def rate_study(problem: MultiplicationProblem, scheme: Scheme,
     """Empirical error against delta with the matching a-priori choice.
 
     Each row records the a-priori error bound at alpha* and a violation
-    flag; the fitted and theoretical slopes are least-squares fits of
-    log(error) and log(phi(alpha*)) against log(delta) on the middle 80%
-    of the delta points.
+    flag; deltas run from largest to smallest.
     """
     deltas = np.asarray(sorted(deltas, reverse=True), float)
     if deltas.size < 4:
@@ -516,17 +554,5 @@ def rate_study(problem: MultiplicationProblem, scheme: Scheme,
         raise PreconditionFailed(
             f"scheme {scheme.name} does not certify qualification {phi.name}"
         )
-    if mode == WHITE and profile is None:
-        profile = effective_illposedness(problem.b, problem.space)
-
-    rows = [evaluate_delta(problem, scheme, phi, float(delta), mode,
-                           cert.c_phi, n_reps=n_reps, seed=seed,
-                           stream_base=100_000 * (k + 1), profile=profile)
-            for k, delta in enumerate(deltas)]
-
-    fitted = fit_loglog_slope(deltas, [r.error for r in rows])
-    theoretical = fit_loglog_slope(
-        deltas, [problem.source_scale * float(phi(r.alpha_star)) for r in rows])
-    return RateStudyResult(mode=mode, rows=tuple(rows), fitted_slope=fitted,
-                           theoretical_slope=theoretical, c_phi=cert.c_phi,
-                           seed=seed)
+    return sweep_deltas(problem, scheme, phi, deltas, mode, cert.c_phi,
+                        n_reps=n_reps, seed=seed, profile=profile)

@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 config error, 3 invariant/bound violation,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,34 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from . import runner
-from .analysis import effective_illposedness, reconstruct
+from .analysis import (choose_alpha_deterministic, choose_alpha_white,
+                       effective_illposedness, reconstruct)
 from .config import build_index_function, build_problem, load_config
 from .errors import (ConfigError, Divergent, MultRegError,
                      RearrangementUndefined, RequiresFiniteMeasure)
 from .noise import WhiteNoiseSampler, sample_white
 from .rearrangement import (decreasing_rearrangement, distribution_function,
                             increasing_rearrangement)
-from .runner import EXIT_CONFIG, EXIT_DIVERGENT, EXIT_OK, EXIT_VIOLATION, fmt
+from .runner import (EXIT_CONFIG, EXIT_DIVERGENT, EXIT_OK, EXIT_VIOLATION,
+                     write_table)
 from .schemes import certify_axioms, certify_qualification, scheme_by_name
-
-
-def _table(path: Path, header, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines += [",".join(fmt(x) for x in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-
-
-def _emit(out_dir: Path, name: str, header, rows, out_format: str):
-    if out_format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        path = out_dir / f"{name}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2,
-                                   default=float) + "\n",
-                        encoding="ascii", newline="\n")
-    else:
-        _table(out_dir / f"{name}.csv", header, rows)
 
 
 def cmd_run(config, args) -> int:
@@ -71,17 +53,15 @@ def cmd_rearrange(config, args) -> int:
     out = Path(args.out or config.out_dir)
     sup = float(b.sup_bound)
     ts = np.geomspace(sup * 1e-6, sup, 64)
-    _emit(out, "distribution",
-          ("t", "d_b"),
-          [(t, distribution_function(b, space, float(t))) for t in ts],
-          args.format)
+    write_table(out / f"distribution.{args.format}", ("t", "d_b"),
+                [(t, distribution_function(b, space, float(t))) for t in ts])
     dec = decreasing_rearrangement(b, space)
-    _emit(out, "decreasing_rearrangement",
-          ("t_left", "t_right", "value"), list(dec.cells()), args.format)
+    write_table(out / f"decreasing_rearrangement.{args.format}",
+                ("t_left", "t_right", "value"), dec.cells())
     try:
         inc = increasing_rearrangement(b, space)
-        _emit(out, "increasing_rearrangement",
-              ("t_left", "t_right", "value"), list(inc.cells()), args.format)
+        write_table(out / f"increasing_rearrangement.{args.format}",
+                    ("t_left", "t_right", "value"), inc.cells())
     except RequiresFiniteMeasure:
         print("increasing rearrangement skipped (infinite measure)")
     print(f"rearrangement tables written to {out}")
@@ -93,7 +73,8 @@ def cmd_dalpha(config, args) -> int:
     profile = effective_illposedness(problem.b, problem.space)
     out = Path(args.out or config.out_dir)
     rows = list(zip(profile.alpha_grid, profile.d_values, profile.upper_bounds))
-    _emit(out, "dalpha", ("alpha", "D", "upper_bound"), rows, args.format)
+    write_table(out / f"dalpha.{args.format}", ("alpha", "D", "upper_bound"),
+                rows)
     print(f"D(alpha) profile ({len(rows)} points) written to {out}")
     return EXIT_OK
 
@@ -123,8 +104,10 @@ def cmd_reconstruct(config, args) -> int:
     delta = config.deltas[0] if config.deltas else 0.0
     if config.alpha is not None:
         alpha = config.alpha
+    elif not config.deltas:
+        raise ConfigError("reconstruct: set 'alpha' or give a noise level in "
+                          "noise.deltas to choose it from")
     else:
-        from .analysis import choose_alpha_deterministic, choose_alpha_white
         phi = build_index_function(config, problem)
         if config.mode == "white":
             profile = effective_illposedness(b, space)
@@ -135,12 +118,13 @@ def cmd_reconstruct(config, args) -> int:
     g = vals * f
     out = Path(args.out or config.out_dir)
     if delta > 0:
-        xi = sample_white(WhiteNoiseSampler(config.seed), space)
+        xi = sample_white(WhiteNoiseSampler(
+            config.seed, distribution=config.noise_distribution), space)
         g = g + delta * xi
-        _table(out / "noise.txt", ("node", "xi"), list(zip(space.nodes, xi)))
+        write_table(out / "noise.txt", ("node", "xi"), zip(space.nodes, xi))
     rec = reconstruct(scheme, alpha, b, space, g)
-    _table(out / "reconstruction.txt", ("node", "estimate"),
-           list(zip(space.nodes, np.real(rec.estimate))))
+    write_table(out / "reconstruction.txt", ("node", "estimate"),
+                zip(space.nodes, np.real(rec.estimate)))
     err = space.norm(f - rec.estimate)
     print(f"alpha={alpha:.6g} delta={delta:.6g} error={err:.6g} -> {out}")
     return EXIT_OK

@@ -9,7 +9,7 @@ the offending section and field.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +21,10 @@ from .gallery import (DeconvolutionProblem, FinalValueProblem, compact_case,
                       exp_decay_pair, fvp_multiplier, plateau_pair,
                       power_decay_pair, pure_power_pair, source_element_vector)
 from .indexfuncs import IndexFunction, index_function_from_spec
+from .noise import GAUSSIAN, RADEMACHER
 from .smoothness import phi_star, source_function
 from .spaces import MeasureSpace
 
-PROBLEM_KINDS = ("counting", "power_decay", "pure_power", "plateau",
-                 "exp_decay", "fvp_whole_space", "fvp_bounded",
-                 "deconvolution", "tabulated")
 _SPACE_KINDS = {"interval": "lebesgue_interval", "halfline": "lebesgue_halfline",
                 "line": "lebesgue_line", "counting": "counting"}
 MODES = ("deterministic", "white")
@@ -34,7 +32,7 @@ MODES = ("deterministic", "white")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description plus the raw file digest."""
+    """Validated experiment description plus the config file's digest."""
 
     problem: dict
     scheme: str
@@ -50,9 +48,7 @@ class ExperimentConfig:
     out_dir: str
     out_format: str
     digest: str
-    path: str = ""
-    noise_distribution: str = "gaussian"
-    raw: dict = field(default_factory=dict, repr=False)
+    noise_distribution: str = GAUSSIAN
 
 
 def _require(section: dict, key: str, where: str):
@@ -76,10 +72,10 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of sections")
     digest = hashlib.sha256(text).hexdigest()
-    return parse_config(raw, digest=digest, path=str(path))
+    return parse_config(raw, digest=digest)
 
 
-def parse_config(raw: dict, digest: str = "", path: str = "") -> ExperimentConfig:
+def parse_config(raw: dict, digest: str = "") -> ExperimentConfig:
     problem = raw.get("problem")
     if not isinstance(problem, dict):
         raise ConfigError("problem: section missing or not a mapping")
@@ -114,7 +110,10 @@ def parse_config(raw: dict, digest: str = "", path: str = "") -> ExperimentConfi
         raise ConfigError("noise.replications: must be >= 1")
     if mode == "white" and deltas and replications < 2:
         raise ConfigError("noise.replications: white-noise studies need >= 2")
-    distribution = noise.get("distribution", "gaussian")
+    distribution = noise.get("distribution", GAUSSIAN)
+    if distribution not in (GAUSSIAN, RADEMACHER):
+        raise ConfigError(f"noise.distribution: unknown distribution "
+                          f"'{distribution}' (choose from {GAUSSIAN}, {RADEMACHER})")
 
     disc = raw.get("discretization", {})
     n_nodes = int(disc.get("n_nodes", 2**14))
@@ -138,7 +137,7 @@ def parse_config(raw: dict, digest: str = "", path: str = "") -> ExperimentConfi
         seed=int(raw.get("seed", 0)), n_nodes=n_nodes,
         truncation_radius=radius, graded=graded, alpha=alpha,
         out_dir=out.get("directory", "out"), out_format=out_format,
-        digest=digest, path=path, noise_distribution=distribution, raw=raw)
+        digest=digest, noise_distribution=distribution)
 
 
 def build_index_function(config: ExperimentConfig,
@@ -154,52 +153,52 @@ def build_index_function(config: ExperimentConfig,
         raise ConfigError(f"index_function: {exc}") from exc
 
 
+def _counting(p: dict, config: ExperimentConfig):
+    n_max = int(p.get("n_max", 500))
+    b_values = p.get("b_values")
+    if b_values is None:
+        b_values = 1.0 / np.arange(1, n_max + 1, dtype=float)
+    return compact_case(b_values, n_max)
+
+
+def _deconvolution(p: dict, config: ExperimentConfig):
+    prob = DeconvolutionProblem(kernel=p.get("kernel", "exponential"),
+                                half_width=float(p.get("half_width", 40.0)),
+                                n=config.n_nodes, sigma=float(p.get("sigma", 1.0)))
+    return prob.multiplier, prob.freq_space
+
+
+# problem kind -> builder(problem section, config) -> (multiplier, space)
+_BUILDERS = {
+    "counting": _counting,
+    "power_decay": lambda p, c: power_decay_pair(
+        float(p.get("kappa", 1.0)), c.truncation_radius or 50.0, c.n_nodes),
+    "pure_power": lambda p, c: pure_power_pair(
+        float(p.get("kappa", 1.0)), c.n_nodes, graded=c.graded),
+    "plateau": lambda p, c: plateau_pair(c.truncation_radius or 50.0, c.n_nodes),
+    "exp_decay": lambda p, c: exp_decay_pair(c.truncation_radius or 30.0,
+                                             c.n_nodes),
+    "fvp_whole_space": lambda p, c: fvp_multiplier(FinalValueProblem(
+        "whole_space", c=float(p.get("c", 1.0)), tau=float(p.get("tau", 1.0)),
+        dimension=int(p.get("dimension", 1)),
+        radius=c.truncation_radius or 8.0, n_grid=c.n_nodes)),
+    "fvp_bounded": lambda p, c: fvp_multiplier(FinalValueProblem(
+        "bounded_domain", c=float(p.get("c", 1.0)), tau=float(p.get("tau", 1.0)),
+        n_max=int(p.get("n_max", 64)),
+        eigenvalues=tuple(p["eigenvalues"]) if p.get("eigenvalues") else None,
+        exponent_power=int(p.get("exponent_power", 2)))),
+    "deconvolution": _deconvolution,
+    "tabulated": lambda p, c: _tabulated_from_file(p),
+}
+PROBLEM_KINDS = tuple(_BUILDERS)
+
+
 def build_problem(config: ExperimentConfig) -> MultiplicationProblem:
     """Instantiate the multiplier, space and true solution."""
     p = config.problem
     kind = p["kind"]
-    n = config.n_nodes
-    radius = config.truncation_radius
     try:
-        if kind == "counting":
-            n_max = int(p.get("n_max", 500))
-            b_values = p.get("b_values")
-            if b_values is None:
-                b_values = 1.0 / np.arange(1, n_max + 1, dtype=float)
-            b, space = compact_case(b_values, n_max)
-        elif kind == "power_decay":
-            b, space = power_decay_pair(float(p.get("kappa", 1.0)),
-                                        radius or 50.0, n)
-        elif kind == "pure_power":
-            b, space = pure_power_pair(float(p.get("kappa", 1.0)), n,
-                                       graded=config.graded)
-        elif kind == "plateau":
-            b, space = plateau_pair(radius or 50.0, n)
-        elif kind == "exp_decay":
-            b, space = exp_decay_pair(radius or 30.0, n)
-        elif kind == "fvp_whole_space":
-            fvp = FinalValueProblem("whole_space", c=float(p.get("c", 1.0)),
-                                    tau=float(p.get("tau", 1.0)),
-                                    dimension=int(p.get("dimension", 1)),
-                                    radius=radius or 8.0, n_grid=n)
-            b, space = fvp_multiplier(fvp)
-        elif kind == "fvp_bounded":
-            eig = p.get("eigenvalues")
-            fvp = FinalValueProblem("bounded_domain", c=float(p.get("c", 1.0)),
-                                    tau=float(p.get("tau", 1.0)),
-                                    n_max=int(p.get("n_max", 64)),
-                                    eigenvalues=tuple(eig) if eig else None,
-                                    exponent_power=int(p.get("exponent_power", 2)))
-            b, space = fvp_multiplier(fvp)
-        elif kind == "deconvolution":
-            prob = DeconvolutionProblem(kernel=p.get("kernel", "exponential"),
-                                        half_width=float(p.get("half_width", 40.0)),
-                                        n=n, sigma=float(p.get("sigma", 1.0)))
-            b, space = prob.multiplier, prob.freq_space
-        elif kind == "tabulated":
-            b, space = _tabulated_from_file(p)
-        else:
-            raise ConfigError(f"problem.kind: unhandled kind '{kind}'")
+        b, space = _BUILDERS[kind](p, config)
         f, scale = _solution_on(b, space, p, config)
         return MultiplicationProblem(b=b, space=space, f_true=f, name=kind,
                                      source_scale=scale)

@@ -15,6 +15,23 @@ import numpy as np
 from .errors import PreconditionFailed
 
 
+def solve_increasing(fn, target: float, lo: float, hi: float) -> float:
+    """x in (lo, hi] with fn(x) >= target, for increasing fn.
+
+    Geometric bisection until lo and hi are at most two doubles apart
+    (about 60 steps), then the upper end.  Needs 0 < lo, fn(lo) <= target.
+    """
+    for _ in range(200):
+        mid = np.sqrt(lo) * np.sqrt(hi)
+        if not lo < mid < hi:
+            break
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return float(hi)
+
+
 class IndexFunction:
     """Base class; subclasses implement ``_eval`` on valid positive input."""
 
@@ -42,15 +59,7 @@ class IndexFunction:
         if not (flo <= y <= fhi):
             raise ValueError(f"{self.name}: value {y:.6g} outside range "
                              f"[{flo:.6g}, {fhi:.6g}]")
-        for _ in range(200):
-            mid = np.sqrt(lo * hi)
-            if self(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi / lo < 1 + 1e-14:
-                break
-        return float(np.sqrt(lo * hi))
+        return solve_increasing(self, y, lo, hi)
 
     def _finite_bracket(self) -> tuple[float, float]:
         lo, hi = self.domain

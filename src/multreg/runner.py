@@ -8,14 +8,12 @@ rows in delta order, JSON with sorted keys, no timestamps.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import (WHITE, effective_illposedness, evaluate_delta,
-                       fit_loglog_slope)
+from .analysis import sweep_deltas
 from .config import ExperimentConfig, build_index_function, build_problem
 from .errors import (Divergent, MultRegError, PreconditionFailed,
                      RearrangementUndefined)
@@ -36,6 +34,11 @@ def fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.17g}"
+
+
+def _row_values(rows):
+    return [(r.delta, r.alpha_star, r.error, r.stderr, r.bias,
+             r.variance_term, r.bound, int(r.violated)) for r in rows]
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,8 @@ class ExperimentReport:
         return {
             "mode": self.mode,
             "scheme": self.scheme,
-            "rows": [{
-                "delta": r.delta, "alpha_star": r.alpha_star,
-                "empirical_error": r.error, "stderr": r.stderr,
-                "bias": r.bias, "variance_term": r.variance_term,
-                "bound": r.bound, "violated": int(r.violated),
-            } for r in self.rows],
+            "rows": [dict(zip(CSV_COLUMNS, row))
+                     for row in _row_values(self.rows)],
             "fitted_slope": self.fitted_slope,
             "theoretical_slope": self.theoretical_slope,
             "c_phi": self.c_phi,
@@ -76,32 +75,33 @@ class ExperimentReport:
         }
 
 
-def rows_csv(rows) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(",".join([
-            fmt(r.delta), fmt(r.alpha_star), fmt(r.error), fmt(r.stderr),
-            fmt(r.bias), fmt(r.variance_term), fmt(r.bound), fmt(r.violated),
-        ]))
-    return "\n".join(lines) + "\n"
+def _to_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, default=float) + "\n"
 
 
-def _write(out_dir: Path, name: str, text: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text, encoding="ascii", newline="\n")
+def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="ascii", newline="\n")
+
+
+def write_table(path, header, rows) -> None:
+    """Write ``rows`` under ``header``: a list of records keyed by ``header``
+    to a ``.json`` path, otherwise CSV with every value through ``fmt``."""
+    path = Path(path)
+    if path.suffix == ".json":
+        text = _to_json([dict(zip(header, row)) for row in rows])
+    else:
+        lines = [",".join(header)]
+        lines += [",".join(fmt(x) for x in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    _write(path, text)
 
 
 def write_report(report: ExperimentReport, out_dir, out_format: str = "csv") -> None:
     out_dir = Path(out_dir)
-    if out_format == "csv":
-        _write(out_dir, "rows.csv", rows_csv(report.rows))
-    else:
-        rows = report.to_dict()["rows"]
-        _write(out_dir, "rows.json",
-               json.dumps(rows, sort_keys=True, indent=2) + "\n")
-    _write(out_dir, "report.json",
-           json.dumps(report.to_dict(), sort_keys=True, indent=2,
-                      allow_nan=True) + "\n")
+    write_table(out_dir / f"rows.{out_format}", CSV_COLUMNS,
+                _row_values(report.rows))
+    _write(out_dir / "report.json", _to_json(report.to_dict()))
 
 
 def run(config: ExperimentConfig, out_dir=None, threads: int = 1,
@@ -143,43 +143,22 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1,
                        f"scheme {scheme.name} failed qualification {phi.name} "
                        f"(estimate {cert.c_phi:.4g})", EXIT_VIOLATION)
 
-    profile = None
-    if config.mode == WHITE:
-        try:
-            profile = effective_illposedness(problem.b, problem.space)
-        except (RearrangementUndefined, Divergent) as exc:
-            return failure("divergent", str(exc), EXIT_DIVERGENT)
-
-    deltas = sorted(config.deltas, reverse=True)
-
-    def one(k_delta):
-        k, delta = k_delta
-        return evaluate_delta(problem, scheme, phi, delta, config.mode,
-                              cert.c_phi, n_reps=config.replications,
-                              seed=seed, stream_base=100_000 * (k + 1),
-                              profile=profile)
-
     try:
-        if threads > 1 and len(deltas) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(one, enumerate(deltas)))
-        else:
-            rows = [one(kd) for kd in enumerate(deltas)]
+        study = sweep_deltas(problem, scheme, phi,
+                             sorted(config.deltas, reverse=True), config.mode,
+                             cert.c_phi, n_reps=config.replications, seed=seed,
+                             threads=threads,
+                             distribution=config.noise_distribution)
     except (Divergent, RearrangementUndefined) as exc:
         return failure("divergent", str(exc), EXIT_DIVERGENT)
     except (PreconditionFailed, MultRegError) as exc:
         return failure("violation", str(exc), EXIT_VIOLATION)
 
-    fitted = theoretical = None
-    if len(rows) >= 4:
-        fitted = fit_loglog_slope(deltas, [r.error for r in rows])
-        theoretical = fit_loglog_slope(
-            deltas,
-            [problem.source_scale * float(phi(r.alpha_star)) for r in rows])
-    violations = sum(r.violated for r in rows)
+    violations = study.violations
     report = ExperimentReport(
-        mode=config.mode, scheme=scheme.name, rows=tuple(rows),
-        fitted_slope=fitted, theoretical_slope=theoretical, c_phi=cert.c_phi,
+        mode=config.mode, scheme=scheme.name, rows=study.rows,
+        fitted_slope=study.fitted_slope,
+        theoretical_slope=study.theoretical_slope, c_phi=cert.c_phi,
         config_digest=config.digest, seed=seed, violations=violations,
         status="violation" if violations else "ok", failure=None,
         exit_code=EXIT_VIOLATION if violations else EXIT_OK)

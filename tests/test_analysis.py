@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +192,22 @@ def test_illposedness_underflowed_multiplier():
         effective_illposedness(b, space, alpha_grid=[1e-200])
 
 
+def test_illposedness_matches_per_alpha_sums():
+    # reference: one masked domain sum and one distribution_function call per
+    # alpha; the profile sums in another order, so D^2 may differ by n*eps
+    b, space = power_decay_pair(0.5, 50.0, 2**12)
+    prof = effective_illposedness(b, space)
+    vals, w = b.values_on(space), space.weights
+    from multreg import distribution_function
+    for alpha, d, bound in zip(prof.alpha_grid, prof.d_values,
+                               prof.upper_bounds):
+        ref = float(np.sum(w[vals > alpha] / vals[vals > alpha] ** 2))
+        assert d**2 == pytest.approx(ref, rel=vals.size * np.finfo(float).eps)
+        assert bound == np.sqrt(distribution_function(b, space, alpha)) / alpha
+    with pytest.raises(ValueError):
+        effective_illposedness(b, space, alpha_grid=[0.5, 0.1])
+
+
 def test_illposedness_interpolation():
     prof = IllposednessProfile.from_callable(lambda a: 1.0 / a,
                                              np.geomspace(1e-4, 0.5, 40))
@@ -204,6 +224,8 @@ def test_choose_alpha_deterministic_powers():
         pytest.approx(1e-2, rel=1e-9)
     assert choose_alpha_deterministic(PowerIndex(2.0), 8e-3) == \
         pytest.approx(0.2, rel=1e-9)
+    assert choose_alpha_deterministic(PowerIndex(0.5), 1e-3) == \
+        pytest.approx(1e-3 ** (1 / 1.5), rel=1e-12)
 
 
 def test_choose_alpha_deterministic_custom_table():
@@ -425,3 +447,14 @@ def test_rate_study_rejects_unqualified_scheme():
     with pytest.raises(PreconditionFailed):
         rate_study(prob, lavrentiev(), PowerIndex(1.5),
                    [1e-2, 1e-3, 1e-4, 1e-5], 1, mode="deterministic")
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, multreg; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -196,6 +196,36 @@ output: {directory: OUTDIR}
     assert data.shape == (100, 2)
 
 
+def test_cli_reconstruct_without_noise_level_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, """\
+problem: {kind: counting, n_max: 100}
+scheme: cutoff
+output: {directory: OUTDIR}
+""")
+    assert main(["reconstruct", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_noise_distribution_reaches_the_sampler(tmp_path):
+    path = write_config(tmp_path, WHITE_STUDY)
+    rademacher = write_config(
+        tmp_path, WHITE_STUDY.replace("replications: 40",
+                                      "replications: 40\n  distribution: rademacher"),
+        name="rademacher.yaml")
+    bogus = write_config(
+        tmp_path, WHITE_STUDY.replace("replications: 40",
+                                      "replications: 40\n  distribution: bogus"),
+        name="bogus.yaml")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "g")]) == 0
+    assert main(["run", "--config", str(rademacher),
+                 "--out", str(tmp_path / "r")]) == 0
+    assert (tmp_path / "g" / "rows.csv").read_bytes() != \
+        (tmp_path / "r" / "rows.csv").read_bytes()
+    assert main(["run", "--config", str(bogus),
+                 "--out", str(tmp_path / "b")]) == EXIT_CONFIG
+    assert not (tmp_path / "b").exists()
+
+
 def test_tabulated_problem_from_file(tmp_path):
     nodes = np.linspace(0.05, 29.95, 300)
     lines = ["# node value"]
