@@ -97,9 +97,11 @@ def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
         return VarianceValue(_variance_sum(scheme, alpha, b, space))
 
     if b.evaluable:
-        spaces = [space, space.extended(2.0), space.extended(4.0)]
-        sums = [_variance_sum(scheme, alpha, b, sp) for sp in spaces]
-        measures = [sp.total_measure for sp in spaces]
+        sums, measures = [], []
+        for factor in (1.0, 2.0, 4.0):  # one extended grid alive at a time
+            sp = space.extended(factor) if factor > 1 else space
+            sums.append(_variance_sum(scheme, alpha, b, sp))
+            measures.append(sp.total_measure)
         g1, g2 = sums[1] - sums[0], sums[2] - sums[1]
         grew_twice = (sums[1] > sums[0] * (1 + growth_threshold)
                       and sums[2] > sums[1] * (1 + growth_threshold))
@@ -388,6 +390,7 @@ class MultiplicationProblem:
     f_true: np.ndarray
     name: str = ""
     source_scale: float = 1.0  # ||v|| when the source element is not normalized
+    phi: IndexFunction | None = None  # index function of f_true = phi(b) v
 
 
 @dataclass(frozen=True)
@@ -440,6 +443,22 @@ def fit_loglog_slope(xs, ys, trim_fraction: float = 0.1) -> float | None:
 
 DETERMINISTIC = "deterministic"
 WHITE = "white"
+STREAM_STRIDE = 100_000  # sweep_deltas' noise streams per delta
+
+
+def choose_alpha(problem: MultiplicationProblem, phi: IndexFunction,
+                 delta: float, mode: str,
+                 profile: IllposednessProfile | None = None) -> float:
+    """A-priori alpha*: alpha phi(alpha) = delta on (1e-12, min(1, sup b)] if
+    deterministic, phi(alpha) = delta D(alpha) if white (D from ``profile``)."""
+    if mode == DETERMINISTIC:
+        return choose_alpha_deterministic(
+            phi, delta, bracket=(1e-12, min(1.0, float(problem.b.sup_bound))))
+    if mode == WHITE:
+        if profile is None:
+            profile = effective_illposedness(problem.b, problem.space)
+        return choose_alpha_white(phi, profile, delta)
+    raise ValueError(f"unknown mode '{mode}'")
 
 
 def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
@@ -448,7 +467,7 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
                    stream_base: int = 0,
                    profile: IllposednessProfile | None = None,
                    distribution: str = GAUSSIAN) -> RateRow:
-    """One row of a rate study: choose alpha*, evaluate error and bound.
+    """One row of a rate study: alpha* from ``choose_alpha``, error and bound.
 
     Deterministic mode perturbs the data with the worst admissible noise
     (all mass at the node where the filter is largest, attaining the
@@ -460,9 +479,8 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
     b, space, f = problem.b, problem.space, problem.f_true
     vals = b.values_on(space)
     rho = problem.source_scale
+    alpha_star = choose_alpha(problem, phi, delta, mode, profile)
     if mode == DETERMINISTIC:
-        alpha_star = choose_alpha_deterministic(
-            phi, delta, bracket=(1e-12, min(1.0, float(b.sup_bound))))
         phi_v = np.abs(scheme.phi(alpha_star, vals))
         worst = worst_case_deterministic(
             concentrated_direction(space, int(np.argmax(phi_v))), space)
@@ -472,10 +490,7 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
                                         delta, worst, bound)
         err, stderr = budget.total, 0.0
         violated = err > bound * (1 + 1e-9)
-    elif mode == WHITE:
-        if profile is None:
-            raise ValueError("white mode needs an ill-posedness profile")
-        alpha_star = choose_alpha_white(phi, profile, delta)
+    else:
         bound = white_bound_at_star(c_phi, scheme.c_0, phi, alpha_star, rho)
         sampler = WhiteNoiseSampler(seed, stream_id=stream_base,
                                     distribution=distribution)
@@ -484,8 +499,6 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
         err, stderr = mc.rms, mc.stderr
         budget = mc.budget
         violated = err > bound + 2.0 * stderr
-    else:
-        raise ValueError(f"unknown mode '{mode}'")
     return RateRow(delta=float(delta), alpha_star=alpha_star, error=err,
                    stderr=stderr, bias=budget.bias,
                    variance_term=budget.noise_term, bound=bound,
@@ -499,7 +512,7 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
                  distribution: str = GAUSSIAN) -> RateStudyResult:
     """One ``evaluate_delta`` row per delta, in order, and the fitted slopes.
 
-    Delta k draws from streams ``100_000 * (k + 1) + r``, so ``threads``
+    Delta k draws from streams ``STREAM_STRIDE * (k + 1) + r``, so ``threads``
     (workers over the deltas) does not change the rows.  The slopes fit
     log(error) and log(phi(alpha*)) against log(delta) on the middle 80%
     of the points; they are None below 4 rows.
@@ -511,7 +524,7 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
         k, delta = k_delta
         return evaluate_delta(problem, scheme, phi, float(delta), mode, c_phi,
                               n_reps=n_reps, seed=seed,
-                              stream_base=100_000 * (k + 1), profile=profile,
+                              stream_base=STREAM_STRIDE * (k + 1), profile=profile,
                               distribution=distribution)
 
     if threads > 1 and len(deltas) > 1:
@@ -546,8 +559,6 @@ def rate_study(problem: MultiplicationProblem, scheme: Scheme,
         raise ValueError("a rate study needs at least 4 delta values")
     if np.any(deltas <= 0):
         raise ValueError("deltas must be positive")
-    if mode not in (DETERMINISTIC, WHITE):
-        raise ValueError(f"unknown mode '{mode}'")
 
     cert = certificate or certify_qualification(scheme, phi)
     if not cert.passed:

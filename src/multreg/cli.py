@@ -21,9 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import runner
-from .analysis import (choose_alpha_deterministic, choose_alpha_white,
-                       effective_illposedness, reconstruct)
-from .config import build_index_function, build_problem, load_config
+from .analysis import choose_alpha, effective_illposedness, reconstruct
+from .config import build_problem, load_config
 from .errors import (ConfigError, Divergent, MultRegError,
                      RearrangementUndefined, RequiresFiniteMeasure)
 from .noise import WhiteNoiseSampler, sample_white
@@ -31,7 +30,7 @@ from .rearrangement import (decreasing_rearrangement, distribution_function,
                             increasing_rearrangement)
 from .runner import (EXIT_CONFIG, EXIT_DIVERGENT, EXIT_OK, EXIT_VIOLATION,
                      write_table)
-from .schemes import certify_axioms, certify_qualification, scheme_by_name
+from .schemes import certify, scheme_by_name
 
 
 def cmd_run(config, args) -> int:
@@ -80,18 +79,10 @@ def cmd_dalpha(config, args) -> int:
 
 
 def cmd_check_scheme(config, args) -> int:
+    phi = build_problem(config).phi
     scheme = scheme_by_name(config.scheme)
-    ok = certify_axioms(scheme)
+    ok, cert = certify(scheme, phi)
     print(f"axioms({scheme.name}): {'PASS' if ok else 'FAILED'}")
-    problem = None
-    if config.index_function.get("family") == "reciprocal_measure":
-        problem = build_problem(config)
-    phi = build_index_function(config, problem)
-    parent = None
-    if scheme.name.startswith("truncated:"):
-        parent = certify_qualification(
-            scheme_by_name(scheme.name[len("truncated:"):]), phi)
-    cert = certify_qualification(scheme, phi, parent_certificate=parent)
     status = "PASS" if cert.passed else "FAILED"
     print(f"qualification({phi.name}): {status} (C_phi estimate {cert.c_phi:.6g})")
     return EXIT_OK if (ok and cert.passed) else EXIT_VIOLATION
@@ -108,12 +99,7 @@ def cmd_reconstruct(config, args) -> int:
         raise ConfigError("reconstruct: set 'alpha' or give a noise level in "
                           "noise.deltas to choose it from")
     else:
-        phi = build_index_function(config, problem)
-        if config.mode == "white":
-            profile = effective_illposedness(b, space)
-            alpha = choose_alpha_white(phi, profile, delta)
-        else:
-            alpha = choose_alpha_deterministic(phi, delta)
+        alpha = choose_alpha(problem, problem.phi, delta, config.mode)
     vals = b.values_on(space)
     g = vals * f
     out = Path(args.out or config.out_dir)
@@ -130,13 +116,16 @@ def cmd_reconstruct(config, args) -> int:
     return EXIT_OK
 
 
+# subcommand -> (handler, help text)
 _COMMANDS = {
-    "run": cmd_run,
-    "rates": cmd_run,
-    "rearrange": cmd_rearrange,
-    "dalpha": cmd_dalpha,
-    "check-scheme": cmd_check_scheme,
-    "reconstruct": cmd_reconstruct,
+    "run": (cmd_run, "execute the configured experiment pipeline"),
+    "rates": (cmd_run, "alias of run: full rate study"),
+    "rearrange": (cmd_rearrange,
+                  "dump distribution function and rearrangement tables"),
+    "dalpha": (cmd_dalpha, "dump the effective ill-posedness profile D(alpha)"),
+    "check-scheme": (cmd_check_scheme, "certify scheme axioms and qualification"),
+    "reconstruct": (cmd_reconstruct,
+                    "write a single reconstruction as two-column text"),
 }
 
 
@@ -146,14 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral regularization experiments for multiplication "
                     "operator equations")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("run", "execute the configured experiment pipeline"),
-        ("rates", "alias of run: full rate study"),
-        ("rearrange", "dump distribution function and rearrangement tables"),
-        ("dalpha", "dump the effective ill-posedness profile D(alpha)"),
-        ("check-scheme", "certify scheme axioms and qualification"),
-        ("reconstruct", "write a single reconstruction as two-column text"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the YAML config")
         p.add_argument("--out", default=None, help="output directory")
@@ -174,7 +156,7 @@ def main(argv=None) -> int:
             config = replace(config, seed=args.seed)
         if args.format is None:
             args.format = config.out_format
-        return _COMMANDS[args.command](config, args)
+        return _COMMANDS[args.command][0](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

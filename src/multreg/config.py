@@ -15,19 +15,22 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .analysis import MultiplicationProblem
+from .analysis import STREAM_STRIDE, MultiplicationProblem
 from .errors import ConfigError
 from .gallery import (DeconvolutionProblem, FinalValueProblem, compact_case,
                       exp_decay_pair, fvp_multiplier, plateau_pair,
                       power_decay_pair, pure_power_pair, source_element_vector)
 from .indexfuncs import IndexFunction, index_function_from_spec
 from .noise import GAUSSIAN, RADEMACHER
+from .schemes import scheme_by_name
 from .smoothness import phi_star, source_function
 from .spaces import MeasureSpace
 
 _SPACE_KINDS = {"interval": "lebesgue_interval", "halfline": "lebesgue_halfline",
                 "line": "lebesgue_line", "counting": "counting"}
 MODES = ("deterministic", "white")
+_TOP_LEVEL = ("problem", "scheme", "index_function", "noise", "discretization",
+              "output", "alpha", "seed")
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,34 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _section(section, known, where: str) -> dict:
+    """``section``, which must be a mapping with no keys outside ``known``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected a mapping")
+    unknown = sorted(str(key) for key in section if key not in known)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)} "
+                          f"(choose from {', '.join(known)})")
+    return section
+
+
+def _number(section: dict, key: str, default, kind, where: str = "",
+            minimum=None):
+    """``section[key]`` (``default`` when absent) as ``kind``, at least
+    ``minimum`` when given; None stays None."""
+    value = section.get(key, default)
+    if value is None:
+        return None
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}{key}: expected {kind.__name__}, "
+                          f"got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{where}{key}: must be >= {minimum}")
+    return number
+
+
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
@@ -76,6 +107,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def parse_config(raw: dict, digest: str = "") -> ExperimentConfig:
+    _section(raw, _TOP_LEVEL, "top level")
     problem = raw.get("problem")
     if not isinstance(problem, dict):
         raise ConfigError("problem: section missing or not a mapping")
@@ -85,29 +117,35 @@ def parse_config(raw: dict, digest: str = "") -> ExperimentConfig:
                           f"(choose from {', '.join(PROBLEM_KINDS)})")
 
     scheme = raw.get("scheme", "cutoff")
-    if isinstance(scheme, dict):
-        scheme = _require(scheme, "name", "scheme")
     if not isinstance(scheme, str):
         raise ConfigError("scheme: expected a name string")
+    try:
+        scheme_by_name(scheme)
+    except ValueError as exc:
+        raise ConfigError(f"scheme: {exc}") from None
 
     index_function = raw.get("index_function", {"family": "power", "nu": 1.0})
     if not isinstance(index_function, dict):
         raise ConfigError("index_function: expected a mapping")
 
-    noise = raw.get("noise", {})
+    noise = _section(raw.get("noise", {}),
+                     ("mode", "deltas", "replications", "distribution"), "noise")
     mode = noise.get("mode", "deterministic")
     if mode not in MODES:
         raise ConfigError(f"noise.mode: unknown mode '{mode}'")
     deltas = noise.get("deltas", [])
     try:
+        if not isinstance(deltas, list):
+            raise TypeError
         deltas = tuple(float(d) for d in deltas)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("noise.deltas: expected a list of numbers") from None
-    if any(d <= 0 for d in deltas):
-        raise ConfigError("noise.deltas: all noise levels must be positive")
-    replications = int(noise.get("replications", 1))
-    if replications < 1:
-        raise ConfigError("noise.replications: must be >= 1")
+    if not all(0 < d < np.inf for d in deltas):
+        raise ConfigError("noise.deltas: noise levels must be positive and finite")
+    replications = _number(noise, "replications", 1, int, "noise.", minimum=1)
+    if replications >= STREAM_STRIDE:
+        raise ConfigError(f"noise.replications: must be < {STREAM_STRIDE}, or "
+                          "the noise streams of different deltas overlap")
     if mode == "white" and deltas and replications < 2:
         raise ConfigError("noise.replications: white-noise studies need >= 2")
     distribution = noise.get("distribution", GAUSSIAN)
@@ -115,50 +153,42 @@ def parse_config(raw: dict, digest: str = "") -> ExperimentConfig:
         raise ConfigError(f"noise.distribution: unknown distribution "
                           f"'{distribution}' (choose from {GAUSSIAN}, {RADEMACHER})")
 
-    disc = raw.get("discretization", {})
-    n_nodes = int(disc.get("n_nodes", 2**14))
-    if n_nodes < 2:
-        raise ConfigError("discretization.n_nodes: must be >= 2")
-    radius = disc.get("truncation_radius")
-    radius = float(radius) if radius is not None else None
+    disc = _section(raw.get("discretization", {}),
+                    ("n_nodes", "truncation_radius", "graded"), "discretization")
+    n_nodes = _number(disc, "n_nodes", 2**14, int, "discretization.", minimum=2)
+    radius = _number(disc, "truncation_radius", None, float, "discretization.")
     graded = bool(disc.get("graded", False))
 
-    out = raw.get("output", {})
+    out = _section(raw.get("output", {}), ("directory", "format"), "output")
     out_format = out.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError("output.format: must be 'csv' or 'json'")
+    out_dir = out.get("directory", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError("output.directory: expected a path string")
 
-    alpha = raw.get("alpha")
-    alpha = float(alpha) if alpha is not None else None
+    alpha = _number(raw, "alpha", None, float)
+    if alpha is not None and not 0 < alpha < np.inf:
+        raise ConfigError("alpha: must be positive")
+    seed = _number(raw, "seed", 0, int, minimum=0)
 
     return ExperimentConfig(
         problem=dict(problem), scheme=scheme, index_function=dict(index_function),
         mode=mode, deltas=deltas, replications=replications,
-        seed=int(raw.get("seed", 0)), n_nodes=n_nodes,
+        seed=seed, n_nodes=n_nodes,
         truncation_radius=radius, graded=graded, alpha=alpha,
-        out_dir=out.get("directory", "out"), out_format=out_format,
+        out_dir=out_dir, out_format=out_format,
         digest=digest, noise_distribution=distribution)
 
 
-def build_index_function(config: ExperimentConfig,
-                         problem: MultiplicationProblem | None = None) -> IndexFunction:
-    spec = config.index_function
-    if spec.get("family") == "reciprocal_measure":
-        if problem is None:
-            raise ConfigError("index_function: reciprocal_measure needs a problem")
-        return phi_star(problem.b, problem.space)
+def _index_function(spec: dict, b, space: MeasureSpace) -> IndexFunction:
+    """phi of f = phi(b) v: phi* = 1/d_b for reciprocal_measure, else the family."""
     try:
+        if spec.get("family") == "reciprocal_measure":
+            return phi_star(b, space)
         return index_function_from_spec(spec)
-    except (KeyError, ValueError) as exc:
+    except Exception as exc:
         raise ConfigError(f"index_function: {exc}") from exc
-
-
-def _counting(p: dict, config: ExperimentConfig):
-    n_max = int(p.get("n_max", 500))
-    b_values = p.get("b_values")
-    if b_values is None:
-        b_values = 1.0 / np.arange(1, n_max + 1, dtype=float)
-    return compact_case(b_values, n_max)
 
 
 def _deconvolution(p: dict, config: ExperimentConfig):
@@ -170,7 +200,8 @@ def _deconvolution(p: dict, config: ExperimentConfig):
 
 # problem kind -> builder(problem section, config) -> (multiplier, space)
 _BUILDERS = {
-    "counting": _counting,
+    "counting": lambda p, c: compact_case(p.get("b_values"),
+                                          int(p.get("n_max", 500))),
     "power_decay": lambda p, c: power_decay_pair(
         float(p.get("kappa", 1.0)), c.truncation_radius or 50.0, c.n_nodes),
     "pure_power": lambda p, c: pure_power_pair(
@@ -194,14 +225,15 @@ PROBLEM_KINDS = tuple(_BUILDERS)
 
 
 def build_problem(config: ExperimentConfig) -> MultiplicationProblem:
-    """Instantiate the multiplier, space and true solution."""
+    """Instantiate the multiplier, space, index function and true solution."""
     p = config.problem
     kind = p["kind"]
     try:
         b, space = _BUILDERS[kind](p, config)
-        f, scale = _solution_on(b, space, p, config)
+        phi = _index_function(config.index_function, b, space)
+        f, scale = _solution_on(b, space, p, phi)
         return MultiplicationProblem(b=b, space=space, f_true=f, name=kind,
-                                     source_scale=scale)
+                                     source_scale=scale, phi=phi)
     except ConfigError:
         raise
     except Exception as exc:
@@ -244,7 +276,7 @@ def _tabulated_from_file(p: dict):
 
 
 def _solution_on(b, space: MeasureSpace, p: dict,
-                 config: ExperimentConfig) -> tuple[np.ndarray, float]:
+                 phi: IndexFunction) -> tuple[np.ndarray, float]:
     """True solution and its source-element norm.
 
     The solution comes from a two-column file, explicit values, or a
@@ -263,10 +295,6 @@ def _solution_on(b, space: MeasureSpace, p: dict,
         if f.shape != space.nodes.shape:
             raise ConfigError("solution_values not aligned with the space")
         return f, 1.0
-    phi = index_function_from_spec(config.index_function) \
-        if config.index_function.get("family") != "reciprocal_measure" else None
-    if phi is None:
-        phi = phi_star(b, space)
     default_element = "inverse_sqrt" if space.kind == "counting" else "constant"
     v = source_element_vector(p.get("element", default_element), space.nodes.size)
     v = v / space.norm(v)

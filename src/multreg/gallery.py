@@ -203,8 +203,11 @@ def fvp_multiplier(fvp: FinalValueProblem) -> tuple[Multiplier, MeasureSpace]:
     return mult, MeasureSpace.counting(fvp.n_max)
 
 
-def compact_case(b_values, n_max: int | None = None) -> tuple[Multiplier, MeasureSpace]:
-    """Counting-measure instance from a list of positive eigenvalues of A."""
+def compact_case(b_values=None, n_max: int | None = None,
+                 ) -> tuple[Multiplier, MeasureSpace]:
+    """Counting-measure instance from positive eigenvalues of A (default 1/j)."""
+    if b_values is None:
+        b_values = 1.0 / np.arange(1, n_max + 1, dtype=float)
     vals = np.asarray(b_values, float)
     if n_max is not None:
         vals = vals[:n_max]
@@ -252,8 +255,6 @@ def counting_problem(n_max: int, phi: IndexFunction,
     The source element v is normalized to unit weighted norm by default,
     so the solution sits exactly on the boundary of the source set.
     """
-    if b_values is None:
-        b_values = 1.0 / np.arange(1, n_max + 1, dtype=float)
     b, space = compact_case(b_values, n_max)
     v = source_element_vector(element, n_max)
     if normalize:
@@ -261,7 +262,7 @@ def counting_problem(n_max: int, phi: IndexFunction,
     f = source_function(v, b, space, phi)
     return MultiplicationProblem(b=b, space=space, f_true=f,
                                  name=f"counting[{element}]",
-                                 source_scale=float(space.norm(v)))
+                                 source_scale=float(space.norm(v)), phi=phi)
 
 
 def power_decay_pair(kappa: float, radius: float = 50.0,

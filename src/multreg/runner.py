@@ -8,16 +8,15 @@ rows in delta order, JSON with sorted keys, no timestamps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import sweep_deltas
-from .config import ExperimentConfig, build_index_function, build_problem
-from .errors import (Divergent, MultRegError, PreconditionFailed,
-                     RearrangementUndefined)
-from .schemes import certify_axioms, certify_qualification, scheme_by_name
+from .config import ExperimentConfig, build_problem
+from .errors import Divergent, MultRegError, RearrangementUndefined
+from .schemes import certify, scheme_by_name
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,32 +46,23 @@ class ExperimentReport:
 
     mode: str
     scheme: str
-    rows: tuple
-    fitted_slope: float | None
-    theoretical_slope: float | None
-    c_phi: float | None
     config_digest: str
     seed: int
-    violations: int
+    rows: tuple = ()
+    fitted_slope: float | None = None
+    theoretical_slope: float | None = None
+    c_phi: float | None = None
+    violations: int = 0
     status: str = "ok"          # ok | violation | divergent
     failure: str | None = None
     exit_code: int = EXIT_OK
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "scheme": self.scheme,
-            "rows": [dict(zip(CSV_COLUMNS, row))
-                     for row in _row_values(self.rows)],
-            "fitted_slope": self.fitted_slope,
-            "theoretical_slope": self.theoretical_slope,
-            "c_phi": self.c_phi,
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "violations": self.violations,
-            "status": self.status,
-            "failure": self.failure,
-        }
+        """Every field but the exit code, with the rows keyed by column."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "exit_code"}
+        out["rows"] = [dict(zip(CSV_COLUMNS, row)) for row in _row_values(self.rows)]
+        return out
 
 
 def _to_json(obj) -> str:
@@ -105,8 +95,8 @@ def write_report(report: ExperimentReport, out_dir, out_format: str = "csv") -> 
 
 
 def run(config: ExperimentConfig, out_dir=None, threads: int = 1,
-        out_format: str | None = None, write: bool = True) -> ExperimentReport:
-    """Execute the full pipeline and (optionally) write rows + report.
+        out_format: str | None = None) -> ExperimentReport:
+    """Execute the full pipeline and write rows + report.
 
     Divergent problems and undefined rearrangements surface as a
     structured failure report with exit code 4, certification failures
@@ -114,52 +104,39 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1,
     """
     problem = build_problem(config)
     scheme = scheme_by_name(config.scheme)
-    seed = config.seed
 
-    def finish(report):
-        if write:
-            write_report(report, out_dir or config.out_dir,
-                         out_format or config.out_format)
+    def finish(**outcome):
+        report = ExperimentReport(mode=config.mode, scheme=scheme.name,
+                                  config_digest=config.digest, seed=config.seed,
+                                  **outcome)
+        write_report(report, out_dir or config.out_dir,
+                     out_format or config.out_format)
         return report
 
     def failure(status, message, code):
-        return finish(ExperimentReport(
-            mode=config.mode, scheme=scheme.name, rows=(),
-            fitted_slope=None, theoretical_slope=None, c_phi=None,
-            config_digest=config.digest, seed=seed, violations=0,
-            status=status, failure=message, exit_code=code))
+        return finish(status=status, failure=message, exit_code=code)
 
-    if not certify_axioms(scheme):
-        return failure("violation", f"scheme {scheme.name} failed the axioms",
+    axioms_ok, cert = certify(scheme, problem.phi)
+    if not (axioms_ok and cert.passed):
+        failed = "the axioms" if not axioms_ok else \
+            f"qualification {problem.phi.name} (estimate {cert.c_phi:.4g})"
+        return failure("violation", f"scheme {scheme.name} failed {failed}",
                        EXIT_VIOLATION)
-    try:
-        phi = build_index_function(config, problem)
-    except (MultRegError, ValueError) as exc:
-        return failure("violation", f"index function rejected: {exc}",
-                       EXIT_VIOLATION)
-    cert = certify_qualification(scheme, phi)
-    if not cert.passed:
-        return failure("violation",
-                       f"scheme {scheme.name} failed qualification {phi.name} "
-                       f"(estimate {cert.c_phi:.4g})", EXIT_VIOLATION)
 
     try:
-        study = sweep_deltas(problem, scheme, phi,
+        study = sweep_deltas(problem, scheme, problem.phi,
                              sorted(config.deltas, reverse=True), config.mode,
-                             cert.c_phi, n_reps=config.replications, seed=seed,
-                             threads=threads,
+                             cert.c_phi, n_reps=config.replications,
+                             seed=config.seed, threads=threads,
                              distribution=config.noise_distribution)
     except (Divergent, RearrangementUndefined) as exc:
         return failure("divergent", str(exc), EXIT_DIVERGENT)
-    except (PreconditionFailed, MultRegError) as exc:
+    except MultRegError as exc:
         return failure("violation", str(exc), EXIT_VIOLATION)
 
     violations = study.violations
-    report = ExperimentReport(
-        mode=config.mode, scheme=scheme.name, rows=study.rows,
-        fitted_slope=study.fitted_slope,
-        theoretical_slope=study.theoretical_slope, c_phi=cert.c_phi,
-        config_digest=config.digest, seed=seed, violations=violations,
-        status="violation" if violations else "ok", failure=None,
-        exit_code=EXIT_VIOLATION if violations else EXIT_OK)
-    return finish(report)
+    return finish(rows=study.rows, fitted_slope=study.fitted_slope,
+                  theoretical_slope=study.theoretical_slope, c_phi=cert.c_phi,
+                  violations=violations,
+                  status="violation" if violations else "ok",
+                  exit_code=EXIT_VIOLATION if violations else EXIT_OK)

@@ -267,3 +267,13 @@ def certify_qualification(scheme: Scheme, phi: IndexFunction,
         passed = c_phi <= limit * (1 + 1e-9)
     return QualificationCertificate(scheme.name, phi, c_phi,
                                     alpha_grid, t_grid, passed)
+
+
+def certify(scheme: Scheme, phi: IndexFunction) -> tuple[bool, QualificationCertificate]:
+    """(axioms passed, qualification certificate) on the default grids; a
+    truncated scheme must also keep C_phi <= max(parent C_phi, C_0)."""
+    base = scheme.name.removeprefix("truncated:")
+    parent = certify_qualification(scheme_by_name(base), phi) \
+        if base != scheme.name else None
+    return (certify_axioms(scheme),
+            certify_qualification(scheme, phi, parent_certificate=parent))

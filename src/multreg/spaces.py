@@ -10,7 +10,7 @@ plugged in through :meth:`MeasureSpace.from_arrays`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class MeasureSpace:
     weights: np.ndarray
     truncation_radius: float | None = None
     density_bounds: tuple[float, float] | None = None
-    _grading: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -82,9 +81,6 @@ class MeasureSpace:
         """Whether the *underlying* space has finite total measure."""
         return self.kind == LEBESGUE_INTERVAL
 
-    def integrate(self, values) -> float:
-        return float(np.sum(self.weights * np.asarray(values)))
-
     def norm(self, values) -> float:
         """Weighted L2 norm; accepts real or complex node vectors."""
         v = np.asarray(values)
@@ -102,8 +98,7 @@ class MeasureSpace:
             raise ValueError("need hi > lo")
         h = (hi - lo) / n
         nodes = lo + (np.arange(n) + 0.5) * h
-        return cls(LEBESGUE_INTERVAL, nodes, np.full(n, h),
-                   _grading={"lo": lo, "hi": hi, "n": n, "scheme": "uniform"})
+        return cls(LEBESGUE_INTERVAL, nodes, np.full(n, h))
 
     @classmethod
     def interval_graded(cls, hi: float, n: int = DEFAULT_NODES,
@@ -119,25 +114,21 @@ class MeasureSpace:
         edges = np.concatenate(([0.0], np.geomspace(s_min, hi, n)))
         nodes = 0.5 * (edges[:-1] + edges[1:])
         weights = np.diff(edges)
-        return cls(LEBESGUE_INTERVAL, nodes, weights,
-                   _grading={"lo": 0.0, "hi": hi, "n": n, "scheme": "graded",
-                             "s_min": s_min})
+        return cls(LEBESGUE_INTERVAL, nodes, weights)
 
     @classmethod
     def halfline(cls, radius: float, n: int = DEFAULT_NODES) -> "MeasureSpace":
         """Uniform midpoint grid on [0, radius), standing for [0, infinity)."""
         h = radius / n
         nodes = (np.arange(n) + 0.5) * h
-        return cls(LEBESGUE_HALFLINE, nodes, np.full(n, h), truncation_radius=radius,
-                   _grading={"n": n, "scheme": "uniform"})
+        return cls(LEBESGUE_HALFLINE, nodes, np.full(n, h), truncation_radius=radius)
 
     @classmethod
     def line(cls, radius: float, n: int = DEFAULT_NODES) -> "MeasureSpace":
         """Uniform midpoint grid on (-radius, radius), standing for the line."""
         h = 2.0 * radius / n
         nodes = -radius + (np.arange(n) + 0.5) * h
-        return cls(LEBESGUE_LINE, nodes, np.full(n, h), truncation_radius=radius,
-                   _grading={"n": n, "scheme": "uniform"})
+        return cls(LEBESGUE_LINE, nodes, np.full(n, h), truncation_radius=radius)
 
     @classmethod
     def counting(cls, n_max: int) -> "MeasureSpace":
@@ -159,10 +150,9 @@ class MeasureSpace:
         Used by tail diagnostics on half-line and line spaces; raises for
         kinds that cannot be extended.
         """
+        n = int(round(self.nodes.size * factor))
         if self.kind == LEBESGUE_HALFLINE:
-            n = int(round(self._grading.get("n", self.nodes.size) * factor))
             return MeasureSpace.halfline(self.truncation_radius * factor, n)
         if self.kind == LEBESGUE_LINE:
-            n = int(round(self._grading.get("n", self.nodes.size) * factor))
             return MeasureSpace.line(self.truncation_radius * factor, n)
         raise ValueError(f"cannot extend a {self.kind} space")

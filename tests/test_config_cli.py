@@ -1,9 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multreg import ConfigError, load_config, parse_config, run
+import multreg.config
+from multreg import ConfigError, ExperimentConfig, load_config, parse_config, run
 from multreg.cli import main
 from multreg.runner import EXIT_CONFIG, EXIT_DIVERGENT, EXIT_OK, EXIT_VIOLATION
 
@@ -50,6 +55,30 @@ def test_parse_rejects_bad_fields():
     with pytest.raises(ConfigError):
         parse_config({"problem": {"kind": "counting"},
                       "output": {"format": "xml"}})
+    # each malformed field is rejected under its own name
+    for extra, field in MALFORMED:
+        with pytest.raises(ConfigError, match=field):
+            parse_config({"problem": {"kind": "counting"}, **extra})
+
+
+MALFORMED = [
+    ({"noise": 5}, "noise"),
+    ({"discretization": 3}, "discretization"),
+    ({"seed": "abc"}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"alpha": "xyz"}, "alpha"),
+    ({"alpha": 0.0}, "alpha"),
+    ({"noise": {"replications": "abc"}}, "noise.replications"),
+    ({"noise": {"mode": "white", "deltas": [1e-2], "replications": 100_000}},
+     "noise.replications"),
+    ({"noise": {"deltas": "1e-3"}}, "noise.deltas"),
+    ({"scheme": "bogus"}, "scheme"),
+    ({"discretisation": {"n_nodes": 64}}, "top level: unknown key.*discretisation"),
+    ({"noise": {"replicatons": 40}}, "noise: unknown key.*replicatons"),
+    ({"discretization": {"nodes": 64}}, "discretization: unknown key.*nodes"),
+    ({"output": {"dir": "out"}}, "output: unknown key.*dir"),
+    ({"output": {"directory": 5}}, "output.directory"),
+]
 
 
 def test_run_end_to_end(tmp_path):
@@ -124,11 +153,102 @@ def test_cli_threads_do_not_change_output(tmp_path):
         (tmp_path / "t" / "rows.csv").read_bytes()
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("scheme: [unclosed\n")
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
     assert main(["run", "--config", str(tmp_path / "missing.yaml")]) == EXIT_CONFIG
+    counting = {"kind": "counting", "n_max": 3}
+    bogus_phi = {"family": "bogus"}
+    cases = [({"problem": counting, **extra}, field) for extra, field in MALFORMED]
+    cases += [
+        ({"problem": counting, "index_function": bogus_phi}, "index_function"),
+        ({"problem": {**counting, "solution_values": [1.0, 0.5, 0.2]},
+          "index_function": bogus_phi}, "index_function"),
+        # phi* = 1/d_b needs an infinite-measure space
+        ({"problem": {"kind": "pure_power"},
+          "index_function": {"family": "reciprocal_measure"},
+          "discretization": {"n_nodes": 64}}, "index_function"),
+    ]
+    capsys.readouterr()
+    for k, (cfg, field) in enumerate(cases):
+        path = tmp_path / f"malformed{k}.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG, cfg
+        err = capsys.readouterr().err
+        assert re.search(f"config error: {field}", err), err
+        assert "Traceback" not in err
+
+
+SECTION_NAMES = ["problem", "scheme", "index_function", "noise",
+                 "discretization", "output", "alpha", "seed"]
+FIELD_NAMES = ["kind", "mode", "deltas", "replications", "distribution",
+               "n_nodes", "truncation_radius", "graded", "directory", "format",
+               "family", "nu"]
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(FIELD_NAMES) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=8)
+# arbitrary mappings, and ones whose problem section is valid so that the
+# later sections are reached
+RAW_CONFIGS = st.dictionaries(
+    st.sampled_from(SECTION_NAMES) | st.text(max_size=4), CONFIG_VALUES,
+    max_size=6) | st.fixed_dictionaries(
+    {"problem": st.just({"kind": "counting"})},
+    optional={name: CONFIG_VALUES for name in SECTION_NAMES[1:]})
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(RAW_CONFIGS)
+def test_parse_config_returns_a_config_or_raises_config_error(raw):
+    try:
+        assert isinstance(parse_config(raw), ExperimentConfig)
+    except ConfigError:
+        pass
+
+
+def test_run_computes_phi_star_once(tmp_path, monkeypatch):
+    calls = []
+    phi_star = multreg.config.phi_star
+
+    def counting_phi_star(*args, **kwargs):
+        calls.append(args)
+        return phi_star(*args, **kwargs)
+
+    monkeypatch.setattr(multreg.config, "phi_star", counting_phi_star)
+    cfg = load_config(write_config(tmp_path, """\
+problem: {kind: power_decay, kappa: 1.0}
+scheme: truncated:lavrentiev
+index_function: {family: reciprocal_measure}
+noise: {mode: deterministic, deltas: [1.0e-2, 1.0e-3]}
+discretization: {n_nodes: 2048}
+output: {directory: OUTDIR}
+"""))
+    assert run(cfg, out_dir=tmp_path / "out").exit_code == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_reconstruct_chooses_alpha_like_run(tmp_path, capsys):
+    text = """\
+problem: {kind: fvp_bounded}
+scheme: cutoff
+noise: {mode: deterministic, deltas: [DELTA]}
+output: {directory: OUTDIR}
+"""
+    # sup b = exp(-1) < 0.2: alpha * phi(alpha) = 0.2 has no root below sup b
+    high = write_config(tmp_path, text.replace("DELTA", "0.2"), name="high.yaml")
+    for command in ("run", "reconstruct"):
+        assert main([command, "--config", str(high),
+                     "--out", str(tmp_path / command)]) == EXIT_VIOLATION
+    low = write_config(tmp_path, text.replace("DELTA", "1.0e-3"), name="low.yaml")
+    assert main(["run", "--config", str(low), "--out", str(tmp_path / "r")]) == 0
+    assert main(["reconstruct", "--config", str(low),
+                 "--out", str(tmp_path / "c")]) == 0
+    alpha = json.loads((tmp_path / "r" / "report.json").read_text())[
+        "rows"][0]["alpha_star"]
+    assert f"alpha={alpha:.6g} " in capsys.readouterr().out
 
 
 def test_cli_check_scheme(tmp_path):
