@@ -20,11 +20,11 @@ from .analysis import (DETERMINISTIC, WHITE, ErrorBudget, IllposednessProfile,
                        white_error_bound)
 from .config import ExperimentConfig, build_problem, load_config, parse_config
 from .errors import (AxiomViolation, BracketingFailed, ConfigError,
-                     DegenerateFilter, Divergent, DivergentProfile,
-                     DominationNotDetected, EigenvaluesNotDivergent,
-                     MultRegError, NotInSourceSet, PreconditionFailed,
-                     RearrangementUndefined, RequiresFiniteMeasure,
-                     UnboundedRatio, ZeroDirection)
+                     CrossCheckFailed, DegenerateFilter, Divergent,
+                     DivergentProfile, DominationNotDetected,
+                     EigenvaluesNotDivergent, MultRegError, NotInSourceSet,
+                     PreconditionFailed, RearrangementUndefined,
+                     RequiresFiniteMeasure, UnboundedRatio, ZeroDirection)
 from .gallery import (DeconvolutionProblem, FinalValueProblem, compact_case,
                       counting_problem, fvp_multiplier, lavrentiev_deconvolve,
                       n_alpha, periodic_convolve, to_frequency,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BracketingFailed, Divergent, DivergentProfile,
-                     PreconditionFailed)
+from .errors import (BracketingFailed, CrossCheckFailed, Divergent,
+                     DivergentProfile, PreconditionFailed)
 from .indexfuncs import IndexFunction, solve_increasing
 from .multipliers import Multiplier
 from .noise import (GAUSSIAN, DeterministicNoise, WhiteNoiseSampler,
@@ -199,13 +199,14 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
         lo = max(float(np.min(positive)), _SQUARE_FLOOR)
         hi = float(b.sup_bound) * (1 - 1e-9)
         if lo >= hi:
-            raise ValueError("degenerate multiplier range")
+            raise PreconditionFailed(
+                "degenerate multiplier range: no alpha grid between min b and sup b")
         alpha_grid = np.geomspace(lo, hi, 64)
     alpha_grid = np.asarray(alpha_grid, float)
     if np.any(np.diff(alpha_grid) <= 0):  # the binning below needs the order
         raise ValueError("alpha grid must be strictly increasing")
 
-    widths = np.diff(rearr.knots)
+    widths = rearr.widths  # not np.diff(knots), which loses small weights
     r_vals = rearr.values
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # {b_* > alpha} is a prefix of the descending rearrangement
@@ -225,7 +226,7 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
             "raise the grid floor"
         )
     if np.any(np.abs(d_sq - from_domain) > 1e-9 * (1.0 + from_domain)):
-        raise AssertionError(
+        raise CrossCheckFailed(
             "rearrangement- and domain-side variance integrals disagree"
         )
     bounds = np.sqrt(distribution_function(b, space, alpha_grid)) / alpha_grid

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -151,9 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
+        config = load_config(args.config, seed=args.seed)
         if args.format is None:
             args.format = config.out_format
         return _COMMANDS[args.command][0](config, args)

@@ -88,7 +88,9 @@ def _number(section: dict, key: str, default, kind, where: str = "",
     return number
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed: int | None = None) -> ExperimentConfig:
+    """Parse and validate the YAML file at ``path``; ``seed``, when given,
+    replaces the file's seed before validation."""
     path = Path(path)
     try:
         text = path.read_bytes()
@@ -103,6 +105,8 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of sections")
     digest = hashlib.sha256(text).hexdigest()
+    if seed is not None:
+        raw = {**raw, "seed": seed}
     return parse_config(raw, digest=digest)
 
 
@@ -115,6 +119,7 @@ def parse_config(raw: dict, digest: str = "") -> ExperimentConfig:
     if kind not in PROBLEM_KINDS:
         raise ConfigError(f"problem.kind: unknown kind '{kind}' "
                           f"(choose from {', '.join(PROBLEM_KINDS)})")
+    _section(problem, _SHARED_KEYS + _BUILDERS[kind][0], "problem")
 
     scheme = raw.get("scheme", "cutoff")
     if not isinstance(scheme, str):
@@ -198,28 +203,35 @@ def _deconvolution(p: dict, config: ExperimentConfig):
     return prob.multiplier, prob.freq_space
 
 
-# problem kind -> builder(problem section, config) -> (multiplier, space)
+# keys every problem kind accepts: the kind and the true solution
+_SHARED_KEYS = ("kind", "element", "solution_file", "solution_values")
+
+# problem kind -> (its own keys, builder(problem section, config) ->
+# (multiplier, space))
 _BUILDERS = {
-    "counting": lambda p, c: compact_case(p.get("b_values"),
-                                          int(p.get("n_max", 500))),
-    "power_decay": lambda p, c: power_decay_pair(
-        float(p.get("kappa", 1.0)), c.truncation_radius or 50.0, c.n_nodes),
-    "pure_power": lambda p, c: pure_power_pair(
-        float(p.get("kappa", 1.0)), c.n_nodes, graded=c.graded),
-    "plateau": lambda p, c: plateau_pair(c.truncation_radius or 50.0, c.n_nodes),
-    "exp_decay": lambda p, c: exp_decay_pair(c.truncation_radius or 30.0,
-                                             c.n_nodes),
-    "fvp_whole_space": lambda p, c: fvp_multiplier(FinalValueProblem(
-        "whole_space", c=float(p.get("c", 1.0)), tau=float(p.get("tau", 1.0)),
-        dimension=int(p.get("dimension", 1)),
-        radius=c.truncation_radius or 8.0, n_grid=c.n_nodes)),
-    "fvp_bounded": lambda p, c: fvp_multiplier(FinalValueProblem(
+    "counting": (("b_values", "n_max"), lambda p, c: compact_case(
+        p.get("b_values"), int(p.get("n_max", 500)))),
+    "power_decay": (("kappa",), lambda p, c: power_decay_pair(
+        float(p.get("kappa", 1.0)), c.truncation_radius or 50.0, c.n_nodes)),
+    "pure_power": (("kappa",), lambda p, c: pure_power_pair(
+        float(p.get("kappa", 1.0)), c.n_nodes, graded=c.graded)),
+    "plateau": ((), lambda p, c: plateau_pair(c.truncation_radius or 50.0,
+                                              c.n_nodes)),
+    "exp_decay": ((), lambda p, c: exp_decay_pair(c.truncation_radius or 30.0,
+                                                  c.n_nodes)),
+    "fvp_whole_space": (("c", "tau"), lambda p, c: fvp_multiplier(
+        FinalValueProblem("whole_space", c=float(p.get("c", 1.0)),
+                          tau=float(p.get("tau", 1.0)),
+                          radius=c.truncation_radius or 8.0, n_grid=c.n_nodes))),
+    "fvp_bounded": (("c", "tau", "n_max", "eigenvalues", "exponent_power"),
+                    lambda p, c: fvp_multiplier(FinalValueProblem(
         "bounded_domain", c=float(p.get("c", 1.0)), tau=float(p.get("tau", 1.0)),
         n_max=int(p.get("n_max", 64)),
         eigenvalues=tuple(p["eigenvalues"]) if p.get("eigenvalues") else None,
-        exponent_power=int(p.get("exponent_power", 2)))),
-    "deconvolution": _deconvolution,
-    "tabulated": lambda p, c: _tabulated_from_file(p),
+        exponent_power=int(p.get("exponent_power", 2))))),
+    "deconvolution": (("kernel", "half_width", "sigma"), _deconvolution),
+    "tabulated": (("file", "space", "tail_vanishes"),
+                  lambda p, c: _tabulated_from_file(p)),
 }
 PROBLEM_KINDS = tuple(_BUILDERS)
 
@@ -229,7 +241,7 @@ def build_problem(config: ExperimentConfig) -> MultiplicationProblem:
     p = config.problem
     kind = p["kind"]
     try:
-        b, space = _BUILDERS[kind](p, config)
+        b, space = _BUILDERS[kind][1](p, config)
         phi = _index_function(config.index_function, b, space)
         f, scale = _solution_on(b, space, p, phi)
         return MultiplicationProblem(b=b, space=space, f_true=f, name=kind,

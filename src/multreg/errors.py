@@ -38,6 +38,10 @@ class PreconditionFailed(MultRegError):
     """A named hypothesis of an operation does not hold for the given inputs."""
 
 
+class CrossCheckFailed(MultRegError):
+    """Two independent computations of the same quantity disagree."""
+
+
 class NotInSourceSet(MultRegError):
     """The candidate solution is not in the requested source set."""
 

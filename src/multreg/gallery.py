@@ -285,5 +285,5 @@ def exp_decay_pair(radius: float = 30.0, n: int = 2**14) -> tuple[Multiplier, Me
     """b(s) = exp(-s) on the half-line, with its exact distribution function."""
     mult = CallableMultiplier(
         lambda s: np.exp(-s), sup_bound=1.0, tail_vanishes=True,
-        exact_distribution=lambda t: np.log(1.0 / t) if t < 1.0 else 0.0)
+        exact_distribution=lambda t, space: np.log(1.0 / t) if t < 1.0 else 0.0)
     return mult, MeasureSpace.halfline(radius, n)

@@ -1,8 +1,11 @@
 """Multiplier functions b with 0 < b <= sup_bound almost everywhere.
 
-Each family knows how to evaluate itself on a measure space, whether it
-vanishes at infinity, and (where a closed form exists) its exact
-distribution function.  Zeros are only allowed where a family explicitly
+The calculus uses four facts about b: its values on the nodes, its sup,
+an optional closed-form distribution function d_b(t), and the tail model
+``tail_vanishes`` (every superlevel set {b > t}, t > 0, has finite
+measure).  Closed-form families are ``CallableMultiplier`` constructors;
+``ExponentialSequence`` and ``Tabulated`` live on fixed nodes and are not
+``evaluable`` off them.  Zeros are only allowed where a family explicitly
 declares them (the plateau counterexample on s < 0, piecewise-monotone
 multipliers at their declared zero locations).
 """
@@ -23,10 +26,16 @@ INCREASING_LEFT = "increasing_left"
 
 
 class Multiplier:
-    """Base class. Subclasses set ``family`` and ``sup_bound``."""
+    """Base class. Subclasses set ``family`` and ``sup_bound``.
+
+    ``evaluable``: b can be evaluated off any fixed grid.
+    ``tail_vanishes``: b vanishes at infinity (the tail model).
+    """
 
     family = "abstract"
     sup_bound: float
+    evaluable = True
+    tail_vanishes = True
 
     def values_on(self, space: MeasureSpace) -> np.ndarray:
         return self(space.nodes)
@@ -34,98 +43,92 @@ class Multiplier:
     def __call__(self, s):  # pragma: no cover - abstract
         raise NotImplementedError(f"{self.family} is not pointwise evaluable")
 
-    @property
-    def evaluable(self) -> bool:
-        """Whether the multiplier can be evaluated off any fixed grid."""
-        return True
-
     def distribution_exact(self, t: float, space: MeasureSpace) -> float | None:
         """Exact d_b(t) for the untruncated space, or None."""
         return None
 
-    def vanishes(self, space: MeasureSpace) -> bool | None:
-        """Analytic answer to 'does b vanish at infinity', or None if unknown."""
-        return None
-
 
 @dataclass(frozen=True)
-class PowerDecay(Multiplier):
+class CallableMultiplier(Multiplier):
+    """Closed-form multiplier given by an arbitrary evaluator.
+
+    The optional ``exact_distribution(t, space)`` hook supplies d_b(t) in
+    closed form, or None where it has none.
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    sup_bound: float
+    tail_vanishes: bool = True
+    exact_distribution: Callable[[float, MeasureSpace], float | None] | None = None
+    family: str = "callable"
+
+    def __call__(self, s):
+        return np.asarray(self.fn(np.asarray(s, float)), float)
+
+    def distribution_exact(self, t, space):
+        if self.exact_distribution is None:
+            return None
+        d = self.exact_distribution(t, space)
+        return None if d is None else float(d)
+
+
+def PowerDecay(kappa: float) -> CallableMultiplier:
     """b(s) = 1 / (1 + s**(1/kappa)) on the half-line."""
-
-    kappa: float
-    family: str = "power_decay"
-    sup_bound: float = 1.0
-
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-
-    def __call__(self, s):
-        return 1.0 / (1.0 + np.asarray(s, float) ** (1.0 / self.kappa))
-
-    def distribution_exact(self, t, space):
-        if t >= 1.0:
-            return 0.0
-        return ((1.0 - t) / t) ** self.kappa
-
-    def vanishes(self, space):
-        return True
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    return CallableMultiplier(
+        lambda s: 1.0 / (1.0 + s ** (1.0 / kappa)), sup_bound=1.0,
+        exact_distribution=lambda t, space:
+            0.0 if t >= 1.0 else ((1.0 - t) / t) ** kappa,
+        family="power_decay")
 
 
-@dataclass(frozen=True)
-class PurePower(Multiplier):
+def PurePower(kappa: float, hi: float = 1.0) -> CallableMultiplier:
     """b(s) = s**kappa on a bounded interval [0, hi]."""
-
-    kappa: float
-    hi: float = 1.0
-    family: str = "pure_power"
-
-    def __post_init__(self):
-        if self.kappa <= 0 or self.hi <= 0:
-            raise ValueError("kappa and hi must be positive")
-        object.__setattr__(self, "sup_bound", self.hi ** self.kappa)
-
-    def __call__(self, s):
-        return np.asarray(s, float) ** self.kappa
-
-    def distribution_exact(self, t, space):
-        if t >= self.sup_bound:
-            return 0.0
-        return self.hi - t ** (1.0 / self.kappa)
-
-    def vanishes(self, space):
-        return True  # bounded support
+    if kappa <= 0 or hi <= 0:
+        raise ValueError("kappa and hi must be positive")
+    sup = hi ** kappa
+    return CallableMultiplier(
+        lambda s: s ** kappa, sup_bound=sup,
+        exact_distribution=lambda t, space:
+            0.0 if t >= sup else hi - t ** (1.0 / kappa),
+        family="pure_power")
 
 
-@dataclass(frozen=True)
-class GaussianFrequency(Multiplier):
-    """b(s) = exp(-c^2 * tau * |s|^2); the frequency symbol of heat flow."""
+def GaussianFrequency(c: float = 1.0, tau: float = 1.0,
+                      dimension: int = 1) -> CallableMultiplier:
+    """b(s) = exp(-c^2 * tau * |s|^2); the frequency symbol of heat flow.
 
-    c: float = 1.0
-    tau: float = 1.0
-    dimension: int = 1
-    family: str = "gaussian_frequency"
-    sup_bound: float = 1.0
+    ``dimension`` is metadata only: the symbol and its d_b are evaluated
+    in one dimension.
+    """
+    if c <= 0 or tau <= 0:
+        raise ValueError("c and tau must be positive")
 
-    def __post_init__(self):
-        if self.c <= 0 or self.tau <= 0:
-            raise ValueError("c and tau must be positive")
-
-    def __call__(self, s):
-        return np.exp(-(self.c**2) * self.tau * np.asarray(s, float) ** 2)
-
-    def distribution_exact(self, t, space):
+    def d_b(t, space):
         if t >= 1.0:
             return 0.0
-        radius = np.sqrt(np.log(1.0 / t)) / (self.c * np.sqrt(self.tau))
+        radius = np.sqrt(np.log(1.0 / t)) / (c * np.sqrt(tau))
         if space.kind == LEBESGUE_LINE:
             return 2.0 * radius
         if space.kind == LEBESGUE_HALFLINE:
             return radius
         return None
 
-    def vanishes(self, space):
-        return True
+    return CallableMultiplier(lambda s: np.exp(-(c**2) * tau * s ** 2),
+                              sup_bound=1.0, exact_distribution=d_b,
+                              family="gaussian_frequency")
+
+
+def PlateauCounterexample() -> CallableMultiplier:
+    """b = 0 on s<0, b = s on [0,1], b = 1 beyond; not vanishing at infinity.
+
+    d_b(t) is infinite below 1: the plateau {b = 1} has infinite measure.
+    """
+    return CallableMultiplier(
+        lambda s: np.clip(s, 0.0, 1.0), sup_bound=1.0, tail_vanishes=False,
+        exact_distribution=lambda t, space: 0.0 if t >= 1.0 else np.inf,
+        family="plateau_counterexample")
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,7 @@ class ExponentialSequence(Multiplier):
     eigenvalues: tuple
     exponent_power: int = 2
     family: str = "exponential_sequence"
+    evaluable = False
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, float)
@@ -158,10 +162,6 @@ class ExponentialSequence(Multiplier):
             float(np.exp(-(self.c**2) * lam[0] ** self.exponent_power * self.tau)),
         )
 
-    @property
-    def evaluable(self) -> bool:
-        return False
-
     def values_on(self, space):
         if space.kind != COUNTING:
             raise ValueError("exponential_sequence lives on a counting space")
@@ -170,31 +170,6 @@ class ExponentialSequence(Multiplier):
             raise ValueError("not enough eigenvalues for this space")
         idx = space.nodes.astype(int) - 1
         return np.exp(-(self.c**2) * lam[idx] ** self.exponent_power * self.tau)
-
-    def vanishes(self, space):
-        return True
-
-
-@dataclass(frozen=True)
-class PlateauCounterexample(Multiplier):
-    """b = 0 on s<0, b = s on [0,1], b = 1 beyond; not vanishing at infinity."""
-
-    family: str = "plateau_counterexample"
-    sup_bound: float = 1.0
-
-    def __call__(self, s):
-        s = np.asarray(s, float)
-        return np.clip(s, 0.0, 1.0)
-
-    def distribution_exact(self, t, space):
-        if t >= 1.0:
-            return 0.0
-        return np.inf  # the plateau {b = 1} has infinite measure
-
-    def vanishes(self, space):
-        if space.kind in (LEBESGUE_LINE, LEBESGUE_HALFLINE):
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -299,9 +274,6 @@ class PiecewiseMonotone(Multiplier):
                 out[mask] = vals
         return out
 
-    def vanishes(self, space):
-        return True  # bounded support
-
     def zero_locations(self) -> np.ndarray:
         return np.array([p.zero_location for p in self.pieces])
 
@@ -318,6 +290,7 @@ class Tabulated(Multiplier):
     sup_bound: float = None
     tail_vanishes: bool = True
     family: str = "tabulated"
+    evaluable = False
 
     def __post_init__(self):
         vals = np.asarray(self.values, float)
@@ -329,19 +302,10 @@ class Tabulated(Multiplier):
         elif np.max(vals) > self.sup_bound * (1 + 1e-12):
             raise ValueError("values exceed declared sup bound")
 
-    @property
-    def evaluable(self) -> bool:
-        return False
-
     def values_on(self, space):
         if self.values.shape != space.nodes.shape:
             raise ValueError("tabulated values not aligned with this space")
         return self.values
-
-    def vanishes(self, space):
-        if space.kind in (LEBESGUE_HALFLINE, LEBESGUE_LINE, COUNTING):
-            return bool(self.tail_vanishes)
-        return True
 
     @classmethod
     def from_text(cls, path, space: MeasureSpace, **kw) -> "Tabulated":
@@ -354,34 +318,6 @@ class Tabulated(Multiplier):
                                                                rtol=1e-9, atol=1e-12):
             raise ValueError("tabulated nodes do not match the space")
         return cls(values, **kw)
-
-
-@dataclass(frozen=True)
-class CallableMultiplier(Multiplier):
-    """Closed-form multiplier given by an arbitrary evaluator.
-
-    Plumbing family used by the problem gallery and tests; the optional
-    ``exact_distribution`` hook supplies d_b(t) in closed form.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    sup_bound: float
-    tail_vanishes: bool = True
-    exact_distribution: Callable[[float], float] | None = None
-    family: str = "callable"
-
-    def __call__(self, s):
-        return np.asarray(self.fn(np.asarray(s, float)), float)
-
-    def distribution_exact(self, t, space):
-        if self.exact_distribution is None:
-            return None
-        return float(self.exact_distribution(t))
-
-    def vanishes(self, space):
-        if space.kind in (LEBESGUE_HALFLINE, LEBESGUE_LINE, COUNTING):
-            return bool(self.tail_vanishes)
-        return True
 
 
 def validate_positive(b: Multiplier, space: MeasureSpace) -> None:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DominationNotDetected, PreconditionFailed,
-                     RearrangementUndefined, RequiresFiniteMeasure)
+from .errors import (DominationNotDetected, RearrangementUndefined,
+                     RequiresFiniteMeasure)
 from .indexfuncs import IndexFunction
 from .multipliers import Multiplier, PiecewiseMonotone, Tabulated
 from .spaces import LEBESGUE_HALFLINE, MeasureSpace
@@ -26,7 +26,8 @@ INCREASING = "increasing"
 class Rearrangement:
     """Step function on [0, total): value ``values[k]`` on [knots[k], knots[k+1]).
 
-    ``knots`` has one more entry than ``values`` and starts at 0.  Queries
+    ``knots`` has one more entry than ``values`` and starts at 0; it is the
+    running sum of ``widths``, the node weights in sorted order.  Queries
     beyond the domain return 0 for decreasing and the top value for
     increasing rearrangements (the literal inf/sup conventions).
     """
@@ -34,6 +35,7 @@ class Rearrangement:
     values: np.ndarray
     knots: np.ndarray
     direction: str
+    widths: np.ndarray
 
     def __post_init__(self):
         if self.knots.size != self.values.size + 1:
@@ -100,19 +102,9 @@ def distribution_function(b: Multiplier, space: MeasureSpace, t,
 
 
 def vanishes_at_infinity(b: Multiplier, space: MeasureSpace) -> bool:
-    """True iff d_b(t) is finite for every t > 0.
-
-    Trivially true on finite-measure spaces; on infinite spaces the
-    family's analytic answer (or the tabulated tail declaration) decides.
-    """
-    if space.measure_is_finite:
-        return True
-    answer = b.vanishes(space)
-    if answer is None:
-        raise PreconditionFailed(
-            f"{b.family}: no tail model declared for an infinite-measure space"
-        )
-    return bool(answer)
+    """True iff d_b(t) is finite for every t > 0: trivially on finite-measure
+    spaces, otherwise as the multiplier's tail model declares."""
+    return space.measure_is_finite or bool(b.tail_vanishes)
 
 
 def _sorted_step(values: np.ndarray, weights: np.ndarray, descending: bool) -> Rearrangement:
@@ -120,7 +112,7 @@ def _sorted_step(values: np.ndarray, weights: np.ndarray, descending: bool) -> R
     v = values[order]
     w = weights[order]
     knots = np.concatenate(([0.0], np.cumsum(w)))
-    return Rearrangement(v, knots, DECREASING if descending else INCREASING)
+    return Rearrangement(v, knots, DECREASING if descending else INCREASING, w)
 
 
 def decreasing_rearrangement(b: Multiplier, space: MeasureSpace) -> Rearrangement:

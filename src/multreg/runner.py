@@ -116,14 +116,13 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1,
     def failure(status, message, code):
         return finish(status=status, failure=message, exit_code=code)
 
-    axioms_ok, cert = certify(scheme, problem.phi)
-    if not (axioms_ok and cert.passed):
-        failed = "the axioms" if not axioms_ok else \
-            f"qualification {problem.phi.name} (estimate {cert.c_phi:.4g})"
-        return failure("violation", f"scheme {scheme.name} failed {failed}",
-                       EXIT_VIOLATION)
-
     try:
+        axioms_ok, cert = certify(scheme, problem.phi)
+        if not (axioms_ok and cert.passed):
+            failed = "the axioms" if not axioms_ok else \
+                f"qualification {problem.phi.name} (estimate {cert.c_phi:.4g})"
+            return failure("violation", f"scheme {scheme.name} failed {failed}",
+                           EXIT_VIOLATION)
         study = sweep_deltas(problem, scheme, problem.phi,
                              sorted(config.deltas, reverse=True), config.mode,
                              cert.c_phi, n_reps=config.replications,

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AxiomViolation
+from .errors import AxiomViolation, PreconditionFailed
 from .indexfuncs import IndexFunction
 
 _LIMIT_EXPONENT = 30      # axiom (I) is probed along alpha = 2^-n, n <= 30
@@ -249,7 +249,8 @@ def certify_qualification(scheme: Scheme, phi: IndexFunction,
     lo, hi = phi.domain
     alpha_grid = alpha_grid[(alpha_grid > lo) & (alpha_grid <= hi)]
     if alpha_grid.size == 0:
-        raise ValueError("no admissible alpha probes inside phi's domain")
+        raise PreconditionFailed(
+            f"{phi.name}: no admissible alpha probes inside phi's domain")
 
     base = _cphi_estimate(scheme, phi, alpha_grid, t_grid)
     alpha_fine = np.geomspace(alpha_grid[0] / 10.0, alpha_grid[-1],

@@ -9,7 +9,8 @@ import pytest
 
 from multreg import (BracketingFailed, Divergent, DivergentProfile,
                      IllposednessProfile, MeasureSpace, PowerIndex,
-                     TableIndex, Tabulated, WhiteNoiseSampler,
+                     PreconditionFailed, TableIndex, Tabulated,
+                     WhiteNoiseSampler,
                      bias, choose_alpha_deterministic, choose_alpha_white,
                      compact_case, certify_qualification,
                      deterministic_bound_at_star, deterministic_error_bound,
@@ -190,6 +191,9 @@ def test_illposedness_underflowed_multiplier():
     assert np.all(np.isfinite(prof.d_values))
     with pytest.raises(ValueError):
         effective_illposedness(b, space, alpha_grid=[1e-200])
+    # one node leaves no default grid between min b and sup b
+    with pytest.raises(PreconditionFailed):
+        effective_illposedness(*compact_case([1.0]))
 
 
 def test_illposedness_matches_per_alpha_sums():
@@ -206,6 +210,17 @@ def test_illposedness_matches_per_alpha_sums():
         assert bound == np.sqrt(distribution_function(b, space, alpha)) / alpha
     with pytest.raises(ValueError):
         effective_illposedness(b, space, alpha_grid=[0.5, 0.1])
+
+
+def test_illposedness_on_a_graded_grid():
+    # graded weights span many decades: cell widths taken back out of the
+    # running sum of the weights lose the small ones
+    b, space = pure_power_pair(1.5, 4096, graded=True)
+    prof = effective_illposedness(b, space)
+    vals, w = b.values_on(space), space.weights
+    for alpha, d in zip(prof.alpha_grid, prof.d_values):
+        ref = float(np.sum(w[vals > alpha] / vals[vals > alpha] ** 2))
+        assert d**2 == pytest.approx(ref, rel=1e-12)
 
 
 def test_illposedness_interpolation():

@@ -1,5 +1,10 @@
+import contextlib
+import hashlib
+import io
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +64,13 @@ def test_parse_rejects_bad_fields():
     for extra, field in MALFORMED:
         with pytest.raises(ConfigError, match=field):
             parse_config({"problem": {"kind": "counting"}, **extra})
+    # problem keys are checked against the kind's own keys
+    for problem in ({"kind": "power_decay", "kapa": 0.25},
+                    {"kind": "fvp_whole_space", "dimension": 3},
+                    {"kind": "counting", "kappa": 1.0},
+                    {"kind": "plateau", "n_max": 10}):
+        with pytest.raises(ConfigError, match="problem: unknown key"):
+            parse_config({"problem": problem})
 
 
 MALFORMED = [
@@ -169,6 +181,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ({"problem": {"kind": "pure_power"},
           "index_function": {"family": "reciprocal_measure"},
           "discretization": {"n_nodes": 64}}, "index_function"),
+        ({"problem": {"kind": "power_decay", "kapa": 0.25}},
+         "problem: unknown key.*kapa"),
     ]
     capsys.readouterr()
     for k, (cfg, field) in enumerate(cases):
@@ -179,6 +193,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert re.search(f"config error: {field}", err), err
         assert "Traceback" not in err
+    # a --seed override goes through the same check as the file's seed
+    valid = write_config(tmp_path, WHITE_STUDY)
+    assert main(["run", "--config", str(valid), "--seed", "-1",
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.search("config error: seed", err), err
+    assert "Traceback" not in err
 
 
 SECTION_NAMES = ["problem", "scheme", "index_function", "noise",
@@ -207,6 +228,114 @@ def test_parse_config_returns_a_config_or_raises_config_error(raw):
         assert isinstance(parse_config(raw), ExperimentConfig)
     except ConfigError:
         pass
+
+
+POSITIVE = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0])
+# every problem kind that needs no file, with small sections of its own keys
+PROBLEMS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("counting"),
+                           "n_max": st.integers(1, 256)}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["power_decay",
+                                                    "pure_power"]),
+                           "kappa": POSITIVE}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["plateau", "exp_decay"])}),
+    st.fixed_dictionaries({"kind": st.just("fvp_whole_space"), "c": POSITIVE,
+                           "tau": POSITIVE}),
+    st.fixed_dictionaries({"kind": st.just("fvp_bounded"),
+                           "n_max": st.integers(1, 64), "c": POSITIVE,
+                           "tau": POSITIVE,
+                           "exponent_power": st.sampled_from([1, 2])}),
+    st.fixed_dictionaries({"kind": st.just("deconvolution"),
+                           "kernel": st.sampled_from(["exponential", "gaussian"]),
+                           "half_width": st.sampled_from([10.0, 40.0]),
+                           "sigma": POSITIVE}),
+)
+INDEX_FUNCTIONS = st.one_of(
+    st.fixed_dictionaries({"family": st.just("power"), "nu": POSITIVE}),
+    st.fixed_dictionaries({"family": st.just("log_power"), "nu": POSITIVE,
+                           "beta": POSITIVE,
+                           "t_max": st.sampled_from([1.0e-7, 0.1, 0.5])}),
+    st.just({"family": "table", "ts": [1.0e-8, 1.0e-4, 1.0],
+             "values": [1.0e-4, 1.0e-2, 1.0]}),
+    st.just({"family": "reciprocal_measure"}),
+)
+SMALL_CONFIGS = st.fixed_dictionaries({
+    "problem": PROBLEMS,
+    "scheme": st.sampled_from([prefix + name for prefix in ("", "truncated:")
+                               for name in ("cutoff", "lavrentiev", "tikhonov")]),
+    "index_function": INDEX_FUNCTIONS,
+    "noise": st.fixed_dictionaries({
+        "mode": st.sampled_from(["deterministic", "white"]),
+        "deltas": st.lists(st.sampled_from([1.0e-2, 1.0e-3, 1.0e-4, 1.0e-5]),
+                           max_size=3, unique=True),
+        "replications": st.integers(2, 4)}),
+    "discretization": st.fixed_dictionaries({
+        "n_nodes": st.sampled_from([8, 63, 64, 256]),
+        "graded": st.booleans()}),
+}, optional={"alpha": st.sampled_from([1.0e-3, 0.1])})
+COMMANDS = ["run", "check-scheme", "rearrange", "dalpha", "reconstruct"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(SMALL_CONFIGS, st.sampled_from(COMMANDS))
+def test_cli_exits_with_a_contract_code(config, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.yaml"
+        path.write_text(yaml.safe_dump(config))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(path),
+                         "--out", str(Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VIOLATION, EXIT_DIVERGENT)
+
+
+def test_phi_domain_below_the_probes_is_a_violation(tmp_path, capsys):
+    path = write_config(tmp_path, """\
+problem: {kind: counting, n_max: 50}
+index_function: {family: log_power, nu: 1, beta: 1, t_max: 1.0e-7}
+noise: {mode: deterministic, deltas: [1.0e-3]}
+output: {directory: OUTDIR}
+""")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_VIOLATION
+    meta = json.loads((out / "report.json").read_text())
+    assert meta["status"] == "violation" and "no admissible" in meta["failure"]
+    assert main(["check-scheme", "--config", str(path)]) == EXIT_VIOLATION
+    assert "no admissible" in capsys.readouterr().err
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+# SHA-256 of what `run` writes for the shipped configs, and of what
+# `reconstruct` writes for backward_heat.yaml: a change of these output
+# bytes must be deliberate
+GOLDEN = {
+    ("white_counting", "run", "rows.csv"):
+        "6076bbe5407a4ecbc407977ffa946f23c56b2ca5a9cd42f6a9114dd69af100e7",
+    ("white_counting", "run", "report.json"):
+        "68ad131a7e9f84753b28e1b55416ff021ea67226449ed780b7db154941a4aa20",
+    ("deterministic_counting", "run", "rows.csv"):
+        "5f0f3c28300c57c75d069589642dce0741a36140001116268979acb202d23644",
+    ("deterministic_counting", "run", "report.json"):
+        "cc290d7219378340494a59344186c54b1d09d67b48ba4032d872f7f31b963af0",
+    ("backward_heat", "run", "rows.csv"):
+        "5cb5f394aed022c2af7e7242215733590c56bbfb627a0eb13f384accf9495edd",
+    ("backward_heat", "run", "report.json"):
+        "9525b32460622656ef4781a59c4c269bd0cb86ffe825b180016578f105397d50",
+    ("backward_heat", "reconstruct", "reconstruction.txt"):
+        "64b08255c7fd59828789dc8a7888b6a2577fa8a5cbcf7f7c923f9be427fb0162",
+}
+
+
+def test_shipped_config_outputs_match_golden_digests(tmp_path):
+    digests = {}
+    for name, command, file in GOLDEN:
+        out = tmp_path / name / command
+        if not out.exists():
+            assert main([command, "--config", str(SHIPPED / f"{name}.yaml"),
+                         "--out", str(out)]) == EXIT_OK
+        digests[name, command, file] = hashlib.sha256(
+            (out / file).read_bytes()).hexdigest()
+    assert digests == GOLDEN
 
 
 def test_run_computes_phi_star_once(tmp_path, monkeypatch):

@@ -53,6 +53,8 @@ def test_vanishes_at_infinity_families():
     assert vanishes_at_infinity(bg, MeasureSpace.line(8.0, 256))
     bp, sp = plateau_pair(20.0, 256)
     assert not vanishes_at_infinity(bp, sp)
+    # on the counting measure the plateau b(n) = 1 does not vanish either
+    assert not vanishes_at_infinity(bp, MeasureSpace.counting(8))
     bd, sd = power_decay_pair(0.7)
     assert vanishes_at_infinity(bd, sd)
     # trivially true on finite-measure spaces
