@@ -330,6 +330,16 @@ def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
                        noise_term=noise_term, total=total, bound=bound)
 
 
+#: values per Monte Carlo block: max(1, BLOCK // n) replications at a time
+BLOCK = 8192
+
+
+def _squared_norms(weighted: np.ndarray) -> list:
+    """``space.norm(x) ** 2`` per row of the weighted squares of x."""
+    # float ** 2 (libm pow), not np.square: they differ in the last bit
+    return [float(v) ** 2 for v in np.sqrt(np.sum(weighted, axis=1))]
+
+
 def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
                     space: MeasureSpace, f, delta: float,
                     sampler: WhiteNoiseSampler, n_reps: int,
@@ -341,6 +351,12 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     DivergentProfile when the variance integral of the underlying problem
     diverges (the truncated sum would otherwise silently depend on the
     truncation radius).
+
+    Replication r uses noise stream ``sampler.stream_id + r``, but only up
+    to the filter's last nonzero node k: beyond it err == f and
+    phi(b) xi == 0 exactly.  Blocks of replications are reduced as
+    full-length rows (the constant tail w f^2, zeros elsewhere), so each
+    value equals the one of a full per-replication draw bit for bit.
     """
     if n_reps < 2:
         raise ValueError("need n_reps >= 2")
@@ -355,16 +371,33 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     res_f = scheme.residual(alpha, vals) * f
     bias_exact = space.norm(res_f)
 
+    w = space.weights
+    n = w.size
+    nonzero = phi_v != 0
+    k = n - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
+    signal, phi_k, f_k, w_k = vals[:k] * f[:k], phi_v[:k], f[:k], w[:k]
+    w_res = (w * np.conj(res_f))[:k]
+    rows = max(1, BLOCK // n)
+    xi = np.empty((rows, k))
+    err_sq = np.empty((rows, n))
+    err_sq[:, k:] = w[k:] * f[k:] ** 2
+    zero_tail = np.zeros((rows, n))  # w |phi xi|^2, then w res_f phi xi
+
     sq_errors = np.empty(n_reps)
     crosses = np.empty(n_reps)
     noise_sq = np.empty(n_reps)
-    for r in range(n_reps):
-        xi = sample_white(sampler.with_stream(sampler.stream_id + r), space)
-        g_delta = vals * f + delta * xi
-        err = f - phi_v * g_delta
-        sq_errors[r] = space.norm(err) ** 2
-        crosses[r] = 2.0 * delta * space.inner(res_f, phi_v * xi)
-        noise_sq[r] = delta**2 * space.norm(phi_v * xi) ** 2
+    for r0 in range(0, n_reps, rows):
+        m = min(rows, n_reps - r0)
+        xi_m = sample_white(sampler.with_stream(sampler.stream_id + r0), space,
+                            xi[:m])
+        err = np.subtract(f_k, phi_k * (signal + delta * xi_m), out=err_sq[:m, :k])
+        np.multiply(w_k, err ** 2, out=err)
+        sq_errors[r0:r0 + m] = _squared_norms(err_sq[:m])
+        phi_xi = phi_k * xi_m
+        np.multiply(w_k, phi_xi ** 2, out=zero_tail[:m, :k])
+        noise_sq[r0:r0 + m] = [delta**2 * v for v in _squared_norms(zero_tail[:m])]
+        np.multiply(w_res, phi_xi, out=zero_tail[:m, :k])
+        crosses[r0:r0 + m] = 2.0 * delta * np.sum(zero_tail[:m], axis=1)
 
     mean_sq = float(np.mean(sq_errors))
     rms = float(np.sqrt(mean_sq))
@@ -514,9 +547,9 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
     """One ``evaluate_delta`` row per delta, in order, and the fitted slopes.
 
     Delta k draws from streams ``STREAM_STRIDE * (k + 1) + r``, so ``threads``
-    (workers over the deltas) does not change the rows.  The slopes fit
-    log(error) and log(phi(alpha*)) against log(delta) on the middle 80%
-    of the points; they are None below 4 rows.
+    (workers over the deltas, which take the smallest delta first) does not
+    change the rows.  The slopes fit log(error) and log(phi(alpha*)) against
+    log(delta) on the middle 80% of the points; they are None below 4 rows.
     """
     if mode == WHITE and profile is None:
         profile = effective_illposedness(problem.b, problem.space)
@@ -529,8 +562,12 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
                               distribution=distribution)
 
     if threads > 1 and len(deltas) > 1:
+        # smallest delta first: its alpha* is smallest and its filter
+        # support widest, so it takes longest
+        order = sorted(range(len(deltas)), key=lambda k: deltas[k])
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, enumerate(deltas)))
+            done = dict(zip(order, pool.map(one, [(k, deltas[k]) for k in order])))
+        rows = [done[k] for k in range(len(deltas))]
     else:
         rows = [one(kd) for kd in enumerate(deltas)]
 

@@ -178,7 +178,6 @@ class FinalValueProblem:
     variant: str
     c: float = 1.0
     tau: float = 1.0
-    dimension: int = 1
     radius: float = 8.0
     n_grid: int = 2**12
     n_max: int = 64
@@ -194,7 +193,7 @@ def fvp_multiplier(fvp: FinalValueProblem) -> tuple[Multiplier, MeasureSpace]:
     """Build the multiplier and matching space for a final value problem."""
     if fvp.variant == "whole_space":
         space = MeasureSpace.line(fvp.radius, fvp.n_grid)
-        return GaussianFrequency(fvp.c, fvp.tau, fvp.dimension), space
+        return GaussianFrequency(fvp.c, fvp.tau), space
     lam = fvp.eigenvalues
     if lam is None:
         lam = tuple(float(k) for k in range(1, fvp.n_max + 1))

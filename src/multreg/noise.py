@@ -33,18 +33,38 @@ class WhiteNoiseSampler:
     def with_stream(self, stream_id: int) -> "WhiteNoiseSampler":
         return replace(self, stream_id=stream_id)
 
-    def rng(self) -> np.random.Generator:
-        # a fresh generator per call keeps sampling independent of call order
-        return np.random.default_rng([self.seed, self.stream_id])
+    def rng(self, offset: int = 0) -> np.random.Generator:
+        """Generator of stream ``stream_id + offset``.
+
+        A fresh generator per call keeps sampling independent of call order.
+        """
+        return np.random.default_rng([self.seed, self.stream_id + offset])
 
 
-def sample_white(sampler: WhiteNoiseSampler, space: MeasureSpace) -> np.ndarray:
-    """One i.i.d. unit-variance draw per node."""
-    rng = sampler.rng()
-    n = space.nodes.size
-    if sampler.distribution == GAUSSIAN:
-        return rng.standard_normal(n)
-    return rng.integers(0, 2, size=n) * 2.0 - 1.0
+def _fill(rng: np.random.Generator, distribution: str, out: np.ndarray):
+    if distribution == GAUSSIAN:
+        return rng.standard_normal(out=out)
+    np.multiply(rng.integers(0, 2, size=out.size), 2.0, out=out)
+    out -= 1.0
+    return out
+
+
+def sample_white(sampler: WhiteNoiseSampler, space: MeasureSpace,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """One i.i.d. unit-variance draw per node, or a block of stream prefixes.
+
+    Without ``out`` this is the full vector of stream ``stream_id``.  With
+    an ``(m, k)`` array ``out``, row i is filled with the first k values of
+    stream ``stream_id + i`` and ``out`` is returned; numpy fills a stream
+    in sequence, so these are the first k entries of that stream's full
+    vector.
+    """
+    if out is None:
+        return _fill(sampler.rng(), sampler.distribution,
+                     np.empty(space.nodes.size))
+    for i, row in enumerate(out):
+        _fill(sampler.rng(i), sampler.distribution, row)
+    return out
 
 
 @dataclass(frozen=True)

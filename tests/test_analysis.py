@@ -19,6 +19,7 @@ from multreg import (BracketingFailed, Divergent, DivergentProfile,
                      spectral_cutoff, tikhonov_wiener, truncate,
                      variance_integral, white_bound_at_star,
                      white_error_bound)
+from multreg import analysis
 from multreg.gallery import (counting_problem, exp_decay_pair, plateau_pair,
                              power_decay_pair, pure_power_pair)
 
@@ -389,6 +390,104 @@ def test_monte_carlo_reproducible():
     b = monte_carlo_rms(spectral_cutoff(), 0.1, prob.b, prob.space,
                         prob.f_true, 1e-2, WhiteNoiseSampler(5), 20)
     assert a.rms == b.rms and a.cross_term_mean == b.cross_term_mean
+
+
+def _reference_monte_carlo(scheme, alpha, b, space, f, delta, sampler, n_reps):
+    """The per-replication loop over full-length draws, as an exact oracle."""
+    f = np.asarray(f, float)
+    vals = b.values_on(space)
+    phi_v = scheme.phi(alpha, vals)
+    res_f = scheme.residual(alpha, vals) * f
+    sq_errors = np.empty(n_reps)
+    crosses = np.empty(n_reps)
+    noise_sq = np.empty(n_reps)
+    for r in range(n_reps):
+        xi = sample_white(sampler.with_stream(sampler.stream_id + r), space)
+        g_delta = vals * f + delta * xi
+        err = f - phi_v * g_delta
+        sq_errors[r] = space.norm(err) ** 2
+        crosses[r] = 2.0 * delta * space.inner(res_f, phi_v * xi)
+        noise_sq[r] = delta**2 * space.norm(phi_v * xi) ** 2
+    rms = float(np.sqrt(float(np.mean(sq_errors))))
+    se_mean = float(np.std(sq_errors, ddof=1) / np.sqrt(n_reps))
+    return {"rms": rms, "stderr": se_mean / (2.0 * rms) if rms > 0 else 0.0,
+            "noise_term": float(np.mean(noise_sq)), "bias": space.norm(res_f),
+            "cross_term_mean": float(np.mean(crosses)),
+            "cross_term_stderr": float(np.std(crosses, ddof=1) / np.sqrt(n_reps))}
+
+
+def _shuffled_table(n):
+    # a non-monotone table: the cut-off's support is not a prefix of the nodes
+    vals = np.random.default_rng(4).permutation(1.0 / np.arange(1, n + 1))
+    b, space = compact_case(vals)
+    return b, space, np.random.default_rng(5).standard_normal(n)
+
+
+def _counting(n):
+    prob = counting_problem(n, PowerIndex(1.0))
+    return prob.b, prob.space, prob.f_true
+
+
+def _halfline(n):
+    b, space = power_decay_pair(0.5, 50.0, n)
+    return b, space, b.values_on(space) ** 0.5
+
+
+MC_CASES = {
+    # name: (problem, scheme, alpha, delta, n_reps, distribution); at 500
+    # nodes a block holds 16 replications, so 37 ends in a partial block
+    "truncated_cutoff_prefix": (lambda: _counting(500), truncate(spectral_cutoff()),
+                                0.01, 1e-3, 37, "gaussian"),
+    "non_prefix_support": (lambda: _shuffled_table(300), spectral_cutoff(),
+                           0.02, 1e-2, 21, "gaussian"),
+    "lavrentiev_full_support": (lambda: _counting(200), lavrentiev(),
+                                0.02, 1e-3, 19, "gaussian"),
+    "delta_zero": (lambda: _counting(100), spectral_cutoff(), 0.05, 0.0, 9,
+                   "gaussian"),
+    "empty_support": (lambda: _counting(64), spectral_cutoff(), 2.0, 1e-2, 5,
+                      "gaussian"),
+    "truncated_lavrentiev_prefix": (lambda: _counting(500),
+                                    truncate(lavrentiev()), 0.01, 1e-3, 37,
+                                    "gaussian"),
+    "rademacher": (lambda: _counting(500), truncate(lavrentiev()),
+                   0.01, 1e-3, 37, "rademacher"),
+    "n_above_block": (lambda: _halfline(analysis.BLOCK + 1000),
+                      truncate(spectral_cutoff()), 0.1, 1e-2, 3, "gaussian"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MC_CASES))
+def test_monte_carlo_matches_per_replication_reference(case):
+    make, scheme, alpha, delta, n_reps, distribution = MC_CASES[case]
+    b, space, f = make()
+    sampler = WhiteNoiseSampler(9, stream_id=300, distribution=distribution)
+    mc = monte_carlo_rms(scheme, alpha, b, space, f, delta, sampler, n_reps)
+    ref = _reference_monte_carlo(scheme, alpha, b, space, f, delta, sampler,
+                                 n_reps)
+    got = {"rms": mc.rms, "stderr": mc.stderr,
+           "noise_term": mc.budget.noise_term, "bias": mc.budget.bias,
+           "cross_term_mean": mc.cross_term_mean,
+           "cross_term_stderr": mc.cross_term_stderr}
+    assert got == ref
+    # each case has the shape of filter support it is named for
+    support = np.flatnonzero(scheme.phi(alpha, b.values_on(space)))
+    k, n = (support[-1] + 1 if support.size else 0), space.nodes.size
+    assert {"non_prefix_support": 0 < support.size < k,
+            "lavrentiev_full_support": k == n,
+            "empty_support": k == 0,
+            "n_above_block": n > analysis.BLOCK and 0 < k < n,
+            "truncated_cutoff_prefix": support.size == k < n,
+            "truncated_lavrentiev_prefix": support.size == k < n,
+            }.get(case, True)
+
+
+def test_block_rows_finish_like_space_norm():
+    # space.norm(x) ** 2 squares a Python float (libm pow), which differs
+    # from np.square in the last bit on about 1 value in 1000
+    space = MeasureSpace.counting(7)
+    x = np.random.default_rng(8).standard_normal((20000, 7))
+    got = analysis._squared_norms(space.weights * np.abs(x) ** 2)
+    assert got == [space.norm(row) ** 2 for row in x]
 
 
 def test_deterministic_triangle_inequality():

@@ -305,9 +305,37 @@ output: {directory: OUTDIR}
 
 
 SHIPPED = Path(__file__).resolve().parents[1] / "configs"
-# SHA-256 of what `run` writes for the shipped configs, and of what
-# `reconstruct` writes for backward_heat.yaml: a change of these output
-# bytes must be deliberate
+# small white studies beside the shipped configs: Rademacher noise with the
+# cut-off nonzero on a prefix of a half-line grid, and a Lavrentiev filter
+# nonzero on every node
+STUDIES = {
+    "white_halfline_rademacher": """\
+problem: {kind: power_decay, kappa: 0.5}
+scheme: truncated:cutoff
+index_function: {family: power, nu: 1.0}
+noise:
+  mode: white
+  distribution: rademacher
+  deltas: [1.0e-2, 3.1623e-3, 1.0e-3, 3.1623e-4, 1.0e-4]
+  replications: 40
+discretization: {n_nodes: 4096, truncation_radius: 50.0}
+seed: 20261018
+""",
+    "white_lavrentiev": """\
+problem: {kind: pure_power, kappa: 0.5}
+scheme: lavrentiev
+index_function: {family: power, nu: 0.5}
+noise:
+  mode: white
+  deltas: [1.0e-2, 3.1623e-3, 1.0e-3, 3.1623e-4, 1.0e-4]
+  replications: 30
+discretization: {n_nodes: 2048}
+seed: 20261018
+""",
+}
+# SHA-256 of what `run` writes for the shipped configs and the studies
+# above, and of what `reconstruct` writes for backward_heat.yaml: a change
+# of these output bytes must be deliberate
 GOLDEN = {
     ("white_counting", "run", "rows.csv"):
         "6076bbe5407a4ecbc407977ffa946f23c56b2ca5a9cd42f6a9114dd69af100e7",
@@ -323,6 +351,14 @@ GOLDEN = {
         "9525b32460622656ef4781a59c4c269bd0cb86ffe825b180016578f105397d50",
     ("backward_heat", "reconstruct", "reconstruction.txt"):
         "64b08255c7fd59828789dc8a7888b6a2577fa8a5cbcf7f7c923f9be427fb0162",
+    ("white_halfline_rademacher", "run", "rows.csv"):
+        "3f680dcd5cad3eea3f8aa5b7fb0d3deb5c8473fcefbe53c79e1052ce2bda8edf",
+    ("white_halfline_rademacher", "run", "report.json"):
+        "8133ab385a8589712de1f9ddaf43a77d02f17c461f28908ec4b29df6ef80bab4",
+    ("white_lavrentiev", "run", "rows.csv"):
+        "9c21a178c921f609d5d42c2122b6c83bbd9493d4c006d704604929d81ad3400e",
+    ("white_lavrentiev", "run", "report.json"):
+        "7b4d3ae11b8669497a6f4851dce765e72874cf82eaf7dad6f5e93fe75df764fc",
 }
 
 
@@ -330,8 +366,11 @@ def test_shipped_config_outputs_match_golden_digests(tmp_path):
     digests = {}
     for name, command, file in GOLDEN:
         out = tmp_path / name / command
+        config = SHIPPED / f"{name}.yaml"
+        if name in STUDIES:
+            config = write_config(tmp_path, STUDIES[name], name=f"{name}.yaml")
         if not out.exists():
-            assert main([command, "--config", str(SHIPPED / f"{name}.yaml"),
+            assert main([command, "--config", str(config),
                          "--out", str(out)]) == EXIT_OK
         digests[name, command, file] = hashlib.sha256(
             (out / file).read_bytes()).hexdigest()

@@ -42,6 +42,18 @@ def test_rademacher_option():
         WhiteNoiseSampler(0, distribution="cauchy")
 
 
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+def test_block_rows_are_stream_prefixes(distribution):
+    space = MeasureSpace.counting(1000)
+    sampler = WhiteNoiseSampler(5, stream_id=70, distribution=distribution)
+    for k in (0, 1, 333, 1000):
+        block = np.full((4, k), np.nan)
+        assert sample_white(sampler, space, block) is block
+        for i in range(4):
+            full = sample_white(sampler.with_stream(70 + i), space)
+            assert np.array_equal(block[i], full[:k])
+
+
 def test_worst_case_unit_vector():
     space = MeasureSpace.counting(3)
     noise = worst_case_deterministic(np.array([1.0, 0.0, 0.0]), space)
