@@ -193,10 +193,8 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
     """
     rearr = decreasing_rearrangement(b, space)  # raises if b does not vanish
     vals = b.values_on(space)
-    weights = space.weights
-    positive = vals[vals > 0]
     if alpha_grid is None:
-        lo = max(float(np.min(positive)), _SQUARE_FLOOR)
+        lo = max(float(np.min(vals[vals > 0])), _SQUARE_FLOOR)
         hi = float(b.sup_bound) * (1 - 1e-9)
         if lo >= hi:
             raise PreconditionFailed(
@@ -216,7 +214,7 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
         # domain side, without the sort: w / b^2 binned by the number of grid
         # points below each node, then summed over the bins above each alpha
         below = np.searchsorted(alpha_grid, vals, side="left")
-        binned = np.bincount(below, weights=weights / vals ** 2,
+        binned = np.bincount(below, weights=space.weights / vals ** 2,
                              minlength=alpha_grid.size + 1)
         from_domain = np.cumsum(binned[::-1])[::-1][1:]
     overflow = ~np.isfinite(d_sq)
@@ -229,7 +227,8 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
         raise CrossCheckFailed(
             "rearrangement- and domain-side variance integrals disagree"
         )
-    bounds = np.sqrt(distribution_function(b, space, alpha_grid)) / alpha_grid
+    bounds = np.sqrt(distribution_function(b, space, alpha_grid,
+                                           rearrangement=rearr)) / alpha_grid
     return IllposednessProfile(alpha_grid, np.sqrt(d_sq), bounds, finite=True)
 
 
@@ -322,11 +321,10 @@ def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
     """Error of one reconstruction from data corrupted by a fixed noise."""
     f = np.asarray(f, float)
     vals = b.values_on(space)
-    g_delta = vals * f + delta * noise.values
-    est = reconstruct(scheme, alpha, b, space, g_delta).estimate
-    total = space.norm(f - est)
-    noise_term = delta * space.norm(scheme.phi(alpha, vals) * noise.values)
-    return ErrorBudget(bias=bias(scheme, alpha, b, space, f),
+    phi_v = scheme.phi(alpha, vals)
+    total = space.norm(f - phi_v * (vals * f + delta * noise.values))
+    noise_term = delta * space.norm(phi_v * noise.values)
+    return ErrorBudget(bias=space.norm(scheme.residual(alpha, vals) * f),
                        noise_term=noise_term, total=total, bound=bound)
 
 

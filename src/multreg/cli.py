@@ -52,7 +52,7 @@ def cmd_rearrange(config, args) -> int:
     sup = float(b.sup_bound)
     ts = np.geomspace(sup * 1e-6, sup, 64)
     write_table(out / f"distribution.{args.format}", ("t", "d_b"),
-                [(t, distribution_function(b, space, float(t))) for t in ts])
+                zip(ts, distribution_function(b, space, ts)))
     dec = decreasing_rearrangement(b, space)
     write_table(out / f"decreasing_rearrangement.{args.format}",
                 ("t_left", "t_right", "value"), dec.cells())

@@ -76,28 +76,32 @@ class Rearrangement:
 
 
 def distribution_function(b: Multiplier, space: MeasureSpace, t,
-                          allow_exact: bool = True):
+                          allow_exact: bool = True,
+                          rearrangement: Rearrangement | None = None):
     """d_b(t) = mu{ b > t }.
 
     Uses the family's closed form when available (exact on the untruncated
-    space); otherwise sums quadrature weights over nodes with b > t.
+    space).  Otherwise one stable descending sort per call (or the order of
+    a decreasing ``rearrangement`` already built) makes each {b > t} a
+    prefix of the sorted weights, summed pairwise by ``np.sum``: bit-equal
+    to the masked sum over the nodes where the weights in {b > t} are equal.
     """
     scalar = np.isscalar(t)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts <= 0):
         raise ValueError("distribution function requires t > 0")
-    out = np.empty(ts.shape)
-    exact_ok = allow_exact
-    if exact_ok:
-        for i, ti in enumerate(ts):
-            ex = b.distribution_exact(float(ti), space)
-            if ex is None:
-                exact_ok = False
-                break
-            out[i] = ex
-    if not exact_ok:
-        vals = b.values_on(space)
-        out = np.array([float(np.sum(space.weights[vals > ti])) for ti in ts])
+    exact = [b.distribution_exact(float(ti), space) for ti in ts] if allow_exact else [None]
+    if None not in exact:
+        out = np.array(exact, dtype=float)
+    else:
+        if rearrangement is None:
+            values, widths = _sorted_view(b.values_on(space), space.weights, True)
+        elif rearrangement.direction == DECREASING:
+            values, widths = rearrangement.values, rearrangement.widths
+        else:
+            raise ValueError("d_b reads the decreasing rearrangement")
+        counts = values.size - np.searchsorted(values[::-1], ts, side="right")
+        out = np.array([float(np.sum(widths[:m])) for m in counts])
     return float(out[0]) if scalar else out
 
 
@@ -107,10 +111,14 @@ def vanishes_at_infinity(b: Multiplier, space: MeasureSpace) -> bool:
     return space.measure_is_finite or bool(b.tail_vanishes)
 
 
-def _sorted_step(values: np.ndarray, weights: np.ndarray, descending: bool) -> Rearrangement:
+def _sorted_view(values: np.ndarray, weights: np.ndarray, descending: bool):
+    """Node values sorted stably (ties by node index), weights alike."""
     order = np.argsort(-values if descending else values, kind="stable")
-    v = values[order]
-    w = weights[order]
+    return values[order], weights[order]
+
+
+def _sorted_step(values: np.ndarray, weights: np.ndarray, descending: bool) -> Rearrangement:
+    v, w = _sorted_view(values, weights, descending)
     knots = np.concatenate(([0.0], np.cumsum(w)))
     return Rearrangement(v, knots, DECREASING if descending else INCREASING, w)
 

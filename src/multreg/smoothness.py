@@ -33,18 +33,6 @@ class SourceCondition:
     achieved_norm: float
 
 
-def _outer_cut(b: Multiplier, space: MeasureSpace) -> float:
-    """Smallest |s| with b(s) <= sup/2; separates the inner and outer regions."""
-    vals = b.values_on(space)
-    outer = np.abs(space.nodes)[vals <= 0.5 * b.sup_bound]
-    if outer.size == 0:
-        raise PreconditionFailed(
-            "multiplier never drops below half its sup on this grid; "
-            "increase the truncation radius"
-        )
-    return float(np.min(outer))
-
-
 def phi_star(b: Multiplier, space: MeasureSpace, n_table: int = 256,
              ratio_band: float = DEFAULT_RATIO_BAND) -> TableIndex:
     """Tabulate t -> 1 / d_b(t) on [t_min, sup/2] as an index function.
@@ -63,32 +51,38 @@ def phi_star(b: Multiplier, space: MeasureSpace, n_table: int = 256,
 
     vals = b.values_on(space)
     abs_s = np.abs(space.nodes)
-    cut = _outer_cut(b, space)
-    inner_min = float(np.min(vals[abs_s <= cut])) if np.any(abs_s <= cut) else 1.0
-    if inner_min <= 0:
+    # the smallest |s| with b(s) <= sup/2 separates the inner and outer regions
+    outer_abs = abs_s[vals <= 0.5 * b.sup_bound]
+    if outer_abs.size == 0:
+        raise PreconditionFailed(
+            "multiplier never drops below half its sup on this grid; "
+            "increase the truncation radius"
+        )
+    cut = float(np.min(outer_abs))
+    if np.min(vals[abs_s <= cut]) <= 0:  # cut is some node's |s|
         raise PreconditionFailed("b must be bounded below near the origin")
 
-    # mu{b > b(s)} comparable to |s| on the outer region
-    outer = abs_s > cut
-    probe_idx = np.nonzero(outer)[0]
+    # mu{b > b(s)} comparable to |s| on the outer region (one d_b call for
+    # the probes and the table levels, so one sort)
+    probe_idx = np.nonzero(abs_s > cut)[0]
     probe_idx = probe_idx[np.linspace(0, probe_idx.size - 1, min(32, probe_idx.size)).astype(int)]
-    for i in probe_idx:
-        if vals[i] <= 0:
-            continue
-        d = distribution_function(b, space, float(vals[i]))
-        ratio = d / abs_s[i]
-        if not (1.0 / ratio_band <= ratio <= ratio_band):
-            raise PreconditionFailed(
-                f"superlevel measure not comparable to |s| at s = {space.nodes[i]:.4g} "
-                f"(ratio {ratio:.4g})"
-            )
-
+    probe_idx = probe_idx[vals[probe_idx] > 0]
     t_min = float(np.min(vals[vals > 0]))
     t_max = 0.5 * b.sup_bound
+    ts = np.geomspace(t_min, t_max, n_table) if t_min < t_max else np.empty(0)
+    d = distribution_function(b, space, np.concatenate((vals[probe_idx], ts)))
+    ratios = d[:probe_idx.size] / abs_s[probe_idx]
+    bad = ~((1.0 / ratio_band <= ratios) & (ratios <= ratio_band))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise PreconditionFailed(
+            f"superlevel measure not comparable to |s| at s = "
+            f"{space.nodes[probe_idx[i]]:.4g} (ratio {ratios[i]:.4g})"
+        )
+
     if t_min >= t_max:
         raise PreconditionFailed("no room between the smallest value and sup/2")
-    ts = np.geomspace(t_min, t_max, n_table)
-    d = np.asarray(distribution_function(b, space, ts))
+    d = d[probe_idx.size:]
     if np.any(d <= 0) or np.any(~np.isfinite(d)):
         raise PreconditionFailed("distribution function not positive-finite on the table")
     phi_vals = 1.0 / d

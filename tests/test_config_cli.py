@@ -332,10 +332,16 @@ noise:
 discretization: {n_nodes: 2048}
 seed: 20261018
 """,
+    # no closed-form d_b, and b(-s) = b(s) ties every value but b(0)
+    "deconvolution_exponential": """\
+problem: {kind: deconvolution, kernel: exponential, half_width: 40.0}
+discretization: {n_nodes: 4096}
+""",
 }
 # SHA-256 of what `run` writes for the shipped configs and the studies
-# above, and of what `reconstruct` writes for backward_heat.yaml: a change
-# of these output bytes must be deliberate
+# above, of what `reconstruct` writes for backward_heat.yaml and of the
+# `rearrange` and `dalpha` tables of the deconvolution: a change of these
+# output bytes must be deliberate
 GOLDEN = {
     ("white_counting", "run", "rows.csv"):
         "6076bbe5407a4ecbc407977ffa946f23c56b2ca5a9cd42f6a9114dd69af100e7",
@@ -359,6 +365,12 @@ GOLDEN = {
         "9c21a178c921f609d5d42c2122b6c83bbd9493d4c006d704604929d81ad3400e",
     ("white_lavrentiev", "run", "report.json"):
         "7b4d3ae11b8669497a6f4851dce765e72874cf82eaf7dad6f5e93fe75df764fc",
+    ("deconvolution_exponential", "rearrange", "distribution.csv"):
+        "cc1806e968505b20cbf2b4ef211e4499fb24b19d46ab2c0ca6310ee9a278b269",
+    ("deconvolution_exponential", "rearrange", "decreasing_rearrangement.csv"):
+        "56baf5231e859b5c403bfd7831487b3db865afd02bf1f37a8e0f564bc4f273c7",
+    ("deconvolution_exponential", "dalpha", "dalpha.csv"):
+        "c301c03e333d5fe583e5baaf3df3e1d9c49cfe4efa4a8eb578ff26d117d5aec2",
 }
 
 

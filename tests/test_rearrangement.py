@@ -3,7 +3,7 @@ import pytest
 
 from multreg import (CallableMultiplier, DominationNotDetected, MeasureSpace,
                      PowerIndex, RearrangementUndefined,
-                     RequiresFiniteMeasure, Tabulated, compact_case,
+                     PurePower, RequiresFiniteMeasure, Tabulated, compact_case,
                      decreasing_rearrangement, distribution_function,
                      increasing_rearrangement, piecewise_rearrangement_bounds,
                      truncated_shift_check, vanishes_at_infinity)
@@ -38,6 +38,52 @@ def test_distribution_tabulated_exponential():
     oracle = float(np.sum(space.weights[np.exp(-space.nodes) > t]))
     assert d == oracle
     assert abs(d - 2.0) <= 2 * space.max_weight
+
+
+def _masked_levels(vals, n_levels=400):
+    """Levels at node values, between neighbouring values, at and above
+    sup b and below min b, thinned to about ``n_levels``."""
+    v = np.unique(vals[vals > 0])
+    mids = 0.5 * (v[:-1] + v[1:])
+    step = max(1, v.size // (n_levels // 2))
+    return np.concatenate((v[::step], mids[::step],
+                           [v[-1], 2.0 * v[-1], 0.5 * v[0]]))
+
+
+def test_distribution_function_matches_masked_sums():
+    from multreg import DeconvolutionProblem
+    rng = np.random.default_rng(17)
+    deconv = DeconvolutionProblem("exponential", 40.0, 2**12)
+    ties = MeasureSpace.counting(500)
+    uneven = MeasureSpace("lebesgue_interval", np.arange(1.0, 1025.0),
+                          rng.uniform(0.1, 2.0, 1024))
+    interval = MeasureSpace.interval(0.0, 2.0, 2048)
+    wave = Tabulated(0.2 + np.abs(np.sin(3.0 * interval.nodes)))
+    cases = [  # (b, space, tolerance relative to the masked sum)
+        (Tabulated(np.round(10.0 / ties.nodes, 2)), ties, 0.0),
+        (CallableMultiplier(lambda s: np.exp(-s), sup_bound=1.0),
+         MeasureSpace.halfline(30.0, 2**12), 0.0),
+        (wave, interval, 0.0),
+        (deconv.multiplier, deconv.freq_space, 0.0),  # b(-s) = b(s): ties
+        (PurePower(1.5), MeasureSpace.interval_graded(1.0, 2**12), 1e-12),
+        (Tabulated(np.round(rng.uniform(0.0, 1.0, 1024), 2)), uneven, 1e-12),
+    ]
+    for b, space, tol in cases:
+        vals, w = b.values_on(space), space.weights
+        ts = _masked_levels(vals)
+        masked = np.array([np.sum(w[vals > t]) for t in ts])
+        d = distribution_function(b, space, ts, allow_exact=False)
+        if tol == 0.0:
+            assert np.array_equal(d, masked)
+        else:
+            assert np.all(np.abs(d - masked) <= tol * masked)
+        if not space.measure_is_finite:
+            dec = decreasing_rearrangement(b, space)
+            assert np.array_equal(distribution_function(
+                b, space, ts, allow_exact=False, rearrangement=dec), d)
+    with pytest.raises(ValueError):  # d_b needs the descending order
+        distribution_function(wave, interval, 0.5, rearrangement=(
+            increasing_rearrangement(wave, interval)))
 
 
 def test_distribution_rejects_nonpositive_t():

@@ -113,6 +113,56 @@ def test_phi_star_rejects_plateau_superlevel_growth():
         phi_star(b, space)
 
 
+def _plateau_case():
+    def b_fn(s):
+        return 1.0 / (1.0 + np.minimum(s, 10.0) + np.maximum(s - 1000.0, 0.0))
+
+    return (CallableMultiplier(b_fn, sup_bound=1.0),
+            MeasureSpace.halfline(4000.0, 2**14))
+
+
+def test_phi_star_probe_failure_names_the_first_failing_probe():
+    # reference: one masked sum per probe, in probe order
+    b, space = _plateau_case()
+    vals, abs_s = b.values_on(space), np.abs(space.nodes)
+    cut = np.min(abs_s[vals <= 0.5 * b.sup_bound])
+    probes = np.nonzero(abs_s > cut)[0]
+    probes = probes[np.linspace(0, probes.size - 1, 32).astype(int)]
+    failures = []
+    for i in probes:
+        ratio = np.sum(space.weights[vals > vals[i]]) / abs_s[i]
+        if not 0.1 <= ratio <= 10.0:
+            failures.append(f"superlevel measure not comparable to |s| at "
+                            f"s = {space.nodes[i]:.4g} (ratio {ratio:.4g})")
+    assert len(failures) > 1
+    with pytest.raises(PreconditionFailed) as exc:
+        phi_star(b, space)
+    assert str(exc.value) == failures[0]
+
+
+def test_phi_star_sorts_once(monkeypatch):
+    # one sort of the node values for all probes and table levels, not one
+    # pass over the nodes per probe
+    evaluations, sorts = [], []
+
+    def power(s):
+        evaluations.append(np.size(s))
+        return 1.0 / (1.0 + s)
+
+    b = CallableMultiplier(power, sup_bound=1.0)
+    space = MeasureSpace.halfline(50.0, 2**12)
+    argsort = np.argsort
+
+    def counting_argsort(a, *args, **kwargs):
+        sorts.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    phi_star(b, space)
+    assert sorts.count(space.nodes.size) <= 2
+    assert evaluations.count(space.nodes.size) <= 4
+
+
 # --- source conditions -----------------------------------------------------------
 
 def test_make_source_phi_of_b_on_unit_mass_space():
