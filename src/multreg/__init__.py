@@ -22,9 +22,10 @@ from .config import ExperimentConfig, build_problem, load_config, parse_config
 from .errors import (AxiomViolation, BracketingFailed, ConfigError,
                      CrossCheckFailed, DegenerateFilter, Divergent,
                      DivergentProfile, DominationNotDetected,
-                     EigenvaluesNotDivergent, MultRegError, NotInSourceSet,
-                     PreconditionFailed, RearrangementUndefined,
-                     RequiresFiniteMeasure, UnboundedRatio, ZeroDirection)
+                     EigenvaluesNotDivergent, FilterOverflow, MultRegError,
+                     NotInSourceSet, PreconditionFailed,
+                     RearrangementUndefined, RequiresFiniteMeasure,
+                     UnboundedRatio, ZeroDirection)
 from .gallery import (DeconvolutionProblem, FinalValueProblem, compact_case,
                       counting_problem, fvp_multiplier, lavrentiev_deconvolve,
                       n_alpha, periodic_convolve, to_frequency,
@@ -36,7 +37,7 @@ from .multipliers import (BackgroundPart, CallableMultiplier,
                           MonotonePiece, Multiplier, PiecewiseMonotone,
                           PlateauCounterexample, PowerDecay, PurePower,
                           Tabulated)
-from .noise import (DeterministicNoise, WhiteNoiseSampler,
+from .noise import (DeterministicNoise, NoiseStreams, WhiteNoiseSampler,
                     concentrated_direction, sample_white,
                     worst_case_deterministic)
 from .rearrangement import (PiecewiseBounds, Rearrangement,

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BracketingFailed, CrossCheckFailed, Divergent,
-                     DivergentProfile, PreconditionFailed)
+                     DivergentProfile, FilterOverflow, PreconditionFailed)
 from .indexfuncs import IndexFunction, solve_increasing
 from .multipliers import Multiplier
-from .noise import (GAUSSIAN, DeterministicNoise, WhiteNoiseSampler,
-                    concentrated_direction, sample_white,
+from .noise import (GAUSSIAN, DeterministicNoise, NoiseStreams,
+                    WhiteNoiseSampler, concentrated_direction, sample_white,
                     worst_case_deterministic)
 from .rearrangement import (decreasing_rearrangement, distribution_function,
                             vanishes_at_infinity)
@@ -67,7 +67,7 @@ def _variance_sum(scheme, alpha, b, space):
     with np.errstate(divide="ignore", over="ignore"):
         out = float(np.sum(space.weights * scheme.phi(alpha, vals) ** 2))
     if not np.isfinite(out):
-        raise ValueError(
+        raise FilterOverflow(
             f"filter values overflow at alpha = {alpha:.3g}; the requested "
             "regularization regime is below double-precision resolution"
         )
@@ -317,11 +317,17 @@ class McResult:
 def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
                            space: MeasureSpace, f, delta: float,
                            noise: DeterministicNoise,
-                           bound: float = np.nan) -> ErrorBudget:
-    """Error of one reconstruction from data corrupted by a fixed noise."""
+                           bound: float = np.nan, *, _filtered=None) -> ErrorBudget:
+    """Error of one reconstruction from data corrupted by a fixed noise.
+
+    ``_filtered``: the caller's ``(b.values_on(space), scheme.phi(alpha,
+    vals))``, so that they are not evaluated twice.
+    """
     f = np.asarray(f, float)
-    vals = b.values_on(space)
-    phi_v = scheme.phi(alpha, vals)
+    if _filtered is None:
+        vals = b.values_on(space)
+        _filtered = vals, scheme.phi(alpha, vals)
+    vals, phi_v = _filtered
     total = space.norm(f - phi_v * (vals * f + delta * noise.values))
     noise_term = delta * space.norm(phi_v * noise.values)
     return ErrorBudget(bias=space.norm(scheme.residual(alpha, vals) * f),
@@ -352,9 +358,10 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
 
     Replication r uses noise stream ``sampler.stream_id + r``, but only up
     to the filter's last nonzero node k: beyond it err == f and
-    phi(b) xi == 0 exactly.  Blocks of replications are reduced as
-    full-length rows (the constant tail w f^2, zeros elsewhere), so each
-    value equals the one of a full per-replication draw bit for bit.
+    phi(b) xi == 0 exactly.  All n_reps streams are seeded in one pass.
+    Blocks of replications are reduced as full-length rows (the constant
+    tail w f^2, zeros elsewhere), so each value equals the one of a full
+    per-replication draw bit for bit.
     """
     if n_reps < 2:
         raise ValueError("need n_reps >= 2")
@@ -381,13 +388,13 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     err_sq[:, k:] = w[k:] * f[k:] ** 2
     zero_tail = np.zeros((rows, n))  # w |phi xi|^2, then w res_f phi xi
 
+    streams = NoiseStreams(sampler, n_reps)
     sq_errors = np.empty(n_reps)
     crosses = np.empty(n_reps)
     noise_sq = np.empty(n_reps)
     for r0 in range(0, n_reps, rows):
         m = min(rows, n_reps - r0)
-        xi_m = sample_white(sampler.with_stream(sampler.stream_id + r0), space,
-                            xi[:m])
+        xi_m = sample_white(streams.block(r0, m), space, xi[:m])
         err = np.subtract(f_k, phi_k * (signal + delta * xi_m), out=err_sq[:m, :k])
         np.multiply(w_k, err ** 2, out=err)
         sq_errors[r0:r0 + m] = _squared_norms(err_sq[:m])
@@ -509,17 +516,18 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
     form of the a-priori error estimate.
     """
     b, space, f = problem.b, problem.space, problem.f_true
-    vals = b.values_on(space)
     rho = problem.source_scale
     alpha_star = choose_alpha(problem, phi, delta, mode, profile)
     if mode == DETERMINISTIC:
-        phi_v = np.abs(scheme.phi(alpha_star, vals))
+        vals = b.values_on(space)
+        phi_v = scheme.phi(alpha_star, vals)
         worst = worst_case_deterministic(
-            concentrated_direction(space, int(np.argmax(phi_v))), space)
+            concentrated_direction(space, int(np.argmax(np.abs(phi_v)))), space)
         bound = deterministic_bound_at_star(c_phi, scheme.c_minus1,
                                             phi, alpha_star, rho)
         budget = evaluate_deterministic(scheme, alpha_star, b, space, f,
-                                        delta, worst, bound)
+                                        delta, worst, bound,
+                                        _filtered=(vals, phi_v))
         err, stderr = budget.total, 0.0
         violated = err > bound * (1 + 1e-9)
     else:

@@ -77,6 +77,10 @@ class DivergentProfile(Divergent):
     """An operation depending on the variance integral hit a divergent problem."""
 
 
+class FilterOverflow(MultRegError):
+    """Filter values overflow double precision: alpha is below its resolution."""
+
+
 class DegenerateFilter(MultRegError):
     """Filter weight is undefined (zero denominator)."""
 

@@ -5,10 +5,16 @@ sample; Gaussian marginals by default, Rademacher as an option to probe
 distribution independence of second-moment results.  Samplers are value
 objects: the same (seed, stream_id) always reproduces the same vector,
 and parallel replications use disjoint stream ids.
+
+Stream s of seed ``seed`` is ``np.random.default_rng([seed, s])``.  A
+block of streams is seeded in one pass: numpy's SeedSequence hash (NEP 19)
+vectorised over s, then PCG64's seeding step per stream (O'Neill,
+HMC-CS-2014-0905), giving the same generator states bit for bit.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +47,125 @@ class WhiteNoiseSampler:
         return np.random.default_rng([self.seed, self.stream_id + offset])
 
 
+# SeedSequence's hash (numpy/random/bit_generator.pyx): pool of four uint32
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list:
+    """A non-negative int as SeedSequence reads it: little-endian 32-bit words."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _seed_words(seed: int, first: int, count: int) -> np.ndarray:
+    """``SeedSequence([seed, s]).generate_state(4, np.uint64)`` for the
+    streams s = first .. first + count - 1 (all below 2**32), as rows of a
+    ``(count, 4)`` uint64 array.
+
+    The hash constants advance independently of the data, so the scalar
+    recipe runs unchanged on uint32 arrays, one entry per stream; uint32
+    array arithmetic wraps like the C code.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    entropy = [np.array([w], np.uint32) for w in _uint32_words(seed)]
+    entropy.append(np.arange(first, first + count, dtype=np.uint32))
+    zero = np.zeros(1, np.uint32)
+    mixer = [hashmix(entropy[i] if i < len(entropy) else zero)
+             for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                mixer[i_dst] = mix(mixer[i_dst], hashmix(mixer[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            mixer[i_dst] = mix(mixer[i_dst], hashmix(word))
+
+    state = np.empty((count, 2 * _POOL_SIZE), np.uint32)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = mixer[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> _XSHIFT)
+    # the uint64 words pair the uint32 ones little-endian, on any machine
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64,
+                                                              copy=False)
+
+
+def _pcg64_state(words) -> dict:
+    """PCG64's seeding step (``pcg64_srandom_r``) from four SeedSequence words."""
+    w0, w1, w2, w3 = words
+    inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
+    state = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+class NoiseStreams:
+    """The generators of streams ``stream_id + start + i`` of ``sampler``,
+    i = 0 .. count - 1; ``start`` is 0 except in a ``block``.
+
+    Row i's generator is bit-identical to ``sampler.rng(start + i)``.  The
+    SeedSequence words of all rows are hashed once, at construction; each
+    row's PCG64 state is derived when the row is reached and loaded into
+    one Generator reused by every row (and every ``block``), so a
+    NoiseStreams belongs to one thread.  Streams from 2**32 on, and
+    seeds the hash does not cover, use ``default_rng`` itself.
+    """
+
+    def __init__(self, sampler: WhiteNoiseSampler, count: int):
+        seed, first = sampler.seed, sampler.stream_id
+        hashed = 0
+        if isinstance(seed, (int, np.integer)) and seed >= 0 and first >= 0:
+            hashed = max(0, min(count, 2**32 - first))
+        self._words = _seed_words(int(seed), first, hashed) if hashed else \
+            np.empty((0, 4), np.uint64)
+        # any generator will do: every row loads its own state
+        self._rng = np.random.default_rng(0) if hashed else None
+        self.sampler, self.distribution = sampler, sampler.distribution
+        self.start, self.count = 0, count
+
+    def block(self, start: int, count: int) -> "NoiseStreams":
+        """Rows ``start .. start + count - 1``, sharing this seeding."""
+        view = copy.copy(self)
+        view.start, view.count = self.start + start, count
+        return view
+
+    def generators(self):
+        """Each row's generator in turn; valid until the next one is taken."""
+        words, rng = self._words, self._rng
+        for i in range(self.start, self.start + self.count):
+            if i < len(words):
+                rng.bit_generator.state = _pcg64_state(words[i].tolist())
+                yield rng
+            else:
+                yield self.sampler.rng(i)
+
+
 def _fill(rng: np.random.Generator, distribution: str, out: np.ndarray):
     if distribution == GAUSSIAN:
         return rng.standard_normal(out=out)
@@ -49,21 +174,26 @@ def _fill(rng: np.random.Generator, distribution: str, out: np.ndarray):
     return out
 
 
-def sample_white(sampler: WhiteNoiseSampler, space: MeasureSpace,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def sample_white(sampler: WhiteNoiseSampler | NoiseStreams,
+                 space: MeasureSpace, out: np.ndarray | None = None) -> np.ndarray:
     """One i.i.d. unit-variance draw per node, or a block of stream prefixes.
 
-    Without ``out`` this is the full vector of stream ``stream_id``.  With
-    an ``(m, k)`` array ``out``, row i is filled with the first k values of
-    stream ``stream_id + i`` and ``out`` is returned; numpy fills a stream
-    in sequence, so these are the first k entries of that stream's full
-    vector.
+    Without ``out`` this is the full vector of stream ``stream_id`` of a
+    WhiteNoiseSampler.  With an ``(m, k)`` array ``out``, row i is filled
+    with the first k values of stream ``stream_id + i`` and ``out`` is
+    returned; numpy fills a stream in sequence, so these are the first k
+    entries of that stream's full vector.  The rows are seeded as one
+    NoiseStreams, or by the m-stream NoiseStreams passed as ``sampler``.
     """
     if out is None:
         return _fill(sampler.rng(), sampler.distribution,
                      np.empty(space.nodes.size))
-    for i, row in enumerate(out):
-        _fill(sampler.rng(i), sampler.distribution, row)
+    streams = sampler if isinstance(sampler, NoiseStreams) else \
+        NoiseStreams(sampler, len(out))
+    if streams.count != len(out):
+        raise ValueError(f"{streams.count} streams for {len(out)} rows")
+    for row, rng in zip(out, streams.generators()):
+        _fill(rng, streams.distribution, row)
     return out
 
 

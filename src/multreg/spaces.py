@@ -84,6 +84,10 @@ class MeasureSpace:
     def norm(self, values) -> float:
         """Weighted L2 norm; accepts real or complex node vectors."""
         v = np.asarray(values)
+        # on reals v * v equals np.abs(v) ** 2 bit for bit, one pass less;
+        # unnamed, the square's temporary takes the product in place
+        if np.issubdtype(v.dtype, np.floating):
+            return float(np.sqrt(np.sum(self.weights * (v * v))))
         return float(np.sqrt(np.sum(self.weights * np.abs(v) ** 2)))
 
     def inner(self, u, v) -> float:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from multreg import (BracketingFailed, Divergent, DivergentProfile,
-                     IllposednessProfile, MeasureSpace, PowerIndex,
+                     FilterOverflow, IllposednessProfile, MeasureSpace,
+                     MultRegError, PowerIndex,
                      PreconditionFailed, TableIndex, Tabulated,
                      WhiteNoiseSampler,
                      bias, choose_alpha_deterministic, choose_alpha_white,
@@ -133,6 +134,16 @@ def test_variance_tabulated_tail_rules():
     b2 = Tabulated(np.clip(np.exp(-space.nodes), 0.4, None), tail_vanishes=False)
     with pytest.raises(Divergent):
         variance_integral(spectral_cutoff(), 0.1, b2, space)
+
+
+def test_variance_filter_overflow_is_a_multreg_error():
+    # Lavrentiev's 1/(alpha + t) squared leaves double range at t ~ 1e-200
+    b, space = compact_case([1.0, 1e-200])
+    with pytest.raises(FilterOverflow) as err:
+        variance_integral(lavrentiev(), 1e-200, b, space)
+    assert isinstance(err.value, MultRegError)
+    assert "below double-precision resolution" in str(err.value)
+    assert np.isfinite(float(variance_integral(lavrentiev(), 1e-100, b, space)))
 
 
 # --- effective ill-posedness -----------------------------------------------------------

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from multreg import (MeasureSpace, WhiteNoiseSampler, ZeroDirection,
-                     concentrated_direction, sample_white, spectral_cutoff,
-                     worst_case_deterministic)
+from multreg import (MeasureSpace, NoiseStreams, WhiteNoiseSampler,
+                     ZeroDirection, concentrated_direction, sample_white,
+                     spectral_cutoff, worst_case_deterministic)
+from multreg.analysis import STREAM_STRIDE
 from multreg.gallery import compact_case
 
 
@@ -52,6 +53,50 @@ def test_block_rows_are_stream_prefixes(distribution):
         for i in range(4):
             full = sample_white(sampler.with_stream(70 + i), space)
             assert np.array_equal(block[i], full[:k])
+
+
+SEEDER_SEEDS = [0, 1, 7, 20260810, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3,
+                2**96 + 11]
+
+
+@pytest.mark.parametrize("seed", SEEDER_SEEDS)
+def test_block_seeder_equals_default_rng(seed):
+    # stream s is default_rng([seed, s]); the block seeder hashes SeedSequence
+    # and seeds PCG64 itself, so a numpy release that changes either must
+    # fail here rather than move the streams.  Seeds of 1 to 4 words put s
+    # inside and beyond SeedSequence's pool of four; base 2**32 - 20 crosses
+    # into two-word stream ids, which fall back to default_rng.
+    k = 6
+    space = MeasureSpace.counting(k)
+    for base in (0, STREAM_STRIDE * (SEEDER_SEEDS.index(seed) + 1), 2**32 - 20):
+        for count in (1, 16, 4000):
+            for distribution in ("gaussian", "rademacher"):
+                sampler = WhiteNoiseSampler(seed, base, distribution)
+                block = sample_white(NoiseStreams(sampler, count), space,
+                                     np.empty((count, k)))
+                # every row of the small blocks; in the large one the rows
+                # around the fallback and a stride through the rest
+                rows = set(range(min(count, 40))) | set(range(0, count, 97)) \
+                    | set(range(max(0, count - 3), count))
+                for i in sorted(rows):
+                    rng = np.random.default_rng([seed, base + i])
+                    want = rng.standard_normal(k) if distribution == "gaussian" \
+                        else 2.0 * rng.integers(0, 2, size=k) - 1.0
+                    assert np.array_equal(block[i], want), (base, count, i)
+
+
+def test_block_seeder_views_share_the_seeding():
+    # from base 2**32 - 30, the last views cross 2**32 into the fallback
+    space = MeasureSpace.counting(5)
+    for base in (50, 2**32 - 30):
+        streams = NoiseStreams(WhiteNoiseSampler(3, base), 40)
+        whole = sample_white(streams, space, np.empty((40, 5)))
+        for start, count in ((0, 1), (17, 9), (25, 15)):
+            part = sample_white(streams.block(start, count), space,
+                                np.empty((count, 5)))
+            assert np.array_equal(part, whole[start:start + count])
+    with pytest.raises(ValueError):
+        sample_white(streams, space, np.empty((39, 5)))
 
 
 def test_worst_case_unit_vector():

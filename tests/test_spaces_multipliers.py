@@ -45,6 +45,22 @@ def test_weighted_norm_and_inner():
     assert space.inner([1.0, 1.0], [1.0, -1.0]) == 0.0
 
 
+def test_norm_of_real_vectors_keeps_its_bytes():
+    # real vectors square as v * v; the bytes of np.abs(v) ** 2 are kept
+    tiny = np.nextafter(0.0, 1.0)
+    v = np.array([-3.5, 0.0, -0.0, tiny, -tiny, 2.2e-308, -1e-160, 1e150,
+                  -7.25, 1.0 / 3.0])
+    weights = np.linspace(0.5, 2.0, v.size)
+    space = MeasureSpace("lebesgue_interval", np.arange(v.size) / v.size,
+                         weights)
+    rng = np.random.default_rng(4)
+    for x in (v, -v, np.clip(v, -1e15, 1e15).astype(np.float32),
+              rng.standard_normal(v.size) * v):
+        assert space.norm(x) == float(np.sqrt(np.sum(weights * np.abs(x) ** 2)))
+    z = v + 1j * v[::-1]
+    assert space.norm(z) == float(np.sqrt(np.sum(weights * np.abs(z) ** 2)))
+
+
 def test_extended_keeps_density():
     space = MeasureSpace.halfline(10.0, 1000)
     wide = space.extended(2.0)
