@@ -24,7 +24,8 @@ from .noise import (GAUSSIAN, DeterministicNoise, NoiseStreams,
 from .rearrangement import (decreasing_rearrangement, distribution_function,
                             vanishes_at_infinity)
 from .schemes import QualificationCertificate, Scheme, certify_qualification
-from .spaces import COUNTING, LEBESGUE_INTERVAL, MeasureSpace
+from .spaces import (COUNTING, LEBESGUE_HALFLINE, LEBESGUE_INTERVAL,
+                     LEBESGUE_LINE, MeasureSpace)
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,9 @@ class VarianceValue:
         return self.value
 
 
-def _variance_sum(scheme, alpha, b, space):
-    vals = b.values_on(space)
+def _variance_sum(scheme, alpha, weights, vals):
     with np.errstate(divide="ignore", over="ignore"):
-        out = float(np.sum(space.weights * scheme.phi(alpha, vals) ** 2))
+        out = float(np.sum(weights * scheme.phi(alpha, vals) ** 2))
     if not np.isfinite(out):
         raise FilterOverflow(
             f"filter values overflow at alpha = {alpha:.3g}; the requested "
@@ -74,16 +74,29 @@ def _variance_sum(scheme, alpha, b, space):
     return out
 
 
+#: truncation radii, relative to the space's, of the divergence check
+_EXTENSIONS = (2.0, 4.0)
+
+
+def _extended_grid(b: Multiplier, space: MeasureSpace, factor: float) -> tuple:
+    """``(weights, b values, total measure)`` at ``factor`` times the radius."""
+    sp = space.extended(factor)
+    return sp.weights, b.values_on(sp), sp.total_measure
+
+
 def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
                       space: MeasureSpace, growth_threshold: float = 0.01,
-                      ) -> VarianceValue:
+                      *, _extended=None) -> VarianceValue:
     """Integral of |phi(alpha, b)|^2 dmu, with divergence detection.
 
     Finite-measure and counting spaces are plain weighted sums.  On
     truncated half-line/line spaces the sum is re-evaluated at radii R, 2R
     and 4R; if it grows by more than ``growth_threshold`` twice in a row
     and the per-measure growth density does not decay, the integral is
-    declared Divergent (carrying the three values as diagnosis).
+    declared Divergent (carrying the three values as diagnosis).  The 2R
+    and 4R grids are built one at a time, unless the caller passes them
+    built as the private ``_extended`` (``sweep_deltas`` builds them once
+    for all its deltas).
 
     Tabulated multipliers cannot be extended, so their tail is judged
     analytically: a vanishing tail puts infinite measure below every
@@ -93,15 +106,18 @@ def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    vals = b.values_on(space)
     if space.kind in (LEBESGUE_INTERVAL, COUNTING):
-        return VarianceValue(_variance_sum(scheme, alpha, b, space))
+        return VarianceValue(_variance_sum(scheme, alpha, space.weights, vals))
 
     if b.evaluable:
-        sums, measures = [], []
-        for factor in (1.0, 2.0, 4.0):  # one extended grid alive at a time
-            sp = space.extended(factor) if factor > 1 else space
-            sums.append(_variance_sum(scheme, alpha, b, sp))
-            measures.append(sp.total_measure)
+        grids = _extended if _extended is not None else \
+            (_extended_grid(b, space, factor) for factor in _EXTENSIONS)
+        sums = [_variance_sum(scheme, alpha, space.weights, vals)]
+        measures = [space.total_measure]
+        for weights, values, measure in grids:
+            sums.append(_variance_sum(scheme, alpha, weights, values))
+            measures.append(measure)
         g1, g2 = sums[1] - sums[0], sums[2] - sums[1]
         grew_twice = (sums[1] > sums[0] * (1 + growth_threshold)
                       and sums[2] > sums[1] * (1 + growth_threshold))
@@ -126,15 +142,15 @@ def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
                 "{b <= alpha} has infinite measure",
                 diagnosis={"alpha": alpha, "filter_floor": filter_floor},
             )
-        return VarianceValue(_variance_sum(scheme, alpha, b, space))
-    tail_level = float(b.values_on(space)[-1])
+        return VarianceValue(_variance_sum(scheme, alpha, space.weights, vals))
+    tail_level = float(vals[-1])
     if tail_level > 0 and abs(scheme.phi(alpha, tail_level)) > 0:
         raise Divergent(
             f"declared non-vanishing tail at level {tail_level:.4g} where the "
             "filter is positive",
             diagnosis={"alpha": alpha, "tail_level": tail_level},
         )
-    return VarianceValue(_variance_sum(scheme, alpha, b, space))
+    return VarianceValue(_variance_sum(scheme, alpha, space.weights, vals))
 
 
 @dataclass(frozen=True)
@@ -188,8 +204,10 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
     sqrt(d_b(alpha)) / alpha.
 
     The default grid stays above the floor where 1/b^2 overflows double
-    precision (severely smoothing multipliers underflow fast); explicit
-    grids reaching that regime raise instead of emitting infinities.
+    precision (severely smoothing multipliers underflow fast).  Where the
+    integral still overflows (explicit grids below that floor, or many
+    values just above it) FilterOverflow is raised instead of emitting
+    infinities.
     """
     rearr = decreasing_rearrangement(b, space)  # raises if b does not vanish
     vals = b.values_on(space)
@@ -219,9 +237,9 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
         from_domain = np.cumsum(binned[::-1])[::-1][1:]
     overflow = ~np.isfinite(d_sq)
     if np.any(overflow):
-        raise ValueError(
-            f"1/b^2 overflows at alpha = {alpha_grid[np.argmax(overflow)]:.3g}; "
-            "raise the grid floor"
+        raise FilterOverflow(
+            f"1/b^2 overflows at alpha = {alpha_grid[np.argmax(overflow)]:.3g}: "
+            "D(alpha) is beyond double precision there"
         )
     if np.any(np.abs(d_sq - from_domain) > 1e-9 * (1.0 + from_domain)):
         raise CrossCheckFailed(
@@ -337,31 +355,75 @@ def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
 #: values per Monte Carlo block: max(1, BLOCK // n) replications at a time
 BLOCK = 8192
 
+#: numpy sums a float64 row pairwise (Higham, SIAM J. Sci. Comput. 14,
+#: 1993): more than this many values split at n2 = n//2 - (n//2) % 8, fewer
+#: are one leaf summed by eight accumulators
+_PAIRWISE_LEAF = 128
 
-def _squared_norms(weighted: np.ndarray) -> list:
-    """``space.norm(x) ** 2`` per row of the weighted squares of x."""
+
+def _pairwise_spine(n: int, k: int) -> tuple:
+    """``(S, siblings)``: the deepest node ``[0, S)`` with ``S >= k`` on the
+    leftmost spine of numpy's pairwise tree over n values, and the ranges
+    ``(lo, hi)`` of the right siblings along the spine below the root,
+    deepest first.
+
+    The row sum ``np.sum(x)`` is then ``np.sum(x[:S])`` plus the sums of
+    ``x[lo:hi]`` in that order, bit for bit: the tree adds exactly those
+    values in that order, and ``np.sum``, which starts from +0.0, never
+    returns -0.0.
+    """
+    size, siblings = n, []
+    while size > _PAIRWISE_LEAF:
+        half = size // 2 - (size // 2) % 8
+        if half < k:
+            break
+        siblings.append((half, size))
+        size = half
+    return size, siblings[::-1]
+
+
+def _row_sums(prefix: np.ndarray, tail_sums=()) -> np.ndarray:
+    """``np.sum(x, axis=1)`` of rows x given as their first S values and the
+    sibling sums of their common tail (see ``_pairwise_spine``).
+
+    A zero tail needs no sibling sums: adding +0.0 changes nothing, as
+    ``np.sum`` never returns -0.0.
+    """
+    sums = np.sum(prefix, axis=1)
+    for tail in tail_sums:
+        sums += tail
+    return sums
+
+
+def _squared_norms(weighted: np.ndarray, tail_sums=()) -> list:
+    """``space.norm(x) ** 2`` per row of the weighted squares of x, given as
+    for ``_row_sums``."""
     # float ** 2 (libm pow), not np.square: they differ in the last bit
-    return [float(v) ** 2 for v in np.sqrt(np.sum(weighted, axis=1))]
+    return [float(v) ** 2 for v in np.sqrt(_row_sums(weighted, tail_sums))]
 
 
 def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
                     space: MeasureSpace, f, delta: float,
                     sampler: WhiteNoiseSampler, n_reps: int,
-                    bound: float = np.nan, check_variance: bool = True) -> McResult:
+                    bound: float = np.nan, check_variance: bool = True,
+                    *, _extended=None) -> McResult:
     """RMS error over replications with disjoint noise streams.
 
     The squared bias enters exactly; the variance and the cross term
     2*delta*<R(b)f, phi(b)xi> are averaged empirically.  Raises
     DivergentProfile when the variance integral of the underlying problem
     diverges (the truncated sum would otherwise silently depend on the
-    truncation radius).
+    truncation radius); ``_extended`` hands ``variance_integral`` its
+    prebuilt extended grids.
 
     Replication r uses noise stream ``sampler.stream_id + r``, but only up
     to the filter's last nonzero node k: beyond it err == f and
     phi(b) xi == 0 exactly.  All n_reps streams are seeded in one pass.
-    Blocks of replications are reduced as full-length rows (the constant
-    tail w f^2, zeros elsewhere), so each value equals the one of a full
-    per-replication draw bit for bit.
+    Blocks of replications are reduced over the first S >= k values only,
+    S a node of numpy's pairwise summation tree; the rest of each row is
+    the same in every replication (the tail w f^2, or zeros), so its
+    subtree sums are taken once per call and added in the tree's order.
+    Each value equals the one of a full per-replication draw bit for bit.
     """
     if n_reps < 2:
         raise ValueError("need n_reps >= 2")
@@ -369,7 +431,7 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     vals = b.values_on(space)
     if delta > 0 and check_variance:
         try:
-            variance_integral(scheme, alpha, b, space)
+            variance_integral(scheme, alpha, b, space, _extended=_extended)
         except Divergent as exc:
             raise DivergentProfile(str(exc), diagnosis=exc.diagnosis) from exc
     phi_v = scheme.phi(alpha, vals)
@@ -380,13 +442,17 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     n = w.size
     nonzero = phi_v != 0
     k = n - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
+    size, siblings = _pairwise_spine(n, k)
     signal, phi_k, f_k, w_k = vals[:k] * f[:k], phi_v[:k], f[:k], w[:k]
     w_res = (w * np.conj(res_f))[:k]
+    tail = w[k:] * f[k:] ** 2
+    tail_sums = [np.sum(tail[lo - k:hi - k]) for lo, hi in siblings]
     rows = max(1, BLOCK // n)
-    xi = np.empty((rows, k))
-    err_sq = np.empty((rows, n))
-    err_sq[:, k:] = w[k:] * f[k:] ** 2
-    zero_tail = np.zeros((rows, n))  # w |phi xi|^2, then w res_f phi xi
+    xi = np.empty((rows, k))  # the noise, then phi xi
+    scratch = np.empty((rows, k))
+    err_sq = np.empty((rows, size))
+    err_sq[:, k:] = tail[:size - k]
+    zero_tail = np.zeros((rows, size))  # w |phi xi|^2, then w res_f phi xi
 
     streams = NoiseStreams(sampler, n_reps)
     sq_errors = np.empty(n_reps)
@@ -395,14 +461,19 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     for r0 in range(0, n_reps, rows):
         m = min(rows, n_reps - r0)
         xi_m = sample_white(streams.block(r0, m), space, xi[:m])
-        err = np.subtract(f_k, phi_k * (signal + delta * xi_m), out=err_sq[:m, :k])
-        np.multiply(w_k, err ** 2, out=err)
-        sq_errors[r0:r0 + m] = _squared_norms(err_sq[:m])
-        phi_xi = phi_k * xi_m
-        np.multiply(w_k, phi_xi ** 2, out=zero_tail[:m, :k])
+        # w (f - phi (signal + delta xi))^2, with the operations of the
+        # unbuffered expression in the same order
+        tmp = np.multiply(delta, xi_m, out=scratch[:m])
+        np.add(signal, tmp, out=tmp)
+        np.multiply(phi_k, tmp, out=tmp)
+        np.subtract(f_k, tmp, out=tmp)
+        np.multiply(w_k, np.square(tmp, out=tmp), out=err_sq[:m, :k])
+        sq_errors[r0:r0 + m] = _squared_norms(err_sq[:m], tail_sums)
+        phi_xi = np.multiply(phi_k, xi_m, out=xi_m)
+        np.multiply(w_k, np.square(phi_xi, out=tmp), out=zero_tail[:m, :k])
         noise_sq[r0:r0 + m] = [delta**2 * v for v in _squared_norms(zero_tail[:m])]
         np.multiply(w_res, phi_xi, out=zero_tail[:m, :k])
-        crosses[r0:r0 + m] = 2.0 * delta * np.sum(zero_tail[:m], axis=1)
+        crosses[r0:r0 + m] = 2.0 * delta * _row_sums(zero_tail[:m])
 
     mean_sq = float(np.mean(sq_errors))
     rms = float(np.sqrt(mean_sq))
@@ -505,15 +576,16 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
                    c_phi: float, n_reps: int = 1, seed: int = 0,
                    stream_base: int = 0,
                    profile: IllposednessProfile | None = None,
-                   distribution: str = GAUSSIAN) -> RateRow:
+                   distribution: str = GAUSSIAN, *, _extended=None) -> RateRow:
     """One row of a rate study: alpha* from ``choose_alpha``, error and bound.
 
     Deterministic mode perturbs the data with the worst admissible noise
     (all mass at the node where the filter is largest, attaining the
     sup-norm of the filter); white mode averages ``n_reps`` Monte Carlo
     replications on noise streams ``stream_base + r`` drawn from
-    ``distribution``.  The bound column is the simplified at-alpha-star
-    form of the a-priori error estimate.
+    ``distribution``, handing ``_extended`` on to ``monte_carlo_rms``.
+    The bound column is the simplified at-alpha-star form of the
+    a-priori error estimate.
     """
     b, space, f = problem.b, problem.space, problem.f_true
     rho = problem.source_scale
@@ -535,7 +607,7 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
         sampler = WhiteNoiseSampler(seed, stream_id=stream_base,
                                     distribution=distribution)
         mc = monte_carlo_rms(scheme, alpha_star, b, space, f, delta,
-                             sampler, n_reps, bound=bound)
+                             sampler, n_reps, bound=bound, _extended=_extended)
         err, stderr = mc.rms, mc.stderr
         budget = mc.budget
         violated = err > bound + 2.0 * stderr
@@ -556,16 +628,26 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
     (workers over the deltas, which take the smallest delta first) does not
     change the rows.  The slopes fit log(error) and log(phi(alpha*)) against
     log(delta) on the middle 80% of the points; they are None below 4 rows.
+
+    In white mode on a half-line or line, the 2x and 4x truncations that
+    ``variance_integral`` checks for divergence are built once, here, and
+    shared by every delta; they live until the sweep returns.
     """
-    if mode == WHITE and profile is None:
-        profile = effective_illposedness(problem.b, problem.space)
+    b, space = problem.b, problem.space
+    extended = None
+    if mode == WHITE:
+        if profile is None:
+            profile = effective_illposedness(b, space)
+        if b.evaluable and space.kind in (LEBESGUE_HALFLINE, LEBESGUE_LINE):
+            extended = tuple(_extended_grid(b, space, factor)
+                             for factor in _EXTENSIONS)
 
     def one(k_delta):
         k, delta = k_delta
         return evaluate_delta(problem, scheme, phi, float(delta), mode, c_phi,
                               n_reps=n_reps, seed=seed,
                               stream_base=STREAM_STRIDE * (k + 1), profile=profile,
-                              distribution=distribution)
+                              distribution=distribution, _extended=extended)
 
     if threads > 1 and len(deltas) > 1:
         # smallest delta first: its alpha* is smallest and its filter

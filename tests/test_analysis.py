@@ -7,20 +7,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multreg import (BracketingFailed, Divergent, DivergentProfile,
+from multreg import (WHITE, BracketingFailed, Divergent, DivergentProfile,
                      FilterOverflow, IllposednessProfile, MeasureSpace,
-                     MultRegError, PowerIndex,
+                     MultiplicationProblem, MultRegError, PowerIndex,
                      PreconditionFailed, TableIndex, Tabulated,
                      WhiteNoiseSampler,
                      bias, choose_alpha_deterministic, choose_alpha_white,
                      compact_case, certify_qualification,
                      deterministic_bound_at_star, deterministic_error_bound,
-                     effective_illposedness, fit_loglog_slope, lavrentiev,
+                     effective_illposedness, evaluate_delta,
+                     fit_loglog_slope, lavrentiev,
                      monte_carlo_rms, rate_study, reconstruct, sample_white,
                      spectral_cutoff, tikhonov_wiener, truncate,
                      variance_integral, white_bound_at_star,
                      white_error_bound)
 from multreg import analysis
+from multreg.analysis import STREAM_STRIDE, sweep_deltas
 from multreg.gallery import (counting_problem, exp_decay_pair, plateau_pair,
                              power_decay_pair, pure_power_pair)
 
@@ -146,6 +148,19 @@ def test_variance_filter_overflow_is_a_multreg_error():
     assert np.isfinite(float(variance_integral(lavrentiev(), 1e-100, b, space)))
 
 
+def test_variance_filter_overflow_on_an_extended_grid():
+    # b = e^-s is >= 1e-100 on [0, 230) but reaches 1e-200 at 2x the radius
+    # and underflows at 4x, where Lavrentiev's filter squared overflows
+    b, space = exp_decay_pair(radius=230.0, n=2**10)
+    assert np.isfinite(analysis._variance_sum(lavrentiev(), 1e-200, space.weights,
+                                              b.values_on(space)))
+    grids = tuple(analysis._extended_grid(b, space, factor)
+                  for factor in analysis._EXTENSIONS)
+    for extended in (None, grids):
+        with pytest.raises(FilterOverflow):
+            variance_integral(lavrentiev(), 1e-200, b, space, _extended=extended)
+
+
 # --- effective ill-posedness -----------------------------------------------------------
 
 def test_illposedness_counting_exact():
@@ -201,7 +216,7 @@ def test_illposedness_underflowed_multiplier():
         warnings.simplefilter("error")
         prof = effective_illposedness(b, space)
     assert np.all(np.isfinite(prof.d_values))
-    with pytest.raises(ValueError):
+    with pytest.raises(FilterOverflow):
         effective_illposedness(b, space, alpha_grid=[1e-200])
     # one node leaves no default grid between min b and sup b
     with pytest.raises(PreconditionFailed):
@@ -444,6 +459,23 @@ def _halfline(n):
     return b, space, b.values_on(space) ** 0.5
 
 
+def _counting_support(n, k):
+    # b_j = 1/j is decreasing, so the cut-off's support is exactly [0, k)
+    alpha = 2.0 if k == 0 else 0.5 / k + (0.5 / (k + 1) if k < n else 0.0)
+    return (lambda: _counting(n), spectral_cutoff(), alpha, 1e-2, 3, "gaussian")
+
+
+def _spine_sizes(n):
+    return [n] + [size for size, _ in analysis._pairwise_spine(n, 0)[1][::-1]]
+
+
+#: n > BLOCK: k at, one below and one above every node of the pairwise
+#: tree's leftmost spine (see analysis._pairwise_spine), and k = 0
+SPINE_N = analysis.BLOCK + 1000
+SPINE_K = sorted({k for size in _spine_sizes(SPINE_N)
+                  for k in (size - 1, size, size + 1) if k <= SPINE_N} | {0})
+
+
 MC_CASES = {
     # name: (problem, scheme, alpha, delta, n_reps, distribution); at 500
     # nodes a block holds 16 replications, so 37 ends in a partial block
@@ -464,6 +496,8 @@ MC_CASES = {
                    0.01, 1e-3, 37, "rademacher"),
     "n_above_block": (lambda: _halfline(analysis.BLOCK + 1000),
                       truncate(spectral_cutoff()), 0.1, 1e-2, 3, "gaussian"),
+    "n_below_leaf": _counting_support(100, 37),
+    **{f"spine_k{k}": _counting_support(SPINE_N, k) for k in SPINE_K},
 }
 
 
@@ -489,7 +523,39 @@ def test_monte_carlo_matches_per_replication_reference(case):
             "n_above_block": n > analysis.BLOCK and 0 < k < n,
             "truncated_cutoff_prefix": support.size == k < n,
             "truncated_lavrentiev_prefix": support.size == k < n,
+            "n_below_leaf": support.size == k < n <= analysis._PAIRWISE_LEAF,
             }.get(case, True)
+    if case.startswith("spine_k"):
+        assert support.size == k == int(case[len("spine_k"):])
+        assert n == SPINE_N
+
+
+def test_spine_sums_match_full_row_sums():
+    # rows: a varying prefix of k values and a tail shared by every row,
+    # constant or zero; the zero tails include rows of -0.0 only
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        n = int(rng.integers(1, [300, 20000, 2**17 + 4][trial % 3]))
+        k = int(rng.integers(0, n + 1))
+        if trial % 4 == 3:  # at or next to a spine node
+            k = int(np.clip(rng.choice(_spine_sizes(n)) + rng.integers(-1, 2), 0, n))
+        size, siblings = analysis._pairwise_spine(n, k)
+        # the deepest spine node holding the first k values
+        half = size // 2 - (size // 2) % 8
+        assert k <= size <= n and (size <= analysis._PAIRWISE_LEAF or half < k)
+        x = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-8, 8, (3, n))
+        tail = x[0, k:].copy()
+        if trial % 2:
+            x[:, k:] = tail
+            tail_sums = [np.sum(tail[lo - k:hi - k]) for lo, hi in siblings]
+        else:
+            x[:, k:] = 0.0
+            x[1, :k] = -0.0
+            tail_sums = []
+        full = np.sum(x, axis=1)
+        got = analysis._row_sums(np.ascontiguousarray(x[:, :size]), tail_sums)
+        assert got.tolist() == full.tolist()
+        assert np.signbit(got).tolist() == np.signbit(full).tolist()
 
 
 def test_block_rows_finish_like_space_norm():
@@ -539,6 +605,51 @@ def test_exact_error_decomposition_nodewise():
 
 
 # --- rate studies -------------------------------------------------------------------------
+
+def _white_sweep_problems():
+    # a half-line and a line problem, both with finite variance integrals
+    from multreg import FinalValueProblem, fvp_multiplier
+    for b, space in (power_decay_pair(0.5, 50.0, 2**11),
+                     fvp_multiplier(FinalValueProblem("whole_space", n_grid=2**11))):
+        yield MultiplicationProblem(b, space, b.values_on(space) ** 0.5)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_shares_extended_grids_with_identical_rows(threads, monkeypatch):
+    scheme, phi, deltas = truncate(spectral_cutoff()), PowerIndex(0.5), [1e-2, 1e-3, 1e-4]
+    for problem in _white_sweep_problems():
+        profile = effective_illposedness(problem.b, problem.space)
+        each = [evaluate_delta(problem, scheme, phi, delta, WHITE, 1.0, n_reps=8,
+                               seed=3, stream_base=STREAM_STRIDE * (k + 1),
+                               profile=profile)
+                for k, delta in enumerate(deltas)]
+        built, build = [], analysis._extended_grid
+
+        def counted(b, space, factor):
+            built.append(factor)
+            return build(b, space, factor)
+
+        monkeypatch.setattr(analysis, "_extended_grid", counted)
+        study = sweep_deltas(problem, scheme, phi, deltas, WHITE, 1.0, n_reps=8,
+                             seed=3, threads=threads)
+        monkeypatch.undo()
+        assert list(study.rows) == each
+        assert built == list(analysis._EXTENSIONS)  # once per sweep
+
+
+def test_sweep_keeps_the_divergence_diagnosis():
+    b, space = power_decay_pair(1.0, 30.0, 2**10)
+    problem = MultiplicationProblem(b, space, b.values_on(space) ** 0.5)
+    args = (problem, lavrentiev(), PowerIndex(0.5))
+    with pytest.raises(DivergentProfile) as direct:
+        evaluate_delta(*args, 1e-3, WHITE, 1.0, n_reps=4,
+                       stream_base=STREAM_STRIDE)
+    with pytest.raises(DivergentProfile) as swept:
+        sweep_deltas(*args, [1e-3], WHITE, 1.0, n_reps=4)
+    assert str(swept.value) == str(direct.value)
+    assert swept.value.diagnosis == direct.value.diagnosis
+    assert len(swept.value.diagnosis["sums"]) == 3
+
 
 def test_fit_loglog_slope():
     x = np.geomspace(1e-6, 1e-2, 9)

@@ -133,6 +133,25 @@ output: {directory: OUTDIR}
     assert meta["status"] == "divergent" and meta["failure"]
 
 
+def test_cli_run_reports_an_overflowing_profile(tmp_path, capsys):
+    # near the 1.2e-154 floor each 1/b^2 is finite, but their sum is not
+    (tmp_path / "b.txt").write_text("".join(
+        f"{j} {v}\n" for j, v in enumerate(
+            [1, 0.5, 0.25, 1.25e-154, 1.24e-154, 1.23e-154, 1.22e-154], 1)))
+    path = write_config(tmp_path, f"""\
+problem: {{kind: tabulated, space: counting, file: {tmp_path / 'b.txt'}}}
+scheme: cutoff
+noise: {{mode: white, deltas: [1.0e-2], replications: 4}}
+output: {{directory: OUTDIR}}
+""")
+    capsys.readouterr()
+    assert main(["run", "--config", str(path)]) == EXIT_VIOLATION
+    out, err = capsys.readouterr()
+    assert "1/b^2 overflows" in out and "Traceback" not in err
+    meta = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert meta["status"] == "violation" and "1/b^2 overflows" in meta["failure"]
+
+
 def test_run_unqualified_scheme_is_violation(tmp_path):
     text = WHITE_STUDY.replace("{family: power, nu: 1.0}",
                                "{family: power, nu: 1.5}") \

@@ -19,9 +19,9 @@ def test_same_seed_and_stream_reproduce():
 
 def test_single_node_moments():
     # pool 1e5 draws of the first node: mean within 0.02, variance within 0.03
-    space = MeasureSpace.counting(1)
-    draws = np.array([sample_white(WhiteNoiseSampler(7, r), space)[0]
-                      for r in range(10**5)])
+    # row r is the first node of stream r, default_rng([7, r]), bit for bit
+    draws = sample_white(WhiteNoiseSampler(7), MeasureSpace.counting(1),
+                         out=np.empty((10**5, 1)))
     assert abs(draws.mean()) < 0.02
     assert abs(draws.var() - 1.0) < 0.03
 
