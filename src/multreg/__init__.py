@@ -10,7 +10,7 @@ verifies the error bounds empirically.
 
 from .analysis import (DETERMINISTIC, WHITE, ErrorBudget, IllposednessProfile,
                        McResult, MultiplicationProblem, RateRow,
-                       RateStudyResult, Reconstruction, VarianceValue, bias,
+                       RateStudyResult, VarianceValue, bias,
                        choose_alpha_deterministic, choose_alpha_white,
                        deterministic_bound_at_star, deterministic_error_bound,
                        effective_illposedness, evaluate_delta,

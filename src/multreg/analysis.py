@@ -1,4 +1,4 @@
-"""Reconstruction, error budgets, effective ill-posedness and rate studies.
+"""Nodewise reconstruction, error budgets, effective ill-posedness and rate studies.
 
 The reconstruction is nodewise filtering, f_est = phi(alpha, b) * g_delta,
 so everything here reduces to weighted sums over the nodes.  Divergence of
@@ -23,26 +23,18 @@ from .noise import (GAUSSIAN, DeterministicNoise, NoiseStreams,
                     worst_case_deterministic)
 from .rearrangement import (decreasing_rearrangement, distribution_function,
                             vanishes_at_infinity)
-from .schemes import QualificationCertificate, Scheme, certify_qualification
+from .schemes import Scheme, require_certified
 from .spaces import (COUNTING, LEBESGUE_HALFLINE, LEBESGUE_INTERVAL,
                      LEBESGUE_LINE, MeasureSpace)
 
 
-@dataclass(frozen=True)
-class Reconstruction:
-    alpha: float
-    estimate: np.ndarray
-    scheme_name: str
-
-
 def reconstruct(scheme: Scheme, alpha: float, b: Multiplier,
-                space: MeasureSpace, g_delta) -> Reconstruction:
-    """f_est(s_i) = phi(alpha, b(s_i)) * g_delta(s_i)."""
+                space: MeasureSpace, g_delta) -> np.ndarray:
+    """The estimate f_est(s_i) = phi(alpha, b(s_i)) * g_delta(s_i)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     vals = b.values_on(space)
-    estimate = scheme.phi(alpha, vals) * np.asarray(g_delta)
-    return Reconstruction(alpha=alpha, estimate=estimate, scheme_name=scheme.name)
+    return scheme.phi(alpha, vals) * np.asarray(g_delta)
 
 
 def bias(scheme: Scheme, alpha: float, b: Multiplier, space: MeasureSpace,
@@ -672,13 +664,12 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
 
 def rate_study(problem: MultiplicationProblem, scheme: Scheme,
                phi: IndexFunction, deltas, n_reps: int, mode: str,
-               seed: int = 0,
-               certificate: QualificationCertificate | None = None,
-               profile: IllposednessProfile | None = None) -> RateStudyResult:
+               seed: int = 0) -> RateStudyResult:
     """Empirical error against delta with the matching a-priori choice.
 
-    Each row records the a-priori error bound at alpha* and a violation
-    flag; deltas run from largest to smallest.
+    The scheme must pass :func:`schemes.require_certified`, as in
+    ``runner.run``. Each row records the a-priori error bound at alpha*
+    and a violation flag; deltas run from largest to smallest.
     """
     deltas = np.asarray(sorted(deltas, reverse=True), float)
     if deltas.size < 4:
@@ -686,10 +677,6 @@ def rate_study(problem: MultiplicationProblem, scheme: Scheme,
     if np.any(deltas <= 0):
         raise ValueError("deltas must be positive")
 
-    cert = certificate or certify_qualification(scheme, phi)
-    if not cert.passed:
-        raise PreconditionFailed(
-            f"scheme {scheme.name} does not certify qualification {phi.name}"
-        )
+    cert = require_certified(scheme, phi)
     return sweep_deltas(problem, scheme, phi, deltas, mode, cert.c_phi,
-                        n_reps=n_reps, seed=seed, profile=profile)
+                        n_reps=n_reps, seed=seed)

@@ -107,10 +107,10 @@ def cmd_reconstruct(config, args) -> int:
             config.seed, distribution=config.noise_distribution), space)
         g = g + delta * xi
         write_table(out / "noise.txt", ("node", "xi"), zip(space.nodes, xi))
-    rec = reconstruct(scheme, alpha, b, space, g)
+    estimate = reconstruct(scheme, alpha, b, space, g)
     write_table(out / "reconstruction.txt", ("node", "estimate"),
-                zip(space.nodes, np.real(rec.estimate)))
-    err = space.norm(f - rec.estimate)
+                zip(space.nodes, np.real(estimate)))
+    err = space.norm(f - estimate)
     print(f"alpha={alpha:.6g} delta={delta:.6g} error={err:.6g} -> {out}")
     return EXIT_OK
 

@@ -21,6 +21,7 @@ from .gallery import (DeconvolutionProblem, FinalValueProblem, compact_case,
                       exp_decay_pair, fvp_multiplier, plateau_pair,
                       power_decay_pair, pure_power_pair, source_element_vector)
 from .indexfuncs import IndexFunction, index_function_from_spec
+from .multipliers import Tabulated, read_table
 from .noise import GAUSSIAN, RADEMACHER
 from .schemes import scheme_by_name
 from .smoothness import phi_star, source_function
@@ -259,13 +260,7 @@ def _tabulated_from_file(p: dict):
     nodes (end cells extended by half a gap); counting requires nodes
     1..n with unit weights.
     """
-    from .multipliers import Tabulated
-
-    path = _require(p, "file", "problem.tabulated")
-    data = np.loadtxt(path, comments="#")
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ConfigError("problem.tabulated: file must hold two columns")
-    nodes, values = data[:, 0], data[:, 1]
+    nodes, values = read_table(_require(p, "file", "problem.tabulated"))
     kind_word = p.get("space", "halfline")
     if kind_word not in _SPACE_KINDS:
         raise ConfigError(f"problem.tabulated: unknown space '{kind_word}'")
@@ -274,6 +269,8 @@ def _tabulated_from_file(p: dict):
         if not np.array_equal(nodes, np.arange(1.0, nodes.size + 1)):
             raise ConfigError("problem.tabulated: counting nodes must be 1..n")
         space = MeasureSpace.counting(nodes.size)
+    elif nodes.size < 2:
+        raise ConfigError("problem.tabulated: a Lebesgue space needs two nodes")
     else:
         mids = 0.5 * (nodes[:-1] + nodes[1:])
         first = nodes[0] - (mids[0] - nodes[0])
@@ -281,8 +278,7 @@ def _tabulated_from_file(p: dict):
         edges = np.concatenate(([first], mids, [last]))
         radius = float(max(abs(first), abs(last))) if kind != "lebesgue_interval" \
             else None
-        space = MeasureSpace.from_arrays(kind, nodes, np.diff(edges),
-                                         truncation_radius=radius)
+        space = MeasureSpace(kind, nodes, np.diff(edges), truncation_radius=radius)
     b = Tabulated(values, tail_vanishes=bool(p.get("tail_vanishes", True)))
     return b, space
 
@@ -297,11 +293,10 @@ def _solution_on(b, space: MeasureSpace, p: dict,
     report source scale 1.
     """
     if "solution_file" in p:
-        data = np.loadtxt(p["solution_file"], comments="#")
-        if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] != space.nodes.size:
-            raise ConfigError("solution_file must hold two columns aligned "
-                              "with the discretization")
-        return data[:, 1], 1.0
+        f = read_table(p["solution_file"])[1]
+        if f.shape != space.nodes.shape:
+            raise ConfigError("solution_file not aligned with the discretization")
+        return f, 1.0
     if "solution_values" in p:
         f = np.asarray(p["solution_values"], float)
         if f.shape != space.nodes.shape:

@@ -30,12 +30,13 @@ _SQRT2PI = np.sqrt(2.0 * np.pi)
 # ---------------------------------------------------------------------------
 # deconvolution
 
-def _exponential_kernel(u):
-    return 0.5 * np.exp(-np.abs(u))
-
-
-def _exponential_symbol(s):
-    return 1.0 / (1.0 + s**2)
+# kernel name -> (kernel r(u, sigma), its symbol at frequency s)
+_KERNELS = {
+    "exponential": (lambda u, sig: 0.5 * np.exp(-np.abs(u)),
+                    lambda s, sig: 1.0 / (1.0 + s**2)),
+    "gaussian": (lambda u, sig: np.exp(-u**2 / (2 * sig**2)) / (sig * _SQRT2PI),
+                 lambda s, sig: np.exp(-sig**2 * s**2 / 2.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -62,25 +63,20 @@ class DeconvolutionProblem:
         L, n = self.half_width, self.n
         dt = 2.0 * L / n
         t = -L + dt * np.arange(n)
-        sig_space = MeasureSpace.from_arrays(
-            "lebesgue_line", t, np.full(n, dt), truncation_radius=L)
+        sig_space = MeasureSpace("lebesgue_line", t, np.full(n, dt),
+                                 truncation_radius=L)
         s_sorted = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=dt))
         ds = np.pi / L
-        freq_space = MeasureSpace.from_arrays(
-            "lebesgue_line", s_sorted, np.full(n, ds),
-            truncation_radius=float(-s_sorted[0]))
-        if self.kernel == "exponential":
-            kernel_fn, symbol = _exponential_kernel, _exponential_symbol
-        elif self.kernel == "gaussian":
-            sig = self.sigma
-            kernel_fn = lambda u: np.exp(-u**2 / (2 * sig**2)) / (sig * _SQRT2PI)
-            symbol = lambda s: np.exp(-sig**2 * s**2 / 2.0)
-        else:
+        freq_space = MeasureSpace("lebesgue_line", s_sorted, np.full(n, ds),
+                                  truncation_radius=float(-s_sorted[0]))
+        if not isinstance(self.kernel, str) or self.kernel not in _KERNELS:
             raise ValueError(f"unknown kernel '{self.kernel}'")
-        b_vals = symbol(s_sorted)
+        sig, symbol = self.sigma, _KERNELS[self.kernel][1]
+        b_vals = symbol(s_sorted, sig)
         if np.any(b_vals < 0):
             raise ValueError("kernel symbol must be nonnegative")
-        mult = CallableMultiplier(symbol, sup_bound=float(np.max(b_vals)),
+        mult = CallableMultiplier(lambda s: symbol(s, sig),
+                                  sup_bound=float(np.max(b_vals)),
                                   tail_vanishes=True)
         object.__setattr__(self, "signal_space", sig_space)
         object.__setattr__(self, "freq_space", freq_space)
@@ -98,10 +94,7 @@ class DeconvolutionProblem:
         return np.where(k % 2 == 0, 1.0, -1.0)
 
     def kernel_values(self, u):
-        if self.kernel == "exponential":
-            return _exponential_kernel(np.asarray(u, float))
-        sig = self.sigma
-        return np.exp(-np.asarray(u, float) ** 2 / (2 * sig**2)) / (sig * _SQRT2PI)
+        return _KERNELS[self.kernel][0](np.asarray(u, float), self.sigma)
 
 
 def to_frequency(problem: DeconvolutionProblem, y) -> np.ndarray:
@@ -157,9 +150,9 @@ def lavrentiev_deconvolve(problem: DeconvolutionProblem, y_delta,
     multiplier, composed with the transforms.
     """
     g_delta = to_frequency(problem, y_delta)
-    rec = reconstruct(lavrentiev(), alpha, problem.multiplier,
-                      problem.freq_space, g_delta)
-    return from_frequency(problem, rec.estimate)
+    estimate = reconstruct(lavrentiev(), alpha, problem.multiplier,
+                           problem.freq_space, g_delta)
+    return from_frequency(problem, estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +219,20 @@ def n_alpha(b: Multiplier, space: MeasureSpace, alpha: float) -> int:
 # ---------------------------------------------------------------------------
 # ready-made problems for the experiment runner
 
-_SOURCE_ELEMENTS = ("constant", "inverse", "inverse_sqrt", "unit_first")
+# source element name -> v_j as a function of j = 1, ..., n
+_SOURCE_ELEMENTS = {
+    "constant": np.ones_like,
+    "inverse": lambda j: 1.0 / j,
+    "inverse_sqrt": lambda j: 1.0 / np.sqrt(j),
+    "unit_first": lambda j: (j == 1.0).astype(float),
+}
 
 
 def source_element_vector(name: str, n: int) -> np.ndarray:
-    j = np.arange(1, n + 1, dtype=float)
-    if name == "constant":
-        v = np.ones(n)
-    elif name == "inverse":
-        v = 1.0 / j
-    elif name == "inverse_sqrt":
-        v = 1.0 / np.sqrt(j)
-    elif name == "unit_first":
-        v = np.zeros(n)
-        v[0] = 1.0
-    else:
+    if not isinstance(name, str) or name not in _SOURCE_ELEMENTS:
         raise ValueError(f"unknown source element '{name}' "
-                         f"(choose from {_SOURCE_ELEMENTS})")
-    return v
+                         f"(choose from {tuple(_SOURCE_ELEMENTS)})")
+    return _SOURCE_ELEMENTS[name](np.arange(1, n + 1, dtype=float))
 
 
 def counting_problem(n_max: int, phi: IndexFunction,

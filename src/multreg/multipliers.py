@@ -12,6 +12,7 @@ multipliers at their declared zero locations).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -278,6 +279,17 @@ class PiecewiseMonotone(Multiplier):
         return np.array([p.zero_location for p in self.pieces])
 
 
+def read_table(path) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, values) from two-column text with '#' comments; a single
+    row reads as a table of one row, a table without rows is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's "no data"
+        data = np.loadtxt(path, comments="#", ndmin=2)
+    if data.shape[0] == 0 or data.shape[1] != 2:
+        raise ValueError(f"{path}: expected rows of two columns: node value")
+    return data[:, 0], data[:, 1]
+
+
 @dataclass(frozen=True)
 class Tabulated(Multiplier):
     """Values aligned with a fixed space's nodes.
@@ -309,11 +321,8 @@ class Tabulated(Multiplier):
 
     @classmethod
     def from_text(cls, path, space: MeasureSpace, **kw) -> "Tabulated":
-        """Load (node, value) rows from two-column text with '#' comments."""
-        data = np.loadtxt(path, comments="#")
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ValueError("expected two columns: node value")
-        nodes, values = data[:, 0], data[:, 1]
+        """Load the values of a :func:`read_table` file on ``space``'s nodes."""
+        nodes, values = read_table(path)
         if nodes.shape != space.nodes.shape or not np.allclose(nodes, space.nodes,
                                                                rtol=1e-9, atol=1e-12):
             raise ValueError("tabulated nodes do not match the space")

@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import sweep_deltas
 from .config import ExperimentConfig, build_problem
 from .errors import Divergent, MultRegError, RearrangementUndefined
-from .schemes import certify, scheme_by_name
+from .schemes import require_certified, scheme_by_name
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,12 +117,7 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1,
         return finish(status=status, failure=message, exit_code=code)
 
     try:
-        axioms_ok, cert = certify(scheme, problem.phi)
-        if not (axioms_ok and cert.passed):
-            failed = "the axioms" if not axioms_ok else \
-                f"qualification {problem.phi.name} (estimate {cert.c_phi:.4g})"
-            return failure("violation", f"scheme {scheme.name} failed {failed}",
-                           EXIT_VIOLATION)
+        cert = require_certified(scheme, problem.phi)
         study = sweep_deltas(problem, scheme, problem.phi,
                              sorted(config.deltas, reverse=True), config.mode,
                              cert.c_phi, n_reps=config.replications,

@@ -278,3 +278,14 @@ def certify(scheme: Scheme, phi: IndexFunction) -> tuple[bool, QualificationCert
         if base != scheme.name else None
     return (certify_axioms(scheme),
             certify_qualification(scheme, phi, parent_certificate=parent))
+
+
+def require_certified(scheme: Scheme, phi: IndexFunction) -> QualificationCertificate:
+    """The certificate of :func:`certify`; raises PreconditionFailed when the
+    scheme fails the axioms or qualification for ``phi``."""
+    axioms_ok, cert = certify(scheme, phi)
+    if not (axioms_ok and cert.passed):
+        failed = "the axioms" if not axioms_ok else \
+            f"qualification {phi.name} (estimate {cert.c_phi:.4g})"
+        raise PreconditionFailed(f"scheme {scheme.name} failed {failed}")
+    return cert

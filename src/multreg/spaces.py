@@ -5,7 +5,7 @@ a bounded Lebesgue interval, the Lebesgue half-line or full line (both
 truncated at a finite radius), or the counting measure on an initial
 section of the positive integers.  All downstream computations are plain
 weighted sums over the nodes, so any positive quadrature rule can be
-plugged in through :meth:`MeasureSpace.from_arrays`.
+plugged in through the constructor, ``MeasureSpace(kind, nodes, weights)``.
 """
 
 from __future__ import annotations
@@ -31,16 +31,14 @@ class MeasureSpace:
     ``kind`` records which underlying space the grid discretizes; the
     half-line, line and counting kinds stand for infinite-measure spaces
     truncated at ``truncation_radius`` (the largest represented |s| or
-    index).  ``density_bounds``, when set, records two-sided bounds
-    (c_lower, c_upper) on the density d(mu)/d(lambda); it is metadata only,
-    the weights already absorb the density.
+    index).  A measure with a density d(mu)/d(lambda) enters through its
+    weights.
     """
 
     kind: str
     nodes: np.ndarray
     weights: np.ndarray
     truncation_radius: float | None = None
-    density_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -60,10 +58,6 @@ class MeasureSpace:
         if self.kind in _INFINITE_KINDS:
             if self.truncation_radius is None or self.truncation_radius <= 0:
                 raise ValueError(f"{self.kind} requires truncation_radius > 0")
-        if self.density_bounds is not None:
-            lo, hi = self.density_bounds
-            if not (0 < lo <= hi):
-                raise ValueError("density bounds must satisfy 0 < lower <= upper")
 
     # -- basic quadrature ------------------------------------------------
 
@@ -141,12 +135,6 @@ class MeasureSpace:
             raise ValueError("n_max must be positive")
         nodes = np.arange(1, n_max + 1, dtype=float)
         return cls(COUNTING, nodes, np.ones(n_max), truncation_radius=float(n_max))
-
-    @classmethod
-    def from_arrays(cls, kind: str, nodes, weights, truncation_radius=None,
-                    density_bounds=None) -> "MeasureSpace":
-        return cls(kind, np.asarray(nodes, float), np.asarray(weights, float),
-                   truncation_radius=truncation_radius, density_bounds=density_bounds)
 
     def extended(self, factor: float) -> "MeasureSpace":
         """Same node density, truncation radius scaled by ``factor``.

@@ -242,7 +242,7 @@ def test_criterion_10_fvp_recovery_and_finiteness():
     f0[:5] = [1.0, -0.5, 0.25, 0.125, 0.0625]
     g = vals * f0  # noise-free data
     errors = [float(np.max(np.abs(
-        reconstruct(spectral_cutoff(), float(np.exp(-k)), b, space, g).estimate
+        reconstruct(spectral_cutoff(), float(np.exp(-k)), b, space, g)
         - f0))) for k in (5, 15, 30)]
     ok = errors[-1] <= 1e-8 and errors[0] >= errors[-1]
 

@@ -32,13 +32,13 @@ from multreg.gallery import (counting_problem, exp_decay_pair, plateau_pair,
 def test_reconstruct_cutoff_counting():
     b, space = compact_case([1.0, 0.5, 0.01])
     rec = reconstruct(spectral_cutoff(), 0.1, b, space, np.ones(3))
-    assert np.array_equal(rec.estimate, [1.0, 2.0, 0.0])
+    assert np.array_equal(rec, [1.0, 2.0, 0.0])
 
 
 def test_reconstruct_lavrentiev_flat():
     b, space = compact_case(np.ones(5))
     rec = reconstruct(lavrentiev(), 1.0, b, space, np.ones(5))
-    assert np.allclose(rec.estimate, 0.5)
+    assert np.allclose(rec, 0.5)
 
 
 def test_reconstruct_converges_with_exact_data():
@@ -46,7 +46,7 @@ def test_reconstruct_converges_with_exact_data():
     g = prob.b.values_on(prob.space) * prob.f_true
     errors = []
     for k in range(1, 28, 4):
-        est = reconstruct(lavrentiev(), 2.0**-k, prob.b, prob.space, g).estimate
+        est = reconstruct(lavrentiev(), 2.0**-k, prob.b, prob.space, g)
         errors.append(prob.space.norm(prob.f_true - est))
     assert np.all(np.diff(errors) < 0)
     assert errors[-1] < 1e-6 * prob.space.norm(prob.f_true)
@@ -596,7 +596,7 @@ def test_exact_error_decomposition_nodewise():
     for scheme in (spectral_cutoff(), lavrentiev(), tikhonov_wiener()):
         alpha = 0.03
         g = vals * prob.f_true + delta * xi
-        est = reconstruct(scheme, alpha, prob.b, prob.space, g).estimate
+        est = reconstruct(scheme, alpha, prob.b, prob.space, g)
         lhs = prob.f_true - est
         rhs = scheme.residual(alpha, vals) * prob.f_true \
             - delta * scheme.phi(alpha, vals) * xi

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multreg.config
-from multreg import ConfigError, ExperimentConfig, load_config, parse_config, run
+import multreg.runner
+from multreg import (ConfigError, ExperimentConfig, PreconditionFailed, Scheme,
+                     build_problem, load_config, parse_config, rate_study, run,
+                     scheme_by_name)
 from multreg.cli import main
 from multreg.runner import EXIT_CONFIG, EXIT_DIVERGENT, EXIT_OK, EXIT_VIOLATION
 
@@ -160,6 +164,66 @@ def test_run_unqualified_scheme_is_violation(tmp_path):
     report = run(cfg, out_dir=tmp_path / "out")
     assert report.exit_code == EXIT_VIOLATION
     assert report.status == "violation"
+
+
+@pytest.mark.parametrize("scheme, nu", [("fake", 1.0), ("lavrentiev", 1.5)])
+def test_rate_study_and_run_share_the_certification_gate(tmp_path, monkeypatch,
+                                                         scheme, nu):
+    # "fake" fails axiom (I), Lavrentiev has no qualification for t^1.5
+    fake = Scheme("fake", c_minus1=1.0, c_0=2.0, truncated=False,
+                  _filter=lambda a, t: np.full_like(t, 1.0 / a))
+    chosen = fake if scheme == "fake" else scheme_by_name(scheme)
+    monkeypatch.setattr(multreg.runner, "scheme_by_name", lambda name: chosen)
+    cfg = dataclasses.replace(load_config(write_config(tmp_path, f"""\
+problem: {{kind: counting, n_max: 50}}
+index_function: {{family: power, nu: {nu}}}
+noise: {{mode: deterministic, deltas: [1.0e-2, 1.0e-3, 1.0e-4, 1.0e-5]}}
+output: {{directory: OUTDIR}}
+""")), scheme=scheme)
+    report = run(cfg, out_dir=tmp_path / "out")
+    assert report.exit_code == EXIT_VIOLATION
+    problem = build_problem(cfg)
+    with pytest.raises(PreconditionFailed) as err:
+        rate_study(problem, chosen, problem.phi, cfg.deltas, 1,
+                   mode="deterministic")
+    assert str(err.value) == report.failure
+    assert str(err.value).startswith(f"scheme {scheme} failed ")
+
+
+def test_one_row_tables_read_as_one_row(tmp_path):
+    (tmp_path / "b.txt").write_text("1 0.5\n")
+    (tmp_path / "f.txt").write_text("# node value\n1 0.25\n")
+    cfg = load_config(write_config(tmp_path, f"""\
+problem: {{kind: tabulated, space: counting, file: {tmp_path / 'b.txt'},
+          solution_file: {tmp_path / 'f.txt'}}}
+output: {{directory: OUTDIR}}
+"""))
+    problem = build_problem(cfg)
+    assert np.array_equal(problem.b.values_on(problem.space), [0.5])
+    assert np.array_equal(problem.f_true, [0.25])
+    # one node gives a Lebesgue cell no width
+    halfline = dataclasses.replace(cfg, problem={**cfg.problem, "space": "halfline"})
+    with pytest.raises(ConfigError, match="needs two nodes"):
+        build_problem(halfline)
+
+
+@pytest.mark.parametrize("key", ["file", "solution_file"])
+def test_empty_table_is_one_config_error(tmp_path, capsys, recwarn, key):
+    (tmp_path / "b.txt").write_text("1 0.5\n2 0.25\n")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# node value\n")
+    files = {"file": tmp_path / "b.txt", "solution_file": tmp_path / "b.txt",
+             key: empty}
+    path = write_config(tmp_path, f"""\
+problem: {{kind: tabulated, space: counting, file: {files['file']},
+          solution_file: {files['solution_file']}}}
+output: {{directory: OUTDIR}}
+""")
+    capsys.readouterr()
+    assert main(["check-scheme", "--config", str(path)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err.count("config error:") == 1 and str(empty) in err
+    assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 
 def test_cli_run_and_reproducibility(tmp_path):

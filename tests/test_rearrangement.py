@@ -180,9 +180,8 @@ def test_density_bound_transfer():
     base = MeasureSpace.interval(0.0, 1.0, n)
     rho = 1.25 + 0.5 * np.sin(3.0 * base.nodes)
     c, C = float(np.min(rho)), float(np.max(rho))
-    mu_space = MeasureSpace.from_arrays("lebesgue_interval", base.nodes,
-                                        base.weights * rho,
-                                        density_bounds=(c, C))
+    mu_space = MeasureSpace("lebesgue_interval", base.nodes,
+                            base.weights * rho)
     vals = np.abs(np.sin(7.0 * base.nodes)) + 0.05
     star_mu = increasing_rearrangement(Tabulated(vals), mu_space)
     star_lam = increasing_rearrangement(Tabulated(vals), base)

@@ -39,8 +39,8 @@ def test_space_rejects_bad_nodes():
 
 
 def test_weighted_norm_and_inner():
-    space = MeasureSpace.from_arrays("lebesgue_interval", [0.0, 1.0],
-                                     [0.25, 0.25])
+    space = MeasureSpace("lebesgue_interval", [0.0, 1.0],
+                         [0.25, 0.25])
     assert space.norm([2.0, 0.0]) == 1.0
     assert space.inner([1.0, 1.0], [1.0, -1.0]) == 0.0
 
@@ -112,3 +112,10 @@ def test_tabulated_from_text(tmp_path):
     bad.write_text("1 1.0\n2 0.5\n")
     with pytest.raises(ValueError):
         Tabulated.from_text(bad, space)
+
+
+def test_tabulated_from_text_reads_one_row(tmp_path):
+    path = tmp_path / "b.txt"
+    path.write_text("1 0.5\n")
+    space = MeasureSpace.counting(1)
+    assert np.array_equal(Tabulated.from_text(path, space).values_on(space), [0.5])
