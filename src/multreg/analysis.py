@@ -21,8 +21,8 @@ from .multipliers import Multiplier
 from .noise import (GAUSSIAN, DeterministicNoise, NoiseStreams,
                     WhiteNoiseSampler, concentrated_direction, sample_white,
                     worst_case_deterministic)
-from .rearrangement import (decreasing_rearrangement, distribution_function,
-                            vanishes_at_infinity)
+from .rearrangement import (_superlevel_count, decreasing_rearrangement,
+                            distribution_function, vanishes_at_infinity)
 from .schemes import Scheme, require_certified
 from .spaces import (COUNTING, LEBESGUE_HALFLINE, LEBESGUE_INTERVAL,
                      LEBESGUE_LINE, MeasureSpace)
@@ -152,7 +152,6 @@ class IllposednessProfile:
     alpha_grid: np.ndarray
     d_values: np.ndarray
     upper_bounds: np.ndarray
-    finite: bool = True
 
     def __post_init__(self):
         if np.any(np.diff(self.alpha_grid) <= 0):
@@ -219,8 +218,7 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # {b_* > alpha} is a prefix of the descending rearrangement
         prefix = np.concatenate(([0.0], np.cumsum(widths / r_vals ** 2)))
-        d_sq = prefix[r_vals.size - np.searchsorted(r_vals[::-1], alpha_grid,
-                                                    side="right")]
+        d_sq = prefix[_superlevel_count(r_vals, alpha_grid)]
         # domain side, without the sort: w / b^2 binned by the number of grid
         # points below each node, then summed over the bins above each alpha
         below = np.searchsorted(alpha_grid, vals, side="left")
@@ -239,7 +237,7 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
         )
     bounds = np.sqrt(distribution_function(b, space, alpha_grid,
                                            rearrangement=rearr)) / alpha_grid
-    return IllposednessProfile(alpha_grid, np.sqrt(d_sq), bounds, finite=True)
+    return IllposednessProfile(alpha_grid, np.sqrt(d_sq), bounds)
 
 
 def _solve_monotone(fn, target, bracket, phi, label):
@@ -273,8 +271,6 @@ def choose_alpha_white(phi: IndexFunction, profile: IllposednessProfile,
     """A-priori choice under white noise: solve phi(alpha) = delta * D(alpha)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if not profile.finite:
-        raise DivergentProfile("effective ill-posedness profile is divergent")
     hi = bracket[1] if bracket[1] is not None else float(profile.alpha_grid[-1])
     return _solve_monotone(lambda a: float(phi(a)) / profile.d_at(a), delta,
                            (bracket[0], hi), phi, "phi(alpha) / D(alpha)")
@@ -309,25 +305,24 @@ def white_bound_at_star(c_phi: float, c_0: float, phi: IndexFunction,
 @dataclass(frozen=True)
 class ErrorBudget:
     bias: float
-    noise_term: float  # deterministic: delta*||phi(b) xi||; white: mean delta^2 ||phi(b) xi||^2
+    noise_term: float  # delta * ||phi(b) xi||
     total: float
-    bound: float = np.nan
 
 
 @dataclass(frozen=True)
 class McResult:
     rms: float
     stderr: float
-    budget: ErrorBudget
+    bias: float
+    noise_term: float  # mean delta^2 ||phi(b) xi||^2
     cross_term_mean: float
     cross_term_stderr: float
-    n_reps: int
 
 
 def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
                            space: MeasureSpace, f, delta: float,
-                           noise: DeterministicNoise,
-                           bound: float = np.nan, *, _filtered=None) -> ErrorBudget:
+                           noise: DeterministicNoise, *,
+                           _filtered=None) -> ErrorBudget:
     """Error of one reconstruction from data corrupted by a fixed noise.
 
     ``_filtered``: the caller's ``(b.values_on(space), scheme.phi(alpha,
@@ -341,7 +336,7 @@ def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
     total = space.norm(f - phi_v * (vals * f + delta * noise.values))
     noise_term = delta * space.norm(phi_v * noise.values)
     return ErrorBudget(bias=space.norm(scheme.residual(alpha, vals) * f),
-                       noise_term=noise_term, total=total, bound=bound)
+                       noise_term=noise_term, total=total)
 
 
 #: values per Monte Carlo block: max(1, BLOCK // n) replications at a time
@@ -397,7 +392,6 @@ def _squared_norms(weighted: np.ndarray, tail_sums=()) -> list:
 def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
                     space: MeasureSpace, f, delta: float,
                     sampler: WhiteNoiseSampler, n_reps: int,
-                    bound: float = np.nan, check_variance: bool = True,
                     *, _extended=None) -> McResult:
     """RMS error over replications with disjoint noise streams.
 
@@ -421,7 +415,7 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
         raise ValueError("need n_reps >= 2")
     f = np.asarray(f, float)
     vals = b.values_on(space)
-    if delta > 0 and check_variance:
+    if delta > 0:
         try:
             variance_integral(scheme, alpha, b, space, _extended=_extended)
         except Divergent as exc:
@@ -473,11 +467,9 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     stderr = se_mean / (2.0 * rms) if rms > 0 else 0.0
     cross_mean = float(np.mean(crosses))
     cross_se = float(np.std(crosses, ddof=1) / np.sqrt(n_reps))
-    budget = ErrorBudget(bias=bias_exact, noise_term=float(np.mean(noise_sq)),
-                         total=rms, bound=bound)
-    return McResult(rms=rms, stderr=stderr, budget=budget,
-                    cross_term_mean=cross_mean, cross_term_stderr=cross_se,
-                    n_reps=n_reps)
+    return McResult(rms=rms, stderr=stderr, bias=bias_exact,
+                    noise_term=float(np.mean(noise_sq)),
+                    cross_term_mean=cross_mean, cross_term_stderr=cross_se)
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +501,9 @@ class RateRow:
 
 @dataclass(frozen=True)
 class RateStudyResult:
-    mode: str
     rows: tuple
     fitted_slope: float | None
     theoretical_slope: float | None
-    c_phi: float
-    seed: int
 
     @property
     def violations(self) -> int:
@@ -565,17 +554,17 @@ def choose_alpha(problem: MultiplicationProblem, phi: IndexFunction,
 
 def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
                    phi: IndexFunction, delta: float, mode: str,
-                   c_phi: float, n_reps: int = 1, seed: int = 0,
-                   stream_base: int = 0,
-                   profile: IllposednessProfile | None = None,
-                   distribution: str = GAUSSIAN, *, _extended=None) -> RateRow:
+                   c_phi: float, n_reps: int = 1,
+                   sampler: WhiteNoiseSampler = WhiteNoiseSampler(0),
+                   profile: IllposednessProfile | None = None, *,
+                   _extended=None) -> RateRow:
     """One row of a rate study: alpha* from ``choose_alpha``, error and bound.
 
     Deterministic mode perturbs the data with the worst admissible noise
     (all mass at the node where the filter is largest, attaining the
     sup-norm of the filter); white mode averages ``n_reps`` Monte Carlo
-    replications on noise streams ``stream_base + r`` drawn from
-    ``distribution``, handing ``_extended`` on to ``monte_carlo_rms``.
+    replications on the noise streams of ``sampler``, handing
+    ``_extended`` on to ``monte_carlo_rms``.
     The bound column is the simplified at-alpha-star form of the
     a-priori error estimate.
     """
@@ -590,18 +579,14 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
         bound = deterministic_bound_at_star(c_phi, scheme.c_minus1,
                                             phi, alpha_star, rho)
         budget = evaluate_deterministic(scheme, alpha_star, b, space, f,
-                                        delta, worst, bound,
-                                        _filtered=(vals, phi_v))
+                                        delta, worst, _filtered=(vals, phi_v))
         err, stderr = budget.total, 0.0
         violated = err > bound * (1 + 1e-9)
     else:
         bound = white_bound_at_star(c_phi, scheme.c_0, phi, alpha_star, rho)
-        sampler = WhiteNoiseSampler(seed, stream_id=stream_base,
-                                    distribution=distribution)
-        mc = monte_carlo_rms(scheme, alpha_star, b, space, f, delta,
-                             sampler, n_reps, bound=bound, _extended=_extended)
-        err, stderr = mc.rms, mc.stderr
-        budget = mc.budget
+        budget = monte_carlo_rms(scheme, alpha_star, b, space, f, delta,
+                                 sampler, n_reps, _extended=_extended)
+        err, stderr = budget.rms, budget.stderr
         violated = err > bound + 2.0 * stderr
     return RateRow(delta=float(delta), alpha_star=alpha_star, error=err,
                    stderr=stderr, bias=budget.bias,
@@ -618,8 +603,10 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
 
     Delta k draws from streams ``STREAM_STRIDE * (k + 1) + r``, so ``threads``
     (workers over the deltas, which take the smallest delta first) does not
-    change the rows.  The slopes fit log(error) and log(phi(alpha*)) against
-    log(delta) on the middle 80% of the points; they are None below 4 rows.
+    change the rows; the rows are collected in delta order, so a failing
+    sweep raises the failure of its first failing delta at any ``threads``.
+    The slopes fit log(error) and log(phi(alpha*)) against log(delta) on
+    the middle 80% of the points; they are None below 4 rows.
 
     In white mode on a half-line or line, the 2x and 4x truncations that
     ``variance_integral`` checks for divergence are built once, here, and
@@ -634,22 +621,21 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
             extended = tuple(_extended_grid(b, space, factor)
                              for factor in _EXTENSIONS)
 
-    def one(k_delta):
-        k, delta = k_delta
-        return evaluate_delta(problem, scheme, phi, float(delta), mode, c_phi,
-                              n_reps=n_reps, seed=seed,
-                              stream_base=STREAM_STRIDE * (k + 1), profile=profile,
-                              distribution=distribution, _extended=extended)
+    def one(k):
+        sampler = WhiteNoiseSampler(seed, STREAM_STRIDE * (k + 1), distribution)
+        return evaluate_delta(problem, scheme, phi, float(deltas[k]), mode, c_phi,
+                              n_reps=n_reps, sampler=sampler, profile=profile,
+                              _extended=extended)
 
     if threads > 1 and len(deltas) > 1:
         # smallest delta first: its alpha* is smallest and its filter
         # support widest, so it takes longest
         order = sorted(range(len(deltas)), key=lambda k: deltas[k])
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = dict(zip(order, pool.map(one, [(k, deltas[k]) for k in order])))
-        rows = [done[k] for k in range(len(deltas))]
+            futures = {k: pool.submit(one, k) for k in order}
+            rows = [futures[k].result() for k in range(len(deltas))]
     else:
-        rows = [one(kd) for kd in enumerate(deltas)]
+        rows = [one(k) for k in range(len(deltas))]
 
     fitted = theoretical = None
     if len(rows) >= 4:
@@ -657,9 +643,8 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
         theoretical = fit_loglog_slope(
             deltas,
             [problem.source_scale * float(phi(r.alpha_star)) for r in rows])
-    return RateStudyResult(mode=mode, rows=tuple(rows), fitted_slope=fitted,
-                           theoretical_slope=theoretical, c_phi=c_phi,
-                           seed=seed)
+    return RateStudyResult(rows=tuple(rows), fitted_slope=fitted,
+                           theoretical_slope=theoretical)
 
 
 def rate_study(problem: MultiplicationProblem, scheme: Scheme,

@@ -281,10 +281,14 @@ class PiecewiseMonotone(Multiplier):
 
 def read_table(path) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, values) from two-column text with '#' comments; a single
-    row reads as a table of one row, a table without rows is an error."""
+    row reads as a table of one row; a table without rows, with ragged
+    rows or with a non-numeric cell is an error naming the file."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # numpy's "no data"
-        data = np.loadtxt(path, comments="#", ndmin=2)
+        try:
+            data = np.loadtxt(path, comments="#", ndmin=2)
+        except ValueError:  # ragged rows or a non-numeric cell
+            data = np.empty((0, 0))
     if data.shape[0] == 0 or data.shape[1] != 2:
         raise ValueError(f"{path}: expected rows of two columns: node value")
     return data[:, 0], data[:, 1]

@@ -59,8 +59,7 @@ class Rearrangement:
         """Lebesgue measure of {x in [0, total): value(x) > t} (exact)."""
         t_arr = np.asarray(t, dtype=float)
         if self.direction == DECREASING:
-            asc = self.values[::-1]
-            count = self.values.size - np.searchsorted(asc, t_arr, side="right")
+            count = _superlevel_count(self.values, t_arr)
         else:
             count_le = np.searchsorted(self.values, t_arr, side="right")
             count = self.values.size - count_le
@@ -100,7 +99,7 @@ def distribution_function(b: Multiplier, space: MeasureSpace, t,
             values, widths = rearrangement.values, rearrangement.widths
         else:
             raise ValueError("d_b reads the decreasing rearrangement")
-        counts = values.size - np.searchsorted(values[::-1], ts, side="right")
+        counts = _superlevel_count(values, ts)
         out = np.array([float(np.sum(widths[:m])) for m in counts])
     return float(out[0]) if scalar else out
 
@@ -109,6 +108,11 @@ def vanishes_at_infinity(b: Multiplier, space: MeasureSpace) -> bool:
     """True iff d_b(t) is finite for every t > 0: trivially on finite-measure
     spaces, otherwise as the multiplier's tail model declares."""
     return space.measure_is_finite or bool(b.tail_vanishes)
+
+
+def _superlevel_count(descending: np.ndarray, t):
+    """Number of entries of the descending array that exceed t, per t."""
+    return descending.size - np.searchsorted(descending[::-1], t, side="right")
 
 
 def _sorted_view(values: np.ndarray, weights: np.ndarray, descending: bool):

@@ -151,12 +151,9 @@ def certify_axioms(scheme: Scheme, alpha_grid=None, t_grid=None,
     (II) |phi(alpha, t)| <= c_minus1 / alpha on the grid;
     (III)|residual(alpha, t)| <= c_0 on the grid.
     """
-    if alpha_grid is None or t_grid is None:
-        a_def, t_def = default_axiom_grids()
-        alpha_grid = a_def if alpha_grid is None else np.asarray(alpha_grid, float)
-        t_grid = t_def if t_grid is None else np.asarray(t_grid, float)
-    alpha_grid = np.asarray(alpha_grid, float)
-    t_grid = np.asarray(t_grid, float)
+    a_def, t_def = default_axiom_grids()
+    alpha_grid = np.asarray(a_def if alpha_grid is None else alpha_grid, float)
+    t_grid = np.asarray(t_def if t_grid is None else t_grid, float)
     if alpha_grid.size == 0 or t_grid.size == 0 or np.any(alpha_grid <= 0) \
             or np.any(t_grid <= 0):
         raise ValueError("grids must be nonempty and positive")
@@ -238,12 +235,9 @@ def certify_qualification(scheme: Scheme, phi: IndexFunction,
     For a truncated scheme, pass the parent's certificate to additionally
     assert C_phi <= max(parent C_phi, C_0).
     """
-    if alpha_grid is None or t_grid is None:
-        a_def, t_def = default_qualification_grids()
-        alpha_grid = a_def if alpha_grid is None else np.asarray(alpha_grid, float)
-        t_grid = t_def if t_grid is None else np.asarray(t_grid, float)
-    alpha_grid = np.asarray(alpha_grid, float)
-    t_grid = np.asarray(t_grid, float)
+    a_def, t_def = default_qualification_grids()
+    alpha_grid = np.asarray(a_def if alpha_grid is None else alpha_grid, float)
+    t_grid = np.asarray(t_def if t_grid is None else t_grid, float)
 
     # clamp the alpha range into phi's validity window
     lo, hi = phi.domain

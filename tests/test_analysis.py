@@ -303,10 +303,6 @@ def test_choose_alpha_white_guards():
                                              np.geomspace(1e-3, 0.5, 50))
     with pytest.raises(BracketingFailed):
         choose_alpha_white(PowerIndex(1.0), prof, 10.0)
-    divergent = IllposednessProfile(np.array([0.1, 0.2]), np.array([2.0, 1.0]),
-                                    np.array([np.inf, np.inf]), finite=False)
-    with pytest.raises(DivergentProfile):
-        choose_alpha_white(PowerIndex(1.0), divergent, 1e-3)
 
 
 # --- error bounds ----------------------------------------------------------------------
@@ -378,7 +374,7 @@ def test_monte_carlo_cross_term_centered():
     # lavrentiev couples bias and noise supports, so the cross term is a
     # genuine random variable; it must average to ~0
     mc = monte_carlo_rms(lavrentiev(), astar, prob.b, prob.space, prob.f_true,
-                         delta, WhiteNoiseSampler(17), 300, check_variance=False)
+                         delta, WhiteNoiseSampler(17), 300)
     assert abs(mc.cross_term_mean) <= 3 * mc.cross_term_stderr
     assert mc.cross_term_stderr > 0
 
@@ -388,9 +384,9 @@ def test_monte_carlo_budget_identity():
     # an exact per-replication identity up to roundoff
     prob = counting_problem(150, PowerIndex(1.0))
     mc = monte_carlo_rms(lavrentiev(), 0.02, prob.b, prob.space, prob.f_true,
-                         1e-3, WhiteNoiseSampler(31), 50, check_variance=False)
+                         1e-3, WhiteNoiseSampler(31), 50)
     lhs = mc.rms**2
-    rhs = mc.budget.bias**2 + mc.budget.noise_term - mc.cross_term_mean
+    rhs = mc.bias**2 + mc.noise_term - mc.cross_term_mean
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -510,7 +506,7 @@ def test_monte_carlo_matches_per_replication_reference(case):
     ref = _reference_monte_carlo(scheme, alpha, b, space, f, delta, sampler,
                                  n_reps)
     got = {"rms": mc.rms, "stderr": mc.stderr,
-           "noise_term": mc.budget.noise_term, "bias": mc.budget.bias,
+           "noise_term": mc.noise_term, "bias": mc.bias,
            "cross_term_mean": mc.cross_term_mean,
            "cross_term_stderr": mc.cross_term_stderr}
     assert got == ref
@@ -620,7 +616,7 @@ def test_sweep_shares_extended_grids_with_identical_rows(threads, monkeypatch):
     for problem in _white_sweep_problems():
         profile = effective_illposedness(problem.b, problem.space)
         each = [evaluate_delta(problem, scheme, phi, delta, WHITE, 1.0, n_reps=8,
-                               seed=3, stream_base=STREAM_STRIDE * (k + 1),
+                               sampler=WhiteNoiseSampler(3, STREAM_STRIDE * (k + 1)),
                                profile=profile)
                 for k, delta in enumerate(deltas)]
         built, build = [], analysis._extended_grid
@@ -643,7 +639,7 @@ def test_sweep_keeps_the_divergence_diagnosis():
     args = (problem, lavrentiev(), PowerIndex(0.5))
     with pytest.raises(DivergentProfile) as direct:
         evaluate_delta(*args, 1e-3, WHITE, 1.0, n_reps=4,
-                       stream_base=STREAM_STRIDE)
+                       sampler=WhiteNoiseSampler(0, STREAM_STRIDE))
     with pytest.raises(DivergentProfile) as swept:
         sweep_deltas(*args, [1e-3], WHITE, 1.0, n_reps=4)
     assert str(swept.value) == str(direct.value)

@@ -226,6 +226,23 @@ output: {{directory: OUTDIR}}
     assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 
+@pytest.mark.parametrize("table", ["1 0.5\n2 0.25 7\n", "1 0.5\n2 abc\n"],
+                         ids=["ragged", "non_numeric"])
+def test_malformed_table_is_a_config_error_naming_the_file(tmp_path, capsys,
+                                                          table):
+    bad = tmp_path / "b.txt"
+    bad.write_text(table)
+    path = write_config(tmp_path, f"""\
+problem: {{kind: tabulated, space: counting, file: {bad}}}
+output: {{directory: OUTDIR}}
+""")
+    capsys.readouterr()
+    assert main(["check-scheme", "--config", str(path)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert f"{bad}: expected rows of two columns" in err
+    assert "usecols" not in err and "convert" not in err
+
+
 def test_cli_run_and_reproducibility(tmp_path):
     path = write_config(tmp_path, WHITE_STUDY)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
@@ -246,6 +263,25 @@ def test_cli_threads_do_not_change_output(tmp_path):
                  "--threads", "4"]) == 0
     assert (tmp_path / "s" / "rows.csv").read_bytes() == \
         (tmp_path / "t" / "rows.csv").read_bytes()
+
+
+def test_cli_threads_do_not_change_the_failure_report(tmp_path):
+    # every delta of this half-line study diverges; the report names the
+    # first failing delta in config order, whatever the thread count
+    path = write_config(tmp_path, """\
+problem: {kind: power_decay, kappa: 1.0}
+scheme: lavrentiev
+index_function: {family: power, nu: 0.5}
+noise: {mode: white, deltas: [1.0e-2, 1.0e-3, 1.0e-4, 1.0e-5], replications: 4}
+discretization: {n_nodes: 1024, truncation_radius: 30.0}
+output: {directory: OUTDIR}
+""")
+    for threads in ("1", "2"):
+        assert main(["run", "--config", str(path), "--out",
+                     str(tmp_path / threads), "--threads", threads]) \
+            == EXIT_DIVERGENT
+    assert (tmp_path / "1" / "report.json").read_bytes() == \
+        (tmp_path / "2" / "report.json").read_bytes()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
