@@ -38,7 +38,7 @@ from .multipliers import (BackgroundPart, CallableMultiplier,
                           PlateauCounterexample, PowerDecay, PurePower,
                           Tabulated)
 from .noise import (DeterministicNoise, NoiseStreams, WhiteNoiseSampler,
-                    concentrated_direction, sample_white,
+                    concentrated_direction, concentrated_noise, sample_white,
                     worst_case_deterministic)
 from .rearrangement import (PiecewiseBounds, Rearrangement,
                             decreasing_rearrangement, distribution_function,

@@ -9,7 +9,7 @@ proportion to the added measure, the integral has no finite limit.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +19,7 @@ from .errors import (BracketingFailed, CrossCheckFailed, Divergent,
 from .indexfuncs import IndexFunction, solve_increasing
 from .multipliers import Multiplier
 from .noise import (GAUSSIAN, DeterministicNoise, NoiseStreams,
-                    WhiteNoiseSampler, concentrated_direction, sample_white,
-                    worst_case_deterministic)
+                    WhiteNoiseSampler, concentrated_noise, sample_white)
 from .rearrangement import (_superlevel_count, decreasing_rearrangement,
                             distribution_function, vanishes_at_infinity)
 from .schemes import Scheme, require_certified
@@ -319,24 +318,77 @@ class McResult:
     cross_term_stderr: float
 
 
+@dataclass(frozen=True)
+class _ExactData:
+    """What every delta of a deterministic sweep reads: b's values, the
+    exact data ``signal = vals * f``, and whether the signal is finite.
+
+    Where the filter is zero, the error f - 0 * signal and the bias term
+    1 * f are f up to the sign of a zero if the signal is finite there.
+    """
+
+    vals: np.ndarray
+    signal: np.ndarray
+    finite: bool
+
+
+def _exact_data(b: Multiplier, space: MeasureSpace, f: np.ndarray) -> _ExactData:
+    vals = b.values_on(space)
+    signal = vals * f
+    return _ExactData(vals, signal, bool(np.isfinite(signal).all()))
+
+
+def _nonzero_span(x: np.ndarray) -> tuple:
+    """``(lo, hi)`` with every nonzero of x in ``x[lo:hi]``; ``(x.size, 0)``
+    if there is none."""
+    nonzero = x != 0
+    lo = int(np.argmax(nonzero))
+    if not nonzero[lo]:
+        return x.size, 0
+    return lo, x.size - int(np.argmax(nonzero[::-1]))
+
+
 def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
                            space: MeasureSpace, f, delta: float,
                            noise: DeterministicNoise, *,
                            _filtered=None) -> ErrorBudget:
     """Error of one reconstruction from data corrupted by a fixed noise.
 
-    ``_filtered``: the caller's ``(b.values_on(space), scheme.phi(alpha,
-    vals))``, so that they are not evaluated twice.
+    ``_filtered``: the caller's ``(_exact_data(b, space, f),
+    scheme.phi(alpha, vals))``, so that they are not evaluated twice.
+
+    Error and bias are evaluated only on the span of nodes that holds the
+    filter's nonzeros and the noise's support.  Off the noise's support
+    the noise adds +0.0, which at most flips the sign of a zero.  Where
+    the filter is zero the residual is exactly 1 (1 - t * 0, or the
+    cut-off and truncated forms), so with a finite signal both squared
+    terms are w f^2 outside the span.  The norms are summed in numpy's
+    pairwise order (``_spliced_sum``), so they equal those of the dense
+    expressions f - phi (vals f + delta noise) and R(b) f bit for bit,
+    for finite filter values.
     """
     f = np.asarray(f, float)
     if _filtered is None:
-        vals = b.values_on(space)
-        _filtered = vals, scheme.phi(alpha, vals)
-    vals, phi_v = _filtered
-    total = space.norm(f - phi_v * (vals * f + delta * noise.values))
-    noise_term = delta * space.norm(phi_v * noise.values)
-    return ErrorBudget(bias=space.norm(scheme.residual(alpha, vals) * f),
-                       noise_term=noise_term, total=total)
+        data = _exact_data(b, space, f)
+        _filtered = data, scheme.phi(alpha, data.vals)
+    data, phi_v = _filtered
+    n, on = phi_v.size, noise.support
+    first, stop, _ = on.indices(n)
+    lo, hi = _nonzero_span(phi_v) if data.finite else (0, n)
+    lo, hi = min(lo, first), max(hi, stop)
+    span = slice(lo, hi)
+    err = f[span] - phi_v[span] * data.signal[span]
+    err[first - lo:stop - lo] = \
+        f[on] - phi_v[on] * (data.signal[on] + delta * noise.values)
+    res_f = scheme.residual(alpha, data.vals[span]) * f[span]
+    w = space.weights
+    f_sq = w * (f * f) if hi - lo < n else None
+    # space.norm, with w f^2 outside the span
+    total, bias_ = (float(np.sqrt(_spliced_sum(f_sq, lo, w[span] * (x * x))))
+                    for x in (err, res_f))
+    return ErrorBudget(bias=bias_,
+                       noise_term=delta * space.norm(phi_v[on] * noise.values, on),
+                       total=total)
 
 
 #: values per Monte Carlo block: max(1, BLOCK // n) replications at a time
@@ -346,6 +398,11 @@ BLOCK = 8192
 #: 1993): more than this many values split at n2 = n//2 - (n//2) % 8, fewer
 #: are one leaf summed by eight accumulators
 _PAIRWISE_LEAF = 128
+
+
+def _pairwise_half(size: int) -> int:
+    """Where numpy's pairwise sum splits ``size > _PAIRWISE_LEAF`` values."""
+    return size // 2 - (size // 2) % 8
 
 
 def _pairwise_spine(n: int, k: int) -> tuple:
@@ -361,12 +418,39 @@ def _pairwise_spine(n: int, k: int) -> tuple:
     """
     size, siblings = n, []
     while size > _PAIRWISE_LEAF:
-        half = size // 2 - (size // 2) % 8
+        half = _pairwise_half(size)
         if half < k:
             break
         siblings.append((half, size))
         size = half
     return size, siblings[::-1]
+
+
+def _spliced_sum(base: np.ndarray | None, lo: int, part: np.ndarray,
+                 a: int = 0, b: int | None = None):
+    """``np.sum(x)`` bit for bit, x >= +0.0 being ``base`` with
+    ``x[lo:lo + part.size]`` replaced by ``part``; with ``a``, ``b``, the
+    value of the node ``x[a:b]`` of numpy's pairwise tree over x.
+
+    The tree is followed down only through the nodes that hold values of
+    both; every other node is one ``np.sum`` of a slice of ``base`` or of
+    ``part``, which is that node's value in the tree (``np.sum`` starts
+    from +0.0, which changes no sum of values >= +0.0).  ``base`` is not
+    read, and may be None, when ``part`` is all of x.
+    """
+    if b is None:
+        b = part.size if base is None else base.size
+    hi = lo + part.size
+    if b <= lo or a >= hi:
+        return np.sum(base[a:b])
+    if lo <= a and b <= hi:
+        return np.sum(part[a - lo:b - lo])
+    if b - a <= _PAIRWISE_LEAF:
+        leaf = base[a:b].copy()
+        leaf[max(a, lo) - a:min(b, hi) - a] = part[max(a, lo) - lo:min(b, hi) - lo]
+        return np.sum(leaf)
+    mid = a + _pairwise_half(b - a)
+    return _spliced_sum(base, lo, part, a, mid) + _spliced_sum(base, lo, part, mid, b)
 
 
 def _row_sums(prefix: np.ndarray, tail_sums=()) -> np.ndarray:
@@ -557,41 +641,53 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
                    c_phi: float, n_reps: int = 1,
                    sampler: WhiteNoiseSampler = WhiteNoiseSampler(0),
                    profile: IllposednessProfile | None = None, *,
-                   _extended=None) -> RateRow:
+                   _per_sweep=None) -> RateRow:
     """One row of a rate study: alpha* from ``choose_alpha``, error and bound.
 
     Deterministic mode perturbs the data with the worst admissible noise
     (all mass at the node where the filter is largest, attaining the
     sup-norm of the filter); white mode averages ``n_reps`` Monte Carlo
-    replications on the noise streams of ``sampler``, handing
-    ``_extended`` on to ``monte_carlo_rms``.
+    replications on the noise streams of ``sampler``.
     The bound column is the simplified at-alpha-star form of the
     a-priori error estimate.
+
+    ``_per_sweep`` holds what ``sweep_deltas`` computes once for all its
+    deltas: the ``_ExactData`` in deterministic mode, the extended grids
+    handed on to ``monte_carlo_rms`` in white mode.
     """
     b, space, f = problem.b, problem.space, problem.f_true
     rho = problem.source_scale
     alpha_star = choose_alpha(problem, phi, delta, mode, profile)
     if mode == DETERMINISTIC:
-        vals = b.values_on(space)
-        phi_v = scheme.phi(alpha_star, vals)
-        worst = worst_case_deterministic(
-            concentrated_direction(space, int(np.argmax(np.abs(phi_v)))), space)
+        data = _per_sweep if _per_sweep is not None else \
+            _exact_data(b, space, np.asarray(f, float))
+        phi_v = scheme.phi(alpha_star, data.vals)
+        worst = concentrated_noise(space, int(np.argmax(np.abs(phi_v))))
         bound = deterministic_bound_at_star(c_phi, scheme.c_minus1,
                                             phi, alpha_star, rho)
         budget = evaluate_deterministic(scheme, alpha_star, b, space, f,
-                                        delta, worst, _filtered=(vals, phi_v))
+                                        delta, worst,
+                                        _filtered=(data, phi_v))
         err, stderr = budget.total, 0.0
         violated = err > bound * (1 + 1e-9)
     else:
         bound = white_bound_at_star(c_phi, scheme.c_0, phi, alpha_star, rho)
         budget = monte_carlo_rms(scheme, alpha_star, b, space, f, delta,
-                                 sampler, n_reps, _extended=_extended)
+                                 sampler, n_reps, _extended=_per_sweep)
         err, stderr = budget.rms, budget.stderr
         violated = err > bound + 2.0 * stderr
     return RateRow(delta=float(delta), alpha_star=alpha_star, error=err,
                    stderr=stderr, bias=budget.bias,
                    variance_term=budget.noise_term, bound=bound,
                    violated=bool(violated))
+
+
+def _cancel_if_failed(later: list, future) -> None:
+    """Done callback: a failed delta cancels the ``later`` ones not yet started,
+    in the worker that ran it, before that worker takes another."""
+    if not future.cancelled() and future.exception() is not None:
+        for pending in later:
+            pending.cancel()
 
 
 def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
@@ -602,38 +698,49 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
     """One ``evaluate_delta`` row per delta, in order, and the fitted slopes.
 
     Delta k draws from streams ``STREAM_STRIDE * (k + 1) + r``, so ``threads``
-    (workers over the deltas, which take the smallest delta first) does not
-    change the rows; the rows are collected in delta order, so a failing
-    sweep raises the failure of its first failing delta at any ``threads``.
+    (workers over the deltas) does not change the rows; the rows are
+    collected in delta order, so a failing sweep raises the failure of its
+    first failing delta at any ``threads``.  A failing delta cancels the
+    later ones that have not started.
     The slopes fit log(error) and log(phi(alpha*)) against log(delta) on
     the middle 80% of the points; they are None below 4 rows.
 
-    In white mode on a half-line or line, the 2x and 4x truncations that
-    ``variance_integral`` checks for divergence are built once, here, and
-    shared by every delta; they live until the sweep returns.
+    Arrays every delta needs are computed once, here, and shared read-only
+    by the workers until the sweep returns: in deterministic mode the
+    ``_ExactData``; in white mode on a half-line or line, the 2x and 4x
+    truncations that ``variance_integral`` checks for divergence.
     """
     b, space = problem.b, problem.space
-    extended = None
+    per_sweep = None
     if mode == WHITE:
         if profile is None:
             profile = effective_illposedness(b, space)
         if b.evaluable and space.kind in (LEBESGUE_HALFLINE, LEBESGUE_LINE):
-            extended = tuple(_extended_grid(b, space, factor)
-                             for factor in _EXTENSIONS)
+            per_sweep = tuple(_extended_grid(b, space, factor)
+                              for factor in _EXTENSIONS)
+    elif mode == DETERMINISTIC:
+        per_sweep = _exact_data(b, space, np.asarray(problem.f_true, float))
 
     def one(k):
         sampler = WhiteNoiseSampler(seed, STREAM_STRIDE * (k + 1), distribution)
         return evaluate_delta(problem, scheme, phi, float(deltas[k]), mode, c_phi,
                               n_reps=n_reps, sampler=sampler, profile=profile,
-                              _extended=extended)
+                              _per_sweep=per_sweep)
 
     if threads > 1 and len(deltas) > 1:
-        # smallest delta first: its alpha* is smallest and its filter
-        # support widest, so it takes longest
-        order = sorted(range(len(deltas)), key=lambda k: deltas[k])
+        from concurrent.futures import ThreadPoolExecutor
+
+        # the first delta starts at once, as its failure decides a failing
+        # sweep's report; the others go smallest first: the smallest delta's
+        # alpha* is smallest and its filter support widest, so it takes longest
+        order = [0] + sorted(range(1, len(deltas)), key=lambda k: deltas[k])
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {k: pool.submit(one, k) for k in order}
-            rows = [futures[k].result() for k in range(len(deltas))]
+            submitted = {k: pool.submit(one, k) for k in order}
+            futures = [submitted[k] for k in range(len(deltas))]
+            for k, future in enumerate(futures):
+                future.add_done_callback(
+                    functools.partial(_cancel_if_failed, futures[k + 1:]))
+            rows = [future.result() for future in futures]
     else:
         rows = [one(k) for k in range(len(deltas))]
 

@@ -106,7 +106,9 @@ class LogPowerIndex(IndexFunction):
         object.__setattr__(self, "domain", (0.0, self.t_max))
 
     def _eval(self, t):
-        return t ** self.nu * np.log(1.0 / t) ** (-self.beta)
+        # at subnormal t, 1/t overflows to inf and log(inf) ** -beta is 0
+        with np.errstate(divide="ignore", over="ignore"):
+            return t ** self.nu * np.log(1.0 / t) ** (-self.beta)
 
 
 class TableIndex(IndexFunction):

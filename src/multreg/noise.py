@@ -15,7 +15,7 @@ HMC-CS-2014-0905), giving the same generator states bit for bit.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -199,24 +199,41 @@ def sample_white(sampler: WhiteNoiseSampler | NoiseStreams,
 
 @dataclass(frozen=True)
 class DeterministicNoise:
-    """A fixed perturbation with weighted L2 norm at most one."""
+    """A fixed perturbation with weighted L2 norm at most one.
+
+    ``values`` are its values on ``support``, a slice of the nodes (all of
+    them by default); it is zero elsewhere.
+    """
 
     values: np.ndarray
     norm: float
+    support: slice = field(default_factory=lambda: slice(None))
 
     def __post_init__(self):
         if self.norm > 1.0 + 1e-9:
             raise ValueError("deterministic noise must have norm <= 1")
 
 
-def worst_case_deterministic(direction, space: MeasureSpace) -> DeterministicNoise:
-    """Normalize a direction to weighted L2 norm exactly one."""
-    d = np.asarray(direction, float)
-    nrm = space.norm(d)
+def _normalized(d: np.ndarray, space: MeasureSpace,
+                support: slice) -> DeterministicNoise:
+    nrm = space.norm(d, support)
     if nrm == 0.0:
         raise ZeroDirection("cannot normalize the zero direction")
     v = d / nrm
-    return DeterministicNoise(values=v, norm=space.norm(v))
+    return DeterministicNoise(values=v, norm=space.norm(v, support),
+                              support=support)
+
+
+def worst_case_deterministic(direction, space: MeasureSpace) -> DeterministicNoise:
+    """Normalize a direction to weighted L2 norm exactly one."""
+    return _normalized(np.asarray(direction, float), space, slice(None))
+
+
+def _concentrated_value(space: MeasureSpace, index: int) -> float:
+    w = space.weights[index]
+    if w <= 0:
+        raise ZeroDirection("node carries no quadrature weight")
+    return 1.0 / np.sqrt(w)
 
 
 def concentrated_direction(space: MeasureSpace, index: int) -> np.ndarray:
@@ -226,9 +243,18 @@ def concentrated_direction(space: MeasureSpace, index: int) -> np.ndarray:
     |h(s_index)|, so it attains the sup-norm bound of the multiplication
     operator; used as the adversarial deterministic perturbation.
     """
-    w = space.weights[index]
-    if w <= 0:
-        raise ZeroDirection("node carries no quadrature weight")
     d = np.zeros(space.nodes.size)
-    d[index] = 1.0 / np.sqrt(w)
+    d[index] = _concentrated_value(space, index)
     return d
+
+
+def concentrated_noise(space: MeasureSpace, index: int) -> DeterministicNoise:
+    """``worst_case_deterministic(concentrated_direction(space, index),
+    space)``, stored on its one node.
+
+    Value and norm come from the single nonzero and equal the dense ones
+    bit for bit, since adding zeros in numpy's sums is exact.
+    """
+    index = range(space.nodes.size)[index]  # a non-negative, in-range index
+    return _normalized(np.array([_concentrated_value(space, index)]), space,
+                       slice(index, index + 1))

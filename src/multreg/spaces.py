@@ -75,14 +75,20 @@ class MeasureSpace:
         """Whether the *underlying* space has finite total measure."""
         return self.kind == LEBESGUE_INTERVAL
 
-    def norm(self, values) -> float:
-        """Weighted L2 norm; accepts real or complex node vectors."""
+    def norm(self, values, support: slice = slice(None)) -> float:
+        """Weighted L2 norm; accepts real or complex node vectors.
+
+        With ``support``, ``values`` are a vector's values on that slice of
+        the nodes, and the vector is zero elsewhere.  The norm is the full
+        vector's bit for bit: numpy's sums add the zeros exactly.
+        """
         v = np.asarray(values)
+        w = self.weights[support]
         # on reals v * v equals np.abs(v) ** 2 bit for bit, one pass less;
         # unnamed, the square's temporary takes the product in place
         if np.issubdtype(v.dtype, np.floating):
-            return float(np.sqrt(np.sum(self.weights * (v * v))))
-        return float(np.sqrt(np.sum(self.weights * np.abs(v) ** 2)))
+            return float(np.sqrt(np.sum(w * (v * v))))
+        return float(np.sqrt(np.sum(w * np.abs(v) ** 2)))
 
     def inner(self, u, v) -> float:
         return float(np.real(np.sum(self.weights * np.conj(np.asarray(u)) * np.asarray(v))))

@@ -2,25 +2,27 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multreg import (WHITE, BracketingFailed, Divergent, DivergentProfile,
+from multreg import (DETERMINISTIC, WHITE, BracketingFailed, Divergent, DivergentProfile,
                      FilterOverflow, IllposednessProfile, MeasureSpace,
                      MultiplicationProblem, MultRegError, PowerIndex,
                      PreconditionFailed, TableIndex, Tabulated,
                      WhiteNoiseSampler,
                      bias, choose_alpha_deterministic, choose_alpha_white,
                      compact_case, certify_qualification,
+                     concentrated_direction, concentrated_noise,
                      deterministic_bound_at_star, deterministic_error_bound,
                      effective_illposedness, evaluate_delta,
-                     fit_loglog_slope, lavrentiev,
+                     evaluate_deterministic, fit_loglog_slope, lavrentiev,
                      monte_carlo_rms, rate_study, reconstruct, sample_white,
                      spectral_cutoff, tikhonov_wiener, truncate,
                      variance_integral, white_bound_at_star,
-                     white_error_bound)
+                     white_error_bound, worst_case_deterministic)
 from multreg import analysis
 from multreg.analysis import STREAM_STRIDE, sweep_deltas
 from multreg.gallery import (counting_problem, exp_decay_pair, plateau_pair,
@@ -647,6 +649,128 @@ def test_sweep_keeps_the_divergence_diagnosis():
     assert len(swept.value.diagnosis["sums"]) == 3
 
 
+def _deterministic_problems():
+    # counting, uniform and graded interval, half-line and frequency spaces;
+    # the filter's support is a prefix, all nodes, or a band in the middle
+    from multreg import DeconvolutionProblem
+    yield counting_problem(300, PowerIndex(1.0))
+    deconvolution = DeconvolutionProblem("exponential", 40.0, 2**10)
+    for b, space in (pure_power_pair(1.5, 2**10),
+                     pure_power_pair(1.5, 2**10, graded=True),
+                     power_decay_pair(1.0, 30.0, 2**10),
+                     (deconvolution.multiplier, deconvolution.freq_space)):
+        yield MultiplicationProblem(b, space, b.values_on(space) ** 0.5)
+
+
+def _dense_budget(scheme, alpha, b, space, f, delta, noise):
+    vals = b.values_on(space)
+    phi_v = scheme.phi(alpha, vals)
+    return (space.norm(scheme.residual(alpha, vals) * f),
+            delta * space.norm(phi_v * noise.values),
+            space.norm(f - phi_v * (vals * f + delta * noise.values)))
+
+
+@pytest.mark.parametrize("scheme", [spectral_cutoff(), lavrentiev(),
+                                    tikhonov_wiener(), truncate(lavrentiev())],
+                         ids=lambda s: s.name)
+def test_deterministic_rows_equal_the_dense_reference(scheme):
+    # the one-node worst-case noise and the error evaluated on the filter's
+    # span give the rows of the dense expressions, with no tolerance
+    phi = PowerIndex(0.5)
+    deltas = [1e-2, 1e-3, 1e-4, 1e-5]
+    for problem in _deterministic_problems():
+        b, space, f = problem.b, problem.space, problem.f_true
+        swept = sweep_deltas(problem, scheme, phi, deltas, DETERMINISTIC, 1.0)
+        for delta, row in zip(deltas, swept.rows):
+            alpha = analysis.choose_alpha(problem, phi, delta, DETERMINISTIC)
+            phi_v = scheme.phi(alpha, b.values_on(space))
+            dense = worst_case_deterministic(concentrated_direction(
+                space, int(np.argmax(np.abs(phi_v)))), space)
+            reference = _dense_budget(scheme, alpha, b, space, f, delta, dense)
+            budget = evaluate_deterministic(scheme, alpha, b, space, f,
+                                            delta, dense)
+            assert (budget.bias, budget.noise_term, budget.total) == reference
+            assert row == evaluate_delta(problem, scheme, phi, delta,
+                                         DETERMINISTIC, 1.0)
+            assert (row.alpha_star, row.bias, row.variance_term, row.error) \
+                == (alpha, *reference)
+
+
+def test_deterministic_error_with_a_non_finite_signal():
+    # f - 0 * inf is nan, not f: the dense expressions' values stand
+    b, space = compact_case([1.0, 0.5, 0.25, 0.125])
+    dense = worst_case_deterministic(concentrated_direction(space, 0), space)
+    for last in (np.inf, np.nan):
+        f = np.array([1.0, 0.5, 0.25, last])
+        with np.errstate(invalid="ignore"):
+            budget = evaluate_deterministic(spectral_cutoff(), 0.3, b, space,
+                                            f, 1e-2, concentrated_noise(space, 0))
+            reference = _dense_budget(spectral_cutoff(), 0.3, b, space, f,
+                                      1e-2, dense)
+        assert repr((budget.bias, budget.noise_term, budget.total)) == \
+            repr(reference)
+
+
+def test_spliced_sums_match_full_sums():
+    # x >= 0 with one slice replaced, at and next to the pairwise tree's
+    # splits and leaves, including slices of all or none of x
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        n = int(rng.integers(1, [300, 20000, 2**17 + 4][trial % 3]))
+        lo, hi = np.sort(rng.integers(0, n + 1, 2))
+        if trial % 4 == 3:
+            lo, hi = 0, n
+        base = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
+        base[rng.random(n) < 0.3] = 0.0
+        x = base.copy()
+        x[lo:hi] = rng.random(hi - lo) * 10.0 ** rng.integers(-8, 8, hi - lo)
+        assert analysis._spliced_sum(base, lo, x[lo:hi]) == np.sum(x)
+    part = np.arange(5.0)
+    assert analysis._spliced_sum(None, 0, part) == np.sum(part)
+
+
+def test_deterministic_sweep_evaluates_b_once(monkeypatch):
+    problem = counting_problem(200, PowerIndex(1.0))
+    calls = []
+    values_on = type(problem.b).values_on
+
+    def counted(self, space):
+        calls.append(space)
+        return values_on(self, space)
+
+    monkeypatch.setattr(type(problem.b), "values_on", counted)
+    study = sweep_deltas(problem, lavrentiev(), PowerIndex(1.0),
+                         np.geomspace(1e-2, 1e-4, 9), DETERMINISTIC, 1.0)
+    assert len(study.rows) == 9
+    assert calls == [problem.space]
+
+
+def test_failing_threaded_sweep_cancels_the_later_deltas(monkeypatch):
+    # every delta of this half-line study diverges; the first one's failure
+    # is the study's, and the deltas not yet started are not evaluated
+    b, space = power_decay_pair(1.0, 30.0, 2**10)
+    problem = MultiplicationProblem(b, space, b.values_on(space) ** 0.5)
+    args = (problem, lavrentiev(), PowerIndex(0.5))
+    deltas = [1e-2, 1e-3, 1e-4, 1e-5]
+    calls, evaluate = [], analysis.evaluate_delta
+
+    def counted(problem, scheme, phi, delta, *rest, **kwargs):
+        calls.append(delta)
+        if delta != deltas[0]:
+            time.sleep(0.05)  # the others are slower, as small deltas are
+        return evaluate(problem, scheme, phi, delta, *rest, **kwargs)
+
+    monkeypatch.setattr(analysis, "evaluate_delta", counted)
+    messages = []
+    for threads in (1, 2):
+        calls.clear()
+        with pytest.raises(DivergentProfile) as failure:
+            sweep_deltas(*args, deltas, WHITE, 1.0, n_reps=4, threads=threads)
+        messages.append(str(failure.value))
+        assert deltas[0] in calls and len(calls) < len(deltas)
+    assert messages[0] == messages[1]
+
+
 def test_fit_loglog_slope():
     x = np.geomspace(1e-6, 1e-2, 9)
     assert fit_loglog_slope(x, 3.0 * x**0.5) == pytest.approx(0.5, rel=1e-9)
@@ -690,3 +814,20 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_check_scheme_loads_neither_thread_pool_nor_random():
+    # a CLI call pays for concurrent.futures only at threads > 1, and for
+    # numpy.random only when it draws white noise
+    root = Path(__file__).resolve().parents[1]
+    config = root / "configs" / "white_counting.yaml"
+    code = ("import contextlib, io, sys, multreg.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = multreg.cli.main(['check-scheme', '--config', {str(config)!r}])\n"
+            "print(code, sorted(m for m in ('concurrent.futures', 'numpy.random')"
+            " if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "[]"]

@@ -4,6 +4,7 @@ import pytest
 from multreg import (MeasureSpace, NoiseStreams, WhiteNoiseSampler,
                      ZeroDirection, concentrated_direction, sample_white,
                      spectral_cutoff, worst_case_deterministic)
+from multreg.noise import concentrated_noise
 from multreg.analysis import STREAM_STRIDE
 from multreg.gallery import compact_case
 
@@ -115,6 +116,25 @@ def test_worst_case_normalization():
 def test_worst_case_zero_direction():
     with pytest.raises(ZeroDirection):
         worst_case_deterministic(np.zeros(4), MeasureSpace.counting(4))
+
+
+def test_concentrated_noise_is_the_dense_noise_on_its_node():
+    space = MeasureSpace.interval_graded(1.0, 40)
+    for index in range(space.nodes.size):
+        dense = worst_case_deterministic(concentrated_direction(space, index),
+                                         space)
+        noise = concentrated_noise(space, index)
+        assert np.flatnonzero(dense.values).tolist() == [index]
+        assert noise.values.tolist() == [dense.values[index]]
+        assert noise.norm == dense.norm
+        assert noise.support == slice(index, index + 1)
+    assert concentrated_noise(space, -1).support == slice(39, 40)
+    weights = np.array([1.0, 0.0, 2.0])
+    holey = MeasureSpace("lebesgue_interval", np.arange(3.0), weights)
+    with pytest.raises(ZeroDirection):
+        concentrated_noise(holey, 1)
+    with pytest.raises(ZeroDirection):
+        concentrated_direction(holey, 1)
 
 
 def test_concentrated_direction_attains_filter_sup():

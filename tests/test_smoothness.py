@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,15 @@ def test_power_index_basics():
     assert phi(0.5) == 0.25
     assert phi.inverse(0.25) == pytest.approx(0.5)
     validate_index_function(phi)
+
+
+def test_log_power_at_subnormal_t_warns_nothing():
+    # 1 / 5e-324 overflows to inf; log(inf) ** -beta is 0, as is the limit
+    phi = LogPowerIndex(1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert phi(5e-324) == 0.0
+        assert phi(np.array([5e-324, 1e-3])).tolist() == [0.0, phi(1e-3)]
 
 
 def test_log_power_index_monotone():
