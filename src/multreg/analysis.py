@@ -67,6 +67,8 @@ def _variance_sum(scheme, alpha, weights, vals):
 
 #: truncation radii, relative to the space's, of the divergence check
 _EXTENSIONS = (2.0, 4.0)
+#: relative growth per doubling of the radius that the divergence check flags
+_GROWTH_THRESHOLD = 0.01
 
 
 def _extended_grid(b: Multiplier, space: MeasureSpace, factor: float) -> tuple:
@@ -76,13 +78,12 @@ def _extended_grid(b: Multiplier, space: MeasureSpace, factor: float) -> tuple:
 
 
 def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
-                      space: MeasureSpace, growth_threshold: float = 0.01,
-                      *, _extended=None) -> VarianceValue:
+                      space: MeasureSpace, *, _extended=None) -> VarianceValue:
     """Integral of |phi(alpha, b)|^2 dmu, with divergence detection.
 
     Finite-measure and counting spaces are plain weighted sums.  On
     truncated half-line/line spaces the sum is re-evaluated at radii R, 2R
-    and 4R; if it grows by more than ``growth_threshold`` twice in a row
+    and 4R; if it grows by more than 1% twice in a row
     and the per-measure growth density does not decay, the integral is
     declared Divergent (carrying the three values as diagnosis).  The 2R
     and 4R grids are built one at a time, unless the caller passes them
@@ -110,8 +111,8 @@ def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
             sums.append(_variance_sum(scheme, alpha, weights, values))
             measures.append(measure)
         g1, g2 = sums[1] - sums[0], sums[2] - sums[1]
-        grew_twice = (sums[1] > sums[0] * (1 + growth_threshold)
-                      and sums[2] > sums[1] * (1 + growth_threshold))
+        grew_twice = (sums[1] > sums[0] * (1 + _GROWTH_THRESHOLD)
+                      and sums[2] > sums[1] * (1 + _GROWTH_THRESHOLD))
         if grew_twice:
             dens1 = g1 / (measures[1] - measures[0])
             dens2 = g2 / (measures[2] - measures[1])
@@ -266,13 +267,14 @@ def choose_alpha_deterministic(phi: IndexFunction, delta: float,
 
 
 def choose_alpha_white(phi: IndexFunction, profile: IllposednessProfile,
-                       delta: float, bracket=(1e-12, None)) -> float:
-    """A-priori choice under white noise: solve phi(alpha) = delta * D(alpha)."""
+                       delta: float) -> float:
+    """A-priori choice under white noise: solve phi(alpha) = delta * D(alpha)
+    on (1e-12, the profile's largest alpha]."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    hi = bracket[1] if bracket[1] is not None else float(profile.alpha_grid[-1])
     return _solve_monotone(lambda a: float(phi(a)) / profile.d_at(a), delta,
-                           (bracket[0], hi), phi, "phi(alpha) / D(alpha)")
+                           (1e-12, float(profile.alpha_grid[-1])), phi,
+                           "phi(alpha) / D(alpha)")
 
 
 def deterministic_error_bound(c_phi: float, c_minus1: float, phi: IndexFunction,
@@ -594,10 +596,10 @@ class RateStudyResult:
         return sum(r.violated for r in self.rows)
 
 
-def fit_loglog_slope(xs, ys, trim_fraction: float = 0.1) -> float | None:
+def fit_loglog_slope(xs, ys) -> float | None:
     """Least-squares slope of log y against log x on the middle points.
 
-    Trims ceil(trim_fraction * n) points from each end (endpoint
+    Trims ceil(0.1 * n) points from each end (endpoint
     transients); returns None if fewer than two points remain or any value
     is nonpositive.
     """
@@ -606,7 +608,7 @@ def fit_loglog_slope(xs, ys, trim_fraction: float = 0.1) -> float | None:
     order = np.argsort(xs)
     xs, ys = xs[order], ys[order]
     n = xs.size
-    k = int(np.ceil(n * trim_fraction))
+    k = int(np.ceil(n * 0.1))
     if n - 2 * k < 2:
         k = 0
     xs, ys = xs[k:n - k], ys[k:n - k]
@@ -692,8 +694,7 @@ def _cancel_if_failed(later: list, future) -> None:
 
 def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
                  phi: IndexFunction, deltas, mode: str, c_phi: float,
-                 n_reps: int = 1, seed: int = 0,
-                 profile: IllposednessProfile | None = None, threads: int = 1,
+                 n_reps: int = 1, seed: int = 0, threads: int = 1,
                  distribution: str = GAUSSIAN) -> RateStudyResult:
     """One ``evaluate_delta`` row per delta, in order, and the fitted slopes.
 
@@ -711,10 +712,9 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
     truncations that ``variance_integral`` checks for divergence.
     """
     b, space = problem.b, problem.space
-    per_sweep = None
+    per_sweep = profile = None
     if mode == WHITE:
-        if profile is None:
-            profile = effective_illposedness(b, space)
+        profile = effective_illposedness(b, space)
         if b.evaluable and space.kind in (LEBESGUE_HALFLINE, LEBESGUE_LINE):
             per_sweep = tuple(_extended_grid(b, space, factor)
                               for factor in _EXTENSIONS)

@@ -45,13 +45,12 @@ class DeconvolutionProblem:
 
     ``kernel`` is "exponential" (r(u) = exp(-|u|)/2, symbol 1/(1+s^2)) or
     "gaussian" (unit-mass Gaussian of width ``sigma``, symbol
-    exp(-sigma^2 s^2 / 2)).  ``signal`` holds the true x on the grid.
+    exp(-sigma^2 s^2 / 2)).
     """
 
     kernel: str
     half_width: float
     n: int
-    signal: np.ndarray | None = None
     sigma: float = 1.0
     signal_space: MeasureSpace = field(init=False)
     freq_space: MeasureSpace = field(init=False)
@@ -81,11 +80,6 @@ class DeconvolutionProblem:
         object.__setattr__(self, "signal_space", sig_space)
         object.__setattr__(self, "freq_space", freq_space)
         object.__setattr__(self, "multiplier", mult)
-        if self.signal is not None:
-            x = np.asarray(self.signal, float)
-            if x.shape != t.shape:
-                raise ValueError("signal not aligned with the grid")
-            object.__setattr__(self, "signal", x)
 
     # FFT bookkeeping: t_j = -L + j*dt, s_k = pi*k/L, so
     # sum_j y_j exp(-i s_k t_j) = (-1)^k FFT[y]_k.
@@ -109,17 +103,17 @@ def to_frequency(problem: DeconvolutionProblem, y) -> np.ndarray:
     return np.fft.fftshift(spec)
 
 
-def from_frequency(problem: DeconvolutionProblem, u, imag_tol: float = 1e-8) -> np.ndarray:
+def from_frequency(problem: DeconvolutionProblem, u) -> np.ndarray:
     """Inverse of :func:`to_frequency`, returning a real signal.
 
-    The imaginary part must be negligible relative to the signal norm
-    (real data stays real through real filters).
+    The imaginary part must stay below 1e-8 of the largest modulus (real
+    data stays real through real filters).
     """
     dt = 2.0 * problem.half_width / problem.n
     spec = np.fft.ifftshift(np.asarray(u)) * _SQRT2PI / (dt * problem._phase())
     y = np.fft.ifft(spec)
     scale = np.max(np.abs(y)) + 1e-300
-    if np.max(np.abs(y.imag)) > imag_tol * scale:
+    if np.max(np.abs(y.imag)) > 1e-8 * scale:
         raise ValueError("inverse transform produced a non-real signal")
     return y.real
 
@@ -236,17 +230,15 @@ def source_element_vector(name: str, n: int) -> np.ndarray:
 
 
 def counting_problem(n_max: int, phi: IndexFunction,
-                     element: str = "inverse_sqrt",
-                     b_values=None, normalize: bool = True) -> MultiplicationProblem:
-    """l2 problem with b_j = 1/j (or given values) and f = phi(b) v.
+                     element: str = "inverse_sqrt") -> MultiplicationProblem:
+    """l2 problem with b_j = 1/j and f = phi(b) v.
 
-    The source element v is normalized to unit weighted norm by default,
-    so the solution sits exactly on the boundary of the source set.
+    The source element v is normalized to unit weighted norm, so the
+    solution sits exactly on the boundary of the source set.
     """
-    b, space = compact_case(b_values, n_max)
+    b, space = compact_case(None, n_max)
     v = source_element_vector(element, n_max)
-    if normalize:
-        v = v / space.norm(v)
+    v = v / space.norm(v)
     f = source_function(v, b, space, phi)
     return MultiplicationProblem(b=b, space=space, f_true=f,
                                  name=f"counting[{element}]",

@@ -75,7 +75,7 @@ class PowerIndex(IndexFunction):
     """phi(t) = t**nu."""
 
     nu: float
-    name: str = "power"
+    name = "power"
 
     def __post_init__(self):
         if self.nu <= 0:
@@ -95,7 +95,7 @@ class LogPowerIndex(IndexFunction):
     nu: float
     beta: float
     t_max: float = 0.5
-    name: str = "log_power"
+    name = "log_power"
 
     def __post_init__(self):
         if self.nu <= 0 or not (0 < self.t_max < 1):
@@ -106,9 +106,12 @@ class LogPowerIndex(IndexFunction):
         object.__setattr__(self, "domain", (0.0, self.t_max))
 
     def _eval(self, t):
-        # at subnormal t, 1/t overflows to inf and log(inf) ** -beta is 0
-        with np.errstate(divide="ignore", over="ignore"):
-            return t ** self.nu * np.log(1.0 / t) ** (-self.beta)
+        # at subnormal t, 1/t overflows to inf: take log(1/t) as -log(t) there
+        # only, so that t**nu = 0 times an infinite log power is not nan
+        with np.errstate(over="ignore"):
+            inv = 1.0 / t
+            log_inv = np.where(np.isinf(inv), -np.log(t), np.log(inv))
+            return t ** self.nu * log_inv ** (-self.beta)
 
 
 class TableIndex(IndexFunction):
@@ -159,15 +162,15 @@ class _PowerOf(IndexFunction):
         return self._base.inverse(float(y) ** (1.0 / self._p))
 
 
-def validate_index_function(phi: IndexFunction, n_probes: int = 12) -> None:
-    """Check strict increase and phi(t) -> 0 on probe points 10**(-k).
+def validate_index_function(phi: IndexFunction) -> None:
+    """Check strict increase and phi(t) -> 0 on probe points 10**(-k), k < 12.
 
     Probes are clipped to the declared domain; raises PreconditionFailed
     on violation.
     """
     lo, hi = phi.domain
     top = min(hi, 1.0)
-    probes = np.array([top * 10.0 ** (-k) for k in range(n_probes)])
+    probes = np.array([top * 10.0 ** (-k) for k in range(12)])
     probes = probes[probes > lo]
     if probes.size < 3:
         raise PreconditionFailed(f"{phi.name}: domain too small to probe")

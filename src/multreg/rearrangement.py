@@ -21,6 +21,9 @@ from .spaces import LEBESGUE_HALFLINE, MeasureSpace
 DECREASING = "decreasing"
 INCREASING = "increasing"
 
+#: relative tolerance of the rearrangement comparisons in truncated_shift_check
+_SHIFT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Rearrangement:
@@ -191,16 +194,15 @@ def _domination_constant(pieces, k: int, taus: np.ndarray) -> float:
     return worst
 
 
-def piecewise_rearrangement_bounds(b: PiecewiseMonotone, n_grid: int = 2**14,
-                                   n_probe: int = 64,
-                                   stability_factor: float = 1.10) -> PiecewiseBounds:
+def piecewise_rearrangement_bounds(b: PiecewiseMonotone) -> PiecewiseBounds:
     """Bracket b^* between b_k and b_k(s / (C m)) near zero.
 
     The dominating piece k is the declared one or the candidate whose
     inverse yields the smallest domination constant over a log-spaced
-    probe window; the constant must be stable when the window shrinks,
-    otherwise DominationNotDetected is raised.  The returned ``window`` is
-    the empirically verified prefix (0, s_max].
+    window of 64 probes; the constant may grow by at most 10% when the
+    window shrinks 16-fold, otherwise DominationNotDetected is raised.
+    The returned ``window`` is the prefix (0, s_max] verified against the
+    numeric rearrangement on 2^14 nodes.
     """
     if not isinstance(b, PiecewiseMonotone):
         raise TypeError("piecewise_rearrangement_bounds needs a piecewise_monotone multiplier")
@@ -208,7 +210,7 @@ def piecewise_rearrangement_bounds(b: PiecewiseMonotone, n_grid: int = 2**14,
     m = len(pieces)
     tau_top = 0.5 * min(min(p.edge_value() for p in pieces),
                         b.background.essential_infimum)
-    taus = np.geomspace(tau_top * 1e-6, tau_top, n_probe)
+    taus = np.geomspace(tau_top * 1e-6, tau_top, 64)
     taus_small = taus / 16.0
 
     if b.declared_dominant is not None:
@@ -220,7 +222,7 @@ def piecewise_rearrangement_bounds(b: PiecewiseMonotone, n_grid: int = 2**14,
         k = int(np.argmin(khats))
     c_base = _domination_constant(pieces, k, taus)
     c_small = _domination_constant(pieces, k, taus_small)
-    if c_small > c_base * stability_factor + 1e-12:
+    if c_small > c_base * 1.10 + 1e-12:
         raise DominationNotDetected(
             f"piece {k}: domination constant grows from {c_base:.4g} to "
             f"{c_small:.4g} as the probe window shrinks"
@@ -232,7 +234,7 @@ def piecewise_rearrangement_bounds(b: PiecewiseMonotone, n_grid: int = 2**14,
     lower = _ScaledArgument(prof_k, 1.0 / (C * m), name=f"{prof_k.name}(s/(C*m))")
 
     # verify against the numeric increasing rearrangement
-    space = MeasureSpace.interval(0.0, b.hi, n_grid)
+    space = MeasureSpace.interval(0.0, b.hi, 2**14)
     star = increasing_rearrangement(b, space)
     h = space.max_weight
     s_max = prof_k.inverse(tau_top)
@@ -258,13 +260,12 @@ def piecewise_rearrangement_bounds(b: PiecewiseMonotone, n_grid: int = 2**14,
                            dominant_index=k, window=float(s_max))
 
 
-def truncated_shift_check(b: Multiplier, space: MeasureSpace, M: float,
-                          tol: float = 1e-9) -> bool:
+def truncated_shift_check(b: Multiplier, space: MeasureSpace, M: float) -> bool:
     """Check (b_M)_* = (b~_M)_* <= b_* for the truncation at level M.
 
     b~_M kills b on [0, M]; b_M shifts the remainder back to the origin.
     Both rearrangements must agree on the shared domain and stay below
-    the rearrangement of b itself.
+    the rearrangement of b itself, to a relative tolerance of 1e-9.
     """
     if space.kind != LEBESGUE_HALFLINE:
         raise ValueError("truncated_shift_check is defined on half-line spaces")
@@ -291,8 +292,8 @@ def truncated_shift_check(b: Multiplier, space: MeasureSpace, M: float,
     ts = 0.5 * (r_shift.knots[:-1] + r_shift.knots[1:])
     a = r_shift(ts)
     scale = 1.0 + np.abs(a)
-    if np.any(np.abs(r_tilde(ts) - a) > tol * scale):
+    if np.any(np.abs(r_tilde(ts) - a) > _SHIFT_TOL * scale):
         return False
-    if np.any(a > r_full(ts) * (1 + tol) + tol):
+    if np.any(a > r_full(ts) * (1 + _SHIFT_TOL) + _SHIFT_TOL):
         return False
     return True

@@ -71,6 +71,9 @@ def _to_json(obj) -> str:
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    # a new file, not a truncated one: ext4 forces a truncated file's data
+    # to disk when it is closed, which made reruns into one directory slow
+    path.unlink(missing_ok=True)
     path.write_text(text, encoding="ascii", newline="\n")
 
 

@@ -134,14 +134,6 @@ def scheme_by_name(name: str) -> Scheme:
         raise ValueError(f"unknown scheme '{name}'") from None
 
 
-def default_axiom_grids(t_max: float = 1.0):
-    # the limit check at alpha = 2^-30 with tolerance 1e-3 needs t not too
-    # small: slower families (Lavrentiev, Tikhonov) honestly fail below ~1e-3
-    alpha_grid = np.logspace(-8, 0, 25)
-    t_grid = np.logspace(-3, np.log10(t_max), 25)
-    return alpha_grid, t_grid
-
-
 def certify_axioms(scheme: Scheme, alpha_grid=None, t_grid=None,
                    raise_on_failure: bool = False) -> bool:
     """Grid check of the three defining properties.
@@ -151,9 +143,12 @@ def certify_axioms(scheme: Scheme, alpha_grid=None, t_grid=None,
     (II) |phi(alpha, t)| <= c_minus1 / alpha on the grid;
     (III)|residual(alpha, t)| <= c_0 on the grid.
     """
-    a_def, t_def = default_axiom_grids()
-    alpha_grid = np.asarray(a_def if alpha_grid is None else alpha_grid, float)
-    t_grid = np.asarray(t_def if t_grid is None else t_grid, float)
+    alpha_grid = np.asarray(np.logspace(-8, 0, 25) if alpha_grid is None
+                            else alpha_grid, float)
+    # the limit check at alpha = 2^-30 with tolerance 1e-3 needs t not too
+    # small: slower families (Lavrentiev, Tikhonov) honestly fail below ~1e-3
+    t_grid = np.asarray(np.logspace(-3, 0, 25) if t_grid is None else t_grid,
+                        float)
     if alpha_grid.size == 0 or t_grid.size == 0 or np.any(alpha_grid <= 0) \
             or np.any(t_grid <= 0):
         raise ValueError("grids must be nonempty and positive")
@@ -213,31 +208,23 @@ def _cphi_estimate(scheme, phi, alphas, ts) -> float:
     return best
 
 
-def default_qualification_grids(t_max: float = 1.0):
-    alpha_grid = np.logspace(-6, 0, 49)
-    t_grid = np.logspace(-8, np.log10(t_max), 512)
-    return alpha_grid, t_grid
-
-
 def certify_qualification(scheme: Scheme, phi: IndexFunction,
-                          alpha_grid=None, t_grid=None,
-                          stability_factor: float = 1.1,
                           parent_certificate: "QualificationCertificate | None" = None,
                           ) -> QualificationCertificate:
     """Estimate C_phi = sup_alpha sup_t |R_alpha(t)| phi(t) / phi(alpha).
 
-    The estimate is recomputed on a refined grid (doubled density, alpha
-    extended a decade down, t a decade up); the certificate passes iff the
-    two estimates agree within ``stability_factor``.  Schemes whose true
-    supremum diverges (e.g. Lavrentiev with phi(t) = t^1.5) blow up under
-    this extension and fail.
+    The estimate is taken on alpha in [1e-6, 1] (49 points) and t in
+    [1e-8, 1] (512 points), then recomputed on a refined grid (doubled
+    density, alpha extended a decade down, t a decade up); the certificate
+    passes iff the refined estimate is at most 1.1 times the first.
+    Schemes whose true supremum diverges (e.g. Lavrentiev with
+    phi(t) = t^1.5) blow up under this extension and fail.
 
     For a truncated scheme, pass the parent's certificate to additionally
     assert C_phi <= max(parent C_phi, C_0).
     """
-    a_def, t_def = default_qualification_grids()
-    alpha_grid = np.asarray(a_def if alpha_grid is None else alpha_grid, float)
-    t_grid = np.asarray(t_def if t_grid is None else t_grid, float)
+    alpha_grid = np.logspace(-6, 0, 49)
+    t_grid = np.logspace(-8, 0, 512)
 
     # clamp the alpha range into phi's validity window
     lo, hi = phi.domain
@@ -255,7 +242,7 @@ def certify_qualification(scheme: Scheme, phi: IndexFunction,
     refined = _cphi_estimate(scheme, phi, alpha_fine, t_fine)
 
     passed = bool(np.isfinite(base) and np.isfinite(refined) and base > 0
-                  and refined <= stability_factor * base + 1e-12)
+                  and refined <= 1.1 * base + 1e-12)
     c_phi = max(base, refined)
     if passed and parent_certificate is not None:
         limit = max(parent_certificate.c_phi, scheme.c_0)

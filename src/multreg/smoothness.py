@@ -20,7 +20,7 @@ from .rearrangement import distribution_function, vanishes_at_infinity
 from .spaces import MeasureSpace
 
 #: acceptance band for two-sided "comparable" checks: ratios within [1/K, K]
-DEFAULT_RATIO_BAND = 10.0
+_RATIO_BAND = 10.0
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,8 @@ class SourceCondition:
     achieved_norm: float
 
 
-def phi_star(b: Multiplier, space: MeasureSpace, n_table: int = 256,
-             ratio_band: float = DEFAULT_RATIO_BAND) -> TableIndex:
-    """Tabulate t -> 1 / d_b(t) on [t_min, sup/2] as an index function.
+def phi_star(b: Multiplier, space: MeasureSpace) -> TableIndex:
+    """Tabulate t -> 1 / d_b(t) on 256 log-spaced levels in [t_min, sup/2].
 
     Hypotheses checked numerically: the space is of infinite kind, b
     vanishes at infinity, b stays positive on the inner region, the
@@ -69,10 +68,10 @@ def phi_star(b: Multiplier, space: MeasureSpace, n_table: int = 256,
     probe_idx = probe_idx[vals[probe_idx] > 0]
     t_min = float(np.min(vals[vals > 0]))
     t_max = 0.5 * b.sup_bound
-    ts = np.geomspace(t_min, t_max, n_table) if t_min < t_max else np.empty(0)
+    ts = np.geomspace(t_min, t_max, 256) if t_min < t_max else np.empty(0)
     d = distribution_function(b, space, np.concatenate((vals[probe_idx], ts)))
     ratios = d[:probe_idx.size] / abs_s[probe_idx]
-    bad = ~((1.0 / ratio_band <= ratios) & (ratios <= ratio_band))
+    bad = ~((1.0 / _RATIO_BAND <= ratios) & (ratios <= _RATIO_BAND))
     if np.any(bad):
         i = int(np.argmax(bad))
         raise PreconditionFailed(
@@ -98,7 +97,7 @@ def phi_star(b: Multiplier, space: MeasureSpace, n_table: int = 256,
     usable = half & (vals >= table.ts[0]) & (vals <= table.ts[-1]) & (vals > 0)
     if np.sum(usable) >= 2:
         ratios = abs_s[usable] * np.asarray(table(vals[usable]))
-        if np.max(ratios) > ratio_band * np.min(ratios):
+        if np.max(ratios) > _RATIO_BAND * np.min(ratios):
             raise PreconditionFailed(
                 "phi*(b(s)) is not comparable to 1/|s| on the outer half"
             )
@@ -151,15 +150,15 @@ def sobolev_norm(f, space: MeasureSpace, p: float) -> float:
 
 
 def sobolev_equivalence_check(b: Multiplier, space: MeasureSpace, p: float = 1.0,
-                              phi: TableIndex | None = None,
-                              growth_tol: float = 0.25) -> tuple[float, float]:
+                              phi: TableIndex | None = None) -> tuple[float, float]:
     """Empirical band c <= (1 + |s|^2) phi*(b(s))^2 <= C on the outer region.
 
     Membership in the Sobolev class of order p is equivalent to a source
     condition with respect to (a multiple of) phi*^p; the band constants,
     raised to the power p, convert between the two norms.  When the
     multiplier is evaluable the check is repeated on a space with doubled
-    truncation radius and raises UnboundedRatio if the band keeps growing.
+    truncation radius and raises UnboundedRatio if the band's top grows
+    by more than 25%.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -170,7 +169,7 @@ def sobolev_equivalence_check(b: Multiplier, space: MeasureSpace, p: float = 1.0
         # same fixed phi on a domain twice as large: the band must stay put
         wide = space.extended(2.0)
         band_wide = _band(b, wide, phi)
-        if band_wide[1] > band[1] * (1 + growth_tol) + 1e-12:
+        if band_wide[1] > band[1] * 1.25 + 1e-12:
             raise UnboundedRatio(
                 f"sup ratio grew from {band[1]:.4g} to {band_wide[1]:.4g} "
                 "under grid extension"

@@ -256,6 +256,26 @@ def test_cli_run_and_reproducibility(tmp_path):
         (tmp_path / "c" / "rows.csv").read_bytes()
 
 
+def test_rerun_writes_new_files_and_leaves_hard_links_alone(tmp_path):
+    path = write_config(tmp_path, WHITE_STUDY)
+    out, links = tmp_path / "out", tmp_path / "links"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    links.mkdir()
+    old = {}
+    for name in ("rows.csv", "report.json"):
+        (links / name).hardlink_to(out / name)
+        old[name] = (out / name).read_bytes()
+    # the same study with another seed, into the same directory and a new one
+    for target in (out, tmp_path / "fresh"):
+        assert main(["run", "--config", str(path), "--out", str(target),
+                     "--seed", "123"]) == 0
+    for name in ("rows.csv", "report.json"):
+        new = (tmp_path / "fresh" / name).read_bytes()
+        assert new != old[name]
+        assert (links / name).read_bytes() == old[name]
+        assert (out / name).read_bytes() == new
+
+
 def test_cli_threads_do_not_change_output(tmp_path):
     path = write_config(tmp_path, WHITE_STUDY)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "s")]) == 0

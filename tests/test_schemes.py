@@ -125,3 +125,9 @@ def test_truncated_qualification_constant():
 def test_qualification_string_rendering():
     cert = certify_qualification(spectral_cutoff(), PowerIndex(1.0))
     assert "passed" in str(cert)
+
+
+def test_qualification_grids_are_fixed():
+    cert = certify_qualification(spectral_cutoff(), PowerIndex(1.0))
+    assert np.array_equal(cert.t_grid, np.logspace(-8, 0, 512))
+    assert np.array_equal(cert.alpha_grid, np.logspace(-6, 0, 49))
