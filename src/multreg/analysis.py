@@ -83,7 +83,7 @@ def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
 
     Finite-measure and counting spaces are plain weighted sums.  On
     truncated half-line/line spaces the sum is re-evaluated at radii R, 2R
-    and 4R; if it grows by more than 1% twice in a row
+    and 4R; if it grows by more than ``_GROWTH_THRESHOLD`` twice in a row
     and the per-measure growth density does not decay, the integral is
     declared Divergent (carrying the three values as diagnosis).  The 2R
     and 4R grids are built one at a time, unless the caller passes them
@@ -269,7 +269,7 @@ def choose_alpha_deterministic(phi: IndexFunction, delta: float,
 def choose_alpha_white(phi: IndexFunction, profile: IllposednessProfile,
                        delta: float) -> float:
     """A-priori choice under white noise: solve phi(alpha) = delta * D(alpha)
-    on (1e-12, the profile's largest alpha]."""
+    for alpha up to the profile's largest."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     return _solve_monotone(lambda a: float(phi(a)) / profile.d_at(a), delta,
@@ -599,7 +599,7 @@ class RateStudyResult:
 def fit_loglog_slope(xs, ys) -> float | None:
     """Least-squares slope of log y against log x on the middle points.
 
-    Trims ceil(0.1 * n) points from each end (endpoint
+    Trims a tenth of the points, rounded up, from each end (endpoint
     transients); returns None if fewer than two points remain or any value
     is nonpositive.
     """

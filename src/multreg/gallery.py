@@ -106,8 +106,8 @@ def to_frequency(problem: DeconvolutionProblem, y) -> np.ndarray:
 def from_frequency(problem: DeconvolutionProblem, u) -> np.ndarray:
     """Inverse of :func:`to_frequency`, returning a real signal.
 
-    The imaginary part must stay below 1e-8 of the largest modulus (real
-    data stays real through real filters).
+    The imaginary part must be negligible relative to the largest modulus
+    (real data stays real through real filters).
     """
     dt = 2.0 * problem.half_width / problem.n
     spec = np.fft.ifftshift(np.asarray(u)) * _SQRT2PI / (dt * problem._phase())
@@ -240,6 +240,8 @@ def counting_problem(n_max: int, phi: IndexFunction,
     v = source_element_vector(element, n_max)
     v = v / space.norm(v)
     f = source_function(v, b, space, phi)
+    # ||v|| is 1 only up to rounding (at n_max = 2, 3, 5, ...), so the
+    # bounds take the computed norm
     return MultiplicationProblem(b=b, space=space, f_true=f,
                                  name=f"counting[{element}]",
                                  source_scale=float(space.norm(v)), phi=phi)

@@ -199,10 +199,9 @@ def piecewise_rearrangement_bounds(b: PiecewiseMonotone) -> PiecewiseBounds:
 
     The dominating piece k is the declared one or the candidate whose
     inverse yields the smallest domination constant over a log-spaced
-    window of 64 probes; the constant may grow by at most 10% when the
-    window shrinks 16-fold, otherwise DominationNotDetected is raised.
-    The returned ``window`` is the prefix (0, s_max] verified against the
-    numeric rearrangement on 2^14 nodes.
+    probe window; the constant must be stable when the window shrinks,
+    otherwise DominationNotDetected is raised.  The returned ``window`` is
+    the empirically verified prefix (0, s_max].
     """
     if not isinstance(b, PiecewiseMonotone):
         raise TypeError("piecewise_rearrangement_bounds needs a piecewise_monotone multiplier")
@@ -265,7 +264,7 @@ def truncated_shift_check(b: Multiplier, space: MeasureSpace, M: float) -> bool:
 
     b~_M kills b on [0, M]; b_M shifts the remainder back to the origin.
     Both rearrangements must agree on the shared domain and stay below
-    the rearrangement of b itself, to a relative tolerance of 1e-9.
+    the rearrangement of b itself, to the relative tolerance ``_SHIFT_TOL``.
     """
     if space.kind != LEBESGUE_HALFLINE:
         raise ValueError("truncated_shift_check is defined on half-line spaces")

@@ -73,7 +73,10 @@ def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # a new file, not a truncated one: ext4 forces a truncated file's data
     # to disk when it is closed, which made reruns into one directory slow
-    path.unlink(missing_ok=True)
+    try:
+        path.unlink(missing_ok=True)
+    except PermissionError:  # the directory is read-only: rewrite in place
+        pass
     path.write_text(text, encoding="ascii", newline="\n")
 
 

@@ -34,7 +34,7 @@ class SourceCondition:
 
 
 def phi_star(b: Multiplier, space: MeasureSpace) -> TableIndex:
-    """Tabulate t -> 1 / d_b(t) on 256 log-spaced levels in [t_min, sup/2].
+    """Tabulate t -> 1 / d_b(t) on log-spaced levels in [t_min, sup/2].
 
     Hypotheses checked numerically: the space is of infinite kind, b
     vanishes at infinity, b stays positive on the inner region, the
@@ -157,8 +157,7 @@ def sobolev_equivalence_check(b: Multiplier, space: MeasureSpace, p: float = 1.0
     condition with respect to (a multiple of) phi*^p; the band constants,
     raised to the power p, convert between the two norms.  When the
     multiplier is evaluable the check is repeated on a space with doubled
-    truncation radius and raises UnboundedRatio if the band's top grows
-    by more than 25%.
+    truncation radius and raises UnboundedRatio if the band keeps growing.
     """
     if p <= 0:
         raise ValueError("p must be positive")

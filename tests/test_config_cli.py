@@ -276,6 +276,18 @@ def test_rerun_writes_new_files_and_leaves_hard_links_alone(tmp_path):
         assert (out / name).read_bytes() == new
 
 
+def test_rewrite_in_place_where_the_file_cannot_be_removed(tmp_path, monkeypatch):
+    path = tmp_path / "rows.csv"
+    multreg.runner.write_table(path, ["x"], [[1.0]])
+
+    def refuse(self, missing_ok=False):
+        raise PermissionError(str(self))
+
+    monkeypatch.setattr(Path, "unlink", refuse)
+    multreg.runner.write_table(path, ["x"], [[2.0]])
+    assert path.read_text() == "x\n" + multreg.runner.fmt(2.0) + "\n"
+
+
 def test_cli_threads_do_not_change_output(tmp_path):
     path = write_config(tmp_path, WHITE_STUDY)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
