@@ -364,10 +364,12 @@ def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
     the noise adds +0.0, which at most flips the sign of a zero.  Where
     the filter is zero the residual is exactly 1 (1 - t * 0, or the
     cut-off and truncated forms), so with a finite signal both squared
-    terms are w f^2 outside the span.  The norms are summed in numpy's
-    pairwise order (``_spliced_sum``), so they equal those of the dense
-    expressions f - phi (vals f + delta noise) and R(b) f bit for bit,
-    for finite filter values.
+    terms are w f^2 outside the span.  One length-n buffer holds w f^2
+    off the span; each term is computed into it on the span and squared
+    and weighted in place.  The buffer is then the dense w x^2 array, so
+    the norms equal those of the dense expressions
+    f - phi (vals f + delta noise) and R(b) f bit for bit, for finite
+    filter values.
     """
     f = np.asarray(f, float)
     if _filtered is None:
@@ -379,18 +381,26 @@ def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
     lo, hi = _nonzero_span(phi_v) if data.finite else (0, n)
     lo, hi = min(lo, first), max(hi, stop)
     span = slice(lo, hi)
-    err = f[span] - phi_v[span] * data.signal[span]
-    err[first - lo:stop - lo] = \
-        f[on] - phi_v[on] * (data.signal[on] + delta * noise.values)
-    res_f = scheme.residual(alpha, data.vals[span]) * f[span]
     w = space.weights
-    f_sq = w * (f * f) if hi - lo < n else None
-    # space.norm, with w f^2 outside the span
-    total, bias_ = (float(np.sqrt(_spliced_sum(f_sq, lo, w[span] * (x * x))))
-                    for x in (err, res_f))
+    w_sq = np.empty(n)  # space.norm's w * (x * x) of the dense x
+    for off in (slice(None, lo), slice(hi, None)):
+        np.multiply(f[off], f[off], out=w_sq[off])
+        w_sq[off] *= w[off]
+    x = w_sq[span]  # each term on the span, then its w x^2
+
+    def norm():
+        np.multiply(w[span], np.multiply(x, x, out=x), out=x)
+        return float(np.sqrt(np.sum(w_sq)))
+
+    np.multiply(scheme.residual(alpha, data.vals[span]), f[span], out=x)
+    bias_ = norm()
+    np.subtract(f[span], np.multiply(phi_v[span], data.signal[span], out=x),
+                out=x)
+    x[first - lo:stop - lo] = \
+        f[on] - phi_v[on] * (data.signal[on] + delta * noise.values)
     return ErrorBudget(bias=bias_,
                        noise_term=delta * space.norm(phi_v[on] * noise.values, on),
-                       total=total)
+                       total=norm())
 
 
 #: values per Monte Carlo block: max(1, BLOCK // n) replications at a time
@@ -400,11 +410,6 @@ BLOCK = 8192
 #: 1993): more than this many values split at n2 = n//2 - (n//2) % 8, fewer
 #: are one leaf summed by eight accumulators
 _PAIRWISE_LEAF = 128
-
-
-def _pairwise_half(size: int) -> int:
-    """Where numpy's pairwise sum splits ``size > _PAIRWISE_LEAF`` values."""
-    return size // 2 - (size // 2) % 8
 
 
 def _pairwise_spine(n: int, k: int) -> tuple:
@@ -420,39 +425,12 @@ def _pairwise_spine(n: int, k: int) -> tuple:
     """
     size, siblings = n, []
     while size > _PAIRWISE_LEAF:
-        half = _pairwise_half(size)
+        half = size // 2 - (size // 2) % 8
         if half < k:
             break
         siblings.append((half, size))
         size = half
     return size, siblings[::-1]
-
-
-def _spliced_sum(base: np.ndarray | None, lo: int, part: np.ndarray,
-                 a: int = 0, b: int | None = None):
-    """``np.sum(x)`` bit for bit, x >= +0.0 being ``base`` with
-    ``x[lo:lo + part.size]`` replaced by ``part``; with ``a``, ``b``, the
-    value of the node ``x[a:b]`` of numpy's pairwise tree over x.
-
-    The tree is followed down only through the nodes that hold values of
-    both; every other node is one ``np.sum`` of a slice of ``base`` or of
-    ``part``, which is that node's value in the tree (``np.sum`` starts
-    from +0.0, which changes no sum of values >= +0.0).  ``base`` is not
-    read, and may be None, when ``part`` is all of x.
-    """
-    if b is None:
-        b = part.size if base is None else base.size
-    hi = lo + part.size
-    if b <= lo or a >= hi:
-        return np.sum(base[a:b])
-    if lo <= a and b <= hi:
-        return np.sum(part[a - lo:b - lo])
-    if b - a <= _PAIRWISE_LEAF:
-        leaf = base[a:b].copy()
-        leaf[max(a, lo) - a:min(b, hi) - a] = part[max(a, lo) - lo:min(b, hi) - lo]
-        return np.sum(leaf)
-    mid = a + _pairwise_half(b - a)
-    return _spliced_sum(base, lo, part, a, mid) + _spliced_sum(base, lo, part, mid, b)
 
 
 def _row_sums(prefix: np.ndarray, tail_sums=()) -> np.ndarray:
@@ -516,7 +494,7 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     k = n - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
     size, siblings = _pairwise_spine(n, k)
     signal, phi_k, f_k, w_k = vals[:k] * f[:k], phi_v[:k], f[:k], w[:k]
-    w_res = (w * np.conj(res_f))[:k]
+    w_res = w[:k] * res_f[:k]
     tail = w[k:] * f[k:] ** 2
     tail_sums = [np.sum(tail[lo - k:hi - k]) for lo, hi in siblings]
     rows = max(1, BLOCK // n)

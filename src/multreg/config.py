@@ -20,7 +20,8 @@ from .errors import ConfigError
 from .gallery import (DeconvolutionProblem, FinalValueProblem, compact_case,
                       exp_decay_pair, fvp_multiplier, plateau_pair,
                       power_decay_pair, pure_power_pair, source_element_vector)
-from .indexfuncs import IndexFunction, index_function_from_spec
+from .indexfuncs import (INDEX_FAMILIES, IndexFunction,
+                         index_function_from_spec)
 from .multipliers import Tabulated, read_table
 from .noise import GAUSSIAN, RADEMACHER
 from .schemes import scheme_by_name
@@ -75,12 +76,16 @@ def _section(section, known, where: str) -> dict:
 def _number(section: dict, key: str, default, kind, where: str = "",
             minimum=None):
     """``section[key]`` (``default`` when absent) as ``kind``, at least
-    ``minimum`` when given; None stays None."""
+    ``minimum`` when given; None stays None.  An int is no bool and no
+    float with a fractional part."""
     value = section.get(key, default)
     if value is None:
         return None
     try:
         number = kind(value)
+        if kind is int and (isinstance(value, bool) or isinstance(value, float)
+                            and not value.is_integer()):
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}{key}: expected {kind.__name__}, "
                           f"got {value!r}") from None
@@ -133,6 +138,12 @@ def parse_config(raw: dict, digest: str = "") -> ExperimentConfig:
     index_function = raw.get("index_function", {"family": "power", "nu": 1.0})
     if not isinstance(index_function, dict):
         raise ConfigError("index_function: expected a mapping")
+    family = index_function.get("family", "power")
+    if not isinstance(family, str) or family not in INDEX_FAMILIES:
+        raise ConfigError(f"index_function.family: unknown family {family!r} "
+                          f"(choose from {', '.join(INDEX_FAMILIES)})")
+    _section(index_function, ("family",) + INDEX_FAMILIES[family][0],
+             "index_function")
 
     noise = _section(raw.get("noise", {}),
                      ("mode", "deltas", "replications", "distribution"), "noise")
@@ -211,7 +222,7 @@ _SHARED_KEYS = ("kind", "element", "solution_file", "solution_values")
 # (multiplier, space))
 _BUILDERS = {
     "counting": (("b_values", "n_max"), lambda p, c: compact_case(
-        p.get("b_values"), int(p.get("n_max", 500)))),
+        p.get("b_values"), _number(p, "n_max", 500, int, "problem."))),
     "power_decay": (("kappa",), lambda p, c: power_decay_pair(
         float(p.get("kappa", 1.0)), c.truncation_radius or 50.0, c.n_nodes)),
     "pure_power": (("kappa",), lambda p, c: pure_power_pair(
@@ -227,9 +238,9 @@ _BUILDERS = {
     "fvp_bounded": (("c", "tau", "n_max", "eigenvalues", "exponent_power"),
                     lambda p, c: fvp_multiplier(FinalValueProblem(
         "bounded_domain", c=float(p.get("c", 1.0)), tau=float(p.get("tau", 1.0)),
-        n_max=int(p.get("n_max", 64)),
+        n_max=_number(p, "n_max", 64, int, "problem."),
         eigenvalues=tuple(p["eigenvalues"]) if p.get("eigenvalues") else None,
-        exponent_power=int(p.get("exponent_power", 2))))),
+        exponent_power=_number(p, "exponent_power", 2, int, "problem.")))),
     "deconvolution": (("kernel", "half_width", "sigma"), _deconvolution),
     "tabulated": (("file", "space", "tail_vanishes"),
                   lambda p, c: _tabulated_from_file(p)),

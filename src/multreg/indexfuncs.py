@@ -178,19 +178,24 @@ def validate_index_function(phi: IndexFunction) -> None:
         raise PreconditionFailed(f"{phi.name}: does not appear to vanish at 0+")
 
 
-def index_function_from_spec(spec: dict) -> IndexFunction:
-    """Build an index function from a config mapping.
+#: index function family -> (its config keys besides ``family``,
+#: builder(spec)); ``reciprocal_measure``, phi* = 1/d_b, has no builder
+#: here: ``smoothness.phi_star`` builds it from the multiplier
+INDEX_FAMILIES = {
+    "power": (("nu",), lambda spec: PowerIndex(float(spec.get("nu", 1.0)))),
+    "log_power": (("nu", "beta", "t_max"), lambda spec: LogPowerIndex(
+        float(spec["nu"]), float(spec["beta"]), float(spec.get("t_max", 0.5)))),
+    "table": (("ts", "values"), lambda spec: TableIndex(spec["ts"],
+                                                        spec["values"])),
+    "reciprocal_measure": ((), None),
+}
 
-    Recognized families: ``power`` (nu), ``log_power`` (nu, beta, t_max),
-    ``table`` (ts, values).  The ``reciprocal_measure`` family is built by
-    the smoothness module from a multiplier, not from a bare config.
-    """
+
+def index_function_from_spec(spec: dict) -> IndexFunction:
+    """Build an index function from a config mapping (``INDEX_FAMILIES``)."""
     family = spec.get("family", "power")
-    if family == "power":
-        return PowerIndex(float(spec.get("nu", 1.0)))
-    if family == "log_power":
-        return LogPowerIndex(float(spec["nu"]), float(spec["beta"]),
-                             float(spec.get("t_max", 0.5)))
-    if family == "table":
-        return TableIndex(spec["ts"], spec["values"])
-    raise ValueError(f"unknown index function family '{family}'")
+    if not isinstance(family, str) or \
+            INDEX_FAMILIES.get(family, ((), None))[1] is None:
+        raise ValueError(f"cannot build index function family {family!r} "
+                         "from a spec")
+    return INDEX_FAMILIES[family][1](spec)

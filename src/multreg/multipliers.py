@@ -144,7 +144,7 @@ class ExponentialSequence(Multiplier):
     tau: float
     eigenvalues: tuple
     exponent_power: int = 2
-    family: str = "exponential_sequence"
+    family = "exponential_sequence"
     evaluable = False
 
     def __post_init__(self):
@@ -210,23 +210,17 @@ class MonotonePiece:
 
 @dataclass(frozen=True)
 class BackgroundPart:
-    """The part of b bounded away from zero, active outside all piece windows."""
+    """The part of b bounded away from zero, active outside all piece
+    windows: the constant ``essential_infimum``."""
 
     essential_infimum: float
-    evaluator: Callable[[np.ndarray], np.ndarray] = None
 
     def __post_init__(self):
         if self.essential_infimum <= 0:
             raise ValueError("essential infimum must be positive")
-        if self.evaluator is None:
-            level = self.essential_infimum
-            object.__setattr__(self, "evaluator", lambda s: np.full_like(np.asarray(s, float), level))
 
     def __call__(self, s):
-        out = np.asarray(self.evaluator(np.asarray(s, float)), float)
-        if np.any(out < self.essential_infimum - 1e-12):
-            raise ValueError("background dips below its declared infimum")
-        return out
+        return np.full_like(np.asarray(s, float), self.essential_infimum)
 
 
 @dataclass(frozen=True)
@@ -243,7 +237,7 @@ class PiecewiseMonotone(Multiplier):
     background: BackgroundPart
     hi: float = 1.0
     declared_dominant: int | None = None
-    family: str = "piecewise_monotone"
+    family = "piecewise_monotone"
 
     def __post_init__(self):
         pieces = tuple(self.pieces)
@@ -258,8 +252,8 @@ class PiecewiseMonotone(Multiplier):
                 raise ValueError("piece windows must be disjoint")
         object.__setattr__(self, "pieces", pieces)
         edge = max(p.edge_value() for p in pieces)
-        bg_sup = float(np.max(self.background(np.linspace(0.0, self.hi, 513))))
-        object.__setattr__(self, "sup_bound", max(edge, bg_sup))
+        object.__setattr__(self, "sup_bound",
+                           max(edge, float(self.background.essential_infimum)))
 
     def __call__(self, s):
         s = np.asarray(s, float)
@@ -305,7 +299,7 @@ class Tabulated(Multiplier):
     values: np.ndarray
     sup_bound: float = None
     tail_vanishes: bool = True
-    family: str = "tabulated"
+    family = "tabulated"
     evaluable = False
 
     def __post_init__(self):

@@ -201,8 +201,10 @@ def sample_white(sampler: WhiteNoiseSampler | NoiseStreams,
 class DeterministicNoise:
     """A fixed perturbation with weighted L2 norm at most one.
 
-    ``values`` are its values on ``support``, a slice of the nodes (all of
-    them by default); it is zero elsewhere.
+    ``values`` are its values on ``support``, all nodes (the default) or
+    one node ``slice(i, i + 1)``; it is zero elsewhere.  Only on these
+    supports is ``MeasureSpace.norm(values, support)`` the full vector's
+    norm bit for bit, which ``evaluate_deterministic`` relies on.
     """
 
     values: np.ndarray
@@ -212,6 +214,12 @@ class DeterministicNoise:
     def __post_init__(self):
         if self.norm > 1.0 + 1e-9:
             raise ValueError("deterministic noise must have norm <= 1")
+        on = self.support
+        one_node = (isinstance(on.start, int) and on.start >= 0
+                    and on.stop == on.start + 1 and on.step in (None, 1))
+        if on != slice(None) and not one_node:
+            raise ValueError("deterministic noise is supported on all nodes "
+                             f"or on one, not on {on}")
 
 
 def _normalized(d: np.ndarray, space: MeasureSpace,

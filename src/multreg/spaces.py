@@ -79,8 +79,10 @@ class MeasureSpace:
         """Weighted L2 norm; accepts real or complex node vectors.
 
         With ``support``, ``values`` are a vector's values on that slice of
-        the nodes, and the vector is zero elsewhere.  The norm is the full
-        vector's bit for bit: numpy's sums add the zeros exactly.
+        the nodes, and the vector is zero elsewhere.  On all nodes or on
+        one node the norm is the full vector's bit for bit: numpy's sums
+        add the zeros exactly.  Other supports may change the order of the
+        pairwise sum, and with it the last bit.
         """
         v = np.asarray(values)
         w = self.weights[support]

@@ -651,9 +651,12 @@ def test_sweep_keeps_the_divergence_diagnosis():
 
 def _deterministic_problems():
     # counting, uniform and graded interval, half-line and frequency spaces;
-    # the filter's support is a prefix, all nodes, or a band in the middle
+    # the filter's support is a prefix, all nodes, or a band in the middle.
+    # Counting spaces smaller than one 128-value leaf of numpy's pairwise
+    # sum and larger than 2^17 nodes, at a size that is no power of two
     from multreg import DeconvolutionProblem
-    yield counting_problem(300, PowerIndex(1.0))
+    for n_max in (5, 300, 2**17 + 3):
+        yield counting_problem(n_max, PowerIndex(1.0))
     deconvolution = DeconvolutionProblem("exponential", 40.0, 2**10)
     for b, space in (pure_power_pair(1.5, 2**10),
                      pure_power_pair(1.5, 2**10, graded=True),
@@ -694,6 +697,16 @@ def test_deterministic_rows_equal_the_dense_reference(scheme):
                                          DETERMINISTIC, 1.0)
             assert (row.alpha_star, row.bias, row.variance_term, row.error) \
                 == (alpha, *reference)
+        # the noise at the first and the last node; above sup b the cut-off
+        # is zero everywhere, and the span holds the noise's node alone
+        for alpha in (swept.rows[-1].alpha_star, 2.0 * float(b.sup_bound)):
+            for node in (0, space.nodes.size - 1):
+                dense = worst_case_deterministic(
+                    concentrated_direction(space, node), space)
+                budget = evaluate_deterministic(scheme, alpha, b, space, f, 1e-3,
+                                                concentrated_noise(space, node))
+                assert (budget.bias, budget.noise_term, budget.total) == \
+                    _dense_budget(scheme, alpha, b, space, f, 1e-3, dense)
 
 
 def test_deterministic_error_with_a_non_finite_signal():
@@ -709,24 +722,6 @@ def test_deterministic_error_with_a_non_finite_signal():
                                       1e-2, dense)
         assert repr((budget.bias, budget.noise_term, budget.total)) == \
             repr(reference)
-
-
-def test_spliced_sums_match_full_sums():
-    # x >= 0 with one slice replaced, at and next to the pairwise tree's
-    # splits and leaves, including slices of all or none of x
-    rng = np.random.default_rng(12)
-    for trial in range(300):
-        n = int(rng.integers(1, [300, 20000, 2**17 + 4][trial % 3]))
-        lo, hi = np.sort(rng.integers(0, n + 1, 2))
-        if trial % 4 == 3:
-            lo, hi = 0, n
-        base = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
-        base[rng.random(n) < 0.3] = 0.0
-        x = base.copy()
-        x[lo:hi] = rng.random(hi - lo) * 10.0 ** rng.integers(-8, 8, hi - lo)
-        assert analysis._spliced_sum(base, lo, x[lo:hi]) == np.sum(x)
-    part = np.arange(5.0)
-    assert analysis._spliced_sum(None, 0, part) == np.sum(part)
 
 
 def test_deterministic_sweep_evaluates_b_once(monkeypatch):

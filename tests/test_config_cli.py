@@ -94,6 +94,18 @@ MALFORMED = [
     ({"discretization": {"nodes": 64}}, "discretization: unknown key.*nodes"),
     ({"output": {"dir": "out"}}, "output: unknown key.*dir"),
     ({"output": {"directory": 5}}, "output.directory"),
+    # index function keys are checked against the family's own keys
+    ({"index_function": {"family": "power", "mu": 3.0}},
+     "index_function: unknown key.*mu"),
+    ({"index_function": {"family": "table", "ts": [1.0e-8, 1.0],
+                         "values": [1.0e-4, 1.0], "nu": 2.0}},
+     "index_function: unknown key.*nu"),
+    ({"index_function": {"family": ["power"]}}, "index_function.family"),
+    # integer fields take no bool and no fractional part
+    ({"seed": 1.9}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"noise": {"replications": 2.9}}, "noise.replications"),
+    ({"discretization": {"n_nodes": 1000.7}}, "discretization.n_nodes"),
 ]
 
 
@@ -334,6 +346,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
           "discretization": {"n_nodes": 64}}, "index_function"),
         ({"problem": {"kind": "power_decay", "kapa": 0.25}},
          "problem: unknown key.*kapa"),
+        # integer problem fields, read when the problem is built
+        ({"problem": {"kind": "counting", "n_max": 2.7}}, "problem.n_max"),
+        ({"problem": {"kind": "fvp_bounded", "n_max": 8,
+                      "exponent_power": 1.5}}, "problem.exponent_power"),
     ]
     capsys.readouterr()
     for k, (cfg, field) in enumerate(cases):

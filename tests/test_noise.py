@@ -4,7 +4,7 @@ import pytest
 from multreg import (MeasureSpace, NoiseStreams, WhiteNoiseSampler,
                      ZeroDirection, concentrated_direction, sample_white,
                      spectral_cutoff, worst_case_deterministic)
-from multreg.noise import concentrated_noise
+from multreg.noise import DeterministicNoise, concentrated_noise
 from multreg.analysis import STREAM_STRIDE
 from multreg.gallery import compact_case
 
@@ -135,6 +135,16 @@ def test_concentrated_noise_is_the_dense_noise_on_its_node():
         concentrated_noise(holey, 1)
     with pytest.raises(ZeroDirection):
         concentrated_direction(holey, 1)
+
+
+def test_deterministic_noise_lives_on_all_nodes_or_on_one():
+    # on other supports the sliced norm may differ from the dense one in
+    # the last bit, so such noise is refused
+    assert DeterministicNoise(np.ones(3) / 3.0, 1 / np.sqrt(3)).support == slice(None)
+    assert concentrated_noise(MeasureSpace.counting(5), 4).support == slice(4, 5)
+    for support in (slice(2, 5), slice(-1, None), slice(0, 1, 2)):
+        with pytest.raises(ValueError, match="all nodes or on one"):
+            DeterministicNoise(np.full(3, 0.5), 0.9, support)
 
 
 def test_concentrated_direction_attains_filter_sup():

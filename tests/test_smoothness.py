@@ -73,6 +73,10 @@ def test_index_function_from_spec():
     assert index_function_from_spec({"family": "power", "nu": 2})(0.5) == 0.25
     with pytest.raises(ValueError):
         index_function_from_spec({"family": "nope"})
+    # families that are not names, and phi* = 1/d_b, which needs a multiplier
+    for family in (["power"], "reciprocal_measure"):
+        with pytest.raises(ValueError, match="cannot build"):
+            index_function_from_spec({"family": family})
 
 
 def test_validate_needs_room_to_probe():
