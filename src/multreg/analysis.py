@@ -10,6 +10,7 @@ proportion to the added measure, the integral has no finite limit.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,7 @@ from .noise import (GAUSSIAN, DeterministicNoise, NoiseStreams,
 from .rearrangement import (_superlevel_count, decreasing_rearrangement,
                             distribution_function, vanishes_at_infinity)
 from .schemes import Scheme, require_certified
-from .spaces import (COUNTING, LEBESGUE_HALFLINE, LEBESGUE_INTERVAL,
-                     LEBESGUE_LINE, MeasureSpace)
+from .spaces import MeasureSpace
 
 
 def reconstruct(scheme: Scheme, alpha: float, b: Multiplier,
@@ -81,14 +81,14 @@ def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
                       space: MeasureSpace, *, _extended=None) -> VarianceValue:
     """Integral of |phi(alpha, b)|^2 dmu, with divergence detection.
 
-    Finite-measure and counting spaces are plain weighted sums.  On
-    truncated half-line/line spaces the sum is re-evaluated at radii R, 2R
-    and 4R; if it grows by more than ``_GROWTH_THRESHOLD`` twice in a row
-    and the per-measure growth density does not decay, the integral is
-    declared Divergent (carrying the three values as diagnosis).  The 2R
-    and 4R grids are built one at a time, unless the caller passes them
-    built as the private ``_extended`` (``sweep_deltas`` builds them once
-    for all its deltas).
+    Spaces that are not ``extensible`` (intervals and counting) give plain
+    weighted sums.  On truncated half-line/line spaces the sum is
+    re-evaluated at radii R, 2R and 4R; if it grows by more than
+    ``_GROWTH_THRESHOLD`` twice in a row and the per-measure growth density
+    does not decay, the integral is declared Divergent (carrying the three
+    values as diagnosis).  The 2R and 4R grids are built one at a time,
+    unless the caller passes them built as the private ``_extended``
+    (``sweep_deltas`` builds them once for all its deltas).
 
     Tabulated multipliers cannot be extended, so their tail is judged
     analytically: a vanishing tail puts infinite measure below every
@@ -99,7 +99,7 @@ def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     vals = b.values_on(space)
-    if space.kind in (LEBESGUE_INTERVAL, COUNTING):
+    if not space.extensible:
         return VarianceValue(_variance_sum(scheme, alpha, space.weights, vals))
 
     if b.evaluable:
@@ -147,11 +147,13 @@ def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
 
 @dataclass(frozen=True)
 class IllposednessProfile:
-    """D(alpha) on a grid, with the counting/measure upper bounds."""
+    """D(alpha) with the counting/measure upper bounds on a grid, and
+    ``d_at``, which evaluates D at any alpha > 0."""
 
     alpha_grid: np.ndarray
     d_values: np.ndarray
     upper_bounds: np.ndarray
+    d_at: Callable[[float], float]
 
     def __post_init__(self):
         if np.any(np.diff(self.alpha_grid) <= 0):
@@ -159,25 +161,12 @@ class IllposednessProfile:
         if np.any(np.diff(self.d_values) > 1e-12 * (1 + self.d_values[:-1])):
             raise ValueError("D(alpha) must be nonincreasing")
 
-    def d_at(self, alpha: float) -> float:
-        """Log-linear interpolation, extended off-grid with the edge slopes."""
-        x = np.log(self.alpha_grid)
-        y = np.log(np.maximum(self.d_values, 1e-300))
-        la = np.log(alpha)
-        if la <= x[0]:
-            slope = (y[1] - y[0]) / (x[1] - x[0]) if x.size > 1 else 0.0
-            return float(np.exp(y[0] + slope * (la - x[0])))
-        if la >= x[-1]:
-            slope = (y[-1] - y[-2]) / (x[-1] - x[-2]) if x.size > 1 else 0.0
-            return float(np.exp(y[-1] + slope * (la - x[-1])))
-        return float(np.exp(np.interp(la, x, y)))
-
     @classmethod
     def from_callable(cls, fn, alpha_grid) -> "IllposednessProfile":
         """Synthetic profile from a closed-form D; used in tests and bounds."""
         alpha_grid = np.asarray(alpha_grid, float)
         d = np.array([fn(a) for a in alpha_grid])
-        return cls(alpha_grid, d, np.full_like(d, np.inf))
+        return cls(alpha_grid, d, np.full_like(d, np.inf), lambda a: float(fn(a)))
 
 
 #: smallest multiplier value whose reciprocal square is representable
@@ -188,10 +177,14 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
                            alpha_grid=None) -> IllposednessProfile:
     """D(alpha) = (integral of b_*^{-2} over {b_* > alpha})^(1/2).
 
-    Computed from the decreasing rearrangement and cross-validated with
-    the direct-domain sum of w_i / b_i^2 over {b_i > alpha}; the two agree
-    by the measure-transform identity (here, exactly: the rearrangement is
-    the same weighted multiset).  ``upper_bounds`` holds the simple bound
+    On the discretized space D is a step function that jumps at the node
+    values: D(alpha)^2 is the running sum of w / b^2 down the decreasing
+    rearrangement, taken over the values above alpha.  The profile's
+    ``d_at`` evaluates it exactly at any alpha; it is 0 from the largest
+    value on.  On the grid it is cross-validated with the direct-domain sum
+    of w_i / b_i^2 over {b_i > alpha}; the two agree by the
+    measure-transform identity (here, exactly: the rearrangement is the
+    same weighted multiset).  ``upper_bounds`` holds the simple bound
     sqrt(d_b(alpha)) / alpha.
 
     The default grid stays above the floor where 1/b^2 overflows double
@@ -200,6 +193,10 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
     values just above it) FilterOverflow is raised instead of emitting
     infinities.
     """
+    # the profile holds these through a sweep: taken before the temporaries
+    # below, they leave no hole in the heap when those are freed
+    n = space.weights.size
+    r_vals, prefix = np.empty(n), np.empty(n + 1)
     rearr = decreasing_rearrangement(b, space)  # raises if b does not vanish
     vals = b.values_on(space)
     if alpha_grid is None:
@@ -214,10 +211,11 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
         raise ValueError("alpha grid must be strictly increasing")
 
     widths = rearr.widths  # not np.diff(knots), which loses small weights
-    r_vals = rearr.values
+    r_vals[:] = rearr.values
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # {b_* > alpha} is a prefix of the descending rearrangement
-        prefix = np.concatenate(([0.0], np.cumsum(widths / r_vals ** 2)))
+        prefix[0] = 0.0
+        np.cumsum(widths / r_vals ** 2, out=prefix[1:])
         d_sq = prefix[_superlevel_count(r_vals, alpha_grid)]
         # domain side, without the sort: w / b^2 binned by the number of grid
         # points below each node, then summed over the bins above each alpha
@@ -237,7 +235,9 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
         )
     bounds = np.sqrt(distribution_function(b, space, alpha_grid,
                                            rearrangement=rearr)) / alpha_grid
-    return IllposednessProfile(alpha_grid, np.sqrt(d_sq), bounds)
+    return IllposednessProfile(
+        alpha_grid, np.sqrt(d_sq), bounds,
+        lambda a: float(np.sqrt(prefix[_superlevel_count(r_vals, a)])))
 
 
 def _solve_monotone(fn, target, bracket, phi, label):
@@ -268,13 +268,24 @@ def choose_alpha_deterministic(phi: IndexFunction, delta: float,
 
 def choose_alpha_white(phi: IndexFunction, profile: IllposednessProfile,
                        delta: float) -> float:
-    """A-priori choice under white noise: solve phi(alpha) = delta * D(alpha)
-    for alpha up to the profile's largest."""
+    """A-priori choice under white noise: the smallest alpha, up to the
+    profile's largest, with phi(alpha) >= delta * D(alpha).
+
+    phi - delta D is increasing with upward jumps where D steps down, so
+    alpha* may be a node value.
+    """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return _solve_monotone(lambda a: float(phi(a)) / profile.d_at(a), delta,
-                           (1e-12, float(profile.alpha_grid[-1])), phi,
-                           "phi(alpha) / D(alpha)")
+
+    def gap(a):
+        return float(phi(a)) - delta * profile.d_at(a)
+
+    alpha = _solve_monotone(gap, 0.0, (1e-12, float(profile.alpha_grid[-1])),
+                            phi, "phi(alpha) - delta D(alpha)")
+    # the bisection stops within a few doubles of the smallest one
+    while gap(below := float(np.nextafter(alpha, 0.0))) >= 0:
+        alpha = below
+    return alpha
 
 
 def deterministic_error_bound(c_phi: float, c_minus1: float, phi: IndexFunction,
@@ -693,7 +704,7 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
     per_sweep = profile = None
     if mode == WHITE:
         profile = effective_illposedness(b, space)
-        if b.evaluable and space.kind in (LEBESGUE_HALFLINE, LEBESGUE_LINE):
+        if b.evaluable and space.extensible:
             per_sweep = tuple(_extended_grid(b, space, factor)
                               for factor in _EXTENSIONS)
     elif mode == DETERMINISTIC:

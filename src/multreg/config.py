@@ -73,25 +73,37 @@ def _section(section, known, where: str) -> dict:
     return section
 
 
+def _as_number(value, kind, name: str):
+    """``value`` as ``kind``; no bool, and for an int no fractional part."""
+    try:
+        if isinstance(value, bool) or kind is int and isinstance(value, float) \
+                and not value.is_integer():
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name}: expected {kind.__name__}, "
+                          f"got {value!r}") from None
+
+
 def _number(section: dict, key: str, default, kind, where: str = "",
             minimum=None):
-    """``section[key]`` (``default`` when absent) as ``kind``, at least
-    ``minimum`` when given; None stays None.  An int is no bool and no
-    float with a fractional part."""
+    """``section[key]`` (``default`` when absent) as ``kind`` (see
+    ``_as_number``), at least ``minimum`` when given; None stays None."""
     value = section.get(key, default)
     if value is None:
         return None
-    try:
-        number = kind(value)
-        if kind is int and (isinstance(value, bool) or isinstance(value, float)
-                            and not value.is_integer()):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}{key}: expected {kind.__name__}, "
-                          f"got {value!r}") from None
+    number = _as_number(value, kind, f"{where}{key}")
     if minimum is not None and number < minimum:
         raise ConfigError(f"{where}{key}: must be >= {minimum}")
     return number
+
+
+def _flag(section: dict, key: str, default: bool, where: str) -> bool:
+    """``section[key]`` (``default`` when absent); only a YAML boolean."""
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}{key}: expected true or false, got {value!r}")
+    return value
 
 
 def load_config(path, seed: int | None = None) -> ExperimentConfig:
@@ -144,6 +156,8 @@ def parse_config(raw: dict, digest: str = "") -> ExperimentConfig:
                           f"(choose from {', '.join(INDEX_FAMILIES)})")
     _section(index_function, ("family",) + INDEX_FAMILIES[family][0],
              "index_function")
+    for key in ("nu", "beta", "t_max"):
+        _number(index_function, key, None, float, "index_function.")
 
     noise = _section(raw.get("noise", {}),
                      ("mode", "deltas", "replications", "distribution"), "noise")
@@ -151,12 +165,9 @@ def parse_config(raw: dict, digest: str = "") -> ExperimentConfig:
     if mode not in MODES:
         raise ConfigError(f"noise.mode: unknown mode '{mode}'")
     deltas = noise.get("deltas", [])
-    try:
-        if not isinstance(deltas, list):
-            raise TypeError
-        deltas = tuple(float(d) for d in deltas)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("noise.deltas: expected a list of numbers") from None
+    if not isinstance(deltas, list):
+        raise ConfigError("noise.deltas: expected a list of numbers")
+    deltas = tuple(_as_number(d, float, "noise.deltas") for d in deltas)
     if not all(0 < d < np.inf for d in deltas):
         raise ConfigError("noise.deltas: noise levels must be positive and finite")
     replications = _number(noise, "replications", 1, int, "noise.", minimum=1)
@@ -174,7 +185,7 @@ def parse_config(raw: dict, digest: str = "") -> ExperimentConfig:
                     ("n_nodes", "truncation_radius", "graded"), "discretization")
     n_nodes = _number(disc, "n_nodes", 2**14, int, "discretization.", minimum=2)
     radius = _number(disc, "truncation_radius", None, float, "discretization.")
-    graded = bool(disc.get("graded", False))
+    graded = _flag(disc, "graded", False, "discretization.")
 
     out = _section(raw.get("output", {}), ("directory", "format"), "output")
     out_format = out.get("format", "csv")
@@ -209,9 +220,10 @@ def _index_function(spec: dict, b, space: MeasureSpace) -> IndexFunction:
 
 
 def _deconvolution(p: dict, config: ExperimentConfig):
-    prob = DeconvolutionProblem(kernel=p.get("kernel", "exponential"),
-                                half_width=float(p.get("half_width", 40.0)),
-                                n=config.n_nodes, sigma=float(p.get("sigma", 1.0)))
+    prob = DeconvolutionProblem(
+        kernel=p.get("kernel", "exponential"),
+        half_width=_number(p, "half_width", 40.0, float, "problem."),
+        n=config.n_nodes, sigma=_number(p, "sigma", 1.0, float, "problem."))
     return prob.multiplier, prob.freq_space
 
 
@@ -224,20 +236,22 @@ _BUILDERS = {
     "counting": (("b_values", "n_max"), lambda p, c: compact_case(
         p.get("b_values"), _number(p, "n_max", 500, int, "problem."))),
     "power_decay": (("kappa",), lambda p, c: power_decay_pair(
-        float(p.get("kappa", 1.0)), c.truncation_radius or 50.0, c.n_nodes)),
+        _number(p, "kappa", 1.0, float, "problem."), c.truncation_radius or 50.0,
+        c.n_nodes)),
     "pure_power": (("kappa",), lambda p, c: pure_power_pair(
-        float(p.get("kappa", 1.0)), c.n_nodes, graded=c.graded)),
+        _number(p, "kappa", 1.0, float, "problem."), c.n_nodes, graded=c.graded)),
     "plateau": ((), lambda p, c: plateau_pair(c.truncation_radius or 50.0,
                                               c.n_nodes)),
     "exp_decay": ((), lambda p, c: exp_decay_pair(c.truncation_radius or 30.0,
                                                   c.n_nodes)),
     "fvp_whole_space": (("c", "tau"), lambda p, c: fvp_multiplier(
-        FinalValueProblem("whole_space", c=float(p.get("c", 1.0)),
-                          tau=float(p.get("tau", 1.0)),
+        FinalValueProblem("whole_space", c=_number(p, "c", 1.0, float, "problem."),
+                          tau=_number(p, "tau", 1.0, float, "problem."),
                           radius=c.truncation_radius or 8.0, n_grid=c.n_nodes))),
     "fvp_bounded": (("c", "tau", "n_max", "eigenvalues", "exponent_power"),
                     lambda p, c: fvp_multiplier(FinalValueProblem(
-        "bounded_domain", c=float(p.get("c", 1.0)), tau=float(p.get("tau", 1.0)),
+        "bounded_domain", c=_number(p, "c", 1.0, float, "problem."),
+        tau=_number(p, "tau", 1.0, float, "problem."),
         n_max=_number(p, "n_max", 64, int, "problem."),
         eigenvalues=tuple(p["eigenvalues"]) if p.get("eigenvalues") else None,
         exponent_power=_number(p, "exponent_power", 2, int, "problem.")))),
@@ -290,7 +304,8 @@ def _tabulated_from_file(p: dict):
         radius = float(max(abs(first), abs(last))) if kind != "lebesgue_interval" \
             else None
         space = MeasureSpace(kind, nodes, np.diff(edges), truncation_radius=radius)
-    b = Tabulated(values, tail_vanishes=bool(p.get("tail_vanishes", True)))
+    b = Tabulated(values,
+                  tail_vanishes=_flag(p, "tail_vanishes", True, "problem."))
     return b, space
 
 

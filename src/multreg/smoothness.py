@@ -164,7 +164,7 @@ def sobolev_equivalence_check(b: Multiplier, space: MeasureSpace, p: float = 1.0
     if phi is None:
         phi = phi_star(b, space)
     band = _band(b, space, phi)
-    if b.evaluable and space.kind != "counting":
+    if b.evaluable and space.extensible:
         # same fixed phi on a domain twice as large: the band must stay put
         wide = space.extended(2.0)
         band_wide = _band(b, wide, phi)

@@ -75,6 +75,11 @@ class MeasureSpace:
         """Whether the *underlying* space has finite total measure."""
         return self.kind == LEBESGUE_INTERVAL
 
+    @property
+    def extensible(self) -> bool:
+        """Whether ``extended`` applies: a half-line or a line."""
+        return self.kind in (LEBESGUE_HALFLINE, LEBESGUE_LINE)
+
     def norm(self, values, support: slice = slice(None)) -> float:
         """Weighted L2 norm; accepts real or complex node vectors.
 
@@ -147,12 +152,11 @@ class MeasureSpace:
     def extended(self, factor: float) -> "MeasureSpace":
         """Same node density, truncation radius scaled by ``factor``.
 
-        Used by tail diagnostics on half-line and line spaces; raises for
-        kinds that cannot be extended.
+        Used by tail diagnostics; raises unless the space is ``extensible``.
         """
-        n = int(round(self.nodes.size * factor))
-        if self.kind == LEBESGUE_HALFLINE:
-            return MeasureSpace.halfline(self.truncation_radius * factor, n)
-        if self.kind == LEBESGUE_LINE:
-            return MeasureSpace.line(self.truncation_radius * factor, n)
-        raise ValueError(f"cannot extend a {self.kind} space")
+        if not self.extensible:
+            raise ValueError(f"cannot extend a {self.kind} space")
+        build = MeasureSpace.halfline if self.kind == LEBESGUE_HALFLINE \
+            else MeasureSpace.line
+        return build(self.truncation_radius * factor,
+                     int(round(self.nodes.size * factor)))

@@ -261,6 +261,41 @@ def test_illposedness_interpolation():
     assert prof.d_at(1e-5) == pytest.approx(1e5, rel=0.05)
 
 
+def _sum_above(b, space, alpha):
+    """The sum of w / b^2 over {b > alpha}, added in order of decreasing b."""
+    vals, w = b.values_on(space), space.weights
+    order = np.argsort(-vals, kind="stable")
+    terms = (w[order] / vals[order] ** 2)[vals[order] > alpha]
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+STEP_CASES = [compact_case(1.0 / np.arange(1, 301)),
+              power_decay_pair(0.5, 50.0, 2**12),
+              pure_power_pair(1.5, 4096, graded=True)]
+
+
+@pytest.mark.parametrize("case", range(len(STEP_CASES)),
+                         ids=["counting", "halfline", "graded"])
+def test_illposedness_is_the_exact_step_function(case):
+    b, space = STEP_CASES[case]
+    prof = effective_illposedness(b, space)
+    vals, w = b.values_on(space), space.weights
+    levels = np.unique(vals)
+    mid = levels[levels.size // 2]
+    top = levels[-1]
+    for a in (levels[0] / 2, levels[0], 0.5 * (levels[0] + levels[1]), mid,
+              np.nextafter(mid, 0), np.sqrt(levels[-2] * top), top, 2 * top):
+        d = prof.d_at(a)
+        assert d == math.sqrt(_sum_above(b, space, a))
+        ref = np.sum(w[vals > a] / vals[vals > a] ** 2)
+        assert d**2 == pytest.approx(ref, rel=vals.size * np.finfo(float).eps)
+    # 0 from the largest node value on, the full sum below the smallest
+    assert prof.d_at(top) == 0.0 and prof.d_at(2 * top) == 0.0
+    assert prof.d_at(levels[0] / 2) > prof.d_at(levels[0])
+    # the grid holds the same numbers
+    assert [prof.d_at(a) for a in prof.alpha_grid] == list(prof.d_values)
+
+
 # --- a-priori parameter choices ----------------------------------------------------------
 
 def test_choose_alpha_deterministic_powers():
@@ -298,6 +333,29 @@ def test_choose_alpha_white_counting():
     closed_form = (1e-5 / math.sqrt(3.0)) ** 0.4
     assert astar == pytest.approx(closed_form, rel=0.05)
     assert astar == pytest.approx(0.0080, abs=5e-4)
+
+
+@pytest.mark.parametrize("case", range(len(STEP_CASES)),
+                         ids=["counting", "halfline", "graded"])
+def test_choose_alpha_white_is_the_smallest_root(case):
+    b, space = STEP_CASES[case]
+    prof = effective_illposedness(b, space)
+    phi = PowerIndex(1.0)
+    for delta in (1e-2, 1e-3, 1e-4, 1e-5):
+        astar = choose_alpha_white(phi, prof, delta)
+        assert phi(astar) >= delta * prof.d_at(astar)
+        below = np.nextafter(astar, 0)
+        assert phi(below) < delta * prof.d_at(below)
+
+
+def test_white_study_alpha_star_on_a_node():
+    # configs/white_counting.yaml: b_j = 1/j on 500 nodes and phi(t) = t.
+    # Just below 1/8, D^2 = 1 + 2^2 + ... + 8^2 = 204 and phi / D < 1e-2;
+    # at 1/8 node 8 leaves {b > alpha}, D^2 = 140 and phi / D > 1e-2
+    prob = counting_problem(500, PowerIndex(1.0))
+    res = sweep_deltas(prob, truncate(spectral_cutoff()), PowerIndex(1.0),
+                       [1e-2, 1e-3], WHITE, 1.0, n_reps=2)
+    assert [r.alpha_star for r in res.rows] == [1 / 8, 1 / 20]
 
 
 def test_choose_alpha_white_guards():

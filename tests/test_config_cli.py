@@ -106,6 +106,18 @@ MALFORMED = [
     ({"seed": True}, "seed"),
     ({"noise": {"replications": 2.9}}, "noise.replications"),
     ({"discretization": {"n_nodes": 1000.7}}, "discretization.n_nodes"),
+    # float fields take no bool, and flags only a YAML boolean
+    ({"alpha": True}, "alpha"),
+    ({"discretization": {"truncation_radius": True}},
+     "discretization.truncation_radius"),
+    ({"noise": {"deltas": [1.0e-2, True]}}, "noise.deltas"),
+    ({"index_function": {"family": "power", "nu": True}}, "index_function.nu"),
+    ({"index_function": {"family": "log_power", "nu": 1.0, "beta": False}},
+     "index_function.beta"),
+    ({"index_function": {"family": "log_power", "nu": 1.0, "beta": 1.0,
+                         "t_max": True}}, "index_function.t_max"),
+    ({"discretization": {"graded": "false"}}, "discretization.graded"),
+    ({"discretization": {"graded": 1}}, "discretization.graded"),
 ]
 
 
@@ -335,6 +347,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.yaml")]) == EXIT_CONFIG
     counting = {"kind": "counting", "n_max": 3}
     bogus_phi = {"family": "bogus"}
+    table = tmp_path / "b.txt"
+    table.write_text("1 1.0\n2 0.5\n3 0.25\n")
     cases = [({"problem": counting, **extra}, field) for extra, field in MALFORMED]
     cases += [
         ({"problem": counting, "index_function": bogus_phi}, "index_function"),
@@ -350,6 +364,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ({"problem": {"kind": "counting", "n_max": 2.7}}, "problem.n_max"),
         ({"problem": {"kind": "fvp_bounded", "n_max": 8,
                       "exponent_power": 1.5}}, "problem.exponent_power"),
+        # float and flag problem fields, read when the problem is built
+        ({"problem": {"kind": "power_decay", "kappa": True}}, "problem.kappa"),
+        ({"problem": {"kind": "pure_power", "kappa": True}}, "problem.kappa"),
+        ({"problem": {"kind": "fvp_whole_space", "c": True}}, "problem.c"),
+        ({"problem": {"kind": "fvp_bounded", "n_max": 8, "tau": True}},
+         "problem.tau"),
+        ({"problem": {"kind": "deconvolution", "half_width": True}},
+         "problem.half_width"),
+        ({"problem": {"kind": "deconvolution", "sigma": True}}, "problem.sigma"),
+        ({"problem": {"kind": "tabulated", "space": "counting", "file": str(table),
+                      "tail_vanishes": "false"}}, "problem.tail_vanishes"),
     ]
     capsys.readouterr()
     for k, (cfg, field) in enumerate(cases):
@@ -511,9 +536,9 @@ discretization: {n_nodes: 4096}
 # output bytes must be deliberate
 GOLDEN = {
     ("white_counting", "run", "rows.csv"):
-        "6076bbe5407a4ecbc407977ffa946f23c56b2ca5a9cd42f6a9114dd69af100e7",
+        "cdce57648fe2bbbeb0b432d5ae585aa15643ef57efe55dc8c4530dd5e48a158c",
     ("white_counting", "run", "report.json"):
-        "68ad131a7e9f84753b28e1b55416ff021ea67226449ed780b7db154941a4aa20",
+        "0bed4c97d2a05af0f6c3a620de590bf7d092d69372283835b93ac36c5f1b75a5",
     ("deterministic_counting", "run", "rows.csv"):
         "5f0f3c28300c57c75d069589642dce0741a36140001116268979acb202d23644",
     ("deterministic_counting", "run", "report.json"):
@@ -525,13 +550,13 @@ GOLDEN = {
     ("backward_heat", "reconstruct", "reconstruction.txt"):
         "64b08255c7fd59828789dc8a7888b6a2577fa8a5cbcf7f7c923f9be427fb0162",
     ("white_halfline_rademacher", "run", "rows.csv"):
-        "3f680dcd5cad3eea3f8aa5b7fb0d3deb5c8473fcefbe53c79e1052ce2bda8edf",
+        "95d83a1c23c7c05aa93d6bc3c72d0ded132b2e238f7c8ca200bdad7ccf27e5b5",
     ("white_halfline_rademacher", "run", "report.json"):
-        "8133ab385a8589712de1f9ddaf43a77d02f17c461f28908ec4b29df6ef80bab4",
+        "0447da24bfdb2dc87eadf34b678b6d1bd94a6a896d1c7943f7bcb313c248e019",
     ("white_lavrentiev", "run", "rows.csv"):
-        "9c21a178c921f609d5d42c2122b6c83bbd9493d4c006d704604929d81ad3400e",
+        "29706b57bf3ca24bd5048e02339965edfa400ccca7c8683ffbf2a2fc02e412c7",
     ("white_lavrentiev", "run", "report.json"):
-        "7b4d3ae11b8669497a6f4851dce765e72874cf82eaf7dad6f5e93fe75df764fc",
+        "9e077ecd4648ad882a45f1098de020f00bba16d02f02b3d0dcfb3a27bbd16a32",
     ("deconvolution_exponential", "rearrange", "distribution.csv"):
         "cc1806e968505b20cbf2b4ef211e4499fb24b19d46ab2c0ca6310ee9a278b269",
     ("deconvolution_exponential", "rearrange", "decreasing_rearrangement.csv"):

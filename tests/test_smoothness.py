@@ -289,3 +289,15 @@ def test_sobolev_equivalence_two_way():
     v /= space.norm(v)
     f2 = source_function(v, b, space, phi_p)
     assert sobolev_norm(f2, space, p) <= C ** (p / 2) * (1 + 1e-9)
+
+
+def test_sobolev_band_on_an_interval():
+    # an interval cannot be extended, so its band is the one on its own grid
+    from multreg import PurePower
+    space = MeasureSpace.interval(0.0, 1.0, 256)
+    ts = np.geomspace(1e-4, 1.0, 50)
+    b = PurePower(1.0)
+    vals = b.values_on(space)
+    ratio = (1.0 + space.nodes ** 2) * np.asarray(TableIndex(ts, ts)(vals)) ** 2
+    assert sobolev_equivalence_check(b, space, p=1.0, phi=TableIndex(ts, ts)) == \
+        (ratio.min(), ratio.max())
