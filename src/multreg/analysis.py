@@ -414,7 +414,8 @@ def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
                        total=norm())
 
 
-#: values per Monte Carlo block: max(1, BLOCK // n) replications at a time
+#: values per Monte Carlo block: max(1, BLOCK // S) replications at a
+#: time, S the width each row is reduced over (see ``_pairwise_spine``)
 BLOCK = 8192
 
 #: numpy sums a float64 row pairwise (Higham, SIAM J. Sci. Comput. 14,
@@ -480,10 +481,11 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     Replication r uses noise stream ``sampler.stream_id + r``, but only up
     to the filter's last nonzero node k: beyond it err == f and
     phi(b) xi == 0 exactly.  All n_reps streams are seeded in one pass.
-    Blocks of replications are reduced over the first S >= k values only,
-    S a node of numpy's pairwise summation tree; the rest of each row is
-    the same in every replication (the tail w f^2, or zeros), so its
-    subtree sums are taken once per call and added in the tree's order.
+    Blocks of BLOCK // S replications are reduced over the first S >= k
+    values only, S a node of numpy's pairwise summation tree; the rest of
+    each row is the same in every replication (the tail w f^2, or zeros),
+    so its subtree sums are taken once per call and added in the tree's
+    order.
     Each value equals the one of a full per-replication draw bit for bit.
     """
     if n_reps < 2:
@@ -508,7 +510,7 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     w_res = w[:k] * res_f[:k]
     tail = w[k:] * f[k:] ** 2
     tail_sums = [np.sum(tail[lo - k:hi - k]) for lo, hi in siblings]
-    rows = max(1, BLOCK // n)
+    rows = max(1, BLOCK // size)
     xi = np.empty((rows, k))  # the noise, then phi xi
     scratch = np.empty((rows, k))
     err_sq = np.empty((rows, size))

@@ -98,6 +98,13 @@ def _number(section: dict, key: str, default, kind, where: str = "",
     return number
 
 
+def _numbers(values, name: str) -> list:
+    """``values``, a list, as floats, each entry checked by ``_as_number``."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{name}: expected a list of numbers")
+    return [_as_number(v, float, name) for v in values]
+
+
 def _flag(section: dict, key: str, default: bool, where: str) -> bool:
     """``section[key]`` (``default`` when absent); only a YAML boolean."""
     value = section.get(key, default)
@@ -158,16 +165,16 @@ def parse_config(raw: dict, digest: str = "") -> ExperimentConfig:
              "index_function")
     for key in ("nu", "beta", "t_max"):
         _number(index_function, key, None, float, "index_function.")
+    for key in ("ts", "values"):
+        if key in index_function:
+            _numbers(index_function[key], f"index_function.{key}")
 
     noise = _section(raw.get("noise", {}),
                      ("mode", "deltas", "replications", "distribution"), "noise")
     mode = noise.get("mode", "deterministic")
     if mode not in MODES:
         raise ConfigError(f"noise.mode: unknown mode '{mode}'")
-    deltas = noise.get("deltas", [])
-    if not isinstance(deltas, list):
-        raise ConfigError("noise.deltas: expected a list of numbers")
-    deltas = tuple(_as_number(d, float, "noise.deltas") for d in deltas)
+    deltas = tuple(_numbers(noise.get("deltas", []), "noise.deltas"))
     if not all(0 < d < np.inf for d in deltas):
         raise ConfigError("noise.deltas: noise levels must be positive and finite")
     replications = _number(noise, "replications", 1, int, "noise.", minimum=1)
@@ -234,7 +241,9 @@ _SHARED_KEYS = ("kind", "element", "solution_file", "solution_values")
 # (multiplier, space))
 _BUILDERS = {
     "counting": (("b_values", "n_max"), lambda p, c: compact_case(
-        p.get("b_values"), _number(p, "n_max", 500, int, "problem."))),
+        None if p.get("b_values") is None
+        else _numbers(p["b_values"], "problem.b_values"),
+        _number(p, "n_max", 500, int, "problem."))),
     "power_decay": (("kappa",), lambda p, c: power_decay_pair(
         _number(p, "kappa", 1.0, float, "problem."), c.truncation_radius or 50.0,
         c.n_nodes)),
@@ -253,7 +262,8 @@ _BUILDERS = {
         "bounded_domain", c=_number(p, "c", 1.0, float, "problem."),
         tau=_number(p, "tau", 1.0, float, "problem."),
         n_max=_number(p, "n_max", 64, int, "problem."),
-        eigenvalues=tuple(p["eigenvalues"]) if p.get("eigenvalues") else None,
+        eigenvalues=tuple(_numbers(p["eigenvalues"], "problem.eigenvalues"))
+        if p.get("eigenvalues") else None,
         exponent_power=_number(p, "exponent_power", 2, int, "problem.")))),
     "deconvolution": (("kernel", "half_width", "sigma"), _deconvolution),
     "tabulated": (("file", "space", "tail_vanishes"),
@@ -324,7 +334,7 @@ def _solution_on(b, space: MeasureSpace, p: dict,
             raise ConfigError("solution_file not aligned with the discretization")
         return f, 1.0
     if "solution_values" in p:
-        f = np.asarray(p["solution_values"], float)
+        f = np.array(_numbers(p["solution_values"], "problem.solution_values"))
         if f.shape != space.nodes.shape:
             raise ConfigError("solution_values not aligned with the space")
         return f, 1.0

@@ -81,26 +81,35 @@ class DeconvolutionProblem:
         object.__setattr__(self, "freq_space", freq_space)
         object.__setattr__(self, "multiplier", mult)
 
-    # FFT bookkeeping: t_j = -L + j*dt, s_k = pi*k/L, so
-    # sum_j y_j exp(-i s_k t_j) = (-1)^k FFT[y]_k.
-    def _phase(self):
-        k = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(int)
-        return np.where(k % 2 == 0, 1.0, -1.0)
-
     def kernel_values(self, u):
         return _KERNELS[self.kernel][0](np.asarray(u, float), self.sigma)
 
 
+def _real_signal(y) -> np.ndarray:
+    y = np.asarray(y)
+    if np.iscomplexobj(y):
+        raise ValueError("expected a real signal, got complex values")
+    return y
+
+
 def to_frequency(problem: DeconvolutionProblem, y) -> np.ndarray:
-    """Unitary transform to the frequency grid (sorted ascending).
+    """Unitary transform of a real signal to the frequency grid (sorted
+    ascending).
 
     Exact Parseval identity: the weighted norms of y and of the output
     coincide up to rounding.
     """
-    y = np.asarray(y)
-    dt = 2.0 * problem.half_width / problem.n
-    spec = np.fft.fft(y) * problem._phase() * dt / _SQRT2PI
-    return np.fft.fftshift(spec)
+    n = problem.n
+    dt = 2.0 * problem.half_width / n
+    # t_j = -L + j*dt and s_k = pi*k/L, so sum_j y_j exp(-i s_k t_j) =
+    # (-1)^k FFT[y]_k: (-1)^k is the shift of y by half a period
+    half = np.fft.rfft(np.roll(_real_signal(y), n // 2)) * dt / _SQRT2PI
+    spec = np.empty(n, complex)
+    spec[0] = half[-1]  # s = -pi n / (2L), the Nyquist term
+    # y is real: the negative frequencies mirror the positive ones
+    np.conjugate(half[-2:0:-1], out=spec[1:n // 2])
+    spec[n // 2:] = half[:-1]
+    return spec
 
 
 def from_frequency(problem: DeconvolutionProblem, u) -> np.ndarray:
@@ -110,20 +119,23 @@ def from_frequency(problem: DeconvolutionProblem, u) -> np.ndarray:
     (real data stays real through real filters).
     """
     dt = 2.0 * problem.half_width / problem.n
-    spec = np.fft.ifftshift(np.asarray(u)) * _SQRT2PI / (dt * problem._phase())
-    y = np.fft.ifft(spec)
+    y = np.fft.ifft(np.fft.ifftshift(np.asarray(u)) * _SQRT2PI / dt)
     scale = np.max(np.abs(y)) + 1e-300
     if np.max(np.abs(y.imag)) > 1e-8 * scale:
         raise ValueError("inverse transform produced a non-real signal")
-    return y.real
+    # undo the half-period shift of to_frequency; along the axis, as a
+    # flat roll would first copy the strided real part
+    return np.roll(y.real, problem.n // 2, axis=0)
 
 
 def periodic_convolve(problem: DeconvolutionProblem, x) -> np.ndarray:
-    """Grid convolution (r * x) with the kernel wrapped periodically."""
+    """Grid convolution (r * x) of a real signal with the kernel wrapped
+    periodically."""
     dt = 2.0 * problem.half_width / problem.n
     offsets = np.fft.fftfreq(problem.n, d=1.0 / problem.n) * dt
     r_off = problem.kernel_values(offsets)
-    return dt * np.real(np.fft.ifft(np.fft.fft(r_off) * np.fft.fft(np.asarray(x))))
+    return dt * np.fft.irfft(np.fft.rfft(r_off) * np.fft.rfft(_real_signal(x)),
+                             problem.n)
 
 
 def wiener_weight(b_val: float, s_f: float, delta: float) -> float:

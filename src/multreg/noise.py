@@ -8,8 +8,9 @@ and parallel replications use disjoint stream ids.
 
 Stream s of seed ``seed`` is ``np.random.default_rng([seed, s])``.  A
 block of streams is seeded in one pass: numpy's SeedSequence hash (NEP 19)
-vectorised over s, then PCG64's seeding step per stream (O'Neill,
-HMC-CS-2014-0905), giving the same generator states bit for bit.
+vectorised over s, then PCG64's seeding step (O'Neill, HMC-CS-2014-0905)
+vectorised too, in 64-bit limbs, giving the same generator states bit for
+bit.
 """
 
 from __future__ import annotations
@@ -54,9 +55,14 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier, as high and low 64-bit limbs
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_U1, _U32, _U63 = np.uint64(1), np.uint64(32), np.uint64(63)
+_LOW32 = np.uint64(_MASK32)
+#: streams seeded per ``_pcg64_states`` call: its limb temporaries then
+#: stay below the SeedSequence hash's own, whatever the stream count
+_SEED_ROWS = 1024
 
 
 def _uint32_words(n: int) -> list:
@@ -116,13 +122,42 @@ def _seed_words(seed: int, first: int, count: int) -> np.ndarray:
                                                               copy=False)
 
 
-def _pcg64_state(words) -> dict:
-    """PCG64's seeding step (``pcg64_srandom_r``) from four SeedSequence words."""
-    w0, w1, w2, w3 = words
-    inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
-    state = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+def _mul_64x64(a: np.ndarray, b: np.uint64) -> tuple:
+    """``(hi, lo)`` limbs of the 128-bit products a * b, from four 32-bit
+    partial products whose sums cannot overflow 64 bits."""
+    a0, a1 = a & _LOW32, a >> _U32
+    b0, b1 = b & _LOW32, b >> _U32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    lo = (p00 & _LOW32) | (mid << _U32)
+    hi = a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    return hi, lo
+
+
+def _add_128(a_hi, a_lo, b_hi, b_lo) -> tuple:
+    """``(hi, lo)`` limbs of a + b mod 2**128; uint64 arrays wrap."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo).astype(np.uint64), lo
+
+
+def _pcg64_states(words: np.ndarray) -> np.ndarray:
+    """PCG64's seeding step (``pcg64_srandom_r``) on rows of four
+    SeedSequence words ``(w0, w1, w2, w3)``, as rows ``(state_hi, state_lo,
+    inc_hi, inc_lo)`` of 64-bit limbs: ``inc = (w2:w3) << 1 | 1`` and
+    ``state = (inc + (w0:w1)) * PCG_MULT + inc``, both mod 2**128.
+
+    Every operand is a uint64 array or an ``np.uint64``, so numpy 1.x and
+    2.x (NEP 50) compute in uint64 alike.
+    """
+    w0, w1, w2, w3 = words.T
+    inc_hi, inc_lo = (w2 << _U1) | (w3 >> _U63), (w3 << _U1) | _U1
+    s_hi, s_lo = _add_128(w0, w1, inc_hi, inc_lo)
+    # mod 2**128 the product drops s_hi * MULT_HI and the high limbs of
+    # the cross terms
+    prod_hi, prod_lo = _mul_64x64(s_lo, _PCG_MULT_LO)
+    prod_hi += s_hi * _PCG_MULT_LO + s_lo * _PCG_MULT_HI
+    state_hi, state_lo = _add_128(prod_hi, prod_lo, inc_hi, inc_lo)
+    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
 
 
 class NoiseStreams:
@@ -130,11 +165,11 @@ class NoiseStreams:
     i = 0 .. count - 1; ``start`` is 0 except in a ``block``.
 
     Row i's generator is bit-identical to ``sampler.rng(start + i)``.  The
-    SeedSequence words of all rows are hashed once, at construction; each
-    row's PCG64 state is derived when the row is reached and loaded into
-    one Generator reused by every row (and every ``block``), so a
-    NoiseStreams belongs to one thread.  Streams from 2**32 on, and
-    seeds the hash does not cover, use ``default_rng`` itself.
+    PCG64 states of all rows are derived once, at construction; each row's
+    state is loaded, when the row is reached, into one Generator reused by
+    every row (and every ``block``), so a NoiseStreams belongs to one
+    thread.  Streams from 2**32 on, and seeds the hash does not cover, use
+    ``default_rng`` itself.
     """
 
     def __init__(self, sampler: WhiteNoiseSampler, count: int):
@@ -142,10 +177,14 @@ class NoiseStreams:
         hashed = 0
         if isinstance(seed, (int, np.integer)) and seed >= 0 and first >= 0:
             hashed = max(0, min(count, 2**32 - first))
-        self._words = _seed_words(int(seed), first, hashed) if hashed else \
-            np.empty((0, 4), np.uint64)
+        self._states = _seed_words(int(seed), first, hashed) if hashed \
+            else np.empty((0, 4), np.uint64)
+        # the words become the states in place, _SEED_ROWS rows at a time
+        for i in range(0, hashed, _SEED_ROWS):
+            rows = self._states[i:i + _SEED_ROWS]
+            rows[:] = _pcg64_states(rows)
         # any generator will do: every row loads its own state
-        self._rng = np.random.default_rng(0) if hashed else None
+        self._rng = np.random.default_rng(0)
         self.sampler, self.distribution = sampler, sampler.distribution
         self.start, self.count = 0, count
 
@@ -157,13 +196,21 @@ class NoiseStreams:
 
     def generators(self):
         """Each row's generator in turn; valid until the next one is taken."""
-        words, rng = self._words, self._rng
-        for i in range(self.start, self.start + self.count):
-            if i < len(words):
-                rng.bit_generator.state = _pcg64_state(words[i].tolist())
-                yield rng
-            else:
-                yield self.sampler.rng(i)
+        stop = self.start + self.count
+        rng = self._rng
+        bit_generator = rng.bit_generator
+        # one state mapping, refilled per row: the setter copies its values
+        pcg = {"state": 0, "inc": 0}
+        state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
+                 "uinteger": 0}
+        for state_hi, state_lo, inc_hi, inc_lo in \
+                self._states[self.start:stop].tolist():
+            pcg["state"] = state_hi << 64 | state_lo
+            pcg["inc"] = inc_hi << 64 | inc_lo
+            bit_generator.state = state
+            yield rng
+        for i in range(max(self.start, len(self._states)), stop):
+            yield self.sampler.rng(i)
 
 
 def _fill(rng: np.random.Generator, distribution: str, out: np.ndarray):

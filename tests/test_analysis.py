@@ -515,10 +515,11 @@ def _halfline(n):
     return b, space, b.values_on(space) ** 0.5
 
 
-def _counting_support(n, k):
+def _counting_support(n, k, n_reps=3):
     # b_j = 1/j is decreasing, so the cut-off's support is exactly [0, k)
     alpha = 2.0 if k == 0 else 0.5 / k + (0.5 / (k + 1) if k < n else 0.0)
-    return (lambda: _counting(n), spectral_cutoff(), alpha, 1e-2, 3, "gaussian")
+    return (lambda: _counting(n), spectral_cutoff(), alpha, 1e-2, n_reps,
+            "gaussian")
 
 
 def _spine_sizes(n):
@@ -533,8 +534,9 @@ SPINE_K = sorted({k for size in _spine_sizes(SPINE_N)
 
 
 MC_CASES = {
-    # name: (problem, scheme, alpha, delta, n_reps, distribution); at 500
-    # nodes a block holds 16 replications, so 37 ends in a partial block
+    # name: (problem, scheme, alpha, delta, n_reps, distribution); a block
+    # holds BLOCK // S replications, S the spine node a row is reduced over:
+    # at 500 nodes 68, 33 or 16 for S = 120, 248 or 500
     "truncated_cutoff_prefix": (lambda: _counting(500), truncate(spectral_cutoff()),
                                 0.01, 1e-3, 37, "gaussian"),
     "non_prefix_support": (lambda: _shuffled_table(300), spectral_cutoff(),
@@ -554,6 +556,10 @@ MC_CASES = {
                       truncate(spectral_cutoff()), 0.1, 1e-2, 3, "gaussian"),
     "n_below_leaf": _counting_support(100, 37),
     **{f"spine_k{k}": _counting_support(SPINE_N, k) for k in SPINE_K},
+    # k just below and above the spine nodes 120 and 248 of 500 nodes, each
+    # over more than one block and ending in a partial one
+    **{f"partial_block_k{k}": _counting_support(500, k, n_reps)
+       for k, n_reps in ((119, 70), (121, 35), (247, 35), (249, 37))},
 }
 
 
@@ -584,6 +590,10 @@ def test_monte_carlo_matches_per_replication_reference(case):
     if case.startswith("spine_k"):
         assert support.size == k == int(case[len("spine_k"):])
         assert n == SPINE_N
+    if case.startswith("partial_block_k"):
+        rows = analysis.BLOCK // analysis._pairwise_spine(n, k)[0]
+        assert support.size == k == int(case[len("partial_block_k"):])
+        assert n_reps > rows and n_reps % rows != 0
 
 
 def test_spine_sums_match_full_row_sums():

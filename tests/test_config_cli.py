@@ -118,6 +118,13 @@ MALFORMED = [
                          "t_max": True}}, "index_function.t_max"),
     ({"discretization": {"graded": "false"}}, "discretization.graded"),
     ({"discretization": {"graded": 1}}, "discretization.graded"),
+    # nor do the entries of list fields
+    ({"index_function": {"family": "table", "ts": [1.0e-8, True],
+                         "values": [1.0e-4, 1.0]}}, "index_function.ts"),
+    ({"index_function": {"family": "table", "ts": [1.0e-8, 1.0],
+                         "values": [1.0e-4, True]}}, "index_function.values"),
+    ({"index_function": {"family": "table", "ts": 1.0,
+                         "values": [1.0e-4, 1.0]}}, "index_function.ts"),
 ]
 
 
@@ -375,6 +382,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ({"problem": {"kind": "deconvolution", "sigma": True}}, "problem.sigma"),
         ({"problem": {"kind": "tabulated", "space": "counting", "file": str(table),
                       "tail_vanishes": "false"}}, "problem.tail_vanishes"),
+        # list problem fields take no bool in any entry
+        ({"problem": {**counting, "b_values": [True, 0.5, 0.25]}},
+         "problem.b_values"),
+        ({"problem": {**counting, "solution_values": [1.0, True, 0.2]}},
+         "problem.solution_values"),
+        ({"problem": {"kind": "fvp_bounded", "n_max": 3,
+                      "eigenvalues": [True, 2.0, 3.0]}}, "problem.eigenvalues"),
+        ({"problem": {**counting, "b_values": 0.5}}, "problem.b_values"),
     ]
     capsys.readouterr()
     for k, (cfg, field) in enumerate(cases):

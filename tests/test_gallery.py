@@ -44,6 +44,38 @@ def test_round_trip(exp_problem):
     assert np.max(np.abs(back - y)) < 1e-12
 
 
+def _full_fft_transforms(p):
+    # the complex-FFT forms of to_frequency and periodic_convolve, with the
+    # half-period shift as the phase (-1)^k
+    dt = 2.0 * p.half_width / p.n
+    phase = np.where(np.fft.fftfreq(p.n, d=1.0 / p.n).astype(int) % 2, -1.0, 1.0)
+    r_off = p.kernel_values(np.fft.fftfreq(p.n, d=1.0 / p.n) * dt)
+    return (lambda y: np.fft.fftshift(np.fft.fft(y) * phase * dt / np.sqrt(2 * np.pi)),
+            lambda x: dt * np.real(np.fft.ifft(np.fft.fft(r_off) * np.fft.fft(x))))
+
+
+@pytest.mark.parametrize("n", [4, 6, 10, 4096])
+def test_real_transforms_match_the_complex_fft(n):
+    # real-input FFTs sum in another order: agreement to a few ulps of the
+    # largest value, and the round trip holds
+    p = DeconvolutionProblem("gaussian", half_width=5.0, n=n)
+    to_freq, convolve = _full_fft_transforms(p)
+    y = np.random.default_rng(n).standard_normal(n)
+    for got, want in ((to_frequency(p, y), to_freq(y)),
+                      (periodic_convolve(p, y), convolve(y))):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(from_frequency(p, to_frequency(p, y)) - y)) < 1e-12
+
+
+def test_transforms_refuse_complex_signals(exp_problem):
+    y = np.zeros(exp_problem.n, complex)
+    for transform in (to_frequency, periodic_convolve):
+        with pytest.raises(ValueError, match="real signal"):
+            transform(exp_problem, y)
+    with pytest.raises(ValueError, match="real signal"):
+        lavrentiev_deconvolve(exp_problem, y, 1e-3)
+
+
 def test_kernel_symmetry(exp_problem, gauss_problem):
     for p in (exp_problem, gauss_problem):
         u = np.linspace(0.0, 10.0, 100)

@@ -4,7 +4,7 @@ import pytest
 from multreg import (MeasureSpace, NoiseStreams, WhiteNoiseSampler,
                      ZeroDirection, concentrated_direction, sample_white,
                      spectral_cutoff, worst_case_deterministic)
-from multreg.noise import DeterministicNoise, concentrated_noise
+from multreg.noise import DeterministicNoise, _pcg64_states, concentrated_noise
 from multreg.analysis import STREAM_STRIDE
 from multreg.gallery import compact_case
 
@@ -84,6 +84,50 @@ def test_block_seeder_equals_default_rng(seed):
                     want = rng.standard_normal(k) if distribution == "gaussian" \
                         else 2.0 * rng.integers(0, 2, size=k) - 1.0
                     assert np.array_equal(block[i], want), (base, count, i)
+
+
+_M64 = (1 << 64) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_state_oracle(words):
+    """PCG64's seeding step in Python integers: ``(state, inc)``."""
+    w0, w1, w2, w3 = words
+    inc = ((((w2 << 64) | w3) << 1) | 1) & ((1 << 128) - 1)
+    state = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & ((1 << 128) - 1)
+    return state, inc
+
+
+def test_pcg64_states_equal_the_integer_formula():
+    # every 4-tuple of words with an extreme or high-bit pattern, and
+    # random words; the limb arithmetic must carry exactly where the
+    # 128-bit integers do
+    patterns = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0xFFFFFFFF00000000,
+                0x8000000080000000]
+    rows = [(a, b, c, d) for a in patterns for b in patterns
+            for c in patterns for d in patterns]
+    rows += np.random.default_rng(3).integers(
+        0, 2**64, (2000, 4), dtype=np.uint64, endpoint=False).tolist()
+    got = _pcg64_states(np.array(rows, np.uint64)).tolist()
+    carries = set()
+    for words, (state_hi, state_lo, inc_hi, inc_lo) in zip(rows, got):
+        state, inc = _pcg64_state_oracle(words)
+        assert (state_hi << 64 | state_lo, inc_hi << 64 | inc_lo) == \
+            (state, inc), words
+        # the carries of inc + (w0:w1), of the low 64x64 product's middle
+        # partial sum and of the final + inc
+        s = (inc + (words[0] << 64 | words[1])) & ((1 << 128) - 1)
+        s_lo, m_lo = s & _M64, _PCG_MULT & _M64
+        mid = ((s_lo & 0xFFFFFFFF) * (m_lo & 0xFFFFFFFF) >> 32) \
+            + ((s_lo & 0xFFFFFFFF) * (m_lo >> 32) & 0xFFFFFFFF) \
+            + ((s_lo >> 32) * (m_lo & 0xFFFFFFFF) & 0xFFFFFFFF)
+        product = (s * _PCG_MULT) & ((1 << 128) - 1)
+        carries |= {name for name, hit in (
+            ("add", (inc & _M64) + words[1] > _M64),
+            ("mid", mid >> 32 > 0),
+            ("final", (product & _M64) + (inc & _M64) > _M64)) if hit}
+    assert carries == {"add", "mid", "final"}
+    assert _pcg64_states(np.empty((0, 4), np.uint64)).shape == (0, 4)
 
 
 def test_block_seeder_views_share_the_seeding():
