@@ -414,55 +414,9 @@ def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
                        total=norm())
 
 
-#: values per Monte Carlo block: max(1, BLOCK // S) replications at a
-#: time, S the width each row is reduced over (see ``_pairwise_spine``)
+#: values per Monte Carlo block: max(1, BLOCK // k) replications at a
+#: time, k the filter's last nonzero node + 1
 BLOCK = 8192
-
-#: numpy sums a float64 row pairwise (Higham, SIAM J. Sci. Comput. 14,
-#: 1993): more than this many values split at n2 = n//2 - (n//2) % 8, fewer
-#: are one leaf summed by eight accumulators
-_PAIRWISE_LEAF = 128
-
-
-def _pairwise_spine(n: int, k: int) -> tuple:
-    """``(S, siblings)``: the deepest node ``[0, S)`` with ``S >= k`` on the
-    leftmost spine of numpy's pairwise tree over n values, and the ranges
-    ``(lo, hi)`` of the right siblings along the spine below the root,
-    deepest first.
-
-    The row sum ``np.sum(x)`` is then ``np.sum(x[:S])`` plus the sums of
-    ``x[lo:hi]`` in that order, bit for bit: the tree adds exactly those
-    values in that order, and ``np.sum``, which starts from +0.0, never
-    returns -0.0.
-    """
-    size, siblings = n, []
-    while size > _PAIRWISE_LEAF:
-        half = size // 2 - (size // 2) % 8
-        if half < k:
-            break
-        siblings.append((half, size))
-        size = half
-    return size, siblings[::-1]
-
-
-def _row_sums(prefix: np.ndarray, tail_sums=()) -> np.ndarray:
-    """``np.sum(x, axis=1)`` of rows x given as their first S values and the
-    sibling sums of their common tail (see ``_pairwise_spine``).
-
-    A zero tail needs no sibling sums: adding +0.0 changes nothing, as
-    ``np.sum`` never returns -0.0.
-    """
-    sums = np.sum(prefix, axis=1)
-    for tail in tail_sums:
-        sums += tail
-    return sums
-
-
-def _squared_norms(weighted: np.ndarray, tail_sums=()) -> list:
-    """``space.norm(x) ** 2`` per row of the weighted squares of x, given as
-    for ``_row_sums``."""
-    # float ** 2 (libm pow), not np.square: they differ in the last bit
-    return [float(v) ** 2 for v in np.sqrt(_row_sums(weighted, tail_sums))]
 
 
 def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
@@ -479,14 +433,19 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     prebuilt extended grids.
 
     Replication r uses noise stream ``sampler.stream_id + r``, but only up
-    to the filter's last nonzero node k: beyond it err == f and
-    phi(b) xi == 0 exactly.  All n_reps streams are seeded in one pass.
-    Blocks of BLOCK // S replications are reduced over the first S >= k
-    values only, S a node of numpy's pairwise summation tree; the rest of
-    each row is the same in every replication (the tail w f^2, or zeros),
-    so its subtree sums are taken once per call and added in the tree's
-    order.
-    Each value equals the one of a full per-replication draw bit for bit.
+    to the filter's last nonzero node k: beyond it err == R(b) f and
+    phi(b) xi == 0 exactly.  All n_reps streams are seeded in one pass and
+    drawn in blocks of BLOCK // k replications.  The error
+    err = R(b) f - delta phi(b) xi splits its squared norm into three sums,
+
+        |err|_w^2 = bias^2 - 2 delta <w R(b)f phi, xi> + delta^2 <w phi^2, xi^2>,
+
+    whose weights ``cross_w`` and ``noise_w`` are taken once per call, so a
+    replication costs two weighted row sums of its k draws.  Each sum is
+    one ``np.sum`` (pairwise, whatever the BLAS), and each value agrees
+    with a full per-replication evaluation of |err|_w^2 to a few ulp of
+    bias^2 + delta^2 |phi xi|_w^2.  Where the residual is zero on the
+    filter's support (cut-off filters) the cross term is exactly zero.
     """
     if n_reps < 2:
         raise ValueError("need n_reps >= 2")
@@ -501,42 +460,28 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     res_f = scheme.residual(alpha, vals) * f
     bias_exact = space.norm(res_f)
 
-    w = space.weights
-    n = w.size
     nonzero = phi_v != 0
-    k = n - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
-    size, siblings = _pairwise_spine(n, k)
-    signal, phi_k, f_k, w_k = vals[:k] * f[:k], phi_v[:k], f[:k], w[:k]
-    w_res = w[:k] * res_f[:k]
-    tail = w[k:] * f[k:] ** 2
-    tail_sums = [np.sum(tail[lo - k:hi - k]) for lo, hi in siblings]
-    rows = max(1, BLOCK // size)
-    xi = np.empty((rows, k))  # the noise, then phi xi
+    k = nonzero.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
+    w_k, phi_k = space.weights[:k], phi_v[:k]
+    cross_w = w_k * res_f[:k] * phi_k
+    noise_w = w_k * phi_k ** 2
+    bias_sq = bias_exact ** 2
+    rows = max(1, BLOCK // max(k, 1))
+    xi = np.empty((rows, k))
     scratch = np.empty((rows, k))
-    err_sq = np.empty((rows, size))
-    err_sq[:, k:] = tail[:size - k]
-    zero_tail = np.zeros((rows, size))  # w |phi xi|^2, then w res_f phi xi
 
     streams = NoiseStreams(sampler, n_reps)
-    sq_errors = np.empty(n_reps)
     crosses = np.empty(n_reps)
     noise_sq = np.empty(n_reps)
     for r0 in range(0, n_reps, rows):
         m = min(rows, n_reps - r0)
-        xi_m = sample_white(streams.block(r0, m), space, xi[:m])
-        # w (f - phi (signal + delta xi))^2, with the operations of the
-        # unbuffered expression in the same order
-        tmp = np.multiply(delta, xi_m, out=scratch[:m])
-        np.add(signal, tmp, out=tmp)
-        np.multiply(phi_k, tmp, out=tmp)
-        np.subtract(f_k, tmp, out=tmp)
-        np.multiply(w_k, np.square(tmp, out=tmp), out=err_sq[:m, :k])
-        sq_errors[r0:r0 + m] = _squared_norms(err_sq[:m], tail_sums)
-        phi_xi = np.multiply(phi_k, xi_m, out=xi_m)
-        np.multiply(w_k, np.square(phi_xi, out=tmp), out=zero_tail[:m, :k])
-        noise_sq[r0:r0 + m] = [delta**2 * v for v in _squared_norms(zero_tail[:m])]
-        np.multiply(w_res, phi_xi, out=zero_tail[:m, :k])
-        crosses[r0:r0 + m] = 2.0 * delta * _row_sums(zero_tail[:m])
+        xi_m = sample_white(streams, space, xi[:m], r0)
+        cross = np.sum(np.multiply(cross_w, xi_m, out=scratch[:m]), axis=1)
+        crosses[r0:r0 + m] = 2.0 * delta * cross
+        xi_sq = np.square(xi_m, out=xi_m)
+        noise = np.sum(np.multiply(noise_w, xi_sq, out=xi_sq), axis=1)
+        noise_sq[r0:r0 + m] = delta**2 * noise
+    sq_errors = (bias_sq - crosses) + noise_sq
 
     mean_sq = float(np.mean(sq_errors))
     rms = float(np.sqrt(mean_sq))

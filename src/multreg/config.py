@@ -234,16 +234,24 @@ def _deconvolution(p: dict, config: ExperimentConfig):
     return prob.multiplier, prob.freq_space
 
 
+def _counting(p: dict):
+    """The 1/j sequence on n_max nodes, or one node per ``b_values`` entry."""
+    if p.get("b_values") is None:
+        return compact_case(n_max=_number(p, "n_max", 500, int, "problem."))
+    b_values = _numbers(p["b_values"], "problem.b_values")
+    if "n_max" in p:
+        raise ConfigError("problem.b_values: sets the node count itself; "
+                          "remove problem.n_max")
+    return compact_case(b_values)
+
+
 # keys every problem kind accepts: the kind and the true solution
 _SHARED_KEYS = ("kind", "element", "solution_file", "solution_values")
 
 # problem kind -> (its own keys, builder(problem section, config) ->
 # (multiplier, space))
 _BUILDERS = {
-    "counting": (("b_values", "n_max"), lambda p, c: compact_case(
-        None if p.get("b_values") is None
-        else _numbers(p["b_values"], "problem.b_values"),
-        _number(p, "n_max", 500, int, "problem."))),
+    "counting": (("b_values", "n_max"), lambda p, c: _counting(p)),
     "power_decay": (("kappa",), lambda p, c: power_decay_pair(
         _number(p, "kappa", 1.0, float, "problem."), c.truncation_radius or 50.0,
         c.n_nodes)),

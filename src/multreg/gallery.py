@@ -203,12 +203,12 @@ def fvp_multiplier(fvp: FinalValueProblem) -> tuple[Multiplier, MeasureSpace]:
 
 def compact_case(b_values=None, n_max: int | None = None,
                  ) -> tuple[Multiplier, MeasureSpace]:
-    """Counting-measure instance from positive eigenvalues of A (default 1/j)."""
-    if b_values is None:
-        b_values = 1.0 / np.arange(1, n_max + 1, dtype=float)
-    vals = np.asarray(b_values, float)
-    if n_max is not None:
-        vals = vals[:n_max]
+    """Counting-measure instance from positive eigenvalues of A, all of
+    ``b_values`` or 1/j for j = 1 .. n_max."""
+    if (b_values is None) == (n_max is None):
+        raise ValueError("give either b_values or n_max")
+    vals = 1.0 / np.arange(1, n_max + 1, dtype=float) if b_values is None \
+        else np.asarray(b_values, float)
     if np.any(vals <= 0):
         raise ValueError("eigenvalues must be positive")
     space = MeasureSpace.counting(vals.size)

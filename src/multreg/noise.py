@@ -15,7 +15,6 @@ bit.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -161,15 +160,14 @@ def _pcg64_states(words: np.ndarray) -> np.ndarray:
 
 
 class NoiseStreams:
-    """The generators of streams ``stream_id + start + i`` of ``sampler``,
-    i = 0 .. count - 1; ``start`` is 0 except in a ``block``.
+    """The generators of streams ``stream_id + i`` of ``sampler``,
+    i = 0 .. count - 1.
 
-    Row i's generator is bit-identical to ``sampler.rng(start + i)``.  The
-    PCG64 states of all rows are derived once, at construction; each row's
-    state is loaded, when the row is reached, into one Generator reused by
-    every row (and every ``block``), so a NoiseStreams belongs to one
-    thread.  Streams from 2**32 on, and seeds the hash does not cover, use
-    ``default_rng`` itself.
+    Row i's generator is bit-identical to ``sampler.rng(i)``.  The PCG64
+    states of all rows are derived once, at construction; each row's state
+    is loaded, when the row is reached, into one Generator reused by every
+    row, so a NoiseStreams belongs to one thread.  Streams from 2**32 on,
+    and seeds the hash does not cover, use ``default_rng`` itself.
     """
 
     def __init__(self, sampler: WhiteNoiseSampler, count: int):
@@ -185,18 +183,13 @@ class NoiseStreams:
             rows[:] = _pcg64_states(rows)
         # any generator will do: every row loads its own state
         self._rng = np.random.default_rng(0)
-        self.sampler, self.distribution = sampler, sampler.distribution
-        self.start, self.count = 0, count
+        self.sampler, self.distribution, self.count = \
+            sampler, sampler.distribution, count
 
-    def block(self, start: int, count: int) -> "NoiseStreams":
-        """Rows ``start .. start + count - 1``, sharing this seeding."""
-        view = copy.copy(self)
-        view.start, view.count = self.start + start, count
-        return view
-
-    def generators(self):
-        """Each row's generator in turn; valid until the next one is taken."""
-        stop = self.start + self.count
+    def generators(self, start: int, count: int):
+        """The generators of rows ``start .. start + count - 1`` in turn;
+        each is valid until the next one is taken."""
+        stop = start + count
         rng = self._rng
         bit_generator = rng.bit_generator
         # one state mapping, refilled per row: the setter copies its values
@@ -204,12 +197,12 @@ class NoiseStreams:
         state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
                  "uinteger": 0}
         for state_hi, state_lo, inc_hi, inc_lo in \
-                self._states[self.start:stop].tolist():
+                self._states[start:stop].tolist():
             pcg["state"] = state_hi << 64 | state_lo
             pcg["inc"] = inc_hi << 64 | inc_lo
             bit_generator.state = state
             yield rng
-        for i in range(max(self.start, len(self._states)), stop):
+        for i in range(max(start, len(self._states)), stop):
             yield self.sampler.rng(i)
 
 
@@ -222,24 +215,27 @@ def _fill(rng: np.random.Generator, distribution: str, out: np.ndarray):
 
 
 def sample_white(sampler: WhiteNoiseSampler | NoiseStreams,
-                 space: MeasureSpace, out: np.ndarray | None = None) -> np.ndarray:
+                 space: MeasureSpace, out: np.ndarray | None = None,
+                 start: int = 0) -> np.ndarray:
     """One i.i.d. unit-variance draw per node, or a block of stream prefixes.
 
     Without ``out`` this is the full vector of stream ``stream_id`` of a
     WhiteNoiseSampler.  With an ``(m, k)`` array ``out``, row i is filled
-    with the first k values of stream ``stream_id + i`` and ``out`` is
-    returned; numpy fills a stream in sequence, so these are the first k
-    entries of that stream's full vector.  The rows are seeded as one
-    NoiseStreams, or by the m-stream NoiseStreams passed as ``sampler``.
+    with the first k values of stream ``stream_id + start + i`` and ``out``
+    is returned; numpy fills a stream in sequence, so these are the first k
+    entries of that stream's full vector.  The rows are rows
+    ``start .. start + m - 1`` of the NoiseStreams passed as ``sampler``,
+    or are seeded as one m-stream NoiseStreams (``start`` 0).
     """
     if out is None:
         return _fill(sampler.rng(), sampler.distribution,
                      np.empty(space.nodes.size))
     streams = sampler if isinstance(sampler, NoiseStreams) else \
         NoiseStreams(sampler, len(out))
-    if streams.count != len(out):
-        raise ValueError(f"{streams.count} streams for {len(out)} rows")
-    for row, rng in zip(out, streams.generators()):
+    if not 0 <= start <= streams.count - len(out):
+        raise ValueError(f"rows {start} to {start + len(out) - 1} of "
+                         f"{streams.count} streams")
+    for row, rng in zip(out, streams.generators(start, len(out))):
         _fill(rng, streams.distribution, row)
     return out
 

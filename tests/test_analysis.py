@@ -447,7 +447,18 @@ def test_monte_carlo_budget_identity():
                          1e-3, WhiteNoiseSampler(31), 50)
     lhs = mc.rms**2
     rhs = mc.bias**2 + mc.noise_term - mc.cross_term_mean
-    assert lhs == pytest.approx(rhs, rel=1e-10)
+    assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+@pytest.mark.parametrize("scheme", [spectral_cutoff(), truncate(spectral_cutoff())],
+                         ids=["cutoff", "truncated_cutoff"])
+def test_monte_carlo_cutoff_cross_term_is_zero(scheme):
+    # a cut-off's residual is exactly 0 where its filter is not, so every
+    # replication's cross term is; the support is not a prefix of the nodes
+    b, space, f = _shuffled_table(300)
+    mc = monte_carlo_rms(scheme, 0.02, b, space, f, 1e-2, WhiteNoiseSampler(13), 40)
+    assert mc.cross_term_mean == 0.0 and mc.cross_term_stderr == 0.0
+    assert mc.noise_term > 0
 
 
 def test_monte_carlo_propagates_divergence():
@@ -522,21 +533,20 @@ def _counting_support(n, k, n_reps=3):
             "gaussian")
 
 
-def _spine_sizes(n):
-    return [n] + [size for size, _ in analysis._pairwise_spine(n, 0)[1][::-1]]
-
-
-#: n > BLOCK: k at, one below and one above every node of the pairwise
-#: tree's leftmost spine (see analysis._pairwise_spine), and k = 0
-SPINE_N = analysis.BLOCK + 1000
-SPINE_K = sorted({k for size in _spine_sizes(SPINE_N)
-                  for k in (size - 1, size, size + 1) if k <= SPINE_N} | {0})
+#: n > BLOCK: k at, one below and one above every node of the leftmost
+#: spine of numpy's pairwise summation tree over n values, and k = 0
+SPINE_N = 9192
+SPINE_K = [0, 63, 64, 65, 135, 136, 137, 279, 280, 281, 567, 568, 569, 1143,
+           1144, 1145, 2295, 2296, 2297, 4591, 4592, 4593, 9191, 9192]
+#: k around BLOCK / 2 and BLOCK, where the replications per block,
+#: max(1, BLOCK // k), step from 2 to 1: n_reps, an odd number, leaves a
+#: partial last block where a block holds two
+BLOCK_EDGE_K = {4095: 5, 4096: 5, 4097: 3, 8192: 3, 8193: 3}
 
 
 MC_CASES = {
     # name: (problem, scheme, alpha, delta, n_reps, distribution); a block
-    # holds BLOCK // S replications, S the spine node a row is reduced over:
-    # at 500 nodes 68, 33 or 16 for S = 120, 248 or 500
+    # holds BLOCK // k replications, k the filter's last nonzero node + 1
     "truncated_cutoff_prefix": (lambda: _counting(500), truncate(spectral_cutoff()),
                                 0.01, 1e-3, 37, "gaussian"),
     "non_prefix_support": (lambda: _shuffled_table(300), spectral_cutoff(),
@@ -556,10 +566,11 @@ MC_CASES = {
                       truncate(spectral_cutoff()), 0.1, 1e-2, 3, "gaussian"),
     "n_below_leaf": _counting_support(100, 37),
     **{f"spine_k{k}": _counting_support(SPINE_N, k) for k in SPINE_K},
-    # k just below and above the spine nodes 120 and 248 of 500 nodes, each
-    # over more than one block and ending in a partial one
+    **{f"block_edge_k{k}": _counting_support(SPINE_N, k, n_reps)
+       for k, n_reps in BLOCK_EDGE_K.items()},
+    # k of 500 nodes, each over more than one block and ending in a partial one
     **{f"partial_block_k{k}": _counting_support(500, k, n_reps)
-       for k, n_reps in ((119, 70), (121, 35), (247, 35), (249, 37))},
+       for k, n_reps in ((119, 70), (121, 70), (247, 35), (249, 37))},
 }
 
 
@@ -571,11 +582,13 @@ def test_monte_carlo_matches_per_replication_reference(case):
     mc = monte_carlo_rms(scheme, alpha, b, space, f, delta, sampler, n_reps)
     ref = _reference_monte_carlo(scheme, alpha, b, space, f, delta, sampler,
                                  n_reps)
-    got = {"rms": mc.rms, "stderr": mc.stderr,
-           "noise_term": mc.noise_term, "bias": mc.bias,
-           "cross_term_mean": mc.cross_term_mean,
-           "cross_term_stderr": mc.cross_term_stderr}
-    assert got == ref
+    # each replication's three sums equal its |err|^2 only up to roundoff
+    assert mc.bias == ref["bias"]
+    for name in ("rms", "noise_term", "stderr", "cross_term_stderr"):
+        assert abs(getattr(mc, name) - ref[name]) <= 1e-12 * abs(ref[name]), name
+    # centred on 0: relative to its own spread
+    assert abs(mc.cross_term_mean - ref["cross_term_mean"]) <= \
+        1e-12 * ref["cross_term_stderr"] * math.sqrt(n_reps)
     # each case has the shape of filter support it is named for
     support = np.flatnonzero(scheme.phi(alpha, b.values_on(space)))
     k, n = (support[-1] + 1 if support.size else 0), space.nodes.size
@@ -585,52 +598,19 @@ def test_monte_carlo_matches_per_replication_reference(case):
             "n_above_block": n > analysis.BLOCK and 0 < k < n,
             "truncated_cutoff_prefix": support.size == k < n,
             "truncated_lavrentiev_prefix": support.size == k < n,
-            "n_below_leaf": support.size == k < n <= analysis._PAIRWISE_LEAF,
+            "n_below_leaf": support.size == k < n <= 128,
             }.get(case, True)
     if case.startswith("spine_k"):
         assert support.size == k == int(case[len("spine_k"):])
         assert n == SPINE_N
+    if case.startswith("block_edge_k"):
+        assert support.size == k == int(case[len("block_edge_k"):])
+        rows = max(1, analysis.BLOCK // k)
+        assert n == SPINE_N and n_reps > rows and (rows == 1 or n_reps % rows)
     if case.startswith("partial_block_k"):
-        rows = analysis.BLOCK // analysis._pairwise_spine(n, k)[0]
+        rows = analysis.BLOCK // k
         assert support.size == k == int(case[len("partial_block_k"):])
         assert n_reps > rows and n_reps % rows != 0
-
-
-def test_spine_sums_match_full_row_sums():
-    # rows: a varying prefix of k values and a tail shared by every row,
-    # constant or zero; the zero tails include rows of -0.0 only
-    rng = np.random.default_rng(11)
-    for trial in range(300):
-        n = int(rng.integers(1, [300, 20000, 2**17 + 4][trial % 3]))
-        k = int(rng.integers(0, n + 1))
-        if trial % 4 == 3:  # at or next to a spine node
-            k = int(np.clip(rng.choice(_spine_sizes(n)) + rng.integers(-1, 2), 0, n))
-        size, siblings = analysis._pairwise_spine(n, k)
-        # the deepest spine node holding the first k values
-        half = size // 2 - (size // 2) % 8
-        assert k <= size <= n and (size <= analysis._PAIRWISE_LEAF or half < k)
-        x = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-8, 8, (3, n))
-        tail = x[0, k:].copy()
-        if trial % 2:
-            x[:, k:] = tail
-            tail_sums = [np.sum(tail[lo - k:hi - k]) for lo, hi in siblings]
-        else:
-            x[:, k:] = 0.0
-            x[1, :k] = -0.0
-            tail_sums = []
-        full = np.sum(x, axis=1)
-        got = analysis._row_sums(np.ascontiguousarray(x[:, :size]), tail_sums)
-        assert got.tolist() == full.tolist()
-        assert np.signbit(got).tolist() == np.signbit(full).tolist()
-
-
-def test_block_rows_finish_like_space_norm():
-    # space.norm(x) ** 2 squares a Python float (libm pow), which differs
-    # from np.square in the last bit on about 1 value in 1000
-    space = MeasureSpace.counting(7)
-    x = np.random.default_rng(8).standard_normal((20000, 7))
-    got = analysis._squared_norms(space.weights * np.abs(x) ** 2)
-    assert got == [space.norm(row) ** 2 for row in x]
 
 
 def test_deterministic_triangle_inequality():

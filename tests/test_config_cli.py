@@ -409,6 +409,26 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_counting_b_values_are_never_truncated(tmp_path, capsys):
+    # the table sets the node count: all 600 entries become nodes, and an
+    # n_max beside it, shorter or longer than the table, is refused
+    table = (1.0 / np.arange(1, 601)).tolist()
+    problem = build_problem(parse_config(
+        {"problem": {"kind": "counting", "b_values": table}}))
+    assert problem.space.nodes.size == 600
+    assert problem.b.values_on(problem.space).tolist() == table
+    capsys.readouterr()
+    for n_max in (2, 10):
+        path = tmp_path / f"n_max{n_max}.yaml"
+        path.write_text(yaml.safe_dump({"problem": {
+            "kind": "counting", "n_max": n_max, "b_values": [1.0, 0.5, 0.25]}}))
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.search("config error: problem.b_values.*problem.n_max", err), err
+        assert "Traceback" not in err
+
+
 SECTION_NAMES = ["problem", "scheme", "index_function", "noise",
                  "discretization", "output", "alpha", "seed"]
 FIELD_NAMES = ["kind", "mode", "deltas", "replications", "distribution",
@@ -551,9 +571,9 @@ discretization: {n_nodes: 4096}
 # output bytes must be deliberate
 GOLDEN = {
     ("white_counting", "run", "rows.csv"):
-        "cdce57648fe2bbbeb0b432d5ae585aa15643ef57efe55dc8c4530dd5e48a158c",
+        "73979bfe5187b10be3b3ec5dfa9307710ce26e5e215842c4591cd98d3760d986",
     ("white_counting", "run", "report.json"):
-        "0bed4c97d2a05af0f6c3a620de590bf7d092d69372283835b93ac36c5f1b75a5",
+        "45c6cde630518ef66f298044c66a250622b8dbab7ff39d5a62aad7f35adc1d40",
     ("deterministic_counting", "run", "rows.csv"):
         "5f0f3c28300c57c75d069589642dce0741a36140001116268979acb202d23644",
     ("deterministic_counting", "run", "report.json"):
@@ -565,13 +585,13 @@ GOLDEN = {
     ("backward_heat", "reconstruct", "reconstruction.txt"):
         "64b08255c7fd59828789dc8a7888b6a2577fa8a5cbcf7f7c923f9be427fb0162",
     ("white_halfline_rademacher", "run", "rows.csv"):
-        "95d83a1c23c7c05aa93d6bc3c72d0ded132b2e238f7c8ca200bdad7ccf27e5b5",
+        "e1cacc0b27cf0e940199922fbfb1754bf25cf21e0c14f83123424c51480c757e",
     ("white_halfline_rademacher", "run", "report.json"):
-        "0447da24bfdb2dc87eadf34b678b6d1bd94a6a896d1c7943f7bcb313c248e019",
+        "34fe04467589df2d4a3de5e935600060614dea8ec471674a8f3b52b76c152adc",
     ("white_lavrentiev", "run", "rows.csv"):
-        "29706b57bf3ca24bd5048e02339965edfa400ccca7c8683ffbf2a2fc02e412c7",
+        "691f0a08193f9f4873d8a3a32b34e6b35ecd4b4d20091efef73945e2cca2ed01",
     ("white_lavrentiev", "run", "report.json"):
-        "9e077ecd4648ad882a45f1098de020f00bba16d02f02b3d0dcfb3a27bbd16a32",
+        "d91817f0aecbf30f0678036d613081bdefaf4edaf71de14122e026942a79c306",
     ("deconvolution_exponential", "rearrange", "distribution.csv"):
         "cc1806e968505b20cbf2b4ef211e4499fb24b19d46ab2c0ca6310ee9a278b269",
     ("deconvolution_exponential", "rearrange", "decreasing_rearrangement.csv"):

@@ -137,11 +137,10 @@ def test_block_seeder_views_share_the_seeding():
         streams = NoiseStreams(WhiteNoiseSampler(3, base), 40)
         whole = sample_white(streams, space, np.empty((40, 5)))
         for start, count in ((0, 1), (17, 9), (25, 15)):
-            part = sample_white(streams.block(start, count), space,
-                                np.empty((count, 5)))
+            part = sample_white(streams, space, np.empty((count, 5)), start)
             assert np.array_equal(part, whole[start:start + count])
     with pytest.raises(ValueError):
-        sample_white(streams, space, np.empty((39, 5)))
+        sample_white(streams, space, np.empty((16, 5)), 25)
 
 
 def test_worst_case_unit_vector():
