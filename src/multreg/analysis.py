@@ -9,7 +9,6 @@ proportion to the added measure, the integral has no finite limit.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -188,10 +187,11 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
     sqrt(d_b(alpha)) / alpha.
 
     The default grid stays above the floor where 1/b^2 overflows double
-    precision (severely smoothing multipliers underflow fast).  Where the
-    integral still overflows (explicit grids below that floor, or many
-    values just above it) FilterOverflow is raised instead of emitting
-    infinities.
+    precision (severely smoothing multipliers underflow fast).  Where only
+    the running sum overflows (many values just above that floor), it is
+    taken divided by an exact 4^m and D is sqrt(sum) * 2^m.  Where D still
+    overflows (explicit grids below that floor) FilterOverflow is raised
+    instead of emitting infinities.
     """
     # the profile holds these through a sweep: taken before the temporaries
     # below, they leave no hole in the heap when those are freed
@@ -212,15 +212,27 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
 
     widths = rearr.widths  # not np.diff(knots), which loses small weights
     r_vals[:] = rearr.values
+    scale = 1.0  # D = sqrt(prefix) * scale
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # {b_* > alpha} is a prefix of the descending rearrangement
         prefix[0] = 0.0
         np.cumsum(widths / r_vals ** 2, out=prefix[1:])
+        positive = int(_superlevel_count(r_vals, 0.0))
+        if not np.isfinite(prefix[positive]):
+            # only the sum overflows, and it is below 2^top: sum the terms
+            # over 4^m and take D = sqrt(sum) 2^m, the same bits as the
+            # plain sum's wherever that one is finite
+            top = positive.bit_length() + 2 + int(np.max(
+                np.frexp(widths[:positive])[1]
+                - 2 * np.frexp(r_vals[:positive])[1]))
+            scale = 2.0 ** min(max(-(-(top - 1023) // 2), 1), 511)
+            np.cumsum(widths / scale**2 / r_vals ** 2, out=prefix[1:])
         d_sq = prefix[_superlevel_count(r_vals, alpha_grid)]
         # domain side, without the sort: w / b^2 binned by the number of grid
         # points below each node, then summed over the bins above each alpha
         below = np.searchsorted(alpha_grid, vals, side="left")
-        binned = np.bincount(below, weights=space.weights / vals ** 2,
+        weights = space.weights if scale == 1.0 else space.weights / scale**2
+        binned = np.bincount(below, weights=weights / vals ** 2,
                              minlength=alpha_grid.size + 1)
         from_domain = np.cumsum(binned[::-1])[::-1][1:]
     overflow = ~np.isfinite(d_sq)
@@ -236,8 +248,8 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
     bounds = np.sqrt(distribution_function(b, space, alpha_grid,
                                            rearrangement=rearr)) / alpha_grid
     return IllposednessProfile(
-        alpha_grid, np.sqrt(d_sq), bounds,
-        lambda a: float(np.sqrt(prefix[_superlevel_count(r_vals, a)])))
+        alpha_grid, np.sqrt(d_sq) * scale, bounds,
+        lambda a: float(np.sqrt(prefix[_superlevel_count(r_vals, a)]) * scale))
 
 
 def _solve_monotone(fn, target, bracket, phi, label):
@@ -415,40 +427,25 @@ def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
 
 
 #: values per Monte Carlo block: max(1, BLOCK // k) replications at a
-#: time, k the filter's last nonzero node + 1
+#: time, k the widest filter's last nonzero node + 1
 BLOCK = 8192
 
 
-def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
-                    space: MeasureSpace, f, delta: float,
-                    sampler: WhiteNoiseSampler, n_reps: int,
-                    *, _extended=None) -> McResult:
-    """RMS error over replications with disjoint noise streams.
+@dataclass(frozen=True)
+class _McWeights:
+    """One delta's exact bias and the weights ``(w R(b)f phi, w phi^2)`` of
+    its two sums on the filter's first k nodes, k its last nonzero + 1."""
 
-    The squared bias enters exactly; the variance and the cross term
-    2*delta*<R(b)f, phi(b)xi> are averaged empirically.  Raises
-    DivergentProfile when the variance integral of the underlying problem
-    diverges (the truncated sum would otherwise silently depend on the
-    truncation radius); ``_extended`` hands ``variance_integral`` its
-    prebuilt extended grids.
+    delta: float
+    bias: float
+    sum_w: tuple
 
-    Replication r uses noise stream ``sampler.stream_id + r``, but only up
-    to the filter's last nonzero node k: beyond it err == R(b) f and
-    phi(b) xi == 0 exactly.  All n_reps streams are seeded in one pass and
-    drawn in blocks of BLOCK // k replications.  The error
-    err = R(b) f - delta phi(b) xi splits its squared norm into three sums,
 
-        |err|_w^2 = bias^2 - 2 delta <w R(b)f phi, xi> + delta^2 <w phi^2, xi^2>,
-
-    whose weights ``cross_w`` and ``noise_w`` are taken once per call, so a
-    replication costs two weighted row sums of its k draws.  Each sum is
-    one ``np.sum`` (pairwise, whatever the BLAS), and each value agrees
-    with a full per-replication evaluation of |err|_w^2 to a few ulp of
-    bias^2 + delta^2 |phi xi|_w^2.  Where the residual is zero on the
-    filter's support (cut-off filters) the cross term is exactly zero.
-    """
-    if n_reps < 2:
-        raise ValueError("need n_reps >= 2")
+def _mc_weights(scheme: Scheme, alpha: float, b: Multiplier,
+                space: MeasureSpace, f, delta: float,
+                _extended=None) -> _McWeights:
+    """One delta's Monte Carlo weights, once its variance integral is
+    known to converge (see ``monte_carlo_rms``)."""
     f = np.asarray(f, float)
     vals = b.values_on(space)
     if delta > 0:
@@ -458,40 +455,101 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
             raise DivergentProfile(str(exc), diagnosis=exc.diagnosis) from exc
     phi_v = scheme.phi(alpha, vals)
     res_f = scheme.residual(alpha, vals) * f
-    bias_exact = space.norm(res_f)
-
     nonzero = phi_v != 0
     k = nonzero.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
     w_k, phi_k = space.weights[:k], phi_v[:k]
-    cross_w = w_k * res_f[:k] * phi_k
-    noise_w = w_k * phi_k ** 2
-    bias_sq = bias_exact ** 2
-    rows = max(1, BLOCK // max(k, 1))
-    xi = np.empty((rows, k))
-    scratch = np.empty((rows, k))
+    return _McWeights(delta, space.norm(res_f),
+                      (w_k * res_f[:k] * phi_k, w_k * phi_k ** 2))
 
-    streams = NoiseStreams(sampler, n_reps)
-    crosses = np.empty(n_reps)
-    noise_sq = np.empty(n_reps)
-    for r0 in range(0, n_reps, rows):
-        m = min(rows, n_reps - r0)
-        xi_m = sample_white(streams, space, xi[:m], r0)
-        cross = np.sum(np.multiply(cross_w, xi_m, out=scratch[:m]), axis=1)
-        crosses[r0:r0 + m] = 2.0 * delta * cross
-        xi_sq = np.square(xi_m, out=xi_m)
-        noise = np.sum(np.multiply(noise_w, xi_sq, out=xi_sq), axis=1)
-        noise_sq[r0:r0 + m] = delta**2 * noise
-    sq_errors = (bias_sq - crosses) + noise_sq
 
-    mean_sq = float(np.mean(sq_errors))
-    rms = float(np.sqrt(mean_sq))
-    se_mean = float(np.std(sq_errors, ddof=1) / np.sqrt(n_reps))
-    stderr = se_mean / (2.0 * rms) if rms > 0 else 0.0
-    cross_mean = float(np.mean(crosses))
-    cross_se = float(np.std(crosses, ddof=1) / np.sqrt(n_reps))
-    return McResult(rms=rms, stderr=stderr, bias=bias_exact,
-                    noise_term=float(np.mean(noise_sq)),
-                    cross_term_mean=cross_mean, cross_term_stderr=cross_se)
+def _monte_carlo(weights: list, space: MeasureSpace,
+                 sampler: WhiteNoiseSampler, n_reps: int,
+                 threads: int = 1) -> list:
+    """One ``McResult`` per entry of ``weights``, all from one set of
+    replications: replication r draws stream ``sampler.stream_id + r`` once,
+    its first k_max values, k_max the widest filter's, and each delta reads
+    its own prefix of them.
+
+    ``threads`` workers take contiguous ranges of the replications, none
+    empty.  Each product is formed in a contiguous buffer, so a
+    replication's sums do not depend on the range or block that holds it,
+    and neither do the results.
+    """
+    if not weights:
+        return []
+    if n_reps < 2:
+        raise ValueError("need n_reps >= 2")
+    k_max = max(w.sum_w[0].size for w in weights)
+    rows = max(1, BLOCK // max(k_max, 1))
+    workers = max(1, min(threads, n_reps))
+    edges = [n_reps * i // workers for i in range(workers + 1)]
+    # [j, d, r]: <w R(b)f phi, xi> (j = 0), <w phi^2, xi^2> (j = 1)
+    sums = np.empty((2, len(weights), n_reps))
+
+    def part(lo, hi):
+        streams = NoiseStreams(sampler.with_stream(sampler.stream_id + lo),
+                               hi - lo)
+        xi, scratch = np.empty((rows, k_max)), np.empty(rows * k_max)
+        for r0 in range(lo, hi, rows):
+            m = min(rows, hi - r0)
+            xi_m = sample_white(streams, space, xi[:m], r0 - lo)
+            for j in (0, 1):
+                if j:
+                    np.square(xi_m, out=xi_m)
+                for d, w in enumerate(weights):
+                    w_j = w.sum_w[j]
+                    prod = scratch[:m * w_j.size].reshape(m, w_j.size)
+                    np.multiply(w_j, xi_m[:, :w_j.size], out=prod)
+                    sums[j, d, r0:r0 + m] = np.sum(prod, axis=1)
+
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(part, edges[:-1], edges[1:]))
+    else:
+        part(0, n_reps)
+    results = []
+    for w, cross, noise in zip(weights, *sums):
+        crosses, noise_sq = 2.0 * w.delta * cross, w.delta**2 * noise
+        sq_errors = (w.bias ** 2 - crosses) + noise_sq
+        rms = float(np.sqrt(float(np.mean(sq_errors))))
+        se_mean = float(np.std(sq_errors, ddof=1) / np.sqrt(n_reps))
+        results.append(McResult(
+            rms=rms, stderr=se_mean / (2.0 * rms) if rms > 0 else 0.0,
+            bias=w.bias, noise_term=float(np.mean(noise_sq)),
+            cross_term_mean=float(np.mean(crosses)),
+            cross_term_stderr=float(np.std(crosses, ddof=1) / np.sqrt(n_reps))))
+    return results
+
+
+def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
+                    space: MeasureSpace, f, delta: float,
+                    sampler: WhiteNoiseSampler, n_reps: int) -> McResult:
+    """RMS error over replications with disjoint noise streams.
+
+    The squared bias enters exactly; the variance and the cross term
+    2*delta*<R(b)f, phi(b)xi> are averaged empirically.  Raises
+    DivergentProfile when the variance integral of the underlying problem
+    diverges (the truncated sum would otherwise silently depend on the
+    truncation radius).
+
+    Replication r uses noise stream ``sampler.stream_id + r``, but only up
+    to the filter's last nonzero node k: beyond it err == R(b) f and
+    phi(b) xi == 0 exactly.  All n_reps streams are seeded in one pass and
+    drawn in blocks of BLOCK // k replications.  The error
+    err = R(b) f - delta phi(b) xi splits its squared norm into three sums,
+
+        |err|_w^2 = bias^2 - 2 delta <w R(b)f phi, xi> + delta^2 <w phi^2, xi^2>,
+
+    so a replication costs two weighted row sums of its k draws, each one
+    ``np.sum`` (pairwise, whatever the BLAS); each value agrees with a full
+    per-replication |err|_w^2 to a few ulp of bias^2 + delta^2 |phi xi|_w^2.
+    A cut-off filter's cross term is exactly zero.  A white
+    ``sweep_deltas`` runs the same kernel on all its deltas at once.
+    """
+    weights = _mc_weights(scheme, alpha, b, space, f, delta)
+    return _monte_carlo([weights], space, sampler, n_reps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +614,8 @@ def fit_loglog_slope(xs, ys) -> float | None:
 
 DETERMINISTIC = "deterministic"
 WHITE = "white"
-STREAM_STRIDE = 100_000  # sweep_deltas' noise streams per delta
+#: replication r of a white sweep draws noise stream FIRST_STREAM + r
+FIRST_STREAM = 100_000
 
 
 def choose_alpha(problem: MultiplicationProblem, phi: IndexFunction,
@@ -574,6 +633,23 @@ def choose_alpha(problem: MultiplicationProblem, phi: IndexFunction,
     raise ValueError(f"unknown mode '{mode}'")
 
 
+def _white_rows(problem: MultiplicationProblem, scheme: Scheme,
+                phi: IndexFunction, deltas, c_phi: float, n_reps: int,
+                sampler: WhiteNoiseSampler, profile, extended=None,
+                threads: int = 1) -> list:
+    """``(alpha*, the bound there, McResult)`` per delta.  Each delta's
+    alpha* and divergence check run in order, before any draw."""
+    alphas, weights = [], []
+    for delta in deltas:
+        alphas.append(choose_alpha(problem, phi, delta, WHITE, profile))
+        weights.append(_mc_weights(scheme, alphas[-1], problem.b, problem.space,
+                                   problem.f_true, delta, extended))
+    results = _monte_carlo(weights, problem.space, sampler, n_reps, threads)
+    return [(alpha, white_bound_at_star(c_phi, scheme.c_0, phi, alpha,
+                                        problem.source_scale), mc)
+            for alpha, mc in zip(alphas, results)]
+
+
 def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
                    phi: IndexFunction, delta: float, mode: str,
                    c_phi: float, n_reps: int = 1,
@@ -589,43 +665,32 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
     The bound column is the simplified at-alpha-star form of the
     a-priori error estimate.
 
-    ``_per_sweep`` holds what ``sweep_deltas`` computes once for all its
-    deltas: the ``_ExactData`` in deterministic mode, the extended grids
-    handed on to ``monte_carlo_rms`` in white mode.
+    ``_per_sweep`` holds what ``sweep_deltas`` computed for this row: the
+    ``_ExactData`` of all its deltas in deterministic mode; in white mode
+    alpha*, the bound and the ``McResult`` of the replications that this
+    delta shares with the sweep's other deltas.
     """
+    if mode == WHITE:
+        alpha, bound, mc = _per_sweep or _white_rows(
+            problem, scheme, phi, [delta], c_phi, n_reps, sampler, profile)[0]
+        return RateRow(delta=float(delta), alpha_star=alpha, error=mc.rms,
+                       stderr=mc.stderr, bias=mc.bias,
+                       variance_term=mc.noise_term, bound=bound,
+                       violated=bool(mc.rms > bound + 2.0 * mc.stderr))
     b, space, f = problem.b, problem.space, problem.f_true
-    rho = problem.source_scale
     alpha_star = choose_alpha(problem, phi, delta, mode, profile)
-    if mode == DETERMINISTIC:
-        data = _per_sweep if _per_sweep is not None else \
-            _exact_data(b, space, np.asarray(f, float))
-        phi_v = scheme.phi(alpha_star, data.vals)
-        worst = concentrated_noise(space, int(np.argmax(np.abs(phi_v))))
-        bound = deterministic_bound_at_star(c_phi, scheme.c_minus1,
-                                            phi, alpha_star, rho)
-        budget = evaluate_deterministic(scheme, alpha_star, b, space, f,
-                                        delta, worst,
-                                        _filtered=(data, phi_v))
-        err, stderr = budget.total, 0.0
-        violated = err > bound * (1 + 1e-9)
-    else:
-        bound = white_bound_at_star(c_phi, scheme.c_0, phi, alpha_star, rho)
-        budget = monte_carlo_rms(scheme, alpha_star, b, space, f, delta,
-                                 sampler, n_reps, _extended=_per_sweep)
-        err, stderr = budget.rms, budget.stderr
-        violated = err > bound + 2.0 * stderr
-    return RateRow(delta=float(delta), alpha_star=alpha_star, error=err,
-                   stderr=stderr, bias=budget.bias,
+    data = _per_sweep if _per_sweep is not None else \
+        _exact_data(b, space, np.asarray(f, float))
+    phi_v = scheme.phi(alpha_star, data.vals)
+    worst = concentrated_noise(space, int(np.argmax(np.abs(phi_v))))
+    bound = deterministic_bound_at_star(c_phi, scheme.c_minus1, phi,
+                                        alpha_star, problem.source_scale)
+    budget = evaluate_deterministic(scheme, alpha_star, b, space, f, delta,
+                                    worst, _filtered=(data, phi_v))
+    return RateRow(delta=float(delta), alpha_star=alpha_star,
+                   error=budget.total, stderr=0.0, bias=budget.bias,
                    variance_term=budget.noise_term, bound=bound,
-                   violated=bool(violated))
-
-
-def _cancel_if_failed(later: list, future) -> None:
-    """Done callback: a failed delta cancels the ``later`` ones not yet started,
-    in the worker that ran it, before that worker takes another."""
-    if not future.cancelled() and future.exception() is not None:
-        for pending in later:
-            pending.cancel()
+                   violated=bool(budget.total > bound * (1 + 1e-9)))
 
 
 def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
@@ -634,51 +699,39 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
                  distribution: str = GAUSSIAN) -> RateStudyResult:
     """One ``evaluate_delta`` row per delta, in order, and the fitted slopes.
 
-    Delta k draws from streams ``STREAM_STRIDE * (k + 1) + r``, so ``threads``
-    (workers over the deltas) does not change the rows; the rows are
-    collected in delta order, so a failing sweep raises the failure of its
-    first failing delta at any ``threads``.  A failing delta cancels the
-    later ones that have not started.
+    A white sweep first chooses alpha* and checks the variance integral of
+    every delta in order, so a failing sweep raises its first failing
+    delta's failure before any noise is drawn.  One Monte Carlo pass then
+    draws each replication once, replication r from stream
+    ``FIRST_STREAM + r`` up to the widest filter's support, and every delta
+    reads its own prefix of those draws (common random numbers).  Each row
+    is thus the row ``evaluate_delta`` gives on ``WhiteNoiseSampler(seed,
+    FIRST_STREAM, distribution)``, and the rows are positively correlated
+    across deltas.  ``threads`` workers split the replications into
+    contiguous ranges, which does not change the rows.  A deterministic
+    sweep evaluates its deltas in turn.
     The slopes fit log(error) and log(phi(alpha*)) against log(delta) on
     the middle 80% of the points; they are None below 4 rows.
 
-    Arrays every delta needs are computed once, here, and shared read-only
-    by the workers until the sweep returns: in deterministic mode the
-    ``_ExactData``; in white mode on a half-line or line, the 2x and 4x
-    truncations that ``variance_integral`` checks for divergence.
+    Arrays every delta needs are computed once, here: in deterministic
+    mode the ``_ExactData``; in white mode on a half-line or line, the 2x
+    and 4x truncations that ``variance_integral`` checks for divergence.
     """
     b, space = problem.b, problem.space
-    per_sweep = profile = None
     if mode == WHITE:
-        profile = effective_illposedness(b, space)
-        if b.evaluable and space.extensible:
-            per_sweep = tuple(_extended_grid(b, space, factor)
-                              for factor in _EXTENSIONS)
-    elif mode == DETERMINISTIC:
-        per_sweep = _exact_data(b, space, np.asarray(problem.f_true, float))
-
-    def one(k):
-        sampler = WhiteNoiseSampler(seed, STREAM_STRIDE * (k + 1), distribution)
-        return evaluate_delta(problem, scheme, phi, float(deltas[k]), mode, c_phi,
-                              n_reps=n_reps, sampler=sampler, profile=profile,
-                              _per_sweep=per_sweep)
-
-    if threads > 1 and len(deltas) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # the first delta starts at once, as its failure decides a failing
-        # sweep's report; the others go smallest first: the smallest delta's
-        # alpha* is smallest and its filter support widest, so it takes longest
-        order = [0] + sorted(range(1, len(deltas)), key=lambda k: deltas[k])
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            submitted = {k: pool.submit(one, k) for k in order}
-            futures = [submitted[k] for k in range(len(deltas))]
-            for k, future in enumerate(futures):
-                future.add_done_callback(
-                    functools.partial(_cancel_if_failed, futures[k + 1:]))
-            rows = [future.result() for future in futures]
+        extended = tuple(_extended_grid(b, space, factor) for factor in
+                         _EXTENSIONS) if b.evaluable and space.extensible else None
+        per_row = _white_rows(
+            problem, scheme, phi, [float(delta) for delta in deltas], c_phi,
+            n_reps, WhiteNoiseSampler(seed, FIRST_STREAM, distribution),
+            effective_illposedness(b, space), extended, threads)
     else:
-        rows = [one(k) for k in range(len(deltas))]
+        data = _exact_data(b, space, np.asarray(problem.f_true, float)) \
+            if mode == DETERMINISTIC else None
+        per_row = [data] * len(deltas)
+    rows = [evaluate_delta(problem, scheme, phi, float(delta), mode, c_phi,
+                           _per_sweep=per_sweep)
+            for delta, per_sweep in zip(deltas, per_row)]
 
     fitted = theoretical = None
     if len(rows) >= 4:

@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="parallel workers over delta points")
+                       help="parallel workers over Monte Carlo replications")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="output table format")
     return parser

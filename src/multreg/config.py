@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .analysis import STREAM_STRIDE, MultiplicationProblem
+from .analysis import MultiplicationProblem
 from .errors import ConfigError
 from .gallery import (DeconvolutionProblem, FinalValueProblem, compact_case,
                       exp_decay_pair, fvp_multiplier, plateau_pair,
@@ -178,9 +178,6 @@ def parse_config(raw: dict, digest: str = "") -> ExperimentConfig:
     if not all(0 < d < np.inf for d in deltas):
         raise ConfigError("noise.deltas: noise levels must be positive and finite")
     replications = _number(noise, "replications", 1, int, "noise.", minimum=1)
-    if replications >= STREAM_STRIDE:
-        raise ConfigError(f"noise.replications: must be < {STREAM_STRIDE}, or "
-                          "the noise streams of different deltas overlap")
     if mode == "white" and deltas and replications < 2:
         raise ConfigError("noise.replications: white-noise studies need >= 2")
     distribution = noise.get("distribution", GAUSSIAN)

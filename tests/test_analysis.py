@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from multreg import (DETERMINISTIC, WHITE, BracketingFailed, Divergent, Divergen
                      variance_integral, white_bound_at_star,
                      white_error_bound, worst_case_deterministic)
 from multreg import analysis
-from multreg.analysis import STREAM_STRIDE, sweep_deltas
+from multreg.analysis import FIRST_STREAM as STREAM_STRIDE, sweep_deltas
 from multreg.gallery import (counting_problem, exp_decay_pair, plateau_pair,
                              power_decay_pair, pure_power_pair)
 
@@ -223,6 +222,28 @@ def test_illposedness_underflowed_multiplier():
     # one node leaves no default grid between min b and sup b
     with pytest.raises(PreconditionFailed):
         effective_illposedness(*compact_case([1.0]))
+
+
+#: each 1/b^2 is finite, but the last three sum past the largest double
+OVERFLOW_TABLE = [1.0, 0.5, 0.25, 1.25e-154, 1.24e-154, 1.23e-154, 1.22e-154]
+
+
+def test_illposedness_where_only_the_running_sum_overflows():
+    b, space = compact_case(OVERFLOW_TABLE)
+    prof = effective_illposedness(b, space)
+    assert np.all(np.isfinite(prof.d_values))
+    vals = np.array(OVERFLOW_TABLE)
+    with np.errstate(over="ignore"):
+        unscaled = np.sqrt(np.cumsum(1.0 / vals ** 2))
+    # where the unscaled running sum is finite, D keeps its bits
+    for alpha, d in zip([0.6, 0.3, 0.1, 1.245e-154, 1.235e-154], unscaled):
+        assert prof.d_at(alpha) == d
+    assert not np.isfinite(unscaled[5])
+    # D itself, about 1.4e154 at the smallest value, is finite
+    scaled = math.fsum((1.0 / (8.0 * v)) ** 2 for v in OVERFLOW_TABLE[:-1])
+    assert prof.d_at(1.22e-154) == pytest.approx(8.0 * math.sqrt(scaled),
+                                                  rel=1e-15)
+    assert prof.d_values[0] == prof.d_at(prof.alpha_grid[0])
 
 
 def test_illposedness_matches_per_alpha_sums():
@@ -666,9 +687,9 @@ def test_sweep_shares_extended_grids_with_identical_rows(threads, monkeypatch):
     for problem in _white_sweep_problems():
         profile = effective_illposedness(problem.b, problem.space)
         each = [evaluate_delta(problem, scheme, phi, delta, WHITE, 1.0, n_reps=8,
-                               sampler=WhiteNoiseSampler(3, STREAM_STRIDE * (k + 1)),
+                               sampler=WhiteNoiseSampler(3, STREAM_STRIDE),
                                profile=profile)
-                for k, delta in enumerate(deltas)]
+                for delta in deltas]
         built, build = [], analysis._extended_grid
 
         def counted(b, space, factor):
@@ -681,6 +702,61 @@ def test_sweep_shares_extended_grids_with_identical_rows(threads, monkeypatch):
         monkeypatch.undo()
         assert list(study.rows) == each
         assert built == list(analysis._EXTENSIONS)  # once per sweep
+
+
+def _shared_stream_problems():
+    # a counting problem and a half-line one; their cut-offs at the four
+    # deltas are supported on four different prefixes of the nodes
+    yield counting_problem(500, PowerIndex(1.0))
+    b, space = power_decay_pair(0.5, 50.0, 2**11)
+    yield MultiplicationProblem(b, space, b.values_on(space) ** 0.5)
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("n_reps", [2, 7, 8])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_white_sweep_rows_equal_single_delta_rows_on_shared_streams(
+        threads, n_reps, distribution, monkeypatch):
+    # each row is the one-delta row on the sweep's streams, ==, whatever the
+    # split of the replications over the workers; no worker gets none.  The
+    # filter's residual is nonzero on its support, so even Rademacher rows
+    # (xi^2 = 1) depend on the draws through the cross term
+    scheme, phi, deltas = truncate(lavrentiev()), PowerIndex(0.5), \
+        [1e-2, 1e-3, 1e-4, 1e-5]
+    ranges, streams = [], analysis.NoiseStreams
+
+    def counted(sampler, count):
+        ranges.append(count)
+        return streams(sampler, count)
+
+    for problem in _shared_stream_problems():
+        profile = effective_illposedness(problem.b, problem.space)
+        sampler = WhiteNoiseSampler(11, STREAM_STRIDE, distribution)
+        each = [evaluate_delta(problem, scheme, phi, delta, WHITE, 1.0,
+                               n_reps=n_reps, sampler=sampler, profile=profile)
+                for delta in deltas]
+        ranges.clear()
+        monkeypatch.setattr(analysis, "NoiseStreams", counted)
+        study = sweep_deltas(problem, scheme, phi, deltas, WHITE, 1.0,
+                             n_reps=n_reps, seed=11, threads=threads,
+                             distribution=distribution)
+        monkeypatch.undo()
+        assert list(study.rows) == each
+        assert len(ranges) == min(threads, n_reps) and min(ranges) > 0
+        assert sum(ranges) == n_reps
+        vals = problem.b.values_on(problem.space)
+        widths = {np.flatnonzero(scheme.phi(row.alpha_star, vals))[-1]
+                  for row in study.rows}
+        assert len(widths) == len(deltas)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_white_sweep_without_deltas_has_no_rows(threads):
+    # the config allows one replication when there is no delta
+    problem = counting_problem(50, PowerIndex(1.0))
+    study = sweep_deltas(problem, spectral_cutoff(), PowerIndex(1.0), [], WHITE,
+                         1.0, n_reps=1, threads=threads)
+    assert study.rows == () and study.fitted_slope is None
 
 
 def test_sweep_keeps_the_divergence_diagnosis():
@@ -790,28 +866,33 @@ def test_deterministic_sweep_evaluates_b_once(monkeypatch):
 
 def test_failing_threaded_sweep_cancels_the_later_deltas(monkeypatch):
     # every delta of this half-line study diverges; the first one's failure
-    # is the study's, and the deltas not yet started are not evaluated
+    # is the study's, raised before the later deltas and before any draw
     b, space = power_decay_pair(1.0, 30.0, 2**10)
     problem = MultiplicationProblem(b, space, b.values_on(space) ** 0.5)
     args = (problem, lavrentiev(), PowerIndex(0.5))
     deltas = [1e-2, 1e-3, 1e-4, 1e-5]
-    calls, evaluate = [], analysis.evaluate_delta
+    calls, draws = [], []
+    choose, sample = analysis.choose_alpha, analysis.sample_white
 
-    def counted(problem, scheme, phi, delta, *rest, **kwargs):
+    def counted(problem, phi, delta, *rest, **kwargs):
         calls.append(delta)
-        if delta != deltas[0]:
-            time.sleep(0.05)  # the others are slower, as small deltas are
-        return evaluate(problem, scheme, phi, delta, *rest, **kwargs)
+        return choose(problem, phi, delta, *rest, **kwargs)
 
-    monkeypatch.setattr(analysis, "evaluate_delta", counted)
+    def drawn(*args, **kwargs):
+        draws.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "choose_alpha", counted)
+    monkeypatch.setattr(analysis, "sample_white", drawn)
     messages = []
     for threads in (1, 2):
         calls.clear()
         with pytest.raises(DivergentProfile) as failure:
             sweep_deltas(*args, deltas, WHITE, 1.0, n_reps=4, threads=threads)
         messages.append(str(failure.value))
-        assert deltas[0] in calls and len(calls) < len(deltas)
+        assert calls == deltas[:1]
     assert messages[0] == messages[1]
+    assert draws == []
 
 
 def test_fit_loglog_slope():

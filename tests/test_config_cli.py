@@ -77,6 +77,15 @@ def test_parse_rejects_bad_fields():
             parse_config({"problem": problem})
 
 
+def test_parse_accepts_any_replication_count():
+    # replication r draws one stream for every delta, so no count makes the
+    # streams of two deltas overlap
+    cfg = parse_config({"problem": {"kind": "counting"},
+                        "noise": {"mode": "white", "deltas": [1e-2],
+                                  "replications": 100_000}})
+    assert cfg.replications == 100_000
+
+
 MALFORMED = [
     ({"noise": 5}, "noise"),
     ({"discretization": 3}, "discretization"),
@@ -85,8 +94,6 @@ MALFORMED = [
     ({"alpha": "xyz"}, "alpha"),
     ({"alpha": 0.0}, "alpha"),
     ({"noise": {"replications": "abc"}}, "noise.replications"),
-    ({"noise": {"mode": "white", "deltas": [1e-2], "replications": 100_000}},
-     "noise.replications"),
     ({"noise": {"deltas": "1e-3"}}, "noise.deltas"),
     ({"scheme": "bogus"}, "scheme"),
     ({"discretisation": {"n_nodes": 64}}, "top level: unknown key.*discretisation"),
@@ -168,8 +175,10 @@ output: {directory: OUTDIR}
     assert meta["status"] == "divergent" and meta["failure"]
 
 
-def test_cli_run_reports_an_overflowing_profile(tmp_path, capsys):
-    # near the 1.2e-154 floor each 1/b^2 is finite, but their sum is not
+def test_cli_where_only_the_running_sum_of_inverse_squares_overflows(
+        tmp_path, capsys):
+    # near the 1.2e-154 floor each 1/b^2 is finite, but their sum is not;
+    # D, about 1.4e154 at the smallest value, is finite
     (tmp_path / "b.txt").write_text("".join(
         f"{j} {v}\n" for j, v in enumerate(
             [1, 0.5, 0.25, 1.25e-154, 1.24e-154, 1.23e-154, 1.22e-154], 1)))
@@ -179,12 +188,14 @@ scheme: cutoff
 noise: {{mode: white, deltas: [1.0e-2], replications: 4}}
 output: {{directory: OUTDIR}}
 """)
-    capsys.readouterr()
-    assert main(["run", "--config", str(path)]) == EXIT_VIOLATION
-    out, err = capsys.readouterr()
-    assert "1/b^2 overflows" in out and "Traceback" not in err
+    for command in ("run", "dalpha"):
+        assert main([command, "--config", str(path)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
     meta = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert meta["status"] == "violation" and "1/b^2 overflows" in meta["failure"]
+    assert meta["status"] == "ok"
+    table = (tmp_path / "out" / "dalpha.csv").read_text().splitlines()
+    alpha, d, _ = map(float, table[1].split(","))
+    assert alpha == 1.22e-154 and d == pytest.approx(1.3969e154, rel=1e-4)
 
 
 def test_run_unqualified_scheme_is_violation(tmp_path):
@@ -571,9 +582,9 @@ discretization: {n_nodes: 4096}
 # output bytes must be deliberate
 GOLDEN = {
     ("white_counting", "run", "rows.csv"):
-        "73979bfe5187b10be3b3ec5dfa9307710ce26e5e215842c4591cd98d3760d986",
+        "b49b5b8429fc72fbe55633ecec4c9ba859aae40df6010317ac8294e1e55810ae",
     ("white_counting", "run", "report.json"):
-        "45c6cde630518ef66f298044c66a250622b8dbab7ff39d5a62aad7f35adc1d40",
+        "a9df90c8b48701e05bec3e1e3745e14e911141c95e2aed45f9674638ba09e2b9",
     ("deterministic_counting", "run", "rows.csv"):
         "5f0f3c28300c57c75d069589642dce0741a36140001116268979acb202d23644",
     ("deterministic_counting", "run", "report.json"):
@@ -589,9 +600,9 @@ GOLDEN = {
     ("white_halfline_rademacher", "run", "report.json"):
         "34fe04467589df2d4a3de5e935600060614dea8ec471674a8f3b52b76c152adc",
     ("white_lavrentiev", "run", "rows.csv"):
-        "691f0a08193f9f4873d8a3a32b34e6b35ecd4b4d20091efef73945e2cca2ed01",
+        "0f68b6e0a02e2d5846f077e6eab52cb8b824cf0759f6297d88740c2953c42822",
     ("white_lavrentiev", "run", "report.json"):
-        "d91817f0aecbf30f0678036d613081bdefaf4edaf71de14122e026942a79c306",
+        "02b893a0a013bfa24f243869e86cd01ae74b7e65ca5720955f6d4d3dd3ebcc71",
     ("deconvolution_exponential", "rearrange", "distribution.csv"):
         "cc1806e968505b20cbf2b4ef211e4499fb24b19d46ab2c0ca6310ee9a278b269",
     ("deconvolution_exponential", "rearrange", "decreasing_rearrangement.csv"):
@@ -614,6 +625,32 @@ def test_shipped_config_outputs_match_golden_digests(tmp_path):
         digests[name, command, file] = hashlib.sha256(
             (out / file).read_bytes()).hexdigest()
     assert digests == GOLDEN
+
+
+#: the first data row of each white study: its delta still draws streams
+#: 100000 + r, now shared with the study's other deltas, so these bytes are
+#: those of the rows that drew per-delta streams
+FIRST_ROWS = {
+    "white_counting": "0.01,0.125,0.12448886093936941,0.0027647088517715919,"
+                      "0.036090442396366204,0.014194956465616226,"
+                      "0.35355339059327379,0",
+    "white_lavrentiev": "0.01,0.00095881290221149287,0.030593800497331142,"
+                        "0.00093704754004095617,0.001345349593197858,"
+                        "0.00093381051708570724,0.087581409087156989,0",
+    "white_halfline_rademacher": "0.01,0.091923171195326878,"
+                                 "0.092962331295543099,0,0.01386093926460028,"
+                                 "0.0084498694026053749,0.25999799080155023,0",
+}
+
+
+def test_white_studies_keep_their_first_row(tmp_path):
+    for name, first in FIRST_ROWS.items():
+        config = SHIPPED / f"{name}.yaml"
+        if name in STUDIES:
+            config = write_config(tmp_path, STUDIES[name], name=f"{name}.yaml")
+        out = tmp_path / name
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert (out / "rows.csv").read_text().splitlines()[1] == first
 
 
 def test_run_computes_phi_star_once(tmp_path, monkeypatch):

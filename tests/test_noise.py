@@ -5,7 +5,7 @@ from multreg import (MeasureSpace, NoiseStreams, WhiteNoiseSampler,
                      ZeroDirection, concentrated_direction, sample_white,
                      spectral_cutoff, worst_case_deterministic)
 from multreg.noise import DeterministicNoise, _pcg64_states, concentrated_noise
-from multreg.analysis import STREAM_STRIDE
+from multreg.analysis import FIRST_STREAM as STREAM_STRIDE
 from multreg.gallery import compact_case
 
 
