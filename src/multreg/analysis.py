@@ -271,7 +271,8 @@ def _solve_monotone(fn, target, bracket, phi, label):
 
 def choose_alpha_deterministic(phi: IndexFunction, delta: float,
                                bracket=(1e-12, 1.0)) -> float:
-    """A-priori choice: solve alpha * phi(alpha) = delta by bisection."""
+    """A-priori choice: the smallest alpha in the bracket (clipped to phi's
+    domain) with alpha * phi(alpha) >= delta."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     return _solve_monotone(lambda a: a * float(phi(a)), delta, bracket, phi,
@@ -292,12 +293,8 @@ def choose_alpha_white(phi: IndexFunction, profile: IllposednessProfile,
     def gap(a):
         return float(phi(a)) - delta * profile.d_at(a)
 
-    alpha = _solve_monotone(gap, 0.0, (1e-12, float(profile.alpha_grid[-1])),
-                            phi, "phi(alpha) - delta D(alpha)")
-    # the bisection stops within a few doubles of the smallest one
-    while gap(below := float(np.nextafter(alpha, 0.0))) >= 0:
-        alpha = below
-    return alpha
+    return _solve_monotone(gap, 0.0, (1e-12, float(profile.alpha_grid[-1])),
+                           phi, "phi(alpha) - delta D(alpha)")
 
 
 def deterministic_error_bound(c_phi: float, c_minus1: float, phi: IndexFunction,

@@ -9,7 +9,7 @@ import pytest
 
 from multreg import (DETERMINISTIC, WHITE, BracketingFailed, Divergent, DivergentProfile,
                      FilterOverflow, IllposednessProfile, MeasureSpace,
-                     MultiplicationProblem, MultRegError, PowerIndex,
+                     LogPowerIndex, MultiplicationProblem, MultRegError, PowerIndex,
                      PreconditionFailed, TableIndex, Tabulated,
                      WhiteNoiseSampler,
                      bias, choose_alpha_deterministic, choose_alpha_white,
@@ -26,6 +26,7 @@ from multreg import analysis
 from multreg.analysis import FIRST_STREAM as STREAM_STRIDE, sweep_deltas
 from multreg.gallery import (counting_problem, exp_decay_pair, plateau_pair,
                              power_decay_pair, pure_power_pair)
+from multreg.indexfuncs import solve_increasing
 
 
 # --- reconstruction -------------------------------------------------------------
@@ -318,6 +319,43 @@ def test_illposedness_is_the_exact_step_function(case):
 
 
 # --- a-priori parameter choices ----------------------------------------------------------
+
+@pytest.mark.parametrize("lo, hi", [(0.0, np.finfo(float).max), (1e-300, 1e300),
+                                    (1e-12, 1.0)])
+def test_solve_increasing_returns_the_exact_smallest_root(lo, hi):
+    roots = [c for c in np.geomspace(1e-300, 1e300, 61) if lo < c <= hi]
+    roots += [np.nextafter(lo, np.inf), hi]
+    roots += [np.nextafter(2.0**k, np.inf) for k in (-997, -40, -1, 0, 1, 52, 1000)
+              if lo < 2.0**k < hi]
+    for c in roots:
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return float(x >= c)
+
+        assert solve_increasing(step, 0.5, lo, hi) == c
+        assert len(calls) <= 63
+
+
+SOLVER_PHIS = {"t^0.5": PowerIndex(0.5), "t": PowerIndex(1.0),
+               "t^1.5": PowerIndex(1.5), "t^2": PowerIndex(2.0),
+               "log_power": LogPowerIndex(1.0, 1.0)}
+
+
+@pytest.mark.parametrize("name", SOLVER_PHIS)
+def test_choose_alpha_deterministic_and_inverse_are_the_smallest_root(name):
+    # the smallest double meeting the rule, so the bracket does not matter
+    phi = SOLVER_PHIS[name]
+    for delta in np.geomspace(1e-9, 0.3, 40):
+        astar = choose_alpha_deterministic(phi, delta)
+        below = np.nextafter(astar, 0)
+        assert astar * phi(astar) >= delta > below * phi(below)
+        assert choose_alpha_deterministic(phi, delta, (1e-10, 0.9)) == astar
+        if name == "log_power":
+            t = phi.inverse(delta)
+            assert phi(t) >= delta > phi(np.nextafter(t, 0))
+
 
 def test_choose_alpha_deterministic_powers():
     assert choose_alpha_deterministic(PowerIndex(1.0), 1e-4) == \

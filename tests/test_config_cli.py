@@ -544,8 +544,9 @@ output: {directory: OUTDIR}
 
 SHIPPED = Path(__file__).resolve().parents[1] / "configs"
 # small white studies beside the shipped configs: Rademacher noise with the
-# cut-off nonzero on a prefix of a half-line grid, and a Lavrentiev filter
-# nonzero on every node
+# cut-off nonzero on a prefix of a half-line grid (xi^2 = 1 and no cross
+# term, so its rows do not depend on the draws) and with a truncated
+# Lavrentiev filter there, and a Lavrentiev filter nonzero on every node
 STUDIES = {
     "white_halfline_rademacher": """\
 problem: {kind: power_decay, kappa: 0.5}
@@ -576,6 +577,9 @@ problem: {kind: deconvolution, kernel: exponential, half_width: 40.0}
 discretization: {n_nodes: 4096}
 """,
 }
+STUDIES["white_halfline_rademacher_lavrentiev"] = \
+    STUDIES["white_halfline_rademacher"].replace("truncated:cutoff",
+                                                 "truncated:lavrentiev")
 # SHA-256 of what `run` writes for the shipped configs and the studies
 # above, of what `reconstruct` writes for backward_heat.yaml and of the
 # `rearrange` and `dalpha` tables of the deconvolution: a change of these
@@ -586,9 +590,9 @@ GOLDEN = {
     ("white_counting", "run", "report.json"):
         "a9df90c8b48701e05bec3e1e3745e14e911141c95e2aed45f9674638ba09e2b9",
     ("deterministic_counting", "run", "rows.csv"):
-        "5f0f3c28300c57c75d069589642dce0741a36140001116268979acb202d23644",
+        "d9716da955133e4bc3f14b754d91e9d43f3d2557d3329f2000442b47a6273e45",
     ("deterministic_counting", "run", "report.json"):
-        "cc290d7219378340494a59344186c54b1d09d67b48ba4032d872f7f31b963af0",
+        "d23c6c09e1c8d2daeb15ce41c797509cddc7c273461d00754c4506d2b2261828",
     ("backward_heat", "run", "rows.csv"):
         "5cb5f394aed022c2af7e7242215733590c56bbfb627a0eb13f384accf9495edd",
     ("backward_heat", "run", "report.json"):
@@ -599,6 +603,10 @@ GOLDEN = {
         "e1cacc0b27cf0e940199922fbfb1754bf25cf21e0c14f83123424c51480c757e",
     ("white_halfline_rademacher", "run", "report.json"):
         "34fe04467589df2d4a3de5e935600060614dea8ec471674a8f3b52b76c152adc",
+    ("white_halfline_rademacher_lavrentiev", "run", "rows.csv"):
+        "dfb6d840de5eebaad315224b2ad46fd9961e2d652b637edb14fc88bd78843cae",
+    ("white_halfline_rademacher_lavrentiev", "run", "report.json"):
+        "ff16e5b490eb6133bc7c9afb6d2b7918e97b491f893d713f4871482d4621c6f1",
     ("white_lavrentiev", "run", "rows.csv"):
         "0f68b6e0a02e2d5846f077e6eab52cb8b824cf0759f6297d88740c2953c42822",
     ("white_lavrentiev", "run", "report.json"):
@@ -651,6 +659,18 @@ def test_white_studies_keep_their_first_row(tmp_path):
         out = tmp_path / name
         assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
         assert (out / "rows.csv").read_text().splitlines()[1] == first
+
+
+def test_rademacher_lavrentiev_study_rows_follow_the_seed(tmp_path):
+    config = write_config(tmp_path, STUDIES["white_halfline_rademacher_lavrentiev"])
+    rows = {}
+    for seed in ("20261018", "5"):
+        out = tmp_path / seed
+        assert main(["run", "--config", str(config), "--seed", seed,
+                     "--out", str(out)]) == EXIT_OK
+        rows[seed] = (out / "rows.csv").read_text().splitlines()[1:]
+    assert len(rows["5"]) == 5
+    assert all(a != b for a, b in zip(rows["20261018"], rows["5"]))
 
 
 def test_run_computes_phi_star_once(tmp_path, monkeypatch):
