@@ -44,6 +44,58 @@ def test_round_trip(exp_problem):
     assert np.max(np.abs(back - y)) < 1e-12
 
 
+def _refused_by_full_ifft(p, u):
+    # the refusal rule on the full complex inverse transform
+    y = np.fft.ifft(np.fft.ifftshift(u) * np.sqrt(2.0 * np.pi) * p.n
+                    / (2.0 * p.half_width))
+    return bool(np.max(np.abs(y.imag)) > 1e-8 * (np.max(np.abs(y)) + 1e-300))
+
+
+def test_non_real_refusal_matches_the_full_inverse_transform(exp_problem,
+                                                            monkeypatch):
+    # anti-Hermitian parts i * to_frequency(z), z real, spread over all
+    # frequencies or on one pair of them, at sizes that straddle the 1e-8
+    # threshold: from_frequency refuses exactly when the full inverse
+    # transform's imaginary part is too large.  Some pass on the bound on
+    # sum |A_k| alone, some only after the full transform
+    p = exp_problem
+    full, ifft = [], np.fft.ifft
+
+    def counted(*args, **kwargs):
+        full.append(1)
+        return ifft(*args, **kwargs)
+
+    rng = np.random.default_rng(6)
+    y = rng.standard_normal(p.n)
+    u = to_frequency(p, y)
+    assert not _refused_by_full_ifft(p, u)
+    assert np.max(np.abs(from_frequency(p, u) - y)) < 1e-12
+    s = p.signal_space.nodes
+    shapes = (rng.standard_normal(p.n), np.cos(np.pi * 3 * s / p.half_width))
+    verdicts = []
+    for z in shapes:
+        anti = 1j * to_frequency(p, z)
+        anti *= np.linalg.norm(u) / np.linalg.norm(anti)
+        for size in np.geomspace(1e-11, 1e-5, 25):
+            perturbed = u + size * anti
+            refused = _refused_by_full_ifft(p, perturbed)
+            verdicts.append(refused)
+            monkeypatch.setattr(np.fft, "ifft", counted)
+            if refused:
+                with pytest.raises(ValueError, match="non-real"):
+                    from_frequency(p, perturbed)
+            else:
+                assert np.max(np.abs(from_frequency(p, perturbed) - y)) < 1e-9
+            monkeypatch.undo()
+    assert 0 < sum(verdicts) < len(full) < len(verdicts)
+
+
+def test_from_frequency_needs_one_value_per_frequency(exp_problem):
+    for shape in ((exp_problem.n - 2,), (2, exp_problem.n)):
+        with pytest.raises(ValueError, match="frequency values"):
+            from_frequency(exp_problem, np.zeros(shape, complex))
+
+
 def _full_fft_transforms(p):
     # the complex-FFT forms of to_frequency and periodic_convolve, with the
     # half-period shift as the phase (-1)^k

@@ -131,3 +131,77 @@ def test_qualification_grids_are_fixed():
     cert = certify_qualification(spectral_cutoff(), PowerIndex(1.0))
     assert np.array_equal(cert.t_grid, np.logspace(-8, 0, 512))
     assert np.array_equal(cert.alpha_grid, np.logspace(-6, 0, 49))
+
+
+def _scalar_axiom_one(scheme, t_grid):
+    """Axiom (I) as a loop of scalar residual probes, t by t: the first
+    failure as ``(item, alpha, t)``, or None."""
+    alphas = 0.5 ** np.arange(31)
+    for t in t_grid:
+        r = np.abs([scheme.residual(a, t) for a in alphas])
+        if np.any(np.diff(r) > 1e-9):
+            return "I", alphas[int(np.argmax(np.diff(r) > 1e-9)) + 1], t
+        if r[-1] > 1e-3:
+            return "I", alphas[-1], t
+    return None
+
+
+# (I) fails at a late t: the approach to 1 rises again for some alpha,
+# or it is monotone but too slow to reach the 1e-3 limit at alpha = 2^-30
+AXIOM_ONE_FAILURES = {
+    "not_monotone": Scheme(
+        "wobbly", 1.0, 1.0, False,
+        lambda a, t: (1.0 - np.where((t > 0.3) & (a < 1e-3),
+                                     0.5 * np.sin(1.0 / a) ** 2, 0.0)) / t),
+    "misses_limit": Scheme(
+        "slow", 1.0, 1.0, False,
+        lambda a, t: 1.0 / (t + np.where(t > 0.3, a ** 0.25, a))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AXIOM_ONE_FAILURES))
+def test_axiom_one_reports_the_scalar_loops_failure(case, monkeypatch):
+    scheme = AXIOM_ONE_FAILURES[case]
+    t_grid = np.logspace(-3, 0, 25)
+    item, alpha, t = _scalar_axiom_one(scheme, t_grid)
+    assert t > t_grid[0]
+    probes = []
+    residual = Scheme.residual
+
+    def counted(self, a, t):
+        probes.append(np.ndim(t))
+        return residual(self, a, t)
+
+    monkeypatch.setattr(Scheme, "residual", counted)
+    with pytest.raises(AxiomViolation) as err:
+        certify_axioms(scheme, raise_on_failure=True)
+    monkeypatch.undo()
+    assert (err.value.item, err.value.alpha, err.value.t) == (item, alpha, t)
+    assert probes == [1] * 31  # one array probe per alpha of the limit
+    detail = {"not_monotone": "approach not monotone",
+              "misses_limit": "|residual|"}[case]
+    assert detail in str(err.value)
+    assert not certify_axioms(scheme)
+
+
+def _scalar_cphi(scheme, phi, alphas, ts):
+    # the estimate with phi evaluated on each alpha's grid, t = alpha appended
+    lo, hi = phi.domain
+    ts = ts[(ts > lo) & (ts <= hi)]
+    best = 0.0
+    for alpha in alphas:
+        grid = np.append(ts, alpha) if lo < alpha <= hi else ts
+        num = float(np.max(np.abs(scheme.residual(alpha, grid)) * phi(grid)))
+        best = max(best, num / phi(alpha))
+    return best
+
+
+@pytest.mark.parametrize("name", ["cutoff", "lavrentiev", "tikhonov",
+                                  "truncated:lavrentiev"])
+def test_qualification_estimate_equals_the_per_alpha_grids(name):
+    from multreg.schemes import _cphi_estimate
+    scheme = scheme_by_name(name)
+    alphas, ts = np.logspace(-6, 0, 49), np.logspace(-8, 0, 512)
+    for phi in (PowerIndex(0.5), PowerIndex(1.0), PowerIndex(1.5)):
+        assert _cphi_estimate(scheme, phi, alphas, ts) == \
+            _scalar_cphi(scheme, phi, alphas, ts)
