@@ -18,7 +18,7 @@ from .errors import (BracketingFailed, CrossCheckFailed, Divergent,
                      DivergentProfile, FilterOverflow, PreconditionFailed)
 from .indexfuncs import IndexFunction, solve_increasing
 from .multipliers import Multiplier
-from .noise import (GAUSSIAN, RADEMACHER, DeterministicNoise, NoiseStreams,
+from .noise import (GAUSSIAN, DeterministicNoise, NoiseStreams,
                     WhiteNoiseSampler, concentrated_noise, sample_white)
 from .rearrangement import (_superlevel_count, decreasing_rearrangement,
                             distribution_function, vanishes_at_infinity)
@@ -467,11 +467,9 @@ def _monte_carlo(weights: list, space: MeasureSpace,
     its first k_max values, k_max the widest filter's, and each delta reads
     its own prefix of them.
 
-    Sums that cannot depend on the draws are decided per delta before any
-    draw and formed once: an all-zero weight vector (a cut-off's
-    ``w R(b)f phi``) sums to 0.0, and under Rademacher noise xi^2 = 1, so
-    the noise sum is ``np.sum(w phi^2)``.  k_max counts only the sums that
-    need the draws; when none does, nothing is drawn.
+    An all-zero weight vector (every cut-off's ``w R(b)f phi``) sums to
+    0.0 in every replication; that sum is set before drawing and never
+    formed.
 
     ``threads`` workers take contiguous ranges of the replications, none
     empty.  Each product is formed in a contiguous buffer, so a
@@ -484,16 +482,14 @@ def _monte_carlo(weights: list, space: MeasureSpace,
         raise ValueError("need n_reps >= 2")
     # [j, d, r]: <w R(b)f phi, xi> (j = 0), <w phi^2, xi^2> (j = 1)
     sums = np.empty((2, len(weights), n_reps))
-    drawn = ([], [])  # per j, the (d, weights) of the sums that need xi
+    drawn = ([], [])  # per j, the (d, weights) of the sums that read xi
     for d, w in enumerate(weights):
         for j, w_j in enumerate(w.sum_w):
-            if not w_j.any():
-                sums[j, d] = 0.0
-            elif j and sampler.distribution == RADEMACHER:
-                sums[j, d] = np.sum(w_j)
-            else:
+            if w_j.any():
                 drawn[j].append((d, w_j))
-    k_max = max((w_j.size for needs in drawn for _, w_j in needs), default=0)
+            else:
+                sums[j, d] = 0.0
+    k_max = max(w.sum_w[0].size for w in weights)
     rows = max(1, BLOCK // max(k_max, 1))
     workers = max(1, min(threads, n_reps))
     edges = [n_reps * i // workers for i in range(workers + 1)]
@@ -506,30 +502,26 @@ def _monte_carlo(weights: list, space: MeasureSpace,
             m = min(rows, hi - r0)
             xi_m = sample_white(streams, space, xi[:m], r0 - lo)
             for j, needs in enumerate(drawn):
-                if j and needs:
+                if j:
                     np.square(xi_m, out=xi_m)
                 for d, w_j in needs:
                     prod = scratch[:m * w_j.size].reshape(m, w_j.size)
                     np.multiply(w_j, xi_m[:, :w_j.size], out=prod)
                     sums[j, d, r0:r0 + m] = np.sum(prod, axis=1)
 
-    if k_max and workers > 1:
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(part, edges[:-1], edges[1:]))
-    elif k_max:
+    else:
         part(0, n_reps)
-    reads_draws = {d for needs in drawn for d, _ in needs}
     results = []
-    for d, (w, cross, noise) in enumerate(zip(weights, *sums)):
+    for w, cross, noise in zip(weights, *sums):
         crosses, noise_sq = 2.0 * w.delta * cross, w.delta**2 * noise
         sq_errors = (w.bias ** 2 - crosses) + noise_sq
         rms = float(np.sqrt(float(np.mean(sq_errors))))
-        # a row that reads no draw has one squared error in every
-        # replication, with no spread, though np.std's mean can round
-        se_mean = float(np.std(sq_errors, ddof=1) / np.sqrt(n_reps)) \
-            if d in reads_draws else 0.0
+        se_mean = float(np.std(sq_errors, ddof=1) / np.sqrt(n_reps))
         results.append(McResult(
             rms=rms, stderr=se_mean / (2.0 * rms) if rms > 0 else 0.0,
             bias=w.bias, noise_term=float(np.mean(noise_sq)),
@@ -560,10 +552,7 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     so a replication costs two weighted row sums of its k draws, each one
     ``np.sum`` (pairwise, whatever the BLAS); each value agrees with a full
     per-replication |err|_w^2 to a few ulp of bias^2 + delta^2 |phi xi|_w^2.
-    A cut-off filter's cross term is exactly zero and is not formed;
-    under Rademacher noise the noise sum is the same in every replication
-    and is formed once.  A row that reads no draw (cut-off and
-    Rademacher) draws nothing and has stderr 0.  A white
+    A cut-off filter's cross term is exactly zero and is not formed.  A white
     ``sweep_deltas`` runs the same kernel on all its deltas at once.
     """
     weights = _mc_weights(scheme, alpha, b, space, f, delta)

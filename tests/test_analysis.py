@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -796,50 +795,6 @@ def test_white_sweep_without_deltas_has_no_rows(threads):
     study = sweep_deltas(problem, spectral_cutoff(), PowerIndex(1.0), [], WHITE,
                          1.0, n_reps=1, threads=threads)
     assert study.rows == () and study.fitted_slope is None
-
-
-#: the deltas of configs/white_counting.yaml
-WHITE_COUNTING_DELTAS = [1e-2, 3.1623e-3, 1e-3, 3.1623e-4, 1e-4, 3.1623e-5,
-                         1e-5, 3.1623e-6, 1e-6]
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("scheme", [spectral_cutoff(), truncate(spectral_cutoff())],
-                         ids=["cutoff", "truncated_cutoff"])
-def test_cutoff_rademacher_sweep_draws_nothing(scheme, threads, monkeypatch):
-    # a cut-off's cross weights are all zero, and Rademacher draws have
-    # xi^2 = 1: no sum of the shipped white_counting study with Rademacher
-    # noise reads a draw.  Nothing is seeded or drawn, every replication
-    # has the same squared error, so each stderr is 0, and the rows equal
-    # those of the drawn sums xi^2 w phi^2 but for their stderr
-    problem, phi = counting_problem(500, PowerIndex(1.0)), PowerIndex(1.0)
-    args = (problem, scheme, phi, WHITE_COUNTING_DELTAS, WHITE, 1.0)
-    kwargs = dict(n_reps=200, seed=20260810, threads=threads,
-                  distribution="rademacher")
-    drawn = []
-
-    def refused(*args, **kwargs):
-        drawn.append(args)
-        raise AssertionError("a draw-free sweep drew")
-
-    monkeypatch.setattr(analysis, "NoiseStreams", refused)
-    monkeypatch.setattr(analysis, "sample_white", refused)
-    study = sweep_deltas(*args, **kwargs)
-    monkeypatch.undo()
-    assert drawn == []
-    assert all(row.stderr == 0.0 for row in study.rows)
-    # the same study with the Rademacher shortcut off, drawing xi^2
-    monkeypatch.setattr(analysis, "RADEMACHER", "no shortcut")
-    drawing = sweep_deltas(*args, **kwargs)
-    monkeypatch.undo()
-    for row, drawn_row in zip(study.rows, drawing.rows):
-        assert row == replace(drawn_row, stderr=0.0)
-    vals = problem.b.values_on(problem.space)
-    for row in study.rows:
-        phi_v = scheme.phi(row.alpha_star, vals)
-        oracle = row.bias**2 + row.delta**2 * float(
-            np.sum(problem.space.weights * phi_v**2))
-        assert row.error**2 == pytest.approx(oracle, rel=1e-14)
 
 
 def test_sweep_keeps_the_divergence_diagnosis():
