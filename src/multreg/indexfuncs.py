@@ -42,14 +42,22 @@ class IndexFunction:
     domain: tuple[float, float] = (0.0, np.inf)
 
     def __call__(self, t):
+        # a scalar is checked with Python comparisons, which cost a tenth
+        # of numpy's on a 0-d array, and still evaluated as a 0-d array:
+        # numpy's scalar power differs from its array loop in the last bit
         arr = np.asarray(t, dtype=float)
         lo, hi = self.domain
-        if np.any(arr <= lo) or np.any(arr > hi * (1 + 1e-12)):
+        if arr.ndim == 0:
+            x = float(arr)
+            outside = x <= lo or x > hi * (1 + 1e-12)
+        else:
+            outside = np.any(arr <= lo) or np.any(arr > hi * (1 + 1e-12))
+        if outside:
             raise ValueError(
                 f"{self.name}: argument outside domain ({lo:.3g}, {hi:.3g}]"
             )
         out = self._eval(arr)
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
     def _eval(self, t: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError

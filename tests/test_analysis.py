@@ -811,6 +811,188 @@ def test_sweep_keeps_the_divergence_diagnosis():
     assert len(swept.value.diagnosis["sums"]) == 3
 
 
+def _extension(b, space):
+    """A sweep's 2R and 4R grids, and the largest b value beyond R on them."""
+    grids = tuple(analysis._extended_grid(b, space, factor)
+                  for factor in analysis._EXTENSIONS)
+    return grids, max(grid.tail_sup for grid in grids)
+
+
+def test_white_sweep_skips_the_divergence_sums_where_the_tail_is_zero(monkeypatch):
+    # truncated cut-off on a power-decay half-line: the alpha* of the first
+    # four deltas lie above every b value beyond R, the fifth's below them
+    b, space = power_decay_pair(0.5, 50.0, 2**11)
+    problem = MultiplicationProblem(b, space, b.values_on(space) ** 0.5)
+    scheme, phi = truncate(spectral_cutoff()), PowerIndex(0.5)
+    n = space.nodes.size
+    grids, tail = _extension(b, space)
+    assert tail == grids[0].values[n]  # b decreases: the first node past R
+    profile = effective_illposedness(b, space)
+    summed, variance_sum = [], analysis._variance_sum
+
+    def counted(scheme, alpha, weights, vals):
+        summed.append((alpha, weights.size))
+        return variance_sum(scheme, alpha, weights, vals)
+
+    for deltas, n_below in (([1e-2, 1e-3, 1e-4, 1e-5], 0),
+                            ([1e-2, 1e-3, 1e-4, 1e-5, 2e-6], 1)):
+        each = [evaluate_delta(problem, scheme, phi, delta, WHITE, 1.0, n_reps=6,
+                               sampler=WhiteNoiseSampler(3, STREAM_STRIDE),
+                               profile=profile)
+                for delta in deltas]
+        summed.clear()
+        monkeypatch.setattr(analysis, "_variance_sum", counted)
+        study = sweep_deltas(problem, scheme, phi, deltas, WHITE, 1.0, n_reps=6,
+                             seed=3)
+        monkeypatch.undo()
+        assert list(study.rows) == each
+        below = [row.alpha_star for row in study.rows if row.alpha_star < tail]
+        assert len(below) == n_below
+        # only a delta below the tail runs variance_integral: R, 2R and 4R
+        assert summed == [(alpha, size) for alpha in below
+                          for size in (n, 2 * n, 4 * n)]
+
+
+def _zero_tail_problems():
+    # a convergent half-line and line, and the plateau line (b = 1 beyond
+    # s = 1), whose every alpha below 1 diverges
+    from multreg import FinalValueProblem, fvp_multiplier
+    for b, space in (power_decay_pair(0.5, 50.0, 2**11),
+                     fvp_multiplier(FinalValueProblem("whole_space", n_grid=2**11)),
+                     plateau_pair(50.0, 2**10)):
+        yield b, space, np.sqrt(b.values_on(space))
+
+
+def _outcome(scheme, alpha, b, space, f, extended):
+    try:
+        w = analysis._mc_weights(scheme, alpha, b, space, f, 1e-3, extended)
+    except DivergentProfile as exc:
+        return str(exc), repr(exc.diagnosis)
+    return w.bias, *(v.tolist() for v in w.sum_w)
+
+
+@pytest.mark.parametrize("scheme", [spectral_cutoff(), truncate(lavrentiev()),
+                                    truncate(tikhonov_wiener()), lavrentiev()],
+                         ids=lambda s: s.name)
+def test_zero_tail_skip_agrees_with_the_full_divergence_check(scheme, monkeypatch):
+    # with the sweep's grids each alpha gives the weights, or the
+    # DivergentProfile message and diagnosis, of the full 2R/4R check
+    # (no grids passed); at or above the tail a truncated scheme skips it
+    summed, variance_sum = [], analysis._variance_sum
+
+    def counted(scheme, alpha, weights, vals):
+        summed.append(weights.size)
+        return variance_sum(scheme, alpha, weights, vals)
+
+    kinds = set()
+    for b, space, f in _zero_tail_problems():
+        grids, tail = _extension(b, space)
+        for alpha in (tail / 64, tail / 4, tail, 4 * tail, 1e-3, 0.05):
+            full = _outcome(scheme, alpha, b, space, f, None)
+            summed.clear()
+            monkeypatch.setattr(analysis, "_variance_sum", counted)
+            assert _outcome(scheme, alpha, b, space, f, grids) == full
+            monkeypatch.undo()
+            skipped = scheme.truncated and alpha >= tail
+            assert summed == ([] if skipped else
+                              [space.nodes.size] + [g.weights.size for g in grids])
+            kinds.add((skipped, isinstance(full[0], str)))
+    # (skipped, diverged): Lavrentiev's tail never vanishes
+    assert kinds == ({(True, False), (False, False), (False, True)}
+                     if scheme.truncated else {(False, True)})
+
+
+@pytest.mark.parametrize("name", ["plateau_truncated_cutoff",
+                                  "plateau_truncated_lavrentiev",
+                                  "halfline_lavrentiev"])
+def test_divergent_white_sweep_fails_before_any_draw_as_the_full_check(
+        name, monkeypatch):
+    # the first delta's DivergentProfile, as the full check gives it at
+    # that alpha*, and no draw; the plateau has no D(alpha), so its alpha*
+    # come from a stand-in profile
+    if name.startswith("plateau"):
+        b, space = plateau_pair(50.0, 2**10)
+        profile = IllposednessProfile.from_callable(
+            lambda a: 1.0 / a, np.geomspace(1e-6, 1.0, 64))
+    else:
+        b, space = power_decay_pair(1.0, 30.0, 2**10)
+        profile = effective_illposedness(b, space)
+    scheme = {"plateau_truncated_cutoff": truncate(spectral_cutoff()),
+              "plateau_truncated_lavrentiev": truncate(lavrentiev()),
+              "halfline_lavrentiev": lavrentiev()}[name]
+    problem = MultiplicationProblem(b, space, np.sqrt(b.values_on(space)))
+    phi, deltas = PowerIndex(0.5), [1e-2, 1e-3, 1e-4]
+    draws, sample = [], analysis.sample_white
+    monkeypatch.setattr(analysis, "sample_white",
+                        lambda *args, **kwargs: draws.append(args) or
+                        sample(*args, **kwargs))
+    grids, tail = _extension(b, space)
+    with pytest.raises(DivergentProfile) as swept:
+        analysis._white_rows(problem, scheme, phi, deltas, 1.0, 4,
+                             WhiteNoiseSampler(0, STREAM_STRIDE), profile, grids)
+    alpha = analysis.choose_alpha(problem, phi, deltas[0], WHITE, profile)
+    assert not (scheme.truncated and alpha >= tail)
+    with pytest.raises(DivergentProfile) as full:
+        analysis._mc_weights(scheme, alpha, b, space, problem.f_true, deltas[0])
+    assert str(swept.value) == str(full.value)
+    assert swept.value.diagnosis == full.value.diagnosis
+    assert draws == []
+
+
+def _weights(delta, cross, noise):
+    return analysis._McWeights(delta, 0.25, (cross, noise))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_monte_carlo_shares_products_between_prefix_equal_weights(threads):
+    # the 120-node vectors are prefixes of the 300-node ones; the 200-node
+    # noise weights differ from that prefix in their last entry alone
+    rng = np.random.default_rng(8)
+    cross, noise = rng.standard_normal(300), rng.uniform(0.5, 2.0, 300)
+    off = noise[:200].copy()
+    off[-1] *= 2.0
+    weights = [_weights(1e-2, cross, noise),
+               _weights(1e-3, cross[:120].copy(), noise[:120].copy()),
+               _weights(1e-4, cross[:200].copy(), off)]
+    products = [[[d for d, _ in readers] for _, readers in
+                 analysis._shared_products([w.sum_w[j] for w in weights])]
+                for j in (0, 1)]
+    assert products == [[[0, 2, 1]], [[0, 1], [2]]]
+    space = MeasureSpace.counting(300)
+    sampler = WhiteNoiseSampler(5, stream_id=700)
+    each = [analysis._monte_carlo([w], space, sampler, 7)[0] for w in weights]
+    assert analysis._monte_carlo(weights, space, sampler, 7, threads) == each
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_monte_carlo_on_mixed_cutoff_and_lavrentiev_weights(threads, distribution):
+    # each result equals its one-delta call, ==, at 500 nodes and above
+    # BLOCK nodes, where a block holds one replication
+    for n in (500, analysis.BLOCK + 1000):
+        b, space, f = _counting(n)
+        weights = [analysis._mc_weights(scheme, alpha, b, space, f, delta)
+                   for scheme, alpha, delta in (
+                       (spectral_cutoff(), 0.01, 1e-3),
+                       (lavrentiev(), 0.01, 1e-3),
+                       (truncate(spectral_cutoff()), 0.003, 1e-4),
+                       (truncate(lavrentiev()), 0.005, 1e-3),
+                       (spectral_cutoff(), 0.05, 0.0),
+                       (spectral_cutoff(), 2.0, 1e-2),
+                       (truncate(spectral_cutoff()), 0.02, 1e-2),
+                       (spectral_cutoff(), 1e-4, 1e-5))]
+        # the cut-offs' noise weights share one product; 5 is above sup b,
+        # all zero; Lavrentiev's two, at different alphas, share nothing
+        readers = [sorted(d for d, _ in group) for _, group in
+                   analysis._shared_products([w.sum_w[1] for w in weights])]
+        assert sorted(readers) == [[0, 2, 4, 6, 7], [1], [3]]
+        assert [d for _, group in analysis._shared_products(
+            [w.sum_w[0] for w in weights]) for d, _ in group] == [1, 3]
+        sampler = WhiteNoiseSampler(9, stream_id=300, distribution=distribution)
+        each = [analysis._monte_carlo([w], space, sampler, 5)[0] for w in weights]
+        assert analysis._monte_carlo(weights, space, sampler, 5, threads) == each
+
+
 def _deterministic_problems():
     # counting, uniform and graded interval, half-line and frequency spaces;
     # the filter's support is a prefix, all nodes, or a band in the middle.

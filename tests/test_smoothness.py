@@ -69,6 +69,56 @@ def test_index_function_power_composition():
     validate_index_function(phi)
 
 
+def _numpy_checked_call(phi, t):
+    """A scalar call as it was before the scalar path: numpy's domain
+    checks on the 0-d array, then ``_eval`` on it."""
+    arr = np.asarray(t, dtype=float)
+    lo, hi = phi.domain
+    if np.any(arr <= lo) or np.any(arr > hi * (1 + 1e-12)):
+        raise ValueError(
+            f"{phi.name}: argument outside domain ({lo:.3g}, {hi:.3g}]")
+    return float(phi._eval(arr))
+
+
+SCALAR_CASES = {
+    "power_1": PowerIndex(1.0), "power_0.5": PowerIndex(0.5),
+    "power_1.37": PowerIndex(1.37), "log_power": LogPowerIndex(1.0, 1.0),
+    "power_of_power": PowerIndex(1.37).power(0.7),
+    "table": TableIndex(np.geomspace(1e-6, 0.5, 50),
+                        np.geomspace(1e-6, 0.5, 50) ** 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_CASES))
+def test_scalar_call_equals_the_array_path(name):
+    # 20,000 points across the domain and its ends: a float, an int, a 0-d
+    # array and a numpy scalar give the 0-d array evaluation, ==, and the
+    # same refusals and NaN
+    phi = SCALAR_CASES[name]
+    lo, hi = phi.domain
+    top = min(hi, 1.0)
+    rng = np.random.default_rng(2)
+    t = np.exp(rng.uniform(np.log(max(lo, 1e-12)), np.log(top), 20_000))
+    t = np.concatenate((t[t > lo], [top, top * (1 + 1e-12)]))
+    values = [phi(x) for x in t.tolist()]
+    assert all(type(v) is float for v in values)
+    assert values == [_numpy_checked_call(phi, x) for x in t]
+    if isinstance(phi, PowerIndex):  # the scalar and array loops agree
+        assert values == phi(t).tolist()
+    for x in (t[7], np.float64(t[7]), np.asarray(t[7])):
+        assert phi(x) == values[7]
+    if top == 1.0:
+        assert phi(1) == _numpy_checked_call(phi, 1.0)
+    assert np.isnan(phi(float("nan"))) and np.isnan(_numpy_checked_call(phi, np.nan))
+    outside = [lo, -1.0, -np.inf] + ([hi * (1 + 2e-12), np.inf] if hi < np.inf else [])
+    for x in outside:
+        with pytest.raises(ValueError) as scalar:
+            phi(x)
+        with pytest.raises(ValueError) as reference:
+            _numpy_checked_call(phi, x)
+        assert str(scalar.value) == str(reference.value)
+
+
 def test_index_function_from_spec():
     assert index_function_from_spec({"family": "power", "nu": 2})(0.5) == 0.25
     with pytest.raises(ValueError):
