@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,25 +75,39 @@ def _square_sum(alpha, weights, phi_v):
 _EXTENSIONS = (2.0, 4.0)
 #: relative growth per doubling of the radius that the divergence check flags
 _GROWTH_THRESHOLD = 0.01
+#: most nodes at a time on which ``_Tail.tail_sup`` evaluates b
+_TAIL_CHUNK = 2**16
 
 
-@dataclass(frozen=True)
-class _Extension:
-    """A half-line or line grid at a multiple of the space's radius R."""
-
-    weights: np.ndarray
-    values: np.ndarray  # b's
-    measure: float  # the grid's total
-    tail_sup: float  # the largest b value on its nodes beyond R
-
-
-def _extended_grid(b: Multiplier, space: MeasureSpace,
-                   factor: float) -> _Extension:
+def _extended_grid(b: Multiplier, space: MeasureSpace, factor: float) -> tuple:
+    """The grid at ``factor`` times the space's radius R, and b's values."""
     sp = space.extended(factor)
-    values = b.values_on(sp)
-    beyond = values[np.abs(sp.nodes) > space.truncation_radius]
-    return _Extension(sp.weights, values, sp.total_measure,
-                      float(np.max(beyond, initial=-np.inf)))
+    return sp, b.values_on(sp)
+
+
+@dataclass
+class _Tail:
+    """Found on first use: ``grids``, the 2R and 4R ``_extended_grid`` of b
+    on a space, and ``tail_sup``, b's largest value on their nodes beyond R
+    (infinite if none), taken on pieces of ``_TAIL_CHUNK`` nodes, no grid built."""
+
+    b: Multiplier
+    space: MeasureSpace
+
+    @cached_property
+    def tail_sup(self) -> float:
+        if not (self.b.evaluable and self.space.extensible):
+            return np.inf
+        radius = self.space.truncation_radius
+        return float(np.max([
+            np.max(self.b(s[np.abs(s) > radius]), initial=-np.inf)
+            for factor in _EXTENSIONS
+            for s in self.space.extended_nodes(factor, _TAIL_CHUNK)]))
+
+    @cached_property
+    def grids(self) -> tuple:
+        return tuple(_extended_grid(self.b, self.space, factor)
+                     for factor in _EXTENSIONS)
 
 
 def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
@@ -105,10 +120,10 @@ def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
     ``_GROWTH_THRESHOLD`` twice in a row and the per-measure growth density
     does not decay, the integral is declared Divergent (carrying the three
     values as diagnosis).  The 2R and 4R grids are built one at a time,
-    unless the caller passes them built as the private ``_extended``
-    (``sweep_deltas`` builds them once for all its deltas).  This function
-    always runs the check; a white sweep's Monte Carlo skips it where a
-    truncated filter is zero beyond R (``_mc_weights``).
+    unless the private ``_extended``, a white study's ``_Tail``, holds them
+    for all its deltas.  This function always runs the check; a white
+    study's Monte Carlo skips it where a truncated filter is zero beyond R
+    (``_mc_weights``).
 
     Tabulated multipliers cannot be extended, so their tail is judged
     analytically: a vanishing tail puts infinite measure below every
@@ -123,13 +138,13 @@ def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
         return VarianceValue(_variance_sum(scheme, alpha, space.weights, vals))
 
     if b.evaluable:
-        grids = _extended if _extended is not None else \
+        grids = _extended.grids if _extended else \
             (_extended_grid(b, space, factor) for factor in _EXTENSIONS)
         sums = [_variance_sum(scheme, alpha, space.weights, vals)]
         measures = [space.total_measure]
-        for grid in grids:
-            sums.append(_variance_sum(scheme, alpha, grid.weights, grid.values))
-            measures.append(grid.measure)
+        for sp, values in grids:
+            sums.append(_variance_sum(scheme, alpha, sp.weights, values))
+            measures.append(sp.total_measure)
         g1, g2 = sums[1] - sums[0], sums[2] - sums[1]
         grew_twice = (sums[1] > sums[0] * (1 + _GROWTH_THRESHOLD)
                       and sums[2] > sums[1] * (1 + _GROWTH_THRESHOLD))
@@ -461,25 +476,24 @@ class _McWeights:
 
 def _mc_weights(scheme: Scheme, alpha: float, b: Multiplier,
                 space: MeasureSpace, f, delta: float,
-                _extended=None) -> _McWeights:
+                tail: _Tail) -> _McWeights:
     """One delta's Monte Carlo weights, once its variance integral is
     known to converge (see ``monte_carlo_rms``).
 
-    With a sweep's ``_extended`` grids, a truncated filter whose alpha is
-    at or above every b value beyond the radius R is exactly 0 on the
-    nodes that the 2R and 4R grids add.  Both sums then hold the same
-    nodes within R, so the 4R sum differs from the 2R sum by rounding
-    alone, and the divergence check, which needs both to grow by
-    ``_GROWTH_THRESHOLD``, cannot fire: it is not run.  The base grid's
+    ``tail`` is the study's ``_Tail`` of b.  A truncated filter whose alpha
+    is at or above its ``tail_sup`` is exactly 0 on the nodes that the 2R
+    and 4R grids add.  Both sums then hold the same nodes within R, so the
+    4R sum differs from the 2R sum by rounding alone, and the divergence
+    check, which needs both to grow by ``_GROWTH_THRESHOLD``, cannot fire:
+    it is not run, nor are the grids built for it.  The base grid's
     FilterOverflow check stays, on the filter values formed here.
     """
     f = np.asarray(f, float)
     vals = b.values_on(space)
-    zero_tail = _extended is not None and scheme.truncated and \
-        alpha >= max(grid.tail_sup for grid in _extended)
+    zero_tail = scheme.truncated and alpha >= tail.tail_sup
     if delta > 0 and not zero_tail:
         try:
-            variance_integral(scheme, alpha, b, space, _extended=_extended)
+            variance_integral(scheme, alpha, b, space, _extended=tail)
         except Divergent as exc:
             raise DivergentProfile(str(exc), diagnosis=exc.diagnosis) from exc
     phi_v = scheme.phi(alpha, vals)
@@ -614,7 +628,7 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     ``sweep_deltas`` runs the same kernel on all its deltas at once, where
     the cut-off noise sums of every delta read one shared product.
     """
-    weights = _mc_weights(scheme, alpha, b, space, f, delta)
+    weights = _mc_weights(scheme, alpha, b, space, f, delta, _Tail(b, space))
     return _monte_carlo([weights], space, sampler, n_reps)[0]
 
 
@@ -701,15 +715,15 @@ def choose_alpha(problem: MultiplicationProblem, phi: IndexFunction,
 
 def _white_rows(problem: MultiplicationProblem, scheme: Scheme,
                 phi: IndexFunction, deltas, c_phi: float, n_reps: int,
-                sampler: WhiteNoiseSampler, profile, extended=None,
+                sampler: WhiteNoiseSampler, profile,
                 threads: int = 1) -> list:
-    """``(alpha*, the bound there, McResult)`` per delta.  Each delta's
-    alpha* and divergence check run in order, before any draw."""
-    alphas, weights = [], []
+    """``(alpha*, the bound there, McResult)`` per delta.  Each delta's alpha*
+    and divergence check, any ``_Tail`` grid build included, run before any draw."""
+    alphas, weights, tail = [], [], _Tail(problem.b, problem.space)
     for delta in deltas:
         alphas.append(choose_alpha(problem, phi, delta, WHITE, profile))
         weights.append(_mc_weights(scheme, alphas[-1], problem.b, problem.space,
-                                   problem.f_true, delta, extended))
+                                   problem.f_true, delta, tail))
     results = _monte_carlo(weights, problem.space, sampler, n_reps, threads)
     return [(alpha, white_bound_at_star(c_phi, scheme.c_0, phi, alpha,
                                         problem.source_scale), mc)
@@ -779,18 +793,17 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
     The slopes fit log(error) and log(phi(alpha*)) against log(delta) on
     the middle 80% of the points; they are None below 4 rows.
 
-    Arrays every delta needs are computed once, here: in deterministic
-    mode the ``_ExactData``; in white mode on a half-line or line, the 2x
-    and 4x truncations that ``variance_integral`` checks for divergence.
+    Arrays every delta needs are computed once: in deterministic mode the
+    ``_ExactData``; in white mode a ``_Tail``: b's largest value beyond R,
+    found in pieces, and the 2x and 4x truncations that the divergence
+    check reads, built only if a delta runs it.
     """
     b, space = problem.b, problem.space
     if mode == WHITE:
-        extended = tuple(_extended_grid(b, space, factor) for factor in
-                         _EXTENSIONS) if b.evaluable and space.extensible else None
         per_row = _white_rows(
             problem, scheme, phi, [float(delta) for delta in deltas], c_phi,
             n_reps, WhiteNoiseSampler(seed, FIRST_STREAM, distribution),
-            effective_illposedness(b, space), extended, threads)
+            effective_illposedness(b, space), threads)
     else:
         data = _exact_data(b, space, np.asarray(problem.f_true, float)) \
             if mode == DETERMINISTIC else None

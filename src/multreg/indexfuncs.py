@@ -116,8 +116,8 @@ class LogPowerIndex(IndexFunction):
         object.__setattr__(self, "domain", (0.0, self.t_max))
 
     def _eval(self, t):
-        # log(1/t) as -log(t): 1/t overflows at subnormal t
-        return t ** self.nu * (-np.log(t)) ** (-self.beta)
+        # -log(t): 1/t overflows at subnormal t; np.power: a scalar's ** differs
+        return np.power(-np.log(t), -self.beta) * np.power(t, self.nu)
 
 
 class TableIndex(IndexFunction):

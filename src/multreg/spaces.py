@@ -130,15 +130,13 @@ class MeasureSpace:
     @classmethod
     def halfline(cls, radius: float, n: int = DEFAULT_NODES) -> "MeasureSpace":
         """Uniform midpoint grid on [0, radius), standing for [0, infinity)."""
-        h = radius / n
-        nodes = (np.arange(n) + 0.5) * h
+        nodes, h = _midpoints(LEBESGUE_HALFLINE, radius, n, 0, n)
         return cls(LEBESGUE_HALFLINE, nodes, np.full(n, h), truncation_radius=radius)
 
     @classmethod
     def line(cls, radius: float, n: int = DEFAULT_NODES) -> "MeasureSpace":
         """Uniform midpoint grid on (-radius, radius), standing for the line."""
-        h = 2.0 * radius / n
-        nodes = -radius + (np.arange(n) + 0.5) * h
+        nodes, h = _midpoints(LEBESGUE_LINE, radius, n, 0, n)
         return cls(LEBESGUE_LINE, nodes, np.full(n, h), truncation_radius=radius)
 
     @classmethod
@@ -154,9 +152,28 @@ class MeasureSpace:
 
         Used by tail diagnostics; raises unless the space is ``extensible``.
         """
-        if not self.extensible:
-            raise ValueError(f"cannot extend a {self.kind} space")
         build = MeasureSpace.halfline if self.kind == LEBESGUE_HALFLINE \
             else MeasureSpace.line
-        return build(self.truncation_radius * factor,
-                     int(round(self.nodes.size * factor)))
+        return build(*self._extension(factor))
+
+    def extended_nodes(self, factor: float, chunk: int):
+        """``extended(factor).nodes`` in consecutive pieces of at most
+        ``chunk`` nodes, bit for bit, without building that grid."""
+        radius, n = self._extension(factor)
+        for lo in range(0, n, chunk):
+            yield _midpoints(self.kind, radius, n, lo, min(lo + chunk, n))[0]
+
+    def _extension(self, factor: float) -> tuple:
+        if not self.extensible:
+            raise ValueError(f"cannot extend a {self.kind} space")
+        return self.truncation_radius * factor, int(round(self.nodes.size * factor))
+
+
+def _midpoints(kind: str, radius: float, n: int, lo: int, hi: int) -> tuple:
+    """Nodes ``lo`` to ``hi`` of the n-cell midpoint grid of a half-line or
+    line, and the cell width; no array is named, so numpy reuses temporaries."""
+    if kind == LEBESGUE_HALFLINE:
+        h = radius / n
+        return (np.arange(lo, hi) + 0.5) * h, h
+    h = 2.0 * radius / n
+    return -radius + (np.arange(lo, hi) + 0.5) * h, h

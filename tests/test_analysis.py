@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -156,9 +157,7 @@ def test_variance_filter_overflow_on_an_extended_grid():
     b, space = exp_decay_pair(radius=230.0, n=2**10)
     assert np.isfinite(analysis._variance_sum(lavrentiev(), 1e-200, space.weights,
                                               b.values_on(space)))
-    grids = tuple(analysis._extended_grid(b, space, factor)
-                  for factor in analysis._EXTENSIONS)
-    for extended in (None, grids):
+    for extended in (None, analysis._Tail(b, space)):
         with pytest.raises(FilterOverflow):
             variance_integral(lavrentiev(), 1e-200, b, space, _extended=extended)
 
@@ -721,8 +720,14 @@ def _white_sweep_problems():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_shares_extended_grids_with_identical_rows(threads, monkeypatch):
-    scheme, phi, deltas = truncate(spectral_cutoff()), PowerIndex(0.5), [1e-2, 1e-3, 1e-4]
-    for problem in _white_sweep_problems():
+    # the 2R and 4R grids are built at most once per sweep: never when every
+    # alpha* is at or above the tail sup, once when some are below it (on
+    # the half-line, those of the last two deltas of the second sweep)
+    scheme, phi = truncate(spectral_cutoff()), PowerIndex(0.5)
+    runs_check = set()
+    for problem, deltas in itertools.product(
+            _white_sweep_problems(),
+            ([1e-2, 1e-3, 1e-4], [1e-2, 1e-3, 2e-6, 1.5e-6])):
         profile = effective_illposedness(problem.b, problem.space)
         each = [evaluate_delta(problem, scheme, phi, delta, WHITE, 1.0, n_reps=8,
                                sampler=WhiteNoiseSampler(3, STREAM_STRIDE),
@@ -739,7 +744,11 @@ def test_sweep_shares_extended_grids_with_identical_rows(threads, monkeypatch):
                              seed=3, threads=threads)
         monkeypatch.undo()
         assert list(study.rows) == each
-        assert built == list(analysis._EXTENSIONS)  # once per sweep
+        tail = analysis._Tail(problem.b, problem.space).tail_sup
+        runs = any(row.alpha_star < tail for row in study.rows)
+        assert built == (list(analysis._EXTENSIONS) if runs else [])
+        runs_check.add(runs)
+    assert runs_check == {False, True}
 
 
 def _shared_stream_problems():
@@ -812,10 +821,43 @@ def test_sweep_keeps_the_divergence_diagnosis():
 
 
 def _extension(b, space):
-    """A sweep's 2R and 4R grids, and the largest b value beyond R on them."""
-    grids = tuple(analysis._extended_grid(b, space, factor)
-                  for factor in analysis._EXTENSIONS)
-    return grids, max(grid.tail_sup for grid in grids)
+    """A sweep's ``_Tail``, and the largest b value beyond R on its 2R and
+    4R grids."""
+    extension = analysis._Tail(b, space)
+    return extension, extension.tail_sup
+
+
+def _full_check(b, space):
+    """A ``_Tail`` that never skips: ``_mc_weights`` runs the full check."""
+    extension = analysis._Tail(b, space)
+    extension.tail_sup = np.inf
+    return extension
+
+
+@pytest.mark.parametrize("n", [2**17, 2**17 + 6])
+def test_chunked_tail_sup_equals_the_grids_maximum_beyond_r(n):
+    # pieces of at most _TAIL_CHUNK nodes, the last one short at 2^17 + 6
+    # nodes; at 2^17, and only there, a piece edge of each grid falls at R.
+    # The pieces are the grid's nodes bit for bit, and the tail sup is the
+    # built grids' largest b value beyond R, ==
+    from multreg import FinalValueProblem, fvp_multiplier
+    chunk = analysis._TAIL_CHUNK
+    for b, space in (power_decay_pair(0.5, 50.0, n),
+                     fvp_multiplier(FinalValueProblem("whole_space", n_grid=n)),
+                     plateau_pair(50.0, n)):
+        tail = analysis._Tail(b, space)
+        radius, sups = space.truncation_radius, []
+        for factor, (sp, values) in zip(analysis._EXTENSIONS, tail.grids):
+            pieces = list(space.extended_nodes(factor, chunk))
+            assert [p.size for p in pieces[:-1]] == [chunk] * (len(pieces) - 1)
+            assert 0 < pieces[-1].size <= chunk
+            nodes = np.concatenate(pieces)
+            assert np.array_equal(nodes.view(np.int64), sp.nodes.view(np.int64))
+            beyond = np.abs(nodes) > radius
+            edges = np.arange(chunk, nodes.size, chunk)
+            assert np.any(beyond[edges] != beyond[edges - 1]) == (n % chunk == 0)
+            sups.append(np.max(values[beyond]))
+        assert tail.tail_sup == max(sups)
 
 
 def test_white_sweep_skips_the_divergence_sums_where_the_tail_is_zero(monkeypatch):
@@ -825,8 +867,8 @@ def test_white_sweep_skips_the_divergence_sums_where_the_tail_is_zero(monkeypatc
     problem = MultiplicationProblem(b, space, b.values_on(space) ** 0.5)
     scheme, phi = truncate(spectral_cutoff()), PowerIndex(0.5)
     n = space.nodes.size
-    grids, tail = _extension(b, space)
-    assert tail == grids[0].values[n]  # b decreases: the first node past R
+    extension, tail = _extension(b, space)
+    assert tail == extension.grids[0][1][n]  # b decreases: the first node past R
     profile = effective_illposedness(b, space)
     summed, variance_sum = [], analysis._variance_sum
 
@@ -875,9 +917,10 @@ def _outcome(scheme, alpha, b, space, f, extended):
                                     truncate(tikhonov_wiener()), lavrentiev()],
                          ids=lambda s: s.name)
 def test_zero_tail_skip_agrees_with_the_full_divergence_check(scheme, monkeypatch):
-    # with the sweep's grids each alpha gives the weights, or the
+    # with the sweep's ``_Tail`` each alpha gives the weights, or the
     # DivergentProfile message and diagnosis, of the full 2R/4R check
-    # (no grids passed); at or above the tail a truncated scheme skips it
+    # (a ``_Tail`` that never skips); at or above the tail a truncated
+    # scheme skips it
     summed, variance_sum = [], analysis._variance_sum
 
     def counted(scheme, alpha, weights, vals):
@@ -886,16 +929,16 @@ def test_zero_tail_skip_agrees_with_the_full_divergence_check(scheme, monkeypatc
 
     kinds = set()
     for b, space, f in _zero_tail_problems():
-        grids, tail = _extension(b, space)
+        extension, tail = _extension(b, space)
         for alpha in (tail / 64, tail / 4, tail, 4 * tail, 1e-3, 0.05):
-            full = _outcome(scheme, alpha, b, space, f, None)
+            full = _outcome(scheme, alpha, b, space, f, _full_check(b, space))
             summed.clear()
             monkeypatch.setattr(analysis, "_variance_sum", counted)
-            assert _outcome(scheme, alpha, b, space, f, grids) == full
+            assert _outcome(scheme, alpha, b, space, f, extension) == full
             monkeypatch.undo()
             skipped = scheme.truncated and alpha >= tail
-            assert summed == ([] if skipped else
-                              [space.nodes.size] + [g.weights.size for g in grids])
+            assert summed == ([] if skipped else [space.nodes.size] +
+                              [sp.weights.size for sp, _ in extension.grids])
             kinds.add((skipped, isinstance(full[0], str)))
     # (skipped, diverged): Lavrentiev's tail never vanishes
     assert kinds == ({(True, False), (False, False), (False, True)}
@@ -926,14 +969,15 @@ def test_divergent_white_sweep_fails_before_any_draw_as_the_full_check(
     monkeypatch.setattr(analysis, "sample_white",
                         lambda *args, **kwargs: draws.append(args) or
                         sample(*args, **kwargs))
-    grids, tail = _extension(b, space)
+    _, tail = _extension(b, space)
     with pytest.raises(DivergentProfile) as swept:
         analysis._white_rows(problem, scheme, phi, deltas, 1.0, 4,
-                             WhiteNoiseSampler(0, STREAM_STRIDE), profile, grids)
+                             WhiteNoiseSampler(0, STREAM_STRIDE), profile)
     alpha = analysis.choose_alpha(problem, phi, deltas[0], WHITE, profile)
     assert not (scheme.truncated and alpha >= tail)
     with pytest.raises(DivergentProfile) as full:
-        analysis._mc_weights(scheme, alpha, b, space, problem.f_true, deltas[0])
+        analysis._mc_weights(scheme, alpha, b, space, problem.f_true, deltas[0],
+                             _full_check(b, space))
     assert str(swept.value) == str(full.value)
     assert swept.value.diagnosis == full.value.diagnosis
     assert draws == []
@@ -971,7 +1015,8 @@ def test_monte_carlo_on_mixed_cutoff_and_lavrentiev_weights(threads, distributio
     # BLOCK nodes, where a block holds one replication
     for n in (500, analysis.BLOCK + 1000):
         b, space, f = _counting(n)
-        weights = [analysis._mc_weights(scheme, alpha, b, space, f, delta)
+        weights = [analysis._mc_weights(scheme, alpha, b, space, f, delta,
+                                        analysis._Tail(b, space))
                    for scheme, alpha, delta in (
                        (spectral_cutoff(), 0.01, 1e-3),
                        (lavrentiev(), 0.01, 1e-3),

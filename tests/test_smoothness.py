@@ -103,7 +103,7 @@ def test_scalar_call_equals_the_array_path(name):
     values = [phi(x) for x in t.tolist()]
     assert all(type(v) is float for v in values)
     assert values == [_numpy_checked_call(phi, x) for x in t]
-    if isinstance(phi, PowerIndex):  # the scalar and array loops agree
+    if isinstance(phi, (PowerIndex, LogPowerIndex)):  # scalar and array loops agree
         assert values == phi(t).tolist()
     for x in (t[7], np.float64(t[7]), np.asarray(t[7])):
         assert phi(x) == values[7]
