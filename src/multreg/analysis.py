@@ -21,8 +21,8 @@ from .indexfuncs import IndexFunction, solve_increasing
 from .multipliers import Multiplier
 from .noise import (GAUSSIAN, DeterministicNoise, NoiseStreams,
                     WhiteNoiseSampler, concentrated_noise, sample_white)
-from .rearrangement import (_superlevel_count, decreasing_rearrangement,
-                            distribution_function, vanishes_at_infinity)
+from .rearrangement import (_check_decreasing, _distribution, _sorted_view,
+                            _superlevel_count, vanishes_at_infinity)
 from .schemes import Scheme, require_certified
 from .spaces import MeasureSpace
 
@@ -229,11 +229,12 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
     overflows (explicit grids below that floor) FilterOverflow is raised
     instead of emitting infinities.
     """
-    # the profile holds these through a sweep: taken before the temporaries
-    # below, they leave no hole in the heap when those are freed
+    _check_decreasing(b, space)
+    # the profile holds prefix through a sweep: taken before the temporaries
+    # below, it leaves no hole in the heap when they are freed (the sorted
+    # values it also holds are the sort's own array, not a copy)
     n = space.weights.size
-    r_vals, prefix = np.empty(n), np.empty(n + 1)
-    rearr = decreasing_rearrangement(b, space)  # raises if b does not vanish
+    prefix = np.empty(n + 1)
     vals = b.values_on(space)
     if alpha_grid is None:
         lo = max(float(np.min(vals[vals > 0])), _SQUARE_FLOOR)
@@ -246,13 +247,16 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
     if np.any(np.diff(alpha_grid) <= 0):  # the binning below needs the order
         raise ValueError("alpha grid must be strictly increasing")
 
-    widths = rearr.widths  # not np.diff(knots), which loses small weights
-    r_vals[:] = rearr.values
+    # b_* and its cell widths, the node weights in its order (not the
+    # differences of running sums, which lose small weights)
+    r_vals, widths = _sorted_view(vals, space.weights, True)
+    terms = np.empty(n)  # widths / b_*^2, then w / b^2
     scale = 1.0  # D = sqrt(prefix) * scale
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # {b_* > alpha} is a prefix of the descending rearrangement
         prefix[0] = 0.0
-        np.cumsum(widths / r_vals ** 2, out=prefix[1:])
+        np.cumsum(np.divide(widths, np.square(r_vals, out=terms), out=terms),
+                  out=prefix[1:])
         positive = int(_superlevel_count(r_vals, 0.0))
         if not np.isfinite(prefix[positive]):
             # only the sum overflows, and it is below 2^top: sum the terms
@@ -262,29 +266,31 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
                 np.frexp(widths[:positive])[1]
                 - 2 * np.frexp(r_vals[:positive])[1]))
             scale = 2.0 ** min(max(-(-(top - 1023) // 2), 1), 511)
-            np.cumsum(widths / scale**2 / r_vals ** 2, out=prefix[1:])
+            np.cumsum(np.divide(widths / scale**2, np.square(r_vals, out=terms),
+                                out=terms), out=prefix[1:])
         d_sq = prefix[_superlevel_count(r_vals, alpha_grid)]
-        # domain side, without the sort: w / b^2 binned by the number of grid
-        # points below each node, then summed over the bins above each alpha
-        below = np.searchsorted(alpha_grid, vals, side="left")
-        weights = space.weights if scale == 1.0 else space.weights / scale**2
-        binned = np.bincount(below, weights=weights / vals ** 2,
-                             minlength=alpha_grid.size + 1)
-        from_domain = np.cumsum(binned[::-1])[::-1][1:]
     overflow = ~np.isfinite(d_sq)
     if np.any(overflow):
         raise FilterOverflow(
             f"1/b^2 overflows at alpha = {alpha_grid[np.argmax(overflow)]:.3g}: "
             "D(alpha) is beyond double precision there"
         )
+    d_b = _distribution(b, space, alpha_grid, True, lambda: (r_vals, widths))
+    del widths
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # domain side, without the sort: w / b^2 binned by the number of grid
+        # points below each node, then summed over the bins above each alpha
+        below = np.searchsorted(alpha_grid, vals, side="left")
+        weights = space.weights if scale == 1.0 else space.weights / scale**2
+        np.divide(weights, np.square(vals, out=terms), out=terms)
+        binned = np.bincount(below, weights=terms, minlength=alpha_grid.size + 1)
+        from_domain = np.cumsum(binned[::-1])[::-1][1:]
     if np.any(np.abs(d_sq - from_domain) > 1e-9 * (1.0 + from_domain)):
         raise CrossCheckFailed(
             "rearrangement- and domain-side variance integrals disagree"
         )
-    bounds = np.sqrt(distribution_function(b, space, alpha_grid,
-                                           rearrangement=rearr)) / alpha_grid
     return IllposednessProfile(
-        alpha_grid, np.sqrt(d_sq) * scale, bounds,
+        alpha_grid, np.sqrt(d_sq) * scale, np.sqrt(d_b) / alpha_grid,
         lambda a: float(np.sqrt(prefix[_superlevel_count(r_vals, a)]) * scale))
 
 
@@ -378,27 +384,28 @@ class McResult:
 
 @dataclass(frozen=True)
 class _ExactData:
-    """What every delta of a deterministic sweep reads: b's values, the
-    exact data ``signal = vals * f``, and whether the signal is finite.
+    """What every delta of a deterministic sweep reads: b's values, and
+    whether the exact data ``vals * f`` are finite.  The data themselves
+    are not held; each delta forms them on its span (``evaluate_deterministic``).
 
-    Where the filter is zero, the error f - 0 * signal and the bias term
-    1 * f are f up to the sign of a zero if the signal is finite there.
+    Where the filter is zero, the error f - 0 * (vals f) and the bias term
+    1 * f are f up to the sign of a zero if the data are finite there.
     """
 
     vals: np.ndarray
-    signal: np.ndarray
     finite: bool
 
 
 def _exact_data(b: Multiplier, space: MeasureSpace, f: np.ndarray) -> _ExactData:
     vals = b.values_on(space)
-    signal = vals * f
-    return _ExactData(vals, signal, bool(np.isfinite(signal).all()))
+    return _ExactData(vals, bool(np.isfinite(vals * f).all()))
 
 
 def _nonzero_span(x: np.ndarray) -> tuple:
     """``(lo, hi)`` with every nonzero of x in ``x[lo:hi]``; ``(x.size, 0)``
     if there is none."""
+    if x[0] != 0 and x[-1] != 0:
+        return 0, x.size
     nonzero = x != 0
     lo = int(np.argmax(nonzero))
     if not nonzero[lo]:
@@ -413,32 +420,33 @@ def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
     """Error of one reconstruction from data corrupted by a fixed noise.
 
     ``_filtered``: the caller's ``(_exact_data(b, space, f),
-    scheme.phi(alpha, vals))``, so that they are not evaluated twice.
+    scheme.phi(alpha, vals), buffer)``, buffer any float array of n
+    entries, so that they are not evaluated or allocated twice.
 
     Error and bias are evaluated only on the span of nodes that holds the
     filter's nonzeros and the noise's support.  Off the noise's support
     the noise adds +0.0, which at most flips the sign of a zero.  Where
     the filter is zero the residual is exactly 1 (1 - t * 0, or the
-    cut-off and truncated forms), so with a finite signal both squared
-    terms are w f^2 outside the span.  One length-n buffer holds w f^2
-    off the span; each term is computed into it on the span and squared
-    and weighted in place.  The buffer is then the dense w x^2 array, so
-    the norms equal those of the dense expressions
-    f - phi (vals f + delta noise) and R(b) f bit for bit, for finite
-    filter values.
+    cut-off and truncated forms), so with finite data both squared terms
+    are w f^2 outside the span.  The one length-n buffer holds w f^2 off
+    the span; each term is computed into it on the span (the residual by
+    ``Scheme.residual_into``, the exact data as vals * f, then filtered
+    and subtracted from f) and squared and weighted in place.  The buffer
+    is then the dense w x^2 array, so the norms equal those of the dense
+    expressions f - phi (vals f + delta noise) and R(b) f bit for bit, for
+    finite filter values.
     """
     f = np.asarray(f, float)
     if _filtered is None:
         data = _exact_data(b, space, f)
-        _filtered = data, scheme.phi(alpha, data.vals)
-    data, phi_v = _filtered
-    n, on = phi_v.size, noise.support
+        _filtered = data, scheme.phi(alpha, data.vals), np.empty(f.size)
+    data, phi_v, w_sq = _filtered
+    vals, n, on = data.vals, phi_v.size, noise.support
     first, stop, _ = on.indices(n)
     lo, hi = _nonzero_span(phi_v) if data.finite else (0, n)
     lo, hi = min(lo, first), max(hi, stop)
     span = slice(lo, hi)
     w = space.weights
-    w_sq = np.empty(n)  # space.norm's w * (x * x) of the dense x
     for off in (slice(None, lo), slice(hi, None)):
         np.multiply(f[off], f[off], out=w_sq[off])
         w_sq[off] *= w[off]
@@ -448,12 +456,13 @@ def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
         np.multiply(w[span], np.multiply(x, x, out=x), out=x)
         return float(np.sqrt(np.sum(w_sq)))
 
-    np.multiply(scheme.residual(alpha, data.vals[span]), f[span], out=x)
+    scheme.residual_into(alpha, vals[span], phi_v[span], x)
+    x *= f[span]
     bias_ = norm()
-    np.subtract(f[span], np.multiply(phi_v[span], data.signal[span], out=x),
-                out=x)
+    np.multiply(vals[span], f[span], out=x)
+    np.subtract(f[span], np.multiply(phi_v[span], x, out=x), out=x)
     x[first - lo:stop - lo] = \
-        f[on] - phi_v[on] * (data.signal[on] + delta * noise.values)
+        f[on] - phi_v[on] * (vals[on] * f[on] + delta * noise.values)
     return ErrorBudget(bias=bias_,
                        noise_term=delta * space.norm(phi_v[on] * noise.values, on),
                        total=norm())
@@ -762,11 +771,13 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
     data = _per_sweep if _per_sweep is not None else \
         _exact_data(b, space, np.asarray(f, float))
     phi_v = scheme.phi(alpha_star, data.vals)
-    worst = concentrated_noise(space, int(np.argmax(np.abs(phi_v))))
+    # |phi|, then evaluate_deterministic's buffer
+    scratch = np.abs(phi_v, out=np.empty(phi_v.size))
+    worst = concentrated_noise(space, int(np.argmax(scratch)))
     bound = deterministic_bound_at_star(c_phi, scheme.c_minus1, phi,
                                         alpha_star, problem.source_scale)
     budget = evaluate_deterministic(scheme, alpha_star, b, space, f, delta,
-                                    worst, _filtered=(data, phi_v))
+                                    worst, _filtered=(data, phi_v, scratch))
     return RateRow(delta=float(delta), alpha_star=alpha_star,
                    error=budget.total, stderr=0.0, bias=budget.bias,
                    variance_term=budget.noise_term, bound=bound,

@@ -25,7 +25,7 @@ from .indexfuncs import (INDEX_FAMILIES, IndexFunction,
 from .multipliers import Tabulated, read_table
 from .noise import GAUSSIAN, RADEMACHER
 from .schemes import scheme_by_name
-from .smoothness import phi_star, source_function
+from .smoothness import _source_on, phi_star
 from .spaces import MeasureSpace
 
 _SPACE_KINDS = {"interval": "lebesgue_interval", "halfline": "lebesgue_halfline",
@@ -349,4 +349,4 @@ def _solution_on(b, space: MeasureSpace, p: dict,
     vals = b.values_on(space)
     lo, hi = phi.domain
     v = np.where((vals > lo) & (vals <= hi), v, 0.0)
-    return source_function(v, b, space, phi), float(space.norm(v))
+    return _source_on(v, vals, phi), float(space.norm(v))

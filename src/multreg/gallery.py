@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import MultiplicationProblem, reconstruct
+from .analysis import MultiplicationProblem
 from .errors import DegenerateFilter
 from .indexfuncs import IndexFunction
 from .multipliers import (CallableMultiplier, ExponentialSequence,
@@ -22,7 +22,7 @@ from .multipliers import (CallableMultiplier, ExponentialSequence,
                           Tabulated)
 from .schemes import lavrentiev
 from .smoothness import source_function
-from .spaces import MeasureSpace
+from .spaces import MeasureSpace, _uniform_weights
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -62,11 +62,11 @@ class DeconvolutionProblem:
         L, n = self.half_width, self.n
         dt = 2.0 * L / n
         t = -L + dt * np.arange(n)
-        sig_space = MeasureSpace("lebesgue_line", t, np.full(n, dt),
+        sig_space = MeasureSpace("lebesgue_line", t, _uniform_weights(dt, n),
                                  truncation_radius=L)
         s_sorted = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=dt))
         ds = np.pi / L
-        freq_space = MeasureSpace("lebesgue_line", s_sorted, np.full(n, ds),
+        freq_space = MeasureSpace("lebesgue_line", s_sorted, _uniform_weights(ds, n),
                                   truncation_radius=float(-s_sorted[0]))
         if not isinstance(self.kernel, str) or self.kernel not in _KERNELS:
             raise ValueError(f"unknown kernel '{self.kernel}'")
@@ -132,14 +132,18 @@ def from_frequency(problem: DeconvolutionProblem, u) -> np.ndarray:
     # frequency k = 0 .. n/2 of the FFT order is u[n/2 + k] (k = n/2 is the
     # Nyquist term u[0]), and -k is u[n/2 - k]
     half = np.concatenate((u[n // 2:], u[:1]), dtype=np.result_type(u, 1.0))
-    mirror = np.conjugate(u[n // 2::-1])
-    # half - mirror = 2A on bins 0 .. n/2, and each other bin's |A_k| is its
-    # mirror's among them: the sum of |half - mirror| bounds sum |A_k|
-    if not np.sum(np.abs(half - mirror)) <= 1e-8 * np.linalg.norm(u):
+    flipped = u[n // 2::-1]  # frequency -k at index k
+    # half - mirror = 2A on bins 0 .. n/2, mirror = conj(flipped), and each
+    # other bin's |A_k| is its mirror's among them: the sum of
+    # |half - mirror| bounds sum |A_k|; 2A is formed in the mirror's array
+    anti = np.conjugate(flipped, dtype=half.dtype)
+    np.subtract(half, anti, out=anti)
+    if not np.sum(np.abs(anti)) <= 1e-8 * np.linalg.norm(u):
         y = np.fft.ifft(np.fft.ifftshift(u) * _SQRT2PI / dt)
         if np.max(np.abs(y.imag)) > 1e-8 * (np.max(np.abs(y)) + 1e-300):
             raise ValueError("inverse transform produced a non-real signal")
-    half += mirror
+    del anti
+    half += np.conjugate(flipped, dtype=half.dtype)
     half *= 0.5 * _SQRT2PI / dt
     # (-1)^k undoes the half-period shift of to_frequency
     half[1::2] *= -1.0
@@ -171,12 +175,12 @@ def lavrentiev_deconvolve(problem: DeconvolutionProblem, y_delta,
     """Filter 1/(alpha + b) in frequency space, then transform back.
 
     This is exactly the generic estimator applied to the derived
-    multiplier, composed with the transforms.
+    multiplier, composed with the transforms: ``reconstruct``'s product
+    phi * g_delta, formed in the transform's own array.
     """
     g_delta = to_frequency(problem, y_delta)
-    estimate = reconstruct(lavrentiev(), alpha, problem.multiplier,
-                           problem.freq_space, g_delta)
-    return from_frequency(problem, estimate)
+    phi_v = lavrentiev().phi(alpha, problem.multiplier.values_on(problem.freq_space))
+    return from_frequency(problem, np.multiply(phi_v, g_delta, out=g_delta))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ discrete data (ties broken by a stable sort over node index).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,21 @@ def distribution_function(b: Multiplier, space: MeasureSpace, t,
     prefix of the sorted weights, summed pairwise by ``np.sum``: bit-equal
     to the masked sum over the nodes where the weights in {b > t} are equal.
     """
+    def descending():
+        if rearrangement is None:
+            return _sorted_view(b.values_on(space), space.weights, True)
+        if rearrangement.direction == DECREASING:
+            return rearrangement.values, rearrangement.widths
+        raise ValueError("d_b reads the decreasing rearrangement")
+
+    return _distribution(b, space, t, allow_exact, descending)
+
+
+def _distribution(b: Multiplier, space: MeasureSpace, t, allow_exact: bool,
+                  descending: Callable[[], tuple]):
+    """``distribution_function``, where ``descending()`` gives b's node
+    values sorted as ``_sorted_view`` sorts them, and the weights alike; it
+    is called only where b has no closed form."""
     scalar = np.isscalar(t)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts <= 0):
@@ -96,12 +112,7 @@ def distribution_function(b: Multiplier, space: MeasureSpace, t,
     if None not in exact:
         out = np.array(exact, dtype=float)
     else:
-        if rearrangement is None:
-            values, widths = _sorted_view(b.values_on(space), space.weights, True)
-        elif rearrangement.direction == DECREASING:
-            values, widths = rearrangement.values, rearrangement.widths
-        else:
-            raise ValueError("d_b reads the decreasing rearrangement")
+        values, widths = descending()
         counts = _superlevel_count(values, ts)
         out = np.array([float(np.sum(widths[:m])) for m in counts])
     return float(out[0]) if scalar else out
@@ -119,15 +130,26 @@ def _superlevel_count(descending: np.ndarray, t):
 
 
 def _sorted_view(values: np.ndarray, weights: np.ndarray, descending: bool):
-    """Node values sorted stably (ties by node index), weights alike."""
+    """Node values sorted stably (ties by node index), weights alike; equal
+    weights stored as one value (stride 0) are returned as they are."""
     order = np.argsort(-values if descending else values, kind="stable")
-    return values[order], weights[order]
+    return values[order], weights if weights.strides == (0,) else weights[order]
 
 
 def _sorted_step(values: np.ndarray, weights: np.ndarray, descending: bool) -> Rearrangement:
     v, w = _sorted_view(values, weights, descending)
-    knots = np.concatenate(([0.0], np.cumsum(w)))
+    knots = np.empty(w.size + 1)
+    knots[0] = 0.0
+    np.cumsum(w, out=knots[1:])
     return Rearrangement(v, knots, DECREASING if descending else INCREASING, w)
+
+
+def _check_decreasing(b: Multiplier, space: MeasureSpace) -> None:
+    """Raise RearrangementUndefined unless b_* exists on the space."""
+    if not vanishes_at_infinity(b, space):
+        raise RearrangementUndefined(
+            f"{b.family}: superlevel sets of infinite measure, b_* undefined"
+        )
 
 
 def decreasing_rearrangement(b: Multiplier, space: MeasureSpace) -> Rearrangement:
@@ -138,10 +160,7 @@ def decreasing_rearrangement(b: Multiplier, space: MeasureSpace) -> Rearrangemen
     abscissae, which is equimeasurable with the discretized b by
     construction.
     """
-    if not vanishes_at_infinity(b, space):
-        raise RearrangementUndefined(
-            f"{b.family}: superlevel sets of infinite measure, b_* undefined"
-        )
+    _check_decreasing(b, space)
     return _sorted_step(b.values_on(space), space.weights, descending=True)
 
 

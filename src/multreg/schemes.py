@@ -60,6 +60,18 @@ class Scheme:
             out = 1.0 - t_arr * self._filter(alpha, t_arr)
         return float(out[0]) if np.ndim(t) == 0 else out
 
+    def residual_into(self, alpha: float, t: np.ndarray, phi_t: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+        """``residual(alpha, t)`` written into ``out``, bit for bit, given the
+        filter values ``phi_t = phi(alpha, t)``: a scheme without a
+        simplified residual forms 1 - t * phi_t in ``out``, allocating
+        nothing."""
+        if self._residual is not None:
+            out[...] = self._residual(alpha, t)
+        else:
+            np.subtract(1.0, np.multiply(t, phi_t, out=out), out=out)
+        return out
+
 
 def spectral_cutoff() -> Scheme:
     def f(alpha, t):

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NotInSourceSet, PreconditionFailed, UnboundedRatio
 from .indexfuncs import IndexFunction, TableIndex
 from .multipliers import Multiplier
-from .rearrangement import distribution_function, vanishes_at_infinity
+from .rearrangement import _distribution, _sorted_view, vanishes_at_infinity
 from .spaces import MeasureSpace
 
 #: acceptance band for two-sided "comparable" checks: ratios within [1/K, K]
@@ -62,14 +62,15 @@ def phi_star(b: Multiplier, space: MeasureSpace) -> TableIndex:
         raise PreconditionFailed("b must be bounded below near the origin")
 
     # mu{b > b(s)} comparable to |s| on the outer region (one d_b call for
-    # the probes and the table levels, so one sort)
+    # the probes and the table levels, so one sort, of the values in hand)
     probe_idx = np.nonzero(abs_s > cut)[0]
     probe_idx = probe_idx[np.linspace(0, probe_idx.size - 1, min(32, probe_idx.size)).astype(int)]
     probe_idx = probe_idx[vals[probe_idx] > 0]
     t_min = float(np.min(vals[vals > 0]))
     t_max = 0.5 * b.sup_bound
     ts = np.geomspace(t_min, t_max, 256) if t_min < t_max else np.empty(0)
-    d = distribution_function(b, space, np.concatenate((vals[probe_idx], ts)))
+    d = _distribution(b, space, np.concatenate((vals[probe_idx], ts)), True,
+                      lambda: _sorted_view(vals, space.weights, True))
     ratios = d[:probe_idx.size] / abs_s[probe_idx]
     bad = ~((1.0 / _RATIO_BAND <= ratios) & (ratios <= _RATIO_BAND))
     if np.any(bad):
@@ -107,10 +108,17 @@ def phi_star(b: Multiplier, space: MeasureSpace) -> TableIndex:
 def source_function(v, b: Multiplier, space: MeasureSpace,
                     phi: IndexFunction) -> np.ndarray:
     """Build f = phi(b) * v on the nodes (phi evaluated on the support of v)."""
-    vals = b.values_on(space)
-    v = np.asarray(v, float)
-    f = np.zeros_like(v)
+    return _source_on(np.asarray(v, float), b.values_on(space), phi)
+
+
+def _source_on(v: np.ndarray, vals: np.ndarray, phi: IndexFunction) -> np.ndarray:
+    """``source_function`` on b's node values ``vals``.  Where v has no zero
+    phi takes all of them, with no gather or scatter: the same bits, as phi
+    acts node by node."""
     support = v != 0.0
+    if support.all():
+        return np.asarray(phi(vals)) * v
+    f = np.zeros_like(v)
     if np.any(support):
         f[support] = np.asarray(phi(vals[support])) * v[support]
     return f

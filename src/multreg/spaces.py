@@ -32,7 +32,10 @@ class MeasureSpace:
     half-line, line and counting kinds stand for infinite-measure spaces
     truncated at ``truncation_radius`` (the largest represented |s| or
     index).  A measure with a density d(mu)/d(lambda) enters through its
-    weights.
+    weights.  The uniform constructors (``interval``, ``halfline``,
+    ``line``, ``counting`` and with them ``extended``) store their one
+    weight as a read-only broadcast view of stride 0, not n copies of it;
+    a space built from a weights array keeps that array.
     """
 
     kind: str
@@ -109,7 +112,7 @@ class MeasureSpace:
             raise ValueError("need hi > lo")
         h = (hi - lo) / n
         nodes = lo + (np.arange(n) + 0.5) * h
-        return cls(LEBESGUE_INTERVAL, nodes, np.full(n, h))
+        return cls(LEBESGUE_INTERVAL, nodes, _uniform_weights(h, n))
 
     @classmethod
     def interval_graded(cls, hi: float, n: int = DEFAULT_NODES,
@@ -131,13 +134,15 @@ class MeasureSpace:
     def halfline(cls, radius: float, n: int = DEFAULT_NODES) -> "MeasureSpace":
         """Uniform midpoint grid on [0, radius), standing for [0, infinity)."""
         nodes, h = _midpoints(LEBESGUE_HALFLINE, radius, n, 0, n)
-        return cls(LEBESGUE_HALFLINE, nodes, np.full(n, h), truncation_radius=radius)
+        return cls(LEBESGUE_HALFLINE, nodes, _uniform_weights(h, n),
+                   truncation_radius=radius)
 
     @classmethod
     def line(cls, radius: float, n: int = DEFAULT_NODES) -> "MeasureSpace":
         """Uniform midpoint grid on (-radius, radius), standing for the line."""
         nodes, h = _midpoints(LEBESGUE_LINE, radius, n, 0, n)
-        return cls(LEBESGUE_LINE, nodes, np.full(n, h), truncation_radius=radius)
+        return cls(LEBESGUE_LINE, nodes, _uniform_weights(h, n),
+                   truncation_radius=radius)
 
     @classmethod
     def counting(cls, n_max: int) -> "MeasureSpace":
@@ -145,7 +150,8 @@ class MeasureSpace:
         if n_max < 1:
             raise ValueError("n_max must be positive")
         nodes = np.arange(1, n_max + 1, dtype=float)
-        return cls(COUNTING, nodes, np.ones(n_max), truncation_radius=float(n_max))
+        return cls(COUNTING, nodes, _uniform_weights(1.0, n_max),
+                   truncation_radius=float(n_max))
 
     def extended(self, factor: float) -> "MeasureSpace":
         """Same node density, truncation radius scaled by ``factor``.
@@ -167,6 +173,15 @@ class MeasureSpace:
         if not self.extensible:
             raise ValueError(f"cannot extend a {self.kind} space")
         return self.truncation_radius * factor, int(round(self.nodes.size * factor))
+
+
+def _uniform_weights(h: float, n: int) -> np.ndarray:
+    """n equal weights h as one stored value: a read-only view of stride 0.
+
+    numpy reads it like ``np.full(n, h)``; its sums take the same pairwise
+    order and give the same bits.
+    """
+    return np.broadcast_to(np.float64(h), (n,))
 
 
 def _midpoints(kind: str, radius: float, n: int, lo: int, hi: int) -> tuple:

@@ -117,6 +117,22 @@ def test_variance_truncated_lavrentiev_finite():
     assert float(v) == pytest.approx(113.43, rel=1e-2)
 
 
+@pytest.mark.xfail(
+    strict=True, raises=Divergent,
+    reason="the R/2R/4R divergence check flags a convergent truncated filter "
+           "whose support ends between 2R and 4R: the sum grows twice and the "
+           "growth density does not halve, though it stops growing by 4R")
+def test_truncated_filter_ending_between_2r_and_4r_converges():
+    # delta = 1e-6's white alpha* with phi = PowerIndex(0.5); the filter is
+    # 0 beyond s = 126.4, inside 4R = 200, so the 4R and 8R sums are equal
+    b, space = power_decay_pair(0.5, 50.0, 2**11)
+    scheme, alpha = truncate(spectral_cutoff()), 6.258e-05
+    sums = [float(np.sum(sp.weights * scheme.phi(alpha, b.values_on(sp)) ** 2))
+            for sp in (space.extended(4.0), space.extended(8.0))]
+    assert sums[0] == sums[1] > 0
+    variance_integral(scheme, alpha, b, space)
+
+
 def test_variance_divergent_plateau_all_schemes():
     b, space = plateau_pair(50.0, 2**12)
     for name in ("cutoff", "lavrentiev", "tikhonov",

@@ -65,6 +65,18 @@ def test_residual_filter_identity():
             assert np.max(gap) <= 5e-16
 
 
+def test_residual_into_a_buffer_equals_the_residual():
+    # from the filter values in hand, into the caller's buffer, bit for bit
+    for name in ("cutoff", "lavrentiev", "tikhonov", "truncated:lavrentiev",
+                 "truncated:tikhonov"):
+        s = scheme_by_name(name)
+        for a in PROBE_ALPHA:
+            out = np.full(PROBE_T.size, np.nan)
+            assert s.residual_into(a, PROBE_T, s.phi(a, PROBE_T), out) is out
+            assert np.array_equal(out.view(np.int64),
+                                  s.residual(a, PROBE_T).view(np.int64))
+
+
 def test_general_filter_bound():
     # phi(alpha, t) <= (C0 + 1)/t for t > 0
     for s in (spectral_cutoff(), lavrentiev(), tikhonov_wiener(),

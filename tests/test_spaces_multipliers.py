@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from multreg import (EigenvaluesNotDivergent, ExponentialSequence,
-                     GaussianFrequency, MeasureSpace, PlateauCounterexample,
-                     PowerDecay, PurePower, Tabulated)
+from multreg import (DETERMINISTIC, WHITE, DeconvolutionProblem,
+                     EigenvaluesNotDivergent, ExponentialSequence,
+                     GaussianFrequency, MeasureSpace, MultiplicationProblem,
+                     MultRegError, PlateauCounterexample, PowerDecay, PowerIndex,
+                     PurePower, Tabulated, distribution_function,
+                     effective_illposedness, lavrentiev, truncate)
+from multreg.analysis import sweep_deltas
 from multreg.multipliers import validate_positive
 
 
@@ -119,3 +123,58 @@ def test_tabulated_from_text_reads_one_row(tmp_path):
     path.write_text("1 0.5\n")
     space = MeasureSpace.counting(1)
     assert np.array_equal(Tabulated.from_text(path, space).values_on(space), [0.5])
+
+
+def _uniform_spaces(n):
+    """(space, multiplier on it) from every uniform constructor; the
+    deconvolution grid needs an even node count."""
+    half, line = MeasureSpace.halfline(50.0, n), MeasureSpace.line(8.0, n)
+    deconv = DeconvolutionProblem("exponential", 40.0, n + n % 2)
+    return [(MeasureSpace.interval(0.0, 1.0, n), PurePower(1.5)),
+            (half, PowerDecay(0.5)),
+            (line, GaussianFrequency()),
+            (MeasureSpace.counting(n), Tabulated(1.0 / np.arange(1.0, n + 1))),
+            (half.extended(2.0), PowerDecay(0.5)),
+            (line.extended(2.0), GaussianFrequency()),
+            (deconv.signal_space, deconv.multiplier),
+            (deconv.freq_space, deconv.multiplier)]
+
+
+def _study_rows(b, space):
+    """One deterministic and one white row of a study of f = b^(1/2), or
+    the white row's failure and its diagnosis."""
+    problem = MultiplicationProblem(b, space, b.values_on(space) ** 0.5)
+    rows = sweep_deltas(problem, lavrentiev(), PowerIndex(0.5), [1e-3],
+                        DETERMINISTIC, 1.0).rows
+    try:
+        return rows + sweep_deltas(problem, truncate(lavrentiev()), PowerIndex(1.0),
+                                   [1e-3], WHITE, 1.0, n_reps=2, seed=3).rows
+    except MultRegError as exc:
+        return rows + (repr(exc), getattr(exc, "diagnosis", None))
+
+
+@pytest.mark.parametrize("n", [10, 8193, 2**17 + 3])
+def test_uniform_weights_are_one_read_only_value_read_as_dense(n):
+    # each uniform space stores its weight once, with stride 0, and refuses
+    # writes; every quadrature, rearrangement and study reads it exactly as
+    # the same space with dense np.full weights, ==
+    for space, b in _uniform_spaces(n):
+        w = space.weights
+        assert w.strides == (0,) and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        dense = MeasureSpace(space.kind, space.nodes, np.full(w.size, w[0]),
+                             truncation_radius=space.truncation_radius)
+        u, v = np.cos(space.nodes), b.values_on(space)
+        levels = np.geomspace(1e-6, 0.9, 17) * b.sup_bound
+        results = []
+        for sp in (space, dense):
+            profile = effective_illposedness(b, sp)
+            alphas = np.geomspace(profile.alpha_grid[0] / 2, b.sup_bound, 9)
+            results.append((
+                sp.norm(u), sp.norm(v[1:2], slice(1, 2)), sp.total_measure,
+                sp.inner(u, v),
+                distribution_function(b, sp, levels, allow_exact=False).tolist(),
+                profile.d_values.tolist(), profile.upper_bounds.tolist(),
+                [profile.d_at(a) for a in alphas], _study_rows(b, sp)))
+        assert results[0] == results[1]
