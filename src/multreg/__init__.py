@@ -20,7 +20,7 @@ from .analysis import (DETERMINISTIC, WHITE, ErrorBudget, IllposednessProfile,
                        white_error_bound)
 from .config import ExperimentConfig, build_problem, load_config, parse_config
 from .errors import (AxiomViolation, BracketingFailed, ConfigError,
-                     CrossCheckFailed, DegenerateFilter, Divergent,
+                     CrossCheckFailed, Divergent,
                      DivergentProfile, DominationNotDetected,
                      EigenvaluesNotDivergent, FilterOverflow, MultRegError,
                      NotInSourceSet, PreconditionFailed,
@@ -28,8 +28,7 @@ from .errors import (AxiomViolation, BracketingFailed, ConfigError,
                      UnboundedRatio, ZeroDirection)
 from .gallery import (DeconvolutionProblem, FinalValueProblem, compact_case,
                       counting_problem, fvp_multiplier, lavrentiev_deconvolve,
-                      n_alpha, periodic_convolve, to_frequency,
-                      from_frequency, wiener_weight)
+                      periodic_convolve, to_frequency, from_frequency)
 from .indexfuncs import (IndexFunction, LogPowerIndex, PowerIndex, TableIndex,
                          index_function_from_spec, validate_index_function)
 from .multipliers import (BackgroundPart, CallableMultiplier,

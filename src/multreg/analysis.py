@@ -54,11 +54,6 @@ class VarianceValue:
         return self.value
 
 
-def _variance_sum(scheme, alpha, weights, vals):
-    with np.errstate(divide="ignore", over="ignore"):
-        return _square_sum(alpha, weights, scheme.phi(alpha, vals))
-
-
 def _square_sum(alpha, weights, phi_v):
     """``sum(weights * phi_v ** 2)``; raises FilterOverflow unless finite."""
     with np.errstate(divide="ignore", over="ignore"):
@@ -75,43 +70,193 @@ def _square_sum(alpha, weights, phi_v):
 _EXTENSIONS = (2.0, 4.0)
 #: relative growth per doubling of the radius that the divergence check flags
 _GROWTH_THRESHOLD = 0.01
-#: most nodes at a time on which ``_Tail.tail_sup`` evaluates b
+#: most nodes at a time on which ``_Study`` evaluates b beyond a radius
 _TAIL_CHUNK = 2**16
 
 
-def _extended_grid(b: Multiplier, space: MeasureSpace, factor: float) -> tuple:
-    """The grid at ``factor`` times the space's radius R, and b's values."""
-    sp = space.extended(factor)
-    return sp, b.values_on(sp)
+class _Study:
+    """What every delta of a study of b on a space (and a solution f) reads,
+    each found once, on first use: b's values, whether the exact data
+    ``vals * f`` are finite, the ``tail_sup`` and the 2R and 4R ``grids``.
 
+    The methods are the bodies of ``variance_integral``,
+    ``evaluate_deterministic`` and one delta's part of ``monte_carlo_rms``.
+    """
 
-@dataclass
-class _Tail:
-    """Found on first use: ``grids``, the 2R and 4R ``_extended_grid`` of b
-    on a space, and ``tail_sup``, b's largest value on their nodes beyond R
-    (infinite if none), taken on pieces of ``_TAIL_CHUNK`` nodes, no grid built."""
-
-    b: Multiplier
-    space: MeasureSpace
+    def __init__(self, b: Multiplier, space: MeasureSpace, f=None):
+        self.b, self.space = b, space
+        self.f = None if f is None else np.asarray(f, float)
 
     @cached_property
-    def tail_sup(self) -> float:
-        if not (self.b.evaluable and self.space.extensible):
-            return np.inf
-        radius = self.space.truncation_radius
+    def vals(self) -> np.ndarray:
+        return self.b.values_on(self.space)
+
+    @cached_property
+    def finite(self) -> bool:
+        """Whether ``vals * f`` is finite.  Where the filter is zero, the
+        error f - 0 * (vals f) and the bias term 1 * f are then f up to the
+        sign of a zero."""
+        return bool(np.isfinite(self.vals * self.f).all())
+
+    def _sup_beyond(self, radius: float, factors) -> float:
+        """b's largest value on the nodes beyond ``radius`` of the grids at
+        ``factors`` times R, taken on pieces of ``_TAIL_CHUNK`` nodes, no
+        grid built (-inf if there is none)."""
         return float(np.max([
             np.max(self.b(s[np.abs(s) > radius]), initial=-np.inf)
-            for factor in _EXTENSIONS
+            for factor in factors
             for s in self.space.extended_nodes(factor, _TAIL_CHUNK)]))
 
     @cached_property
+    def tail_sup(self) -> float:
+        """b's largest value on the 2R and 4R grids' nodes beyond R;
+        infinite where b or the space cannot be extended."""
+        if not (self.b.evaluable and self.space.extensible):
+            return np.inf
+        return self._sup_beyond(self.space.truncation_radius, _EXTENSIONS)
+
+    @cached_property
     def grids(self) -> tuple:
-        return tuple(_extended_grid(self.b, self.space, factor)
-                     for factor in _EXTENSIONS)
+        """``(space, b's values)`` at each of the ``_EXTENSIONS`` of R."""
+        return tuple((sp, self.b.values_on(sp)) for sp in
+                     map(self.space.extended, _EXTENSIONS))
+
+    def variance(self, scheme: Scheme, alpha: float) -> VarianceValue:
+        """The body of ``variance_integral``."""
+        b, space, vals = self.b, self.space, self.vals
+
+        def square_sum(weights, values):
+            with np.errstate(divide="ignore", over="ignore"):
+                return _square_sum(alpha, weights, scheme.phi(alpha, values))
+
+        if space.extensible and b.evaluable:
+            sums = [square_sum(space.weights, vals)]
+            measures = [space.total_measure]
+            for sp, values in self.grids:
+                sums.append(square_sum(sp.weights, values))
+                measures.append(sp.total_measure)
+            g1, g2 = sums[1] - sums[0], sums[2] - sums[1]
+            grew_twice = (sums[1] > sums[0] * (1 + _GROWTH_THRESHOLD)
+                          and sums[2] > sums[1] * (1 + _GROWTH_THRESHOLD))
+            if grew_twice:
+                dens1 = g1 / (measures[1] - measures[0])
+                dens2 = g2 / (measures[2] - measures[1])
+                # a truncated filter that is 0 on the 8R grid beyond 4R
+                # has stopped growing: it keeps the 4R sum
+                outer = _EXTENSIONS[-1]
+                if dens1 > 0 and dens2 > 0.5 * dens1 and not (
+                        scheme.truncated and alpha >= self._sup_beyond(
+                            outer * space.truncation_radius, (2 * outer,))):
+                    raise Divergent(
+                        f"variance grows with the truncation radius at alpha={alpha:.4g} "
+                        f"(values {sums[0]:.6g}, {sums[1]:.6g}, {sums[2]:.6g})",
+                        diagnosis={"alpha": alpha, "sums": sums, "measures": measures},
+                    )
+            return VarianceValue(sums[2], tail_estimate=abs(g2))
+
+        if space.extensible:
+            # fixed tables on an infinite-measure space: judge the tail analytically
+            tail_probe = np.geomspace(alpha * 1e-12, alpha, 64)
+            filter_floor = float(np.min(np.abs(scheme.phi(alpha, tail_probe))))
+            tail_level = float(vals[-1])
+            if vanishes_at_infinity(b, space):
+                if filter_floor > 0:
+                    raise Divergent(
+                        f"filter is bounded below by {filter_floor:.3g} on (0, alpha] "
+                        "while {b <= alpha} has infinite measure",
+                        diagnosis={"alpha": alpha, "filter_floor": filter_floor},
+                    )
+            elif tail_level > 0 and abs(scheme.phi(alpha, tail_level)) > 0:
+                raise Divergent(
+                    f"declared non-vanishing tail at level {tail_level:.4g} where "
+                    "the filter is positive",
+                    diagnosis={"alpha": alpha, "tail_level": tail_level},
+                )
+        return VarianceValue(square_sum(space.weights, vals))
+
+    def mc_weights(self, scheme: Scheme, alpha: float,
+                   delta: float) -> _McWeights:
+        """One delta's Monte Carlo weights, once its variance integral is
+        known to converge (see ``monte_carlo_rms``).
+
+        A truncated filter whose alpha is at or above ``tail_sup`` is
+        exactly 0 on the nodes that the 2R and 4R grids add, so their sums
+        differ by rounding alone and the divergence check cannot fire: it
+        is not run, nor are the grids built for it.  The base grid's
+        FilterOverflow check stays, on the filter values formed here.
+        """
+        vals, space = self.vals, self.space
+        zero_tail = scheme.truncated and alpha >= self.tail_sup
+        if delta > 0 and not zero_tail:
+            try:
+                self.variance(scheme, alpha)
+            except Divergent as exc:
+                raise DivergentProfile(str(exc), diagnosis=exc.diagnosis) from exc
+        phi_v = scheme.phi(alpha, vals)
+        if delta > 0 and zero_tail:
+            _square_sum(alpha, space.weights, phi_v)
+        res_f = scheme.residual(alpha, vals) * self.f
+        nonzero = phi_v != 0
+        k = nonzero.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
+        w_k, phi_k = space.weights[:k], phi_v[:k]
+        return _McWeights(delta, space.norm(res_f),
+                          (w_k * res_f[:k] * phi_k, w_k * phi_k ** 2))
+
+    def deterministic(self, scheme: Scheme, alpha: float, delta: float,
+                      noise: DeterministicNoise | None = None) -> ErrorBudget:
+        """The body of ``evaluate_deterministic``; without ``noise``, the
+        worst admissible one: all mass at the node where |phi| is largest.
+
+        Error and bias are evaluated only on the span of nodes that holds
+        the filter's nonzeros and the noise's support.  Off the noise's
+        support the noise adds +0.0, which at most flips the sign of a zero.
+        Where the filter is zero the residual is exactly 1 (1 - t * 0, or
+        the cut-off and truncated forms), so with finite data both squared
+        terms are w f^2 outside the span.  The one length-n buffer takes
+        |phi| for the worst node, then holds w f^2 off the span; each term
+        is computed into it on the span (the residual by
+        ``Scheme.residual_into``, the exact data as vals * f, then filtered
+        and subtracted from f) and squared and weighted in place.  The
+        buffer is then the dense w x^2 array, so the norms equal those of
+        the dense expressions f - phi (vals f + delta noise) and R(b) f bit
+        for bit, for finite filter values.
+        """
+        # the data's finiteness first: its temporaries then come and go
+        # before the filter and the buffer are allocated
+        finite, vals, f, space = self.finite, self.vals, self.f, self.space
+        phi_v = scheme.phi(alpha, vals)
+        w_sq = np.empty(phi_v.size)
+        if noise is None:
+            noise = concentrated_noise(space, int(np.argmax(np.abs(phi_v, out=w_sq))))
+        n, on = phi_v.size, noise.support
+        first, stop, _ = on.indices(n)
+        lo, hi = _nonzero_span(phi_v) if finite else (0, n)
+        lo, hi = min(lo, first), max(hi, stop)
+        span = slice(lo, hi)
+        w = space.weights
+        for off in (slice(None, lo), slice(hi, None)):
+            np.multiply(f[off], f[off], out=w_sq[off])
+            w_sq[off] *= w[off]
+        x = w_sq[span]  # each term on the span, then its w x^2
+
+        def norm():
+            np.multiply(w[span], np.multiply(x, x, out=x), out=x)
+            return float(np.sqrt(np.sum(w_sq)))
+
+        scheme.residual_into(alpha, vals[span], phi_v[span], x)
+        x *= f[span]
+        bias_ = norm()
+        np.multiply(vals[span], f[span], out=x)
+        np.subtract(f[span], np.multiply(phi_v[span], x, out=x), out=x)
+        x[first - lo:stop - lo] = \
+            f[on] - phi_v[on] * (vals[on] * f[on] + delta * noise.values)
+        return ErrorBudget(bias=bias_,
+                           noise_term=delta * space.norm(phi_v[on] * noise.values, on),
+                           total=norm())
 
 
 def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
-                      space: MeasureSpace, *, _extended=None) -> VarianceValue:
+                      space: MeasureSpace) -> VarianceValue:
     """Integral of |phi(alpha, b)|^2 dmu, with divergence detection.
 
     Spaces that are not ``extensible`` (intervals and counting) give plain
@@ -119,11 +264,11 @@ def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
     re-evaluated at radii R, 2R and 4R; if it grows by more than
     ``_GROWTH_THRESHOLD`` twice in a row and the per-measure growth density
     does not decay, the integral is declared Divergent (carrying the three
-    values as diagnosis).  The 2R and 4R grids are built one at a time,
-    unless the private ``_extended``, a white study's ``_Tail``, holds them
-    for all its deltas.  This function always runs the check; a white
-    study's Monte Carlo skips it where a truncated filter is zero beyond R
-    (``_mc_weights``).
+    values as diagnosis), unless a truncated filter's alpha is at or above
+    b's largest value on the 8R grid's nodes beyond 4R (found in pieces):
+    the sum has stopped growing, and the 4R sum is returned.  A white
+    study's Monte Carlo skips the check where a truncated filter is zero
+    beyond R (``_Study.mc_weights``).
 
     Tabulated multipliers cannot be extended, so their tail is judged
     analytically: a vanishing tail puts infinite measure below every
@@ -133,51 +278,7 @@ def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    vals = b.values_on(space)
-    if not space.extensible:
-        return VarianceValue(_variance_sum(scheme, alpha, space.weights, vals))
-
-    if b.evaluable:
-        grids = _extended.grids if _extended else \
-            (_extended_grid(b, space, factor) for factor in _EXTENSIONS)
-        sums = [_variance_sum(scheme, alpha, space.weights, vals)]
-        measures = [space.total_measure]
-        for sp, values in grids:
-            sums.append(_variance_sum(scheme, alpha, sp.weights, values))
-            measures.append(sp.total_measure)
-        g1, g2 = sums[1] - sums[0], sums[2] - sums[1]
-        grew_twice = (sums[1] > sums[0] * (1 + _GROWTH_THRESHOLD)
-                      and sums[2] > sums[1] * (1 + _GROWTH_THRESHOLD))
-        if grew_twice:
-            dens1 = g1 / (measures[1] - measures[0])
-            dens2 = g2 / (measures[2] - measures[1])
-            if dens1 > 0 and dens2 > 0.5 * dens1:
-                raise Divergent(
-                    f"variance grows with the truncation radius at alpha={alpha:.4g} "
-                    f"(values {sums[0]:.6g}, {sums[1]:.6g}, {sums[2]:.6g})",
-                    diagnosis={"alpha": alpha, "sums": sums, "measures": measures},
-                )
-        return VarianceValue(sums[2], tail_estimate=abs(g2))
-
-    # fixed tables on an infinite-measure space: judge the tail analytically
-    tail_probe = np.geomspace(alpha * 1e-12, alpha, 64)
-    filter_floor = float(np.min(np.abs(scheme.phi(alpha, tail_probe))))
-    if vanishes_at_infinity(b, space):
-        if filter_floor > 0:
-            raise Divergent(
-                f"filter is bounded below by {filter_floor:.3g} on (0, alpha] while "
-                "{b <= alpha} has infinite measure",
-                diagnosis={"alpha": alpha, "filter_floor": filter_floor},
-            )
-        return VarianceValue(_variance_sum(scheme, alpha, space.weights, vals))
-    tail_level = float(vals[-1])
-    if tail_level > 0 and abs(scheme.phi(alpha, tail_level)) > 0:
-        raise Divergent(
-            f"declared non-vanishing tail at level {tail_level:.4g} where the "
-            "filter is positive",
-            diagnosis={"alpha": alpha, "tail_level": tail_level},
-        )
-    return VarianceValue(_variance_sum(scheme, alpha, space.weights, vals))
+    return _Study(b, space).variance(scheme, alpha)
 
 
 @dataclass(frozen=True)
@@ -382,25 +483,6 @@ class McResult:
     cross_term_stderr: float
 
 
-@dataclass(frozen=True)
-class _ExactData:
-    """What every delta of a deterministic sweep reads: b's values, and
-    whether the exact data ``vals * f`` are finite.  The data themselves
-    are not held; each delta forms them on its span (``evaluate_deterministic``).
-
-    Where the filter is zero, the error f - 0 * (vals f) and the bias term
-    1 * f are f up to the sign of a zero if the data are finite there.
-    """
-
-    vals: np.ndarray
-    finite: bool
-
-
-def _exact_data(b: Multiplier, space: MeasureSpace, f: np.ndarray) -> _ExactData:
-    vals = b.values_on(space)
-    return _ExactData(vals, bool(np.isfinite(vals * f).all()))
-
-
 def _nonzero_span(x: np.ndarray) -> tuple:
     """``(lo, hi)`` with every nonzero of x in ``x[lo:hi]``; ``(x.size, 0)``
     if there is none."""
@@ -415,57 +497,11 @@ def _nonzero_span(x: np.ndarray) -> tuple:
 
 def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
                            space: MeasureSpace, f, delta: float,
-                           noise: DeterministicNoise, *,
-                           _filtered=None) -> ErrorBudget:
-    """Error of one reconstruction from data corrupted by a fixed noise.
-
-    ``_filtered``: the caller's ``(_exact_data(b, space, f),
-    scheme.phi(alpha, vals), buffer)``, buffer any float array of n
-    entries, so that they are not evaluated or allocated twice.
-
-    Error and bias are evaluated only on the span of nodes that holds the
-    filter's nonzeros and the noise's support.  Off the noise's support
-    the noise adds +0.0, which at most flips the sign of a zero.  Where
-    the filter is zero the residual is exactly 1 (1 - t * 0, or the
-    cut-off and truncated forms), so with finite data both squared terms
-    are w f^2 outside the span.  The one length-n buffer holds w f^2 off
-    the span; each term is computed into it on the span (the residual by
-    ``Scheme.residual_into``, the exact data as vals * f, then filtered
-    and subtracted from f) and squared and weighted in place.  The buffer
-    is then the dense w x^2 array, so the norms equal those of the dense
-    expressions f - phi (vals f + delta noise) and R(b) f bit for bit, for
-    finite filter values.
-    """
-    f = np.asarray(f, float)
-    if _filtered is None:
-        data = _exact_data(b, space, f)
-        _filtered = data, scheme.phi(alpha, data.vals), np.empty(f.size)
-    data, phi_v, w_sq = _filtered
-    vals, n, on = data.vals, phi_v.size, noise.support
-    first, stop, _ = on.indices(n)
-    lo, hi = _nonzero_span(phi_v) if data.finite else (0, n)
-    lo, hi = min(lo, first), max(hi, stop)
-    span = slice(lo, hi)
-    w = space.weights
-    for off in (slice(None, lo), slice(hi, None)):
-        np.multiply(f[off], f[off], out=w_sq[off])
-        w_sq[off] *= w[off]
-    x = w_sq[span]  # each term on the span, then its w x^2
-
-    def norm():
-        np.multiply(w[span], np.multiply(x, x, out=x), out=x)
-        return float(np.sqrt(np.sum(w_sq)))
-
-    scheme.residual_into(alpha, vals[span], phi_v[span], x)
-    x *= f[span]
-    bias_ = norm()
-    np.multiply(vals[span], f[span], out=x)
-    np.subtract(f[span], np.multiply(phi_v[span], x, out=x), out=x)
-    x[first - lo:stop - lo] = \
-        f[on] - phi_v[on] * (vals[on] * f[on] + delta * noise.values)
-    return ErrorBudget(bias=bias_,
-                       noise_term=delta * space.norm(phi_v[on] * noise.values, on),
-                       total=norm())
+                           noise: DeterministicNoise) -> ErrorBudget:
+    """Error of one reconstruction from data corrupted by a fixed noise,
+    evaluated on the span of the filter's nonzeros and the noise's support
+    with the dense expressions' bits (``_Study.deterministic``)."""
+    return _Study(b, space, f).deterministic(scheme, alpha, delta, noise)
 
 
 #: values per Monte Carlo block: max(1, BLOCK // k) replications at a
@@ -481,39 +517,6 @@ class _McWeights:
     delta: float
     bias: float
     sum_w: tuple
-
-
-def _mc_weights(scheme: Scheme, alpha: float, b: Multiplier,
-                space: MeasureSpace, f, delta: float,
-                tail: _Tail) -> _McWeights:
-    """One delta's Monte Carlo weights, once its variance integral is
-    known to converge (see ``monte_carlo_rms``).
-
-    ``tail`` is the study's ``_Tail`` of b.  A truncated filter whose alpha
-    is at or above its ``tail_sup`` is exactly 0 on the nodes that the 2R
-    and 4R grids add.  Both sums then hold the same nodes within R, so the
-    4R sum differs from the 2R sum by rounding alone, and the divergence
-    check, which needs both to grow by ``_GROWTH_THRESHOLD``, cannot fire:
-    it is not run, nor are the grids built for it.  The base grid's
-    FilterOverflow check stays, on the filter values formed here.
-    """
-    f = np.asarray(f, float)
-    vals = b.values_on(space)
-    zero_tail = scheme.truncated and alpha >= tail.tail_sup
-    if delta > 0 and not zero_tail:
-        try:
-            variance_integral(scheme, alpha, b, space, _extended=tail)
-        except Divergent as exc:
-            raise DivergentProfile(str(exc), diagnosis=exc.diagnosis) from exc
-    phi_v = scheme.phi(alpha, vals)
-    if delta > 0 and zero_tail:
-        _square_sum(alpha, space.weights, phi_v)
-    res_f = scheme.residual(alpha, vals) * f
-    nonzero = phi_v != 0
-    k = nonzero.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
-    w_k, phi_k = space.weights[:k], phi_v[:k]
-    return _McWeights(delta, space.norm(res_f),
-                      (w_k * res_f[:k] * phi_k, w_k * phi_k ** 2))
 
 
 def _shared_products(vectors: list) -> list:
@@ -637,7 +640,7 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     ``sweep_deltas`` runs the same kernel on all its deltas at once, where
     the cut-off noise sums of every delta read one shared product.
     """
-    weights = _mc_weights(scheme, alpha, b, space, f, delta, _Tail(b, space))
+    weights = _Study(b, space, f).mc_weights(scheme, alpha, delta)
     return _monte_carlo([weights], space, sampler, n_reps)[0]
 
 
@@ -722,21 +725,25 @@ def choose_alpha(problem: MultiplicationProblem, phi: IndexFunction,
     raise ValueError(f"unknown mode '{mode}'")
 
 
-def _white_rows(problem: MultiplicationProblem, scheme: Scheme,
-                phi: IndexFunction, deltas, c_phi: float, n_reps: int,
-                sampler: WhiteNoiseSampler, profile,
-                threads: int = 1) -> list:
-    """``(alpha*, the bound there, McResult)`` per delta.  Each delta's alpha*
-    and divergence check, any ``_Tail`` grid build included, run before any draw."""
-    alphas, weights, tail = [], [], _Tail(problem.b, problem.space)
-    for delta in deltas:
-        alphas.append(choose_alpha(problem, phi, delta, WHITE, profile))
-        weights.append(_mc_weights(scheme, alphas[-1], problem.b, problem.space,
-                                   problem.f_true, delta, tail))
-    results = _monte_carlo(weights, problem.space, sampler, n_reps, threads)
-    return [(alpha, white_bound_at_star(c_phi, scheme.c_0, phi, alpha,
-                                        problem.source_scale), mc)
-            for alpha, mc in zip(alphas, results)]
+class _Sweep:
+    """What the rows of one sweep share: the ``_Study`` of the problem and,
+    in white mode, ``white``, each delta's alpha* and ``McResult`` from one
+    Monte Carlo pass.  Each delta's alpha* and divergence check, any grid
+    build included, run in order before any draw."""
+
+    def __init__(self, problem: MultiplicationProblem, scheme: Scheme,
+                 phi: IndexFunction, deltas, mode: str, n_reps: int,
+                 sampler: WhiteNoiseSampler, profile, threads: int = 1):
+        self.study = _Study(problem.b, problem.space, problem.f_true)
+        self.white = {}
+        if mode == WHITE:
+            alphas, weights = [], []
+            for delta in deltas:
+                alphas.append(choose_alpha(problem, phi, delta, WHITE, profile))
+                weights.append(self.study.mc_weights(scheme, alphas[-1], delta))
+            results = _monte_carlo(weights, problem.space, sampler, n_reps,
+                                   threads)
+            self.white = dict(zip(deltas, zip(alphas, results)))
 
 
 def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
@@ -744,7 +751,7 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
                    c_phi: float, n_reps: int = 1,
                    sampler: WhiteNoiseSampler = WhiteNoiseSampler(0),
                    profile: IllposednessProfile | None = None, *,
-                   _per_sweep=None) -> RateRow:
+                   _sweep: _Sweep | None = None) -> RateRow:
     """One row of a rate study: alpha* from ``choose_alpha``, error and bound.
 
     Deterministic mode perturbs the data with the worst admissible noise
@@ -754,31 +761,26 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
     The bound column is the simplified at-alpha-star form of the
     a-priori error estimate.
 
-    ``_per_sweep`` holds what ``sweep_deltas`` computed for this row: the
-    ``_ExactData`` of all its deltas in deterministic mode; in white mode
-    alpha*, the bound and the ``McResult`` of the replications that this
-    delta shares with the sweep's other deltas.
+    ``_sweep`` is the ``_Sweep`` of the ``sweep_deltas`` call that this row
+    belongs to; without it the row is a one-delta sweep's.
     """
+    delta = float(delta)
+    if _sweep is None:
+        _sweep = _Sweep(problem, scheme, phi, [delta], mode, n_reps, sampler,
+                        profile)
     if mode == WHITE:
-        alpha, bound, mc = _per_sweep or _white_rows(
-            problem, scheme, phi, [delta], c_phi, n_reps, sampler, profile)[0]
-        return RateRow(delta=float(delta), alpha_star=alpha, error=mc.rms,
+        alpha, mc = _sweep.white[delta]
+        bound = white_bound_at_star(c_phi, scheme.c_0, phi, alpha,
+                                    problem.source_scale)
+        return RateRow(delta=delta, alpha_star=alpha, error=mc.rms,
                        stderr=mc.stderr, bias=mc.bias,
                        variance_term=mc.noise_term, bound=bound,
                        violated=bool(mc.rms > bound + 2.0 * mc.stderr))
-    b, space, f = problem.b, problem.space, problem.f_true
     alpha_star = choose_alpha(problem, phi, delta, mode, profile)
-    data = _per_sweep if _per_sweep is not None else \
-        _exact_data(b, space, np.asarray(f, float))
-    phi_v = scheme.phi(alpha_star, data.vals)
-    # |phi|, then evaluate_deterministic's buffer
-    scratch = np.abs(phi_v, out=np.empty(phi_v.size))
-    worst = concentrated_noise(space, int(np.argmax(scratch)))
     bound = deterministic_bound_at_star(c_phi, scheme.c_minus1, phi,
                                         alpha_star, problem.source_scale)
-    budget = evaluate_deterministic(scheme, alpha_star, b, space, f, delta,
-                                    worst, _filtered=(data, phi_v, scratch))
-    return RateRow(delta=float(delta), alpha_star=alpha_star,
+    budget = _sweep.study.deterministic(scheme, alpha_star, delta)
+    return RateRow(delta=delta, alpha_star=alpha_star,
                    error=budget.total, stderr=0.0, bias=budget.bias,
                    variance_term=budget.noise_term, bound=bound,
                    violated=bool(budget.total > bound * (1 + 1e-9)))
@@ -804,24 +806,20 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
     The slopes fit log(error) and log(phi(alpha*)) against log(delta) on
     the middle 80% of the points; they are None below 4 rows.
 
-    Arrays every delta needs are computed once: in deterministic mode the
-    ``_ExactData``; in white mode a ``_Tail``: b's largest value beyond R,
-    found in pieces, and the 2x and 4x truncations that the divergence
+    Every row reads one ``_Sweep``, whose ``_Study`` finds each array that
+    all deltas need once: b's values, and in white mode b's largest value
+    beyond R, found in pieces, and the 2R and 4R grids that the divergence
     check reads, built only if a delta runs it.
     """
-    b, space = problem.b, problem.space
-    if mode == WHITE:
-        per_row = _white_rows(
-            problem, scheme, phi, [float(delta) for delta in deltas], c_phi,
-            n_reps, WhiteNoiseSampler(seed, FIRST_STREAM, distribution),
-            effective_illposedness(b, space), threads)
-    else:
-        data = _exact_data(b, space, np.asarray(problem.f_true, float)) \
-            if mode == DETERMINISTIC else None
-        per_row = [data] * len(deltas)
-    rows = [evaluate_delta(problem, scheme, phi, float(delta), mode, c_phi,
-                           _per_sweep=per_sweep)
-            for delta, per_sweep in zip(deltas, per_row)]
+    deltas = [float(delta) for delta in deltas]
+    profile = effective_illposedness(problem.b, problem.space) \
+        if mode == WHITE else None
+    sweep = _Sweep(problem, scheme, phi, deltas, mode, n_reps,
+                   WhiteNoiseSampler(seed, FIRST_STREAM, distribution),
+                   profile, threads)
+    rows = [evaluate_delta(problem, scheme, phi, delta, mode, c_phi,
+                           _sweep=sweep)
+            for delta in deltas]
 
     fitted = theoretical = None
     if len(rows) >= 4:

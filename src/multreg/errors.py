@@ -81,9 +81,5 @@ class FilterOverflow(MultRegError):
     """Filter values overflow double precision: alpha is below its resolution."""
 
 
-class DegenerateFilter(MultRegError):
-    """Filter weight is undefined (zero denominator)."""
-
-
 class EigenvaluesNotDivergent(MultRegError):
     """Eigenvalue sequence must be nondecreasing and unbounded."""

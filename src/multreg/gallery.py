@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import MultiplicationProblem
-from .errors import DegenerateFilter
 from .indexfuncs import IndexFunction
 from .multipliers import (CallableMultiplier, ExponentialSequence,
                           GaussianFrequency, Multiplier,
@@ -160,16 +159,6 @@ def periodic_convolve(problem: DeconvolutionProblem, x) -> np.ndarray:
                              problem.n)
 
 
-def wiener_weight(b_val: float, s_f: float, delta: float) -> float:
-    """MISE-optimal filter weight b*S_f / (b^2 S_f + delta^2) for real b."""
-    if s_f <= 0:
-        raise ValueError("signal strength must be positive")
-    denom = b_val**2 * s_f + delta**2
-    if denom == 0.0:
-        raise DegenerateFilter("b = 0 and delta = 0 leave the weight undefined")
-    return b_val * s_f / denom
-
-
 def lavrentiev_deconvolve(problem: DeconvolutionProblem, y_delta,
                           alpha: float) -> np.ndarray:
     """Filter 1/(alpha + b) in frequency space, then transform back.
@@ -235,13 +224,6 @@ def compact_case(b_values=None, n_max: int | None = None,
         raise ValueError("eigenvalues must be positive")
     space = MeasureSpace.counting(vals.size)
     return Tabulated(vals, tail_vanishes=True), space
-
-
-def n_alpha(b: Multiplier, space: MeasureSpace, alpha: float) -> int:
-    """Largest index N with b(N) >= alpha for a nonincreasing sequence."""
-    vals = b.values_on(space)
-    hits = np.nonzero(vals >= alpha)[0]
-    return int(hits[-1] + 1) if hits.size else 0
 
 
 # ---------------------------------------------------------------------------

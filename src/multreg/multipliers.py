@@ -269,9 +269,6 @@ class PiecewiseMonotone(Multiplier):
                 out[mask] = vals
         return out
 
-    def zero_locations(self) -> np.ndarray:
-        return np.array([p.zero_location for p in self.pieces])
-
 
 def read_table(path) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, values) from two-column text with '#' comments; a single
@@ -326,19 +323,3 @@ class Tabulated(Multiplier):
             raise ValueError("tabulated nodes do not match the space")
         return cls(values, **kw)
 
-
-def validate_positive(b: Multiplier, space: MeasureSpace) -> None:
-    """Check b > 0 at all nodes except family-sanctioned zeros, and b <= sup."""
-    vals = b.values_on(space)
-    if np.max(vals) > b.sup_bound * (1 + 1e-10):
-        raise ValueError("multiplier exceeds its sup bound")
-    if b.family == "plateau_counterexample":
-        bad = (space.nodes >= 0) & (vals <= 0) & (space.nodes != 0)
-    elif b.family == "piecewise_monotone":
-        zeros = b.zero_locations()
-        at_zero = np.isin(space.nodes, zeros)
-        bad = (vals <= 0) & ~at_zero
-    else:
-        bad = vals <= 0
-    if np.any(bad):
-        raise ValueError("multiplier vanishes at nodes where zeros are not allowed")

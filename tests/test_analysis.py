@@ -117,11 +117,6 @@ def test_variance_truncated_lavrentiev_finite():
     assert float(v) == pytest.approx(113.43, rel=1e-2)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=Divergent,
-    reason="the R/2R/4R divergence check flags a convergent truncated filter "
-           "whose support ends between 2R and 4R: the sum grows twice and the "
-           "growth density does not halve, though it stops growing by 4R")
 def test_truncated_filter_ending_between_2r_and_4r_converges():
     # delta = 1e-6's white alpha* with phi = PowerIndex(0.5); the filter is
     # 0 beyond s = 126.4, inside 4R = 200, so the 4R and 8R sums are equal
@@ -171,11 +166,13 @@ def test_variance_filter_overflow_on_an_extended_grid():
     # b = e^-s is >= 1e-100 on [0, 230) but reaches 1e-200 at 2x the radius
     # and underflows at 4x, where Lavrentiev's filter squared overflows
     b, space = exp_decay_pair(radius=230.0, n=2**10)
-    assert np.isfinite(analysis._variance_sum(lavrentiev(), 1e-200, space.weights,
-                                              b.values_on(space)))
-    for extended in (None, analysis._Tail(b, space)):
-        with pytest.raises(FilterOverflow):
-            variance_integral(lavrentiev(), 1e-200, b, space, _extended=extended)
+    assert np.isfinite(analysis._square_sum(
+        1e-200, space.weights, lavrentiev().phi(1e-200, b.values_on(space))))
+    with pytest.raises(FilterOverflow):
+        variance_integral(lavrentiev(), 1e-200, b, space)
+    with pytest.raises(FilterOverflow):  # a white study's full check
+        analysis._Study(b, space, b.values_on(space)).mc_weights(
+            lavrentiev(), 1e-200, 1e-3)
 
 
 # --- effective ill-posedness -----------------------------------------------------------
@@ -749,18 +746,18 @@ def test_sweep_shares_extended_grids_with_identical_rows(threads, monkeypatch):
                                sampler=WhiteNoiseSampler(3, STREAM_STRIDE),
                                profile=profile)
                 for delta in deltas]
-        built, build = [], analysis._extended_grid
+        built, build = [], MeasureSpace.extended
 
-        def counted(b, space, factor):
+        def counted(space, factor):
             built.append(factor)
-            return build(b, space, factor)
+            return build(space, factor)
 
-        monkeypatch.setattr(analysis, "_extended_grid", counted)
+        monkeypatch.setattr(MeasureSpace, "extended", counted)
         study = sweep_deltas(problem, scheme, phi, deltas, WHITE, 1.0, n_reps=8,
                              seed=3, threads=threads)
         monkeypatch.undo()
         assert list(study.rows) == each
-        tail = analysis._Tail(problem.b, problem.space).tail_sup
+        tail = analysis._Study(problem.b, problem.space).tail_sup
         runs = any(row.alpha_star < tail for row in study.rows)
         assert built == (list(analysis._EXTENSIONS) if runs else [])
         runs_check.add(runs)
@@ -836,16 +833,16 @@ def test_sweep_keeps_the_divergence_diagnosis():
     assert len(swept.value.diagnosis["sums"]) == 3
 
 
-def _extension(b, space):
-    """A sweep's ``_Tail``, and the largest b value beyond R on its 2R and
+def _extension(b, space, f=None):
+    """A sweep's ``_Study``, and the largest b value beyond R on its 2R and
     4R grids."""
-    extension = analysis._Tail(b, space)
+    extension = analysis._Study(b, space, f)
     return extension, extension.tail_sup
 
 
-def _full_check(b, space):
-    """A ``_Tail`` that never skips: ``_mc_weights`` runs the full check."""
-    extension = analysis._Tail(b, space)
+def _full_check(b, space, f):
+    """A ``_Study`` that never skips: ``mc_weights`` runs the full check."""
+    extension = analysis._Study(b, space, f)
     extension.tail_sup = np.inf
     return extension
 
@@ -861,7 +858,7 @@ def test_chunked_tail_sup_equals_the_grids_maximum_beyond_r(n):
     for b, space in (power_decay_pair(0.5, 50.0, n),
                      fvp_multiplier(FinalValueProblem("whole_space", n_grid=n)),
                      plateau_pair(50.0, n)):
-        tail = analysis._Tail(b, space)
+        tail = analysis._Study(b, space)
         radius, sups = space.truncation_radius, []
         for factor, (sp, values) in zip(analysis._EXTENSIONS, tail.grids):
             pieces = list(space.extended_nodes(factor, chunk))
@@ -886,11 +883,11 @@ def test_white_sweep_skips_the_divergence_sums_where_the_tail_is_zero(monkeypatc
     extension, tail = _extension(b, space)
     assert tail == extension.grids[0][1][n]  # b decreases: the first node past R
     profile = effective_illposedness(b, space)
-    summed, variance_sum = [], analysis._variance_sum
+    summed, square_sum = [], analysis._square_sum
 
-    def counted(scheme, alpha, weights, vals):
+    def counted(alpha, weights, phi_v):
         summed.append((alpha, weights.size))
-        return variance_sum(scheme, alpha, weights, vals)
+        return square_sum(alpha, weights, phi_v)
 
     for deltas, n_below in (([1e-2, 1e-3, 1e-4, 1e-5], 0),
                             ([1e-2, 1e-3, 1e-4, 1e-5, 2e-6], 1)):
@@ -899,16 +896,18 @@ def test_white_sweep_skips_the_divergence_sums_where_the_tail_is_zero(monkeypatc
                                profile=profile)
                 for delta in deltas]
         summed.clear()
-        monkeypatch.setattr(analysis, "_variance_sum", counted)
+        monkeypatch.setattr(analysis, "_square_sum", counted)
         study = sweep_deltas(problem, scheme, phi, deltas, WHITE, 1.0, n_reps=6,
                              seed=3)
         monkeypatch.undo()
         assert list(study.rows) == each
         below = [row.alpha_star for row in study.rows if row.alpha_star < tail]
         assert len(below) == n_below
-        # only a delta below the tail runs variance_integral: R, 2R and 4R
-        assert summed == [(alpha, size) for alpha in below
-                          for size in (n, 2 * n, 4 * n)]
+        # only a delta below the tail runs the divergence check, on R, 2R
+        # and 4R; the others keep the base grid's overflow check alone
+        assert summed == [(row.alpha_star, size) for row in study.rows
+                          for size in ((n, 2 * n, 4 * n)
+                                       if row.alpha_star < tail else (n,))]
 
 
 def _zero_tail_problems():
@@ -921,9 +920,9 @@ def _zero_tail_problems():
         yield b, space, np.sqrt(b.values_on(space))
 
 
-def _outcome(scheme, alpha, b, space, f, extended):
+def _outcome(scheme, alpha, study):
     try:
-        w = analysis._mc_weights(scheme, alpha, b, space, f, 1e-3, extended)
+        w = study.mc_weights(scheme, alpha, 1e-3)
     except DivergentProfile as exc:
         return str(exc), repr(exc.diagnosis)
     return w.bias, *(v.tolist() for v in w.sum_w)
@@ -933,28 +932,28 @@ def _outcome(scheme, alpha, b, space, f, extended):
                                     truncate(tikhonov_wiener()), lavrentiev()],
                          ids=lambda s: s.name)
 def test_zero_tail_skip_agrees_with_the_full_divergence_check(scheme, monkeypatch):
-    # with the sweep's ``_Tail`` each alpha gives the weights, or the
+    # with the sweep's ``_Study`` each alpha gives the weights, or the
     # DivergentProfile message and diagnosis, of the full 2R/4R check
-    # (a ``_Tail`` that never skips); at or above the tail a truncated
-    # scheme skips it
-    summed, variance_sum = [], analysis._variance_sum
+    # (a ``_Study`` that never skips); at or above the tail a truncated
+    # scheme skips it and sums the base grid alone
+    summed, square_sum = [], analysis._square_sum
 
-    def counted(scheme, alpha, weights, vals):
+    def counted(alpha, weights, phi_v):
         summed.append(weights.size)
-        return variance_sum(scheme, alpha, weights, vals)
+        return square_sum(alpha, weights, phi_v)
 
     kinds = set()
     for b, space, f in _zero_tail_problems():
-        extension, tail = _extension(b, space)
+        extension, tail = _extension(b, space, f)
         for alpha in (tail / 64, tail / 4, tail, 4 * tail, 1e-3, 0.05):
-            full = _outcome(scheme, alpha, b, space, f, _full_check(b, space))
+            full = _outcome(scheme, alpha, _full_check(b, space, f))
             summed.clear()
-            monkeypatch.setattr(analysis, "_variance_sum", counted)
-            assert _outcome(scheme, alpha, b, space, f, extension) == full
+            monkeypatch.setattr(analysis, "_square_sum", counted)
+            assert _outcome(scheme, alpha, extension) == full
             monkeypatch.undo()
             skipped = scheme.truncated and alpha >= tail
-            assert summed == ([] if skipped else [space.nodes.size] +
-                              [sp.weights.size for sp, _ in extension.grids])
+            assert summed == [space.nodes.size] + ([] if skipped else [
+                sp.weights.size for sp, _ in extension.grids])
             kinds.add((skipped, isinstance(full[0], str)))
     # (skipped, diverged): Lavrentiev's tail never vanishes
     assert kinds == ({(True, False), (False, False), (False, True)}
@@ -987,13 +986,13 @@ def test_divergent_white_sweep_fails_before_any_draw_as_the_full_check(
                         sample(*args, **kwargs))
     _, tail = _extension(b, space)
     with pytest.raises(DivergentProfile) as swept:
-        analysis._white_rows(problem, scheme, phi, deltas, 1.0, 4,
-                             WhiteNoiseSampler(0, STREAM_STRIDE), profile)
+        analysis._Sweep(problem, scheme, phi, deltas, WHITE, 4,
+                        WhiteNoiseSampler(0, STREAM_STRIDE), profile)
     alpha = analysis.choose_alpha(problem, phi, deltas[0], WHITE, profile)
     assert not (scheme.truncated and alpha >= tail)
     with pytest.raises(DivergentProfile) as full:
-        analysis._mc_weights(scheme, alpha, b, space, problem.f_true, deltas[0],
-                             _full_check(b, space))
+        _full_check(b, space, problem.f_true).mc_weights(scheme, alpha,
+                                                         deltas[0])
     assert str(swept.value) == str(full.value)
     assert swept.value.diagnosis == full.value.diagnosis
     assert draws == []
@@ -1031,8 +1030,8 @@ def test_monte_carlo_on_mixed_cutoff_and_lavrentiev_weights(threads, distributio
     # BLOCK nodes, where a block holds one replication
     for n in (500, analysis.BLOCK + 1000):
         b, space, f = _counting(n)
-        weights = [analysis._mc_weights(scheme, alpha, b, space, f, delta,
-                                        analysis._Tail(b, space))
+        study = analysis._Study(b, space, f)
+        weights = [study.mc_weights(scheme, alpha, delta)
                    for scheme, alpha, delta in (
                        (spectral_cutoff(), 0.01, 1e-3),
                        (lavrentiev(), 0.01, 1e-3),
@@ -1130,6 +1129,8 @@ def test_deterministic_error_with_a_non_finite_signal():
 
 
 def test_deterministic_sweep_evaluates_b_once(monkeypatch):
+    # b's values on the base grid are evaluated by the sweep's study alone,
+    # whatever the number of deltas, and in white mode also by the profile
     problem = counting_problem(200, PowerIndex(1.0))
     calls = []
     values_on = type(problem.b).values_on
@@ -1139,10 +1140,33 @@ def test_deterministic_sweep_evaluates_b_once(monkeypatch):
         return values_on(self, space)
 
     monkeypatch.setattr(type(problem.b), "values_on", counted)
-    study = sweep_deltas(problem, lavrentiev(), PowerIndex(1.0),
-                         np.geomspace(1e-2, 1e-4, 9), DETERMINISTIC, 1.0)
-    assert len(study.rows) == 9
-    assert calls == [problem.space]
+    for mode, n_deltas in ((DETERMINISTIC, 9), (WHITE, 1), (WHITE, 4),
+                           (WHITE, 9)):
+        calls.clear()
+        study = sweep_deltas(problem, lavrentiev(), PowerIndex(1.0),
+                             np.geomspace(1e-2, 1e-4, n_deltas), mode, 1.0,
+                             n_reps=4)
+        assert len(study.rows) == n_deltas
+        assert calls == [problem.space] * (2 if mode == WHITE else 1), \
+            (mode, n_deltas, len(calls))
+
+
+@pytest.mark.parametrize("mode", [DETERMINISTIC, WHITE])
+def test_sweep_calls_evaluate_delta_once_per_row(mode, monkeypatch):
+    # each row is one call of the module's evaluate_delta, as a tracer that
+    # rebinds it sees them
+    problem = counting_problem(200, PowerIndex(1.0))
+    deltas, calls, evaluate = np.geomspace(1e-2, 1e-4, 5), [], \
+        analysis.evaluate_delta
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "evaluate_delta", counted)
+    study = sweep_deltas(problem, lavrentiev(), PowerIndex(1.0), deltas, mode,
+                         1.0, n_reps=4)
+    assert calls == [row.delta for row in study.rows] == list(deltas)
 
 
 def test_failing_threaded_sweep_cancels_the_later_deltas(monkeypatch):

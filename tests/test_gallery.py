@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from multreg import (DegenerateFilter, EigenvaluesNotDivergent,
-                     FinalValueProblem, MeasureSpace, compact_case,
-                     effective_illposedness, fvp_multiplier,
-                     lavrentiev, lavrentiev_deconvolve, n_alpha,
+from multreg import (EigenvaluesNotDivergent, FinalValueProblem,
+                     MeasureSpace, compact_case, effective_illposedness,
+                     fvp_multiplier, lavrentiev, lavrentiev_deconvolve,
                      periodic_convolve, reconstruct, spectral_cutoff,
-                     tikhonov_wiener, to_frequency, from_frequency,
-                     wiener_weight)
+                     tikhonov_wiener, to_frequency, from_frequency)
 from multreg.gallery import DeconvolutionProblem
 
 
@@ -165,21 +163,13 @@ def test_periodic_convolve_matches_direct_sum():
 
 # --- Wiener filter ------------------------------------------------------------
 
-def test_wiener_weight_values():
-    assert wiener_weight(1.0, 1.0, 1.0) == 0.5
-    assert wiener_weight(0.25, 1.0, 0.0) == pytest.approx(4.0)  # pure inversion
-    with pytest.raises(DegenerateFilter):
-        wiener_weight(0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        wiener_weight(1.0, 0.0, 1.0)
-
-
 def test_wiener_equals_tikhonov_with_matched_alpha():
+    # the MISE-optimal weight b S_f / (b^2 S_f + delta^2) for real b
     s_f, delta = 2.5, 0.3
     scheme = tikhonov_wiener()
     alpha = delta**2 / s_f
     for b_val in (1.0, 0.5, 0.01):
-        assert wiener_weight(b_val, s_f, delta) == \
+        assert b_val * s_f / (b_val**2 * s_f + delta**2) == \
             pytest.approx(scheme.phi(alpha, b_val), rel=1e-12)
 
 
@@ -266,12 +256,8 @@ def test_fvp_coefficient_map_is_isometric():
 def test_compact_case_and_n_alpha():
     b, space = compact_case(1.0 / np.arange(1, 201))
     assert space.kind == "counting"
-    alpha = 0.34
-    N = n_alpha(b, space, alpha)
-    vals = b.values_on(space)
-    assert N == 2
-    assert vals[N - 1] >= alpha > vals[N]
-    assert n_alpha(b, space, 2.0) == 0
+    assert np.array_equal(space.nodes, np.arange(1, 201))
+    assert np.array_equal(b.values_on(space), 1.0 / np.arange(1, 201))
 
 
 def test_fvp_recovery_and_profile():

@@ -4,11 +4,10 @@ import pytest
 from multreg import (DETERMINISTIC, WHITE, DeconvolutionProblem,
                      EigenvaluesNotDivergent, ExponentialSequence,
                      GaussianFrequency, MeasureSpace, MultiplicationProblem,
-                     MultRegError, PlateauCounterexample, PowerDecay, PowerIndex,
+                     MultRegError, PowerDecay, PowerIndex,
                      PurePower, Tabulated, distribution_function,
                      effective_illposedness, lavrentiev, truncate)
 from multreg.analysis import sweep_deltas
-from multreg.multipliers import validate_positive
 
 
 def test_interval_weights_sum_to_length():
@@ -72,15 +71,6 @@ def test_extended_keeps_density():
     assert wide.max_weight == pytest.approx(space.max_weight)
     with pytest.raises(ValueError):
         MeasureSpace.counting(5).extended(2.0)
-
-
-def test_multiplier_positivity_validation():
-    space = MeasureSpace.halfline(10.0, 256)
-    validate_positive(PowerDecay(1.0), space)
-    line = MeasureSpace.line(10.0, 256)
-    validate_positive(PlateauCounterexample(), line)  # zeros allowed on s < 0
-    with pytest.raises(ValueError):
-        validate_positive(Tabulated(np.zeros(256)), space)
 
 
 def test_sup_bound_respected():
