@@ -121,40 +121,17 @@ class _Study:
         return tuple((sp, self.b.values_on(sp)) for sp in
                      map(self.space.extended, _EXTENSIONS))
 
-    def variance(self, scheme: Scheme, alpha: float) -> VarianceValue:
-        """The body of ``variance_integral``."""
+    def variance(self, scheme: Scheme, alpha: float,
+                 phi_v: np.ndarray | None = None) -> VarianceValue:
+        """The body of ``variance_integral``; ``phi_v``, when given, is the
+        filter on b's values, and the base sum is taken from it."""
         b, space, vals = self.b, self.space, self.vals
 
         def square_sum(weights, values):
             with np.errstate(divide="ignore", over="ignore"):
                 return _square_sum(alpha, weights, scheme.phi(alpha, values))
 
-        if space.extensible and b.evaluable:
-            sums = [square_sum(space.weights, vals)]
-            measures = [space.total_measure]
-            for sp, values in self.grids:
-                sums.append(square_sum(sp.weights, values))
-                measures.append(sp.total_measure)
-            g1, g2 = sums[1] - sums[0], sums[2] - sums[1]
-            grew_twice = (sums[1] > sums[0] * (1 + _GROWTH_THRESHOLD)
-                          and sums[2] > sums[1] * (1 + _GROWTH_THRESHOLD))
-            if grew_twice:
-                dens1 = g1 / (measures[1] - measures[0])
-                dens2 = g2 / (measures[2] - measures[1])
-                # a truncated filter that is 0 on the 8R grid beyond 4R
-                # has stopped growing: it keeps the 4R sum
-                outer = _EXTENSIONS[-1]
-                if dens1 > 0 and dens2 > 0.5 * dens1 and not (
-                        scheme.truncated and alpha >= self._sup_beyond(
-                            outer * space.truncation_radius, (2 * outer,))):
-                    raise Divergent(
-                        f"variance grows with the truncation radius at alpha={alpha:.4g} "
-                        f"(values {sums[0]:.6g}, {sums[1]:.6g}, {sums[2]:.6g})",
-                        diagnosis={"alpha": alpha, "sums": sums, "measures": measures},
-                    )
-            return VarianceValue(sums[2], tail_estimate=abs(g2))
-
-        if space.extensible:
+        if space.extensible and not b.evaluable:
             # fixed tables on an infinite-measure space: judge the tail analytically
             tail_probe = np.geomspace(alpha * 1e-12, alpha, 64)
             filter_floor = float(np.min(np.abs(scheme.phi(alpha, tail_probe))))
@@ -172,32 +149,53 @@ class _Study:
                     "the filter is positive",
                     diagnosis={"alpha": alpha, "tail_level": tail_level},
                 )
-        return VarianceValue(square_sum(space.weights, vals))
+        base = square_sum(space.weights, vals) if phi_v is None \
+            else _square_sum(alpha, space.weights, phi_v)
+        if not (space.extensible and b.evaluable) or (
+                scheme.truncated and alpha >= self.tail_sup):
+            return VarianceValue(base)
+        sums, measures = [base], [space.total_measure]
+        for sp, values in self.grids:
+            sums.append(square_sum(sp.weights, values))
+            measures.append(sp.total_measure)
+        g1, g2 = sums[1] - sums[0], sums[2] - sums[1]
+        grew_twice = (sums[1] > sums[0] * (1 + _GROWTH_THRESHOLD)
+                      and sums[2] > sums[1] * (1 + _GROWTH_THRESHOLD))
+        if grew_twice:
+            dens1 = g1 / (measures[1] - measures[0])
+            dens2 = g2 / (measures[2] - measures[1])
+            # a truncated filter that is 0 on the 8R grid beyond 4R
+            # has stopped growing: it keeps the 4R sum
+            outer = _EXTENSIONS[-1]
+            if dens1 > 0 and dens2 > 0.5 * dens1 and not (
+                    scheme.truncated and alpha >= self._sup_beyond(
+                        outer * space.truncation_radius, (2 * outer,))):
+                raise Divergent(
+                    f"variance grows with the truncation radius at alpha={alpha:.4g} "
+                    f"(values {sums[0]:.6g}, {sums[1]:.6g}, {sums[2]:.6g})",
+                    diagnosis={"alpha": alpha, "sums": sums, "measures": measures},
+                )
+        return VarianceValue(sums[2], tail_estimate=abs(g2))
 
     def mc_weights(self, scheme: Scheme, alpha: float,
                    delta: float) -> _McWeights:
         """One delta's Monte Carlo weights, once its variance integral is
         known to converge (see ``monte_carlo_rms``).
 
-        A truncated filter whose alpha is at or above ``tail_sup`` is
-        exactly 0 on the nodes that the 2R and 4R grids add, so their sums
-        differ by rounding alone and the divergence check cannot fire: it
-        is not run, nor are the grids built for it.  The base grid's
-        FilterOverflow check stays, on the filter values formed here.
+        The filter is evaluated on b's values once: the variance check
+        (``variance``) takes its base sum, and its FilterOverflow check,
+        from those values.
         """
         vals, space = self.vals, self.space
-        zero_tail = scheme.truncated and alpha >= self.tail_sup
-        if delta > 0 and not zero_tail:
+        with np.errstate(divide="ignore", over="ignore"):
+            phi_v = scheme.phi(alpha, vals)
+        if delta > 0:
             try:
-                self.variance(scheme, alpha)
+                self.variance(scheme, alpha, phi_v)
             except Divergent as exc:
                 raise DivergentProfile(str(exc), diagnosis=exc.diagnosis) from exc
-        phi_v = scheme.phi(alpha, vals)
-        if delta > 0 and zero_tail:
-            _square_sum(alpha, space.weights, phi_v)
         res_f = scheme.residual(alpha, vals) * self.f
-        nonzero = phi_v != 0
-        k = nonzero.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
+        k = _nonzero_span(phi_v)[1]
         w_k, phi_k = space.weights[:k], phi_v[:k]
         return _McWeights(delta, space.norm(res_f),
                           (w_k * res_f[:k] * phi_k, w_k * phi_k ** 2))
@@ -266,9 +264,11 @@ def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
     does not decay, the integral is declared Divergent (carrying the three
     values as diagnosis), unless a truncated filter's alpha is at or above
     b's largest value on the 8R grid's nodes beyond 4R (found in pieces):
-    the sum has stopped growing, and the 4R sum is returned.  A white
-    study's Monte Carlo skips the check where a truncated filter is zero
-    beyond R (``_Study.mc_weights``).
+    the sum has stopped growing, and the 4R sum is returned.  A truncated
+    filter whose alpha is at or above b's largest value on the 2R and 4R
+    grids' nodes beyond R (``_Study.tail_sup``) is exactly 0 on the nodes
+    those grids add, so their sums differ by rounding alone: the check is
+    not run, nor are the grids built, and the base sum is returned.
 
     Tabulated multipliers cannot be extended, so their tail is judged
     analytically: a vanishing tail puts infinite measure below every
@@ -396,14 +396,17 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
 
 
 def _solve_monotone(fn, target, bracket, phi, label):
-    """Root of the increasing fn = target on ``bracket`` clipped to phi's domain."""
+    """Root of the increasing fn = target on ``bracket`` clipped to phi's
+    domain.  Only a probe that decreases is an error: fn may be flat up to
+    rounding, as phi - delta D is below the smallest node value, where D
+    is constant."""
     lo = bracket[0]
     if phi.domain[0] > 0:
         lo = max(lo, phi.domain[0] * (1 + 1e-9))
     hi = min(bracket[1], phi.domain[1])
     vals = np.array([fn(a) for a in np.geomspace(lo, hi, 9)])
-    if np.any(np.diff(vals) <= 0):
-        raise PreconditionFailed(f"{label} is not strictly increasing on the bracket")
+    if np.any(np.diff(vals) < 0):
+        raise PreconditionFailed(f"{label} decreases on the bracket")
     if not (vals[0] <= target <= vals[-1]):
         raise BracketingFailed(
             f"{label}: target {target:.6g} outside [{vals[0]:.6g}, {vals[-1]:.6g}] "

@@ -84,25 +84,20 @@ def PowerDecay(kappa: float) -> CallableMultiplier:
         family="power_decay")
 
 
-def PurePower(kappa: float, hi: float = 1.0) -> CallableMultiplier:
-    """b(s) = s**kappa on a bounded interval [0, hi]."""
-    if kappa <= 0 or hi <= 0:
-        raise ValueError("kappa and hi must be positive")
-    sup = hi ** kappa
+def PurePower(kappa: float) -> CallableMultiplier:
+    """b(s) = s**kappa on the unit interval [0, 1]."""
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
     return CallableMultiplier(
-        lambda s: s ** kappa, sup_bound=sup,
+        lambda s: s ** kappa, sup_bound=1.0,
         exact_distribution=lambda t, space:
-            0.0 if t >= sup else hi - t ** (1.0 / kappa),
+            0.0 if t >= 1.0 else 1.0 - t ** (1.0 / kappa),
         family="pure_power")
 
 
-def GaussianFrequency(c: float = 1.0, tau: float = 1.0,
-                      dimension: int = 1) -> CallableMultiplier:
-    """b(s) = exp(-c^2 * tau * |s|^2); the frequency symbol of heat flow.
-
-    ``dimension`` is metadata only: the symbol and its d_b are evaluated
-    in one dimension.
-    """
+def GaussianFrequency(c: float = 1.0, tau: float = 1.0) -> CallableMultiplier:
+    """b(s) = exp(-c^2 * tau * s^2) in one dimension; the frequency symbol
+    of heat flow."""
     if c <= 0 or tau <= 0:
         raise ValueError("c and tau must be positive")
 
@@ -229,14 +224,12 @@ class PiecewiseMonotone(Multiplier):
 
     Inside a piece window the piece profile is used; elsewhere the
     background.  Windows must be pairwise disjoint and zero locations
-    distinct.  ``declared_dominant`` optionally pins the dominating piece
-    index instead of probing for it.
+    distinct.
     """
 
     pieces: tuple
     background: BackgroundPart
     hi: float = 1.0
-    declared_dominant: int | None = None
     family = "piecewise_monotone"
 
     def __post_init__(self):
@@ -287,14 +280,14 @@ def read_table(path) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Tabulated(Multiplier):
-    """Values aligned with a fixed space's nodes.
+    """Values aligned with a fixed space's nodes; ``sup_bound`` is their
+    largest.
 
     ``tail_vanishes`` declares the tail model when the space is infinite:
     True means superlevel sets have finite measure beyond the truncation.
     """
 
     values: np.ndarray
-    sup_bound: float = None
     tail_vanishes: bool = True
     family = "tabulated"
     evaluable = False
@@ -304,22 +297,10 @@ class Tabulated(Multiplier):
         if np.any(vals < 0):
             raise ValueError("multiplier values must be nonnegative")
         object.__setattr__(self, "values", vals)
-        if self.sup_bound is None:
-            object.__setattr__(self, "sup_bound", float(np.max(vals)))
-        elif np.max(vals) > self.sup_bound * (1 + 1e-12):
-            raise ValueError("values exceed declared sup bound")
+        object.__setattr__(self, "sup_bound", float(np.max(vals)))
 
     def values_on(self, space):
         if self.values.shape != space.nodes.shape:
             raise ValueError("tabulated values not aligned with this space")
         return self.values
-
-    @classmethod
-    def from_text(cls, path, space: MeasureSpace, **kw) -> "Tabulated":
-        """Load the values of a :func:`read_table` file on ``space``'s nodes."""
-        nodes, values = read_table(path)
-        if nodes.shape != space.nodes.shape or not np.allclose(nodes, space.nodes,
-                                                               rtol=1e-9, atol=1e-12):
-            raise ValueError("tabulated nodes do not match the space")
-        return cls(values, **kw)
 

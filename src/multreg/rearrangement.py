@@ -31,7 +31,7 @@ class Rearrangement:
     """Step function on [0, total): value ``values[k]`` on [knots[k], knots[k+1]).
 
     ``knots`` has one more entry than ``values`` and starts at 0; it is the
-    running sum of ``widths``, the node weights in sorted order.  Queries
+    running sum of the node weights in sorted order.  Queries
     beyond the domain return 0 for decreasing and the top value for
     increasing rearrangements (the literal inf/sup conventions).
     """
@@ -39,7 +39,6 @@ class Rearrangement:
     values: np.ndarray
     knots: np.ndarray
     direction: str
-    widths: np.ndarray
 
     def __post_init__(self):
         if self.knots.size != self.values.size + 1:
@@ -79,24 +78,17 @@ class Rearrangement:
 
 
 def distribution_function(b: Multiplier, space: MeasureSpace, t,
-                          allow_exact: bool = True,
-                          rearrangement: Rearrangement | None = None):
+                          allow_exact: bool = True):
     """d_b(t) = mu{ b > t }.
 
     Uses the family's closed form when available (exact on the untruncated
-    space).  Otherwise one stable descending sort per call (or the order of
-    a decreasing ``rearrangement`` already built) makes each {b > t} a
-    prefix of the sorted weights, summed pairwise by ``np.sum``: bit-equal
-    to the masked sum over the nodes where the weights in {b > t} are equal.
+    space).  Otherwise one stable descending sort per call makes each
+    {b > t} a prefix of the sorted weights, summed pairwise by ``np.sum``:
+    bit-equal to the masked sum over the nodes where the weights in
+    {b > t} are equal.
     """
-    def descending():
-        if rearrangement is None:
-            return _sorted_view(b.values_on(space), space.weights, True)
-        if rearrangement.direction == DECREASING:
-            return rearrangement.values, rearrangement.widths
-        raise ValueError("d_b reads the decreasing rearrangement")
-
-    return _distribution(b, space, t, allow_exact, descending)
+    return _distribution(b, space, t, allow_exact, lambda: _sorted_view(
+        b.values_on(space), space.weights, True))
 
 
 def _distribution(b: Multiplier, space: MeasureSpace, t, allow_exact: bool,
@@ -141,7 +133,7 @@ def _sorted_step(values: np.ndarray, weights: np.ndarray, descending: bool) -> R
     knots = np.empty(w.size + 1)
     knots[0] = 0.0
     np.cumsum(w, out=knots[1:])
-    return Rearrangement(v, knots, DECREASING if descending else INCREASING, w)
+    return Rearrangement(v, knots, DECREASING if descending else INCREASING)
 
 
 def _check_decreasing(b: Multiplier, space: MeasureSpace) -> None:
@@ -216,10 +208,10 @@ def _domination_constant(pieces, k: int, taus: np.ndarray) -> float:
 def piecewise_rearrangement_bounds(b: PiecewiseMonotone) -> PiecewiseBounds:
     """Bracket b^* between b_k and b_k(s / (C m)) near zero.
 
-    The dominating piece k is the declared one or the candidate whose
-    inverse yields the smallest domination constant over a log-spaced
-    probe window; the constant must be stable when the window shrinks,
-    otherwise DominationNotDetected is raised.  The returned ``window`` is
+    The dominating piece k is the candidate whose inverse yields the
+    smallest domination constant over a log-spaced probe window; the
+    constant must be stable when the window shrinks, otherwise
+    DominationNotDetected is raised.  The returned ``window`` is
     the empirically verified prefix (0, s_max].
     """
     if not isinstance(b, PiecewiseMonotone):
@@ -231,14 +223,9 @@ def piecewise_rearrangement_bounds(b: PiecewiseMonotone) -> PiecewiseBounds:
     taus = np.geomspace(tau_top * 1e-6, tau_top, 64)
     taus_small = taus / 16.0
 
-    if b.declared_dominant is not None:
-        k = int(b.declared_dominant)
-        if not (0 <= k < m):
-            raise ValueError("declared_dominant out of range")
-    else:
-        khats = [_domination_constant(pieces, k, taus) for k in range(m)]
-        k = int(np.argmin(khats))
-    c_base = _domination_constant(pieces, k, taus)
+    khats = [_domination_constant(pieces, k, taus) for k in range(m)]
+    k = int(np.argmin(khats))
+    c_base = khats[k]
     c_small = _domination_constant(pieces, k, taus_small)
     if c_small > c_base * 1.10 + 1e-12:
         raise DominationNotDetected(

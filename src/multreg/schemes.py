@@ -146,8 +146,7 @@ def scheme_by_name(name: str) -> Scheme:
         raise ValueError(f"unknown scheme '{name}'") from None
 
 
-def certify_axioms(scheme: Scheme, alpha_grid=None, t_grid=None,
-                   raise_on_failure: bool = False) -> bool:
+def certify_axioms(scheme: Scheme, raise_on_failure: bool = False) -> bool:
     """Grid check of the three defining properties.
 
     (I)  t * phi(alpha, t) -> 1 along alpha = 2^-n, monotonically, reaching
@@ -155,20 +154,16 @@ def certify_axioms(scheme: Scheme, alpha_grid=None, t_grid=None,
     (II) |phi(alpha, t)| <= c_minus1 / alpha on the grid;
     (III)|residual(alpha, t)| <= c_0 on the grid.
 
-    Each alpha probes the whole t grid in one array call.  (I) is checked
-    t by t, monotonicity before the limit, so an ``AxiomViolation`` names
-    the first failing t, and at it the first alpha where the residual
-    rises.
+    The grids are fixed: 25 log-spaced alphas in [1e-8, 1] and 25
+    log-spaced t in [1e-3, 1].  Each alpha probes the whole t grid in one
+    array call.  (I) is checked t by t, monotonicity before the limit, so
+    an ``AxiomViolation`` names the first failing t, and at it the first
+    alpha where the residual rises.
     """
-    alpha_grid = np.asarray(np.logspace(-8, 0, 25) if alpha_grid is None
-                            else alpha_grid, float)
+    alpha_grid = np.logspace(-8, 0, 25)
     # the limit check at alpha = 2^-30 with tolerance 1e-3 needs t not too
     # small: slower families (Lavrentiev, Tikhonov) honestly fail below ~1e-3
-    t_grid = np.asarray(np.logspace(-3, 0, 25) if t_grid is None else t_grid,
-                        float)
-    if alpha_grid.size == 0 or t_grid.size == 0 or np.any(alpha_grid <= 0) \
-            or np.any(t_grid <= 0):
-        raise ValueError("grids must be nonempty and positive")
+    t_grid = np.logspace(-3, 0, 25)
 
     def fail(item, alpha, t, detail=""):
         if raise_on_failure:

@@ -11,7 +11,7 @@ import pytest
 from multreg import (DETERMINISTIC, WHITE, BracketingFailed, Divergent, DivergentProfile,
                      FilterOverflow, IllposednessProfile, MeasureSpace,
                      LogPowerIndex, MultiplicationProblem, MultRegError, PowerIndex,
-                     PreconditionFailed, TableIndex, Tabulated,
+                     PreconditionFailed, Scheme, TableIndex, Tabulated,
                      WhiteNoiseSampler,
                      bias, choose_alpha_deterministic, choose_alpha_white,
                      compact_case, certify_qualification,
@@ -126,6 +126,27 @@ def test_truncated_filter_ending_between_2r_and_4r_converges():
             for sp in (space.extended(4.0), space.extended(8.0))]
     assert sums[0] == sums[1] > 0
     variance_integral(scheme, alpha, b, space)
+
+
+def test_variance_of_a_truncated_filter_zero_beyond_r_is_the_base_sum(monkeypatch):
+    # at or above b's largest value beyond R the filter adds nothing on the
+    # 2R and 4R grids: the check returns the base grid's sum, no grid built
+    b, space = power_decay_pair(0.5, 50.0, 2**11)
+    scheme = truncate(spectral_cutoff())
+    tail = analysis._Study(b, space).tail_sup
+    built, build = [], MeasureSpace.extended
+
+    def counted(sp, factor):
+        built.append(factor)
+        return build(sp, factor)
+
+    monkeypatch.setattr(MeasureSpace, "extended", counted)
+    for alpha in (tail, 4 * tail):
+        v = variance_integral(scheme, alpha, b, space)
+        assert v.value == analysis._square_sum(
+            alpha, space.weights, scheme.phi(alpha, b.values_on(space)))
+        assert v.value > 0 and v.tail_estimate == 0.0
+    assert built == []
 
 
 def test_variance_divergent_plateau_all_schemes():
@@ -434,6 +455,14 @@ def test_choose_alpha_white_guards():
                                              np.geomspace(1e-3, 0.5, 50))
     with pytest.raises(BracketingFailed):
         choose_alpha_white(PowerIndex(1.0), prof, 10.0)
+
+
+def test_choose_alpha_white_where_d_is_flat_below_the_smallest_node():
+    # D = 1 on [1e-9, 1) and 1e9 below, so phi - delta D ties by rounding
+    # on the probes below 1e-9; the smallest root is delta itself
+    prof = effective_illposedness(*compact_case([1.0, 1e-9]))
+    for delta in (0.1, 1e-3):
+        assert choose_alpha_white(PowerIndex(1.0), prof, delta) == delta
 
 
 # --- error bounds ----------------------------------------------------------------------
@@ -958,6 +987,24 @@ def test_zero_tail_skip_agrees_with_the_full_divergence_check(scheme, monkeypatc
     # (skipped, diverged): Lavrentiev's tail never vanishes
     assert kinds == ({(True, False), (False, False), (False, True)}
                      if scheme.truncated else {(False, True)})
+
+
+def test_white_delta_evaluates_its_filter_once_on_the_base_grid(monkeypatch):
+    # the first four deltas skip the divergence check, the fifth runs it on
+    # 2R and 4R: each takes its weights and its base sum from one filter
+    b, space = power_decay_pair(0.5, 50.0, 2**11)
+    problem = MultiplicationProblem(b, space, b.values_on(space) ** 0.5)
+    n, sizes, phi = space.nodes.size, [], Scheme.phi
+
+    def counted(scheme, alpha, t):
+        sizes.append(np.size(t))
+        return phi(scheme, alpha, t)
+
+    deltas = [1e-2, 1e-3, 1e-4, 1e-5, 2e-6]
+    monkeypatch.setattr(Scheme, "phi", counted)
+    sweep_deltas(problem, truncate(spectral_cutoff()), PowerIndex(0.5), deltas,
+                 WHITE, 1.0, n_reps=2)
+    assert sorted(sizes) == [n] * len(deltas) + [2 * n, 4 * n]
 
 
 @pytest.mark.parametrize("name", ["plateau_truncated_cutoff",

@@ -73,14 +73,6 @@ def test_extended_keeps_density():
         MeasureSpace.counting(5).extended(2.0)
 
 
-def test_sup_bound_respected():
-    space = MeasureSpace.interval(0.0, 1.0, 64)
-    with pytest.raises(ValueError):
-        Tabulated(np.full(64, 2.0), sup_bound=1.0)
-    b = PurePower(2.0, hi=3.0)
-    assert b.sup_bound == pytest.approx(9.0)
-
-
 def test_exponential_sequence_guards():
     with pytest.raises(EigenvaluesNotDivergent):
         ExponentialSequence(1.0, 1.0, (3.0, 2.0, 1.0))
@@ -89,30 +81,6 @@ def test_exponential_sequence_guards():
     assert b.values_on(space)[0] == pytest.approx(np.exp(-1.0))
     with pytest.raises(ValueError):
         b.values_on(MeasureSpace.counting(9))
-
-
-def test_gaussian_dimension_is_metadata():
-    b = GaussianFrequency(1.0, 1.0, dimension=3)
-    assert b(1.0) == pytest.approx(np.exp(-1.0))
-
-
-def test_tabulated_from_text(tmp_path):
-    space = MeasureSpace.counting(4)
-    path = tmp_path / "b.txt"
-    path.write_text("# node value\n1 1.0\n2 0.5\n3 0.25\n4 0.125\n")
-    b = Tabulated.from_text(path, space)
-    assert np.array_equal(b.values_on(space), [1.0, 0.5, 0.25, 0.125])
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1 1.0\n2 0.5\n")
-    with pytest.raises(ValueError):
-        Tabulated.from_text(bad, space)
-
-
-def test_tabulated_from_text_reads_one_row(tmp_path):
-    path = tmp_path / "b.txt"
-    path.write_text("1 0.5\n")
-    space = MeasureSpace.counting(1)
-    assert np.array_equal(Tabulated.from_text(path, space).values_on(space), [0.5])
 
 
 def _uniform_spaces(n):
