@@ -71,7 +71,7 @@ _EXTENSIONS = (2.0, 4.0)
 #: relative growth per doubling of the radius that the divergence check flags
 _GROWTH_THRESHOLD = 0.01
 #: most nodes at a time on which ``_Study`` evaluates b beyond a radius
-_TAIL_CHUNK = 2**16
+_TAIL_CHUNK = 2**14
 
 
 class _Study:

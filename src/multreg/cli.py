@@ -101,15 +101,15 @@ def cmd_reconstruct(config, args) -> int:
         alpha = choose_alpha(problem, problem.phi, delta, config.mode)
     vals = b.values_on(space)
     g = vals * f
-    out = Path(args.out or config.out_dir)
+    out, nodes = Path(args.out or config.out_dir), space.nodes
     if delta > 0:
         xi = sample_white(WhiteNoiseSampler(
             config.seed, distribution=config.noise_distribution), space)
         g = g + delta * xi
-        write_table(out / "noise.txt", ("node", "xi"), zip(space.nodes, xi))
+        write_table(out / "noise.txt", ("node", "xi"), zip(nodes, xi))
     estimate = reconstruct(scheme, alpha, b, space, g)
     write_table(out / "reconstruction.txt", ("node", "estimate"),
-                zip(space.nodes, np.real(estimate)))
+                zip(nodes, np.real(estimate)))
     err = space.norm(f - estimate)
     print(f"alpha={alpha:.6g} delta={delta:.6g} error={err:.6g} -> {out}")
     return EXIT_OK

@@ -73,16 +73,19 @@ def _section(section, known, where: str) -> dict:
     return section
 
 
-def _as_number(value, kind, name: str):
-    """``value`` as ``kind``; no bool, and for an int no fractional part."""
+def _as_number(value, kind, name: str, finite: bool = True):
+    """``value`` as ``kind``; no bool, fractional int or (if ``finite``) inf or NaN."""
     try:
         if isinstance(value, bool) or kind is int and isinstance(value, float) \
                 and not value.is_integer():
             raise ValueError
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name}: expected {kind.__name__}, "
                           f"got {value!r}") from None
+    if finite and kind is float and not np.isfinite(number):
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+    return number
 
 
 def _number(section: dict, key: str, default, kind, where: str = "",
@@ -98,11 +101,11 @@ def _number(section: dict, key: str, default, kind, where: str = "",
     return number
 
 
-def _numbers(values, name: str) -> list:
+def _numbers(values, name: str, finite: bool = True) -> list:
     """``values``, a list, as floats, each entry checked by ``_as_number``."""
     if not isinstance(values, list):
         raise ConfigError(f"{name}: expected a list of numbers")
-    return [_as_number(v, float, name) for v in values]
+    return [_as_number(v, float, name, finite) for v in values]
 
 
 def _flag(section: dict, key: str, default: bool, where: str) -> bool:
@@ -174,7 +177,7 @@ def parse_config(raw: dict, digest: str = "") -> ExperimentConfig:
     mode = noise.get("mode", "deterministic")
     if mode not in MODES:
         raise ConfigError(f"noise.mode: unknown mode '{mode}'")
-    deltas = tuple(_numbers(noise.get("deltas", []), "noise.deltas"))
+    deltas = tuple(_numbers(noise.get("deltas", []), "noise.deltas", False))
     if not all(0 < d < np.inf for d in deltas):
         raise ConfigError("noise.deltas: noise levels must be positive and finite")
     replications = _number(noise, "replications", 1, int, "noise.", minimum=1)
@@ -335,18 +338,19 @@ def _solution_on(b, space: MeasureSpace, p: dict,
     """
     if "solution_file" in p:
         f = read_table(p["solution_file"])[1]
-        if f.shape != space.nodes.shape:
+        if f.shape != space.weights.shape:
             raise ConfigError("solution_file not aligned with the discretization")
         return f, 1.0
     if "solution_values" in p:
         f = np.array(_numbers(p["solution_values"], "problem.solution_values"))
-        if f.shape != space.nodes.shape:
+        if f.shape != space.weights.shape:
             raise ConfigError("solution_values not aligned with the space")
         return f, 1.0
     default_element = "inverse_sqrt" if space.kind == "counting" else "constant"
-    v = source_element_vector(p.get("element", default_element), space.nodes.size)
-    v = v / space.norm(v)
+    v = source_element_vector(p.get("element", default_element), space.weights.size)
+    v /= space.norm(v)
     vals = b.values_on(space)
     lo, hi = phi.domain
-    v = np.where((vals > lo) & (vals <= hi), v, 0.0)
-    return _source_on(v, vals, phi), float(space.norm(v))
+    v[~((vals > lo) & (vals <= hi))] = 0.0
+    scale = float(space.norm(v))  # before f, so that its square is not live
+    return _source_on(v, vals, phi), scale

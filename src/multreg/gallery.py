@@ -60,21 +60,19 @@ class DeconvolutionProblem:
             raise ValueError("need an even grid size >= 4")
         L, n = self.half_width, self.n
         dt = 2.0 * L / n
-        t = -L + dt * np.arange(n)
-        sig_space = MeasureSpace("lebesgue_line", t, _uniform_weights(dt, n),
-                                 truncation_radius=L)
-        s_sorted = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=dt))
-        ds = np.pi / L
-        freq_space = MeasureSpace("lebesgue_line", s_sorted, _uniform_weights(ds, n),
-                                  truncation_radius=float(-s_sorted[0]))
+        sig_space = MeasureSpace("lebesgue_line", lambda k: -L + dt * k,
+                                 _uniform_weights(dt, n), truncation_radius=L)
+        # fftshift(2 pi fftfreq(n, dt)): frequencies k = -n/2 .. n/2 - 1
+        freq_space = MeasureSpace(
+            "lebesgue_line", lambda k: _frequencies(n, dt, k - n // 2),
+            _uniform_weights(np.pi / L, n),
+            truncation_radius=float(-_frequencies(n, dt, -(n // 2))))
         if not isinstance(self.kernel, str) or self.kernel not in _KERNELS:
             raise ValueError(f"unknown kernel '{self.kernel}'")
         sig, symbol = self.sigma, _KERNELS[self.kernel][1]
-        b_vals = symbol(s_sorted, sig)
-        if np.any(b_vals < 0):
-            raise ValueError("kernel symbol must be nonnegative")
+        # both symbols are positive and peak at s = 0, a node of the grid
         mult = CallableMultiplier(lambda s: symbol(s, sig),
-                                  sup_bound=float(np.max(b_vals)),
+                                  sup_bound=float(symbol(0.0, sig)),
                                   tail_vanishes=True)
         object.__setattr__(self, "signal_space", sig_space)
         object.__setattr__(self, "freq_space", freq_space)
@@ -82,6 +80,11 @@ class DeconvolutionProblem:
 
     def kernel_values(self, u):
         return _KERNELS[self.kernel][0](np.asarray(u, float), self.sigma)
+
+
+def _frequencies(n: int, dt: float, k):
+    """Frequencies k of the n-point grid, bit for bit 2 pi fftfreq(n, dt)."""
+    return 2.0 * np.pi * (k * (1.0 / (n * dt)))
 
 
 def _real_signal(y) -> np.ndarray:
@@ -164,12 +167,18 @@ def lavrentiev_deconvolve(problem: DeconvolutionProblem, y_delta,
     """Filter 1/(alpha + b) in frequency space, then transform back.
 
     This is exactly the generic estimator applied to the derived
-    multiplier, composed with the transforms: ``reconstruct``'s product
-    phi * g_delta, formed in the transform's own array.
+    multiplier, composed with the transforms, ``from_frequency(problem,
+    phi * to_frequency(problem, y_delta))`` bit for bit, on the half
+    spectrum: the symbols are even, so phi * g_delta is Hermitian.
     """
-    g_delta = to_frequency(problem, y_delta)
-    phi_v = lavrentiev().phi(alpha, problem.multiplier.values_on(problem.freq_space))
-    return from_frequency(problem, np.multiply(phi_v, g_delta, out=g_delta))
+    n = problem.n
+    dt = 2.0 * problem.half_width / n
+    half = np.fft.rfft(np.roll(_real_signal(y_delta), n // 2)) * dt / _SQRT2PI
+    half *= lavrentiev().phi(alpha, problem.multiplier(
+        _frequencies(n, dt, np.arange(n // 2 + 1))))
+    half *= _SQRT2PI / dt  # from_frequency's 0.5 sqrt(2 pi) / dt, on 2 * half
+    half[1::2] *= -1.0  # undoes the half-period shift
+    return np.fft.irfft(half, n)
 
 
 # ---------------------------------------------------------------------------

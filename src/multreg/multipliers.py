@@ -39,7 +39,7 @@ class Multiplier:
     tail_vanishes = True
 
     def values_on(self, space: MeasureSpace) -> np.ndarray:
-        return self(space.nodes)
+        return space._map(self)
 
     def __call__(self, s):  # pragma: no cover - abstract
         raise NotImplementedError(f"{self.family} is not pointwise evaluable")
@@ -162,7 +162,7 @@ class ExponentialSequence(Multiplier):
         if space.kind != COUNTING:
             raise ValueError("exponential_sequence lives on a counting space")
         lam = np.asarray(self.eigenvalues)
-        if space.nodes.size > lam.size:
+        if space.weights.size > lam.size:
             raise ValueError("not enough eigenvalues for this space")
         idx = space.nodes.astype(int) - 1
         return np.exp(-(self.c**2) * lam[idx] ** self.exponent_power * self.tau)
@@ -266,7 +266,7 @@ class PiecewiseMonotone(Multiplier):
 def read_table(path) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, values) from two-column text with '#' comments; a single
     row reads as a table of one row; a table without rows, with ragged
-    rows or with a non-numeric cell is an error naming the file."""
+    rows or a non-numeric or non-finite cell is an error naming the file."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # numpy's "no data"
         try:
@@ -275,6 +275,8 @@ def read_table(path) -> tuple[np.ndarray, np.ndarray]:
             data = np.empty((0, 0))
     if data.shape[0] == 0 or data.shape[1] != 2:
         raise ValueError(f"{path}: expected rows of two columns: node value")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: every cell must be a finite number")
     return data[:, 0], data[:, 1]
 
 
@@ -300,7 +302,7 @@ class Tabulated(Multiplier):
         object.__setattr__(self, "sup_bound", float(np.max(vals)))
 
     def values_on(self, space):
-        if self.values.shape != space.nodes.shape:
+        if self.values.shape != space.weights.shape:
             raise ValueError("tabulated values not aligned with this space")
         return self.values
 

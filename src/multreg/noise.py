@@ -229,7 +229,7 @@ def sample_white(sampler: WhiteNoiseSampler | NoiseStreams,
     """
     if out is None:
         return _fill(sampler.rng(), sampler.distribution,
-                     np.empty(space.nodes.size))
+                     np.empty(space.weights.size))
     streams = sampler if isinstance(sampler, NoiseStreams) else \
         NoiseStreams(sampler, len(out))
     if not 0 <= start <= streams.count - len(out):
@@ -294,7 +294,7 @@ def concentrated_direction(space: MeasureSpace, index: int) -> np.ndarray:
     |h(s_index)|, so it attains the sup-norm bound of the multiplication
     operator; used as the adversarial deterministic perturbation.
     """
-    d = np.zeros(space.nodes.size)
+    d = np.zeros(space.weights.size)
     d[index] = _concentrated_value(space, index)
     return d
 
@@ -306,6 +306,6 @@ def concentrated_noise(space: MeasureSpace, index: int) -> DeterministicNoise:
     Value and norm come from the single nonzero and equal the dense ones
     bit for bit, since adding zeros in numpy's sums is exact.
     """
-    index = range(space.nodes.size)[index]  # a non-negative, in-range index
+    index = range(space.weights.size)[index]  # a non-negative, in-range index
     return _normalized(np.array([_concentrated_value(space, index)]), space,
                        slice(index, index + 1))

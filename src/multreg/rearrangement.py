@@ -278,7 +278,7 @@ def truncated_shift_check(b: Multiplier, space: MeasureSpace, M: float) -> bool:
         raise ValueError("M must be nonnegative")
     vals = b.values_on(space)
     vanish = vanishes_at_infinity(b, space)
-    mask = space.nodes > M
+    mask = (nodes := space.nodes) > M
 
     tilde = Tabulated(np.where(mask, vals, 0.0), tail_vanishes=vanish)
     r_tilde = decreasing_rearrangement(tilde, space)
@@ -287,7 +287,7 @@ def truncated_shift_check(b: Multiplier, space: MeasureSpace, M: float) -> bool:
     if not np.any(mask):
         return True  # nothing survives the truncation
     shifted_space = MeasureSpace(
-        LEBESGUE_HALFLINE, space.nodes[mask] - M, space.weights[mask],
+        LEBESGUE_HALFLINE, nodes[mask] - M, space.weights[mask],
         truncation_radius=max(space.truncation_radius - M, space.weights[mask][0]),
     )
     shifted = Tabulated(vals[mask], tail_vanishes=vanish)

@@ -51,22 +51,26 @@ def phi_star(b: Multiplier, space: MeasureSpace) -> TableIndex:
     vals = b.values_on(space)
     abs_s = np.abs(space.nodes)
     # the smallest |s| with b(s) <= sup/2 separates the inner and outer regions
-    outer_abs = abs_s[vals <= 0.5 * b.sup_bound]
-    if outer_abs.size == 0:
+    cut = float(np.min(abs_s, where=vals <= 0.5 * b.sup_bound, initial=np.inf))
+    if cut == np.inf:
         raise PreconditionFailed(
             "multiplier never drops below half its sup on this grid; "
             "increase the truncation radius"
         )
-    cut = float(np.min(outer_abs))
-    if np.min(vals[abs_s <= cut]) <= 0:  # cut is some node's |s|
+    inner = abs_s <= cut  # cut is some node's |s|
+    if np.min(vals, where=inner, initial=np.inf) <= 0:
         raise PreconditionFailed("b must be bounded below near the origin")
 
     # mu{b > b(s)} comparable to |s| on the outer region (one d_b call for
-    # the probes and the table levels, so one sort, of the values in hand)
-    probe_idx = np.nonzero(abs_s > cut)[0]
-    probe_idx = probe_idx[np.linspace(0, probe_idx.size - 1, min(32, probe_idx.size)).astype(int)]
+    # the probes and the table levels, so one sort, of the values in hand);
+    # |s| falls, then rises along the increasing nodes, so the outer region
+    # is the first i1 nodes (all negative) and the nodes from i2 on
+    i1, i2 = int(np.argmax(inner)), abs_s.size - int(np.argmax(inner[::-1]))
+    outer = i1 + abs_s.size - i2
+    probe_idx = np.linspace(0, outer - 1, min(32, outer)).astype(int)
+    probe_idx[probe_idx >= i1] += i2 - i1
     probe_idx = probe_idx[vals[probe_idx] > 0]
-    t_min = float(np.min(vals[vals > 0]))
+    t_min = float(np.min(vals, where=vals > 0, initial=np.inf))
     t_max = 0.5 * b.sup_bound
     ts = np.geomspace(t_min, t_max, 256) if t_min < t_max else np.empty(0)
     d = _distribution(b, space, np.concatenate((vals[probe_idx], ts)), True,
@@ -75,9 +79,10 @@ def phi_star(b: Multiplier, space: MeasureSpace) -> TableIndex:
     bad = ~((1.0 / _RATIO_BAND <= ratios) & (ratios <= _RATIO_BAND))
     if np.any(bad):
         i = int(np.argmax(bad))
+        j = probe_idx[i]  # the nodes before i1 are negative
         raise PreconditionFailed(
             f"superlevel measure not comparable to |s| at s = "
-            f"{space.nodes[probe_idx[i]]:.4g} (ratio {ratios[i]:.4g})"
+            f"{-abs_s[j] if j < i1 else abs_s[j]:.4g} (ratio {ratios[i]:.4g})"
         )
 
     if t_min >= t_max:
@@ -113,11 +118,11 @@ def source_function(v, b: Multiplier, space: MeasureSpace,
 
 def _source_on(v: np.ndarray, vals: np.ndarray, phi: IndexFunction) -> np.ndarray:
     """``source_function`` on b's node values ``vals``.  Where v has no zero
-    phi takes all of them, with no gather or scatter: the same bits, as phi
-    acts node by node."""
+    phi takes all of them, with no gather or scatter, and f is formed in
+    phi's own array: the same bits, as phi acts node by node."""
     support = v != 0.0
     if support.all():
-        return np.asarray(phi(vals)) * v
+        return np.multiply(f := np.asarray(phi(vals)), v, out=f)
     f = np.zeros_like(v)
     if np.any(support):
         f[support] = np.asarray(phi(vals[support])) * v[support]

@@ -22,9 +22,10 @@ COUNTING = "counting"
 _INFINITE_KINDS = (LEBESGUE_HALFLINE, LEBESGUE_LINE, COUNTING)
 
 DEFAULT_NODES = 2**14
+_PIECE = 2**14  # most nodes in one piece of MeasureSpace._pieces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MeasureSpace:
     """Nodes and nonnegative quadrature weights for (S, Sigma, mu).
 
@@ -33,34 +34,65 @@ class MeasureSpace:
     truncated at ``truncation_radius`` (the largest represented |s| or
     index).  A measure with a density d(mu)/d(lambda) enters through its
     weights.  The uniform constructors (``interval``, ``halfline``,
-    ``line``, ``counting`` and with them ``extended``) store their one
-    weight as a read-only broadcast view of stride 0, not n copies of it;
-    a space built from a weights array keeps that array.
+    ``line``, ``counting`` and with them ``extended``) store their node
+    formula, a node-by-node function of the index, and their one weight as
+    a read-only view of stride 0; a space built from arrays keeps them.
     """
 
     kind: str
-    nodes: np.ndarray
     weights: np.ndarray
-    truncation_radius: float | None = None
+    truncation_radius: float | None
+    _nodes: object
 
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.ndim != 1 or weights.shape != nodes.shape:
+    def __init__(self, kind: str, nodes, weights, truncation_radius=None):
+        weights = np.asarray(weights, dtype=float)
+        nodes = nodes if callable(nodes) else np.asarray(nodes, dtype=float)
+        vars(self).update(kind=kind, weights=weights, _nodes=nodes,
+                          truncation_radius=truncation_radius)
+        if weights.ndim != 1 or not callable(nodes) and nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be matching 1-d arrays")
-        if nodes.size == 0:
+        if weights.size == 0:
             raise ValueError("empty discretization")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if self.kind == COUNTING and not np.allclose(weights, 1.0):
+        # each node above the one before, piece by piece: then no node is
+        # NaN, -inf fails at the first, and +inf can only be a piece's last
+        last = -np.inf
+        for _, s in self._pieces():
+            if not (last < s[0] and np.all(s[1:] > s[:-1]) and s[-1] < np.inf):
+                raise ValueError("nodes must be finite" if not np.isfinite(s).all()
+                                 else "nodes must be strictly increasing")
+            last = s[-1]
+        w = weights[:1] if weights.strides == (0,) else weights  # one value
+        if not (np.min(w) >= 0 and np.max(w) < np.inf):
+            raise ValueError("weights must be nonnegative and finite")
+        if kind == COUNTING and not np.allclose(w, 1.0):
             raise ValueError("counting measure requires unit weights")
-        if self.kind in _INFINITE_KINDS:
-            if self.truncation_radius is None or self.truncation_radius <= 0:
-                raise ValueError(f"{self.kind} requires truncation_radius > 0")
+        r = truncation_radius
+        if r is not None and not np.isfinite(r):
+            raise ValueError("truncation_radius must be finite")
+        if kind in _INFINITE_KINDS and (r is None or r <= 0):
+            raise ValueError(f"{kind} requires truncation_radius > 0")
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The stored array, or the formula's values, built on each access."""
+        return self._map(lambda s: s) if callable(self._nodes) else self._nodes
+
+    def _pieces(self, chunk: int = _PIECE):
+        """``(first index, nodes)`` of consecutive pieces of at most
+        ``chunk`` nodes; a stored array's pieces are its slices."""
+        n = self.weights.size
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            yield lo, (self._nodes(np.arange(lo, hi)) if callable(self._nodes)
+                       else self._nodes[lo:hi])
+
+    def _map(self, fn) -> np.ndarray:
+        """``fn(nodes)`` for a node-by-node ``fn``, evaluated on the pieces
+        into one array: no node array, nor a full-length temporary of fn."""
+        out = np.empty(self.weights.size)
+        for lo, s in self._pieces():
+            out[lo:lo + s.size] = fn(s)
+        return out
 
     # -- basic quadrature ------------------------------------------------
 
@@ -111,8 +143,8 @@ class MeasureSpace:
         if hi <= lo:
             raise ValueError("need hi > lo")
         h = (hi - lo) / n
-        nodes = lo + (np.arange(n) + 0.5) * h
-        return cls(LEBESGUE_INTERVAL, nodes, _uniform_weights(h, n))
+        return cls(LEBESGUE_INTERVAL, lambda k: lo + (k + 0.5) * h,
+                   _uniform_weights(h, n))
 
     @classmethod
     def interval_graded(cls, hi: float, n: int = DEFAULT_NODES,
@@ -133,24 +165,23 @@ class MeasureSpace:
     @classmethod
     def halfline(cls, radius: float, n: int = DEFAULT_NODES) -> "MeasureSpace":
         """Uniform midpoint grid on [0, radius), standing for [0, infinity)."""
-        nodes, h = _midpoints(LEBESGUE_HALFLINE, radius, n, 0, n)
-        return cls(LEBESGUE_HALFLINE, nodes, _uniform_weights(h, n),
-                   truncation_radius=radius)
+        h = radius / n
+        return cls(LEBESGUE_HALFLINE, lambda k: (k + 0.5) * h,
+                   _uniform_weights(h, n), truncation_radius=radius)
 
     @classmethod
     def line(cls, radius: float, n: int = DEFAULT_NODES) -> "MeasureSpace":
         """Uniform midpoint grid on (-radius, radius), standing for the line."""
-        nodes, h = _midpoints(LEBESGUE_LINE, radius, n, 0, n)
-        return cls(LEBESGUE_LINE, nodes, _uniform_weights(h, n),
-                   truncation_radius=radius)
+        h = 2.0 * radius / n
+        return cls(LEBESGUE_LINE, lambda k: -radius + (k + 0.5) * h,
+                   _uniform_weights(h, n), truncation_radius=radius)
 
     @classmethod
     def counting(cls, n_max: int) -> "MeasureSpace":
         """Counting measure on {1, ..., n_max}, standing for the positive integers."""
         if n_max < 1:
             raise ValueError("n_max must be positive")
-        nodes = np.arange(1, n_max + 1, dtype=float)
-        return cls(COUNTING, nodes, _uniform_weights(1.0, n_max),
+        return cls(COUNTING, lambda k: k + 1.0, _uniform_weights(1.0, n_max),
                    truncation_radius=float(n_max))
 
     def extended(self, factor: float) -> "MeasureSpace":
@@ -158,21 +189,20 @@ class MeasureSpace:
 
         Used by tail diagnostics; raises unless the space is ``extensible``.
         """
-        build = MeasureSpace.halfline if self.kind == LEBESGUE_HALFLINE \
-            else MeasureSpace.line
-        return build(*self._extension(factor))
+        return self._extension(factor)
 
     def extended_nodes(self, factor: float, chunk: int):
         """``extended(factor).nodes`` in consecutive pieces of at most
         ``chunk`` nodes, bit for bit, without building that grid."""
-        radius, n = self._extension(factor)
-        for lo in range(0, n, chunk):
-            yield _midpoints(self.kind, radius, n, lo, min(lo + chunk, n))[0]
+        return (s for _, s in self._extension(factor)._pieces(chunk))
 
-    def _extension(self, factor: float) -> tuple:
+    def _extension(self, factor: float) -> "MeasureSpace":
         if not self.extensible:
             raise ValueError(f"cannot extend a {self.kind} space")
-        return self.truncation_radius * factor, int(round(self.nodes.size * factor))
+        build = MeasureSpace.halfline if self.kind == LEBESGUE_HALFLINE \
+            else MeasureSpace.line
+        return build(self.truncation_radius * factor,
+                     int(round(self.weights.size * factor)))
 
 
 def _uniform_weights(h: float, n: int) -> np.ndarray:
@@ -182,13 +212,3 @@ def _uniform_weights(h: float, n: int) -> np.ndarray:
     order and give the same bits.
     """
     return np.broadcast_to(np.float64(h), (n,))
-
-
-def _midpoints(kind: str, radius: float, n: int, lo: int, hi: int) -> tuple:
-    """Nodes ``lo`` to ``hi`` of the n-cell midpoint grid of a half-line or
-    line, and the cell width; no array is named, so numpy reuses temporaries."""
-    if kind == LEBESGUE_HALFLINE:
-        h = radius / n
-        return (np.arange(lo, hi) + 0.5) * h, h
-    h = 2.0 * radius / n
-    return -radius + (np.arange(lo, hi) + 0.5) * h, h

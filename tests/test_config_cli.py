@@ -840,3 +840,66 @@ def test_cli_json_format(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     rows = json.loads((out / "rows.json").read_text())
     assert len(rows) == 5 and "alpha_star" in rows[0]
+
+
+def _table(tmp_path, node=None, value=None):
+    """A 256-row power-decay table on the half-line; row 100 takes the given
+    node or value."""
+    s = (np.arange(256) + 0.5) * (50.0 / 256)
+    rows = [[f"{x:.17g}", f"{1.0 / (1.0 + x * x):.17g}"] for x in s]
+    rows[100] = [node or rows[100][0], value or rows[100][1]]
+    path = tmp_path / "b.txt"
+    path.write_text("".join(f"{x} {y}\n" for x, y in rows))
+    return str(path)
+
+
+NAN, INF = float("nan"), float("inf")
+POWER_DECAY = {"kind": "power_decay", "kappa": 0.5}
+NON_FINITE = {
+    "kappa": ({"problem": {**POWER_DECAY, "kappa": NAN}}, "problem.kappa"),
+    "radius_nan": ({"problem": POWER_DECAY,
+                    "discretization": {"n_nodes": 256, "truncation_radius": NAN}},
+                   "discretization.truncation_radius"),
+    "radius_inf": ({"problem": POWER_DECAY,
+                    "discretization": {"n_nodes": 256, "truncation_radius": INF}},
+                   "discretization.truncation_radius"),
+    "b_values": ({"problem": {"kind": "counting", "b_values": [1.0, NAN, 0.25, 0.125]}},
+                 "problem.b_values"),
+    "solution_values": ({"problem": {"kind": "counting", "n_max": 3,
+                                     "solution_values": [1.0, NAN, 0.2]}},
+                        "problem.solution_values"),
+    "table_nan_node": (lambda tmp: {"problem": {"kind": "tabulated",
+                                                "file": _table(tmp, node="nan")}},
+                       "problem.tabulated: .*b.txt: every cell"),
+    "table_nan_value": (lambda tmp: {"problem": {"kind": "tabulated",
+                                                 "file": _table(tmp, value="nan")}},
+                        "problem.tabulated: .*b.txt: every cell"),
+    "table_inf_node": (lambda tmp: {"problem": {"kind": "tabulated",
+                                                "file": _table(tmp, node="inf")}},
+                       "problem.tabulated: .*b.txt: every cell"),
+    "nu": ({"problem": POWER_DECAY, "index_function": {"family": "power", "nu": NAN}},
+           "index_function.nu"),
+    # the noise levels keep their own message
+    "deltas": ({"problem": POWER_DECAY,
+                "noise": {"mode": "deterministic", "deltas": [1e-2, NAN]}},
+               "noise.deltas: noise levels must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "dalpha"])
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, case, command):
+    # a NaN or an infinity in a config or a table means nothing the program
+    # computes: exit 2, naming the key or the file, and no traceback
+    config, message = NON_FINITE[case]
+    config = config(tmp_path) if callable(config) else config
+    config = {"discretization": {"n_nodes": 256},
+              "noise": {"mode": "deterministic", "deltas": [1e-2, 1e-3]}, **config}
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(config))
+    capsys.readouterr()
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.search(f"config error: {message}", err), err
+    assert "Traceback" not in err

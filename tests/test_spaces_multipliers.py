@@ -6,7 +6,8 @@ from multreg import (DETERMINISTIC, WHITE, DeconvolutionProblem,
                      GaussianFrequency, MeasureSpace, MultiplicationProblem,
                      MultRegError, PowerDecay, PowerIndex,
                      PurePower, Tabulated, distribution_function,
-                     effective_illposedness, lavrentiev, truncate)
+                     effective_illposedness, from_frequency, lavrentiev,
+                     lavrentiev_deconvolve, to_frequency, truncate)
 from multreg.analysis import sweep_deltas
 
 
@@ -136,3 +137,81 @@ def test_uniform_weights_are_one_read_only_value_read_as_dense(n):
                 profile.d_values.tolist(), profile.upper_bounds.tolist(),
                 [profile.d_at(a) for a in alphas], _study_rows(b, sp)))
         assert results[0] == results[1]
+
+
+def _bits(x):
+    return np.asarray(x, float).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 2**17 + 3])
+def test_uniform_nodes_are_the_array_expressions_bit_for_bit(n):
+    # a uniform space stores a node formula; its nodes, its pieces and b's
+    # values on them are the closed-form arrays, and b of those, bit for bit
+    k = np.arange(n)
+    cases = [(MeasureSpace.interval(0.25, 3.75, n), PurePower(1.5),
+              0.25 + (k + 0.5) * (3.5 / n)),
+             (MeasureSpace.halfline(50.0, n), PowerDecay(0.5), (k + 0.5) * (50.0 / n)),
+             (MeasureSpace.line(8.0, n), GaussianFrequency(), -8.0 + (k + 0.5) * (16.0 / n)),
+             (MeasureSpace.counting(n), PowerDecay(2.0), np.arange(1, n + 1, dtype=float))]
+    for factor in (2.0, 4.0):
+        m = np.arange(int(round(n * factor)))
+        cases += [(MeasureSpace.halfline(50.0, n).extended(factor), PowerDecay(0.5),
+                   (m + 0.5) * (50.0 * factor / m.size)),
+                  (MeasureSpace.line(8.0, n).extended(factor), GaussianFrequency(),
+                   -8.0 * factor + (m + 0.5) * (2.0 * (8.0 * factor) / m.size))]
+    for space, b, nodes in cases:
+        assert np.array_equal(_bits(space.nodes), _bits(nodes))
+        assert np.array_equal(_bits(b.values_on(space)), _bits(b(nodes)))
+    deconv = DeconvolutionProblem("gaussian", 40.0, max(4, n + n % 2), sigma=0.7)
+    m, dt = deconv.n, 80.0 / deconv.n
+    freq = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(m, d=dt))
+    assert np.array_equal(_bits(deconv.signal_space.nodes), _bits(-40.0 + dt * np.arange(m)))
+    assert np.array_equal(_bits(deconv.freq_space.nodes), _bits(freq))
+    assert deconv.freq_space.truncation_radius == -freq[0]
+    vals = deconv.multiplier.values_on(deconv.freq_space)
+    assert np.array_equal(_bits(vals), _bits(np.exp(-0.7**2 * freq**2 / 2.0)))
+    assert deconv.multiplier.sup_bound == np.max(vals)
+
+
+@pytest.mark.parametrize("n", [4, 6, 1002, 2**17 + 2])
+def test_lavrentiev_deconvolve_is_the_full_spectrum_composition(n):
+    # filtering the half spectrum equals the estimator on all n frequencies
+    # composed with the transforms, ==
+    for kernel in ("exponential", "gaussian"):
+        problem = DeconvolutionProblem(kernel, 40.0, n)
+        y = np.random.default_rng(n).standard_normal(n)
+        for alpha in (1e-3, 0.5):
+            phi = lavrentiev().phi(alpha, problem.multiplier.values_on(problem.freq_space))
+            full = from_frequency(problem, phi * to_frequency(problem, y))
+            assert np.array_equal(lavrentiev_deconvolve(problem, y, alpha), full)
+
+
+def test_degenerate_and_non_finite_spaces_are_rejected():
+    # nodes equal after rounding, as np.diff finds them
+    for call in (lambda: MeasureSpace.halfline(0.0, 8),
+                 lambda: MeasureSpace.interval(1e16, 1e16 + 4, 1000),
+                 lambda: MeasureSpace.halfline(-1.0, 8)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            call()
+    nan, inf = np.nan, np.inf
+    for call in (lambda: MeasureSpace("lebesgue_interval", [0.1, nan, 0.3], np.ones(3)),
+                 lambda: MeasureSpace("lebesgue_interval", [-inf, 0.3], np.ones(2)),
+                 lambda: MeasureSpace("lebesgue_interval", [0.1, inf], np.ones(2)),
+                 lambda: MeasureSpace.halfline(nan, 8),
+                 lambda: MeasureSpace.halfline(inf, 8),
+                 lambda: MeasureSpace.interval(0.0, inf, 8),
+                 lambda: DeconvolutionProblem("exponential", nan, 8)):
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            call()
+    for weights in ([1.0, nan], [inf, 1.0]):
+        with pytest.raises(ValueError, match="weights must be nonnegative and finite"):
+            MeasureSpace("lebesgue_interval", [0.1, 0.2], weights)
+    for radius in (nan, inf):
+        with pytest.raises(ValueError, match="truncation_radius must be finite"):
+            MeasureSpace("lebesgue_halfline", [0.1, 0.2], [1.0, 1.0],
+                         truncation_radius=radius)
+    # the uniform constructors fail as before on sizes they cannot build
+    with pytest.raises(ZeroDivisionError):
+        MeasureSpace.interval(0.0, 1.0, 0)
+    with pytest.raises(ValueError):
+        MeasureSpace.halfline(1.0, -3)

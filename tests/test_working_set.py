@@ -4,11 +4,16 @@ reports its array buffers to it)."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from multreg import (DETERMINISTIC, MeasureSpace, PowerDecay, build_problem,
-                     effective_illposedness, lavrentiev, parse_config)
+from multreg import (DETERMINISTIC, WHITE, DeconvolutionProblem,
+                     ExponentialSequence, MeasureSpace, PowerDecay, Tabulated,
+                     WhiteNoiseSampler, build_problem, concentrated_noise,
+                     effective_illposedness, lavrentiev, lavrentiev_deconvolve,
+                     parse_config, sample_white, truncate)
 from multreg.analysis import sweep_deltas
+from multreg.noise import concentrated_direction
 
 N = 2**16
 #: Python objects made along the way, in arrays of N doubles (26 kB)
@@ -26,6 +31,19 @@ def _transient_arrays(call) -> float:
         tracemalloc.stop()
     del result
     return (peak - held) / (8 * N)
+
+
+def _held_and_peak(call) -> tuple:
+    """Traced memory that ``call()``'s result holds, and the call's peak,
+    in arrays of N doubles."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return held / (8 * N), peak / (8 * N)
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +74,59 @@ def test_build_problem_working_set(pure_power):
     # a uniform grid stores no weights array, and the solution is formed
     # from the b values that clip the source element
     assert _transient_arrays(lambda: build_problem(pure_power)) <= 5 + SLACK
+
+
+def test_uniform_grids_hold_no_node_array():
+    # a uniform space stores its node formula and one weight; a
+    # deconvolution problem's two grids and multiplier hold no array either
+    for build in (lambda: MeasureSpace.interval(0.0, 1.0, N),
+                  lambda: MeasureSpace.halfline(50.0, N),
+                  lambda: MeasureSpace.line(8.0, N),
+                  lambda: MeasureSpace.counting(N),
+                  lambda: MeasureSpace.halfline(50.0, N).extended(4.0)):
+        assert _held_and_peak(build)[0] <= SLACK
+    assert _held_and_peak(lambda: DeconvolutionProblem("exponential", 40.0, N))[0] \
+        <= SLACK
+
+
+def test_lavrentiev_deconvolve_working_set():
+    # the shifted signal and the half spectrum (n/2 + 1 complex values, one
+    # array) with phi on it, and the signal returned; the first call leaves
+    # numpy's FFT plans cached
+    problem = DeconvolutionProblem("exponential", 40.0, N)
+    y = np.cos(problem.signal_space.nodes)
+    lavrentiev_deconvolve(problem, y, 1e-3)
+    held, peak = _held_and_peak(lambda: lavrentiev_deconvolve(problem, y, 1e-3))
+    assert held <= 1 + SLACK and peak <= 3.5 + SLACK
+
+
+def test_uniform_grid_studies_and_size_checks_form_no_node_array(monkeypatch):
+    # on uniform grids, building a problem, deterministic and white sweeps
+    # (with the divergence check's 2R and 4R grids) and the size checks of
+    # the noise and the multipliers never form the node array
+    formed = []
+    nodes = MeasureSpace.nodes
+
+    def counted(space):
+        formed.append(space.kind)
+        return nodes.fget(space)
+
+    monkeypatch.setattr(MeasureSpace, "nodes", property(counted))
+    for kind in ("pure_power", "power_decay"):
+        config = parse_config({
+            "problem": {"kind": kind, "kappa": 0.5}, "scheme": "lavrentiev",
+            "index_function": {"family": "power", "nu": 0.5},
+            "discretization": {"n_nodes": 2**12}})
+        problem = build_problem(config)
+        for mode, scheme in ((DETERMINISTIC, lavrentiev()),
+                             (WHITE, truncate(lavrentiev()))):
+            sweep_deltas(problem, scheme, problem.phi, [1e-2, 1e-4], mode, 1.0,
+                         n_reps=2, seed=1)
+    space = MeasureSpace.counting(N)
+    sample_white(WhiteNoiseSampler(0), space)
+    concentrated_noise(space, -1)
+    concentrated_direction(space, 3)
+    Tabulated(np.ones(N)).values_on(space)
+    with pytest.raises(ValueError, match="not enough eigenvalues"):
+        ExponentialSequence(1.0, 1.0, (1.0, 2.0)).values_on(space)
+    assert formed == []
