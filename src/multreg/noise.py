@@ -6,11 +6,14 @@ distribution independence of second-moment results.  Samplers are value
 objects: the same (seed, stream_id) always reproduces the same vector,
 and parallel replications use disjoint stream ids.
 
-Stream s of seed ``seed`` is ``np.random.default_rng([seed, s])``.  A
-block of streams is seeded in one pass: numpy's SeedSequence hash (NEP 19)
-vectorised over s, then PCG64's seeding step (O'Neill, HMC-CS-2014-0905)
-vectorised too, in 64-bit limbs, giving the same generator states bit for
-bit.
+Stream s of seed ``seed`` is numpy's SFC64 generator keyed by splitmix64
+(Steele, Lea & Flood, OOPSLA 2014), as keyed streams are in Salmon et al.,
+SC 2011.  The seed's little-endian 64-bit words fold into one key h,
+``h = splitmix64(h ^ word)`` from h = 0.  Stream s sets SFC64's ``a, b,
+c`` to splitmix64's three outputs from state ``h + 3 s G``, G =
+0x9E3779B97F4A7C15, so no two streams of a seed share an output; its
+counter starts at 1 and its first 12 outputs are discarded, as in numpy's
+own SFC64 seeding.  Seed and stream are integers, 0 <= s < 2**64.
 """
 
 from __future__ import annotations
@@ -40,170 +43,76 @@ class WhiteNoiseSampler:
         return replace(self, stream_id=stream_id)
 
     def rng(self, offset: int = 0) -> np.random.Generator:
-        """Generator of stream ``stream_id + offset``.
-
-        A fresh generator per call keeps sampling independent of call order.
-        """
-        return np.random.default_rng([self.seed, self.stream_id + offset])
-
-
-# SeedSequence's hash (numpy/random/bit_generator.pyx): pool of four uint32
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier, as high and low 64-bit limbs
-_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
-_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
-_U1, _U32, _U63 = np.uint64(1), np.uint64(32), np.uint64(63)
-_LOW32 = np.uint64(_MASK32)
-#: streams seeded per ``_pcg64_states`` call: its limb temporaries then
-#: stay below the SeedSequence hash's own, whatever the stream count
-_SEED_ROWS = 1024
+        """A fresh one-stream NoiseStreams' generator of stream ``stream_id
+        + offset``, so that sampling does not depend on call order."""
+        streams = NoiseStreams(self.with_stream(self.stream_id + offset), 1)
+        return next(streams.generators(0, 1))
 
 
-def _uint32_words(n: int) -> list:
-    """A non-negative int as SeedSequence reads it: little-endian 32-bit words."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
+_M64 = (1 << 64) - 1
+#: i G mod 2**64, i = 0 .. 3, as uint64 scalars, which must not overflow
+_G = [np.uint64(i * 0x9E3779B97F4A7C15 & _M64) for i in range(4)]
+_u64 = np.uint64
 
 
-def _seed_words(seed: int, first: int, count: int) -> np.ndarray:
-    """``SeedSequence([seed, s]).generate_state(4, np.uint64)`` for the
-    streams s = first .. first + count - 1 (all below 2**32), as rows of a
-    ``(count, 4)`` uint64 array.
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64's output from state x, elementwise on a uint64 array.
 
-    The hash constants advance independently of the data, so the scalar
-    recipe runs unchanged on uint32 arrays, one entry per stream; uint32
-    array arithmetic wraps like the C code.
+    Every operand is a uint64 array or scalar, so numpy 1.x and 2.x (NEP
+    50) compute in uint64 alike, and array arithmetic wraps mod 2**64.
     """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> _XSHIFT)
-
-    entropy = [np.array([w], np.uint32) for w in _uint32_words(seed)]
-    entropy.append(np.arange(first, first + count, dtype=np.uint32))
-    zero = np.zeros(1, np.uint32)
-    mixer = [hashmix(entropy[i] if i < len(entropy) else zero)
-             for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                mixer[i_dst] = mix(mixer[i_dst], hashmix(mixer[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            mixer[i_dst] = mix(mixer[i_dst], hashmix(word))
-
-    state = np.empty((count, 2 * _POOL_SIZE), np.uint32)
-    hash_const = _INIT_B
-    for i in range(2 * _POOL_SIZE):
-        value = mixer[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i] = value ^ (value >> _XSHIFT)
-    # the uint64 words pair the uint32 ones little-endian, on any machine
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64,
-                                                              copy=False)
-
-
-def _mul_64x64(a: np.ndarray, b: np.uint64) -> tuple:
-    """``(hi, lo)`` limbs of the 128-bit products a * b, from four 32-bit
-    partial products whose sums cannot overflow 64 bits."""
-    a0, a1 = a & _LOW32, a >> _U32
-    b0, b1 = b & _LOW32, b >> _U32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
-    lo = (p00 & _LOW32) | (mid << _U32)
-    hi = a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
-    return hi, lo
-
-
-def _add_128(a_hi, a_lo, b_hi, b_lo) -> tuple:
-    """``(hi, lo)`` limbs of a + b mod 2**128; uint64 arrays wrap."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < b_lo).astype(np.uint64), lo
-
-
-def _pcg64_states(words: np.ndarray) -> np.ndarray:
-    """PCG64's seeding step (``pcg64_srandom_r``) on rows of four
-    SeedSequence words ``(w0, w1, w2, w3)``, as rows ``(state_hi, state_lo,
-    inc_hi, inc_lo)`` of 64-bit limbs: ``inc = (w2:w3) << 1 | 1`` and
-    ``state = (inc + (w0:w1)) * PCG_MULT + inc``, both mod 2**128.
-
-    Every operand is a uint64 array or an ``np.uint64``, so numpy 1.x and
-    2.x (NEP 50) compute in uint64 alike.
-    """
-    w0, w1, w2, w3 = words.T
-    inc_hi, inc_lo = (w2 << _U1) | (w3 >> _U63), (w3 << _U1) | _U1
-    s_hi, s_lo = _add_128(w0, w1, inc_hi, inc_lo)
-    # mod 2**128 the product drops s_hi * MULT_HI and the high limbs of
-    # the cross terms
-    prod_hi, prod_lo = _mul_64x64(s_lo, _PCG_MULT_LO)
-    prod_hi += s_hi * _PCG_MULT_LO + s_lo * _PCG_MULT_HI
-    state_hi, state_lo = _add_128(prod_hi, prod_lo, inc_hi, inc_lo)
-    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
+    z = x + _G[1]
+    z = (z ^ (z >> _u64(30))) * _u64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _u64(27))) * _u64(0x94D049BB133111EB)
+    return z ^ (z >> _u64(31))
 
 
 class NoiseStreams:
     """The generators of streams ``stream_id + i`` of ``sampler``,
-    i = 0 .. count - 1.
+    i = 0 .. count - 1 (see the module docstring).
 
-    Row i's generator is bit-identical to ``sampler.rng(i)``.  The PCG64
-    states of all rows are derived once, at construction; each row's state
-    is loaded, when the row is reached, into one Generator reused by every
-    row, so a NoiseStreams belongs to one thread.  Streams from 2**32 on,
-    and seeds the hash does not cover, use ``default_rng`` itself.
+    The SFC64 states of all rows are derived once, at construction, the 12
+    discarded outputs on all rows at once; each row's state is loaded, when
+    the row is reached, into one Generator reused by every row, so a
+    NoiseStreams belongs to one thread.
     """
 
     def __init__(self, sampler: WhiteNoiseSampler, count: int):
         seed, first = sampler.seed, sampler.stream_id
-        hashed = 0
-        if isinstance(seed, (int, np.integer)) and seed >= 0 and first >= 0:
-            hashed = max(0, min(count, 2**32 - first))
-        self._states = _seed_words(int(seed), first, hashed) if hashed \
-            else np.empty((0, 4), np.uint64)
-        # the words become the states in place, _SEED_ROWS rows at a time
-        for i in range(0, hashed, _SEED_ROWS):
-            rows = self._states[i:i + _SEED_ROWS]
-            rows[:] = _pcg64_states(rows)
-        # any generator will do: every row loads its own state
-        self._rng = np.random.default_rng(0)
-        self.sampler, self.distribution, self.count = \
-            sampler, sampler.distribution, count
+        if not (all(isinstance(n, (int, np.integer)) for n in (seed, first))
+                and seed >= 0 and 0 <= first <= 2**64 - count):
+            raise ValueError(f"seed {seed!r}, {count} streams from {first!r}: "
+                             "need integers, streams below 2**64, none < 0")
+        seed, first = int(seed), int(first)
+        key = np.zeros(1, np.uint64)
+        for i in range(max(1, -(-seed.bit_length() // 64))):
+            key = _splitmix64(key ^ _u64(seed >> 64 * i & _M64))
+        x = key + (_u64(first) + np.arange(count, dtype=np.uint64)) * _G[3]
+        a, b, c = (_splitmix64(x + _G[i]) for i in range(3))
+        for counter in range(1, 13):
+            t = a + b + _u64(counter)
+            a, b, c = b ^ (b >> _u64(11)), c + (c << _u64(3)), \
+                ((c << _u64(24)) | (c >> _u64(40))) + t
+        # the counter is the same on every row: 13 after the 12 rounds
+        self._states = np.stack([a, b, c, np.full(count, 13, np.uint64)],
+                                axis=1)
+        # any seed will do: every row loads its own state
+        self._rng = np.random.Generator(np.random.SFC64(0))
+        self.distribution, self.count = sampler.distribution, count
 
     def generators(self, start: int, count: int):
         """The generators of rows ``start .. start + count - 1`` in turn;
         each is valid until the next one is taken."""
-        stop = start + count
         rng = self._rng
         bit_generator = rng.bit_generator
         # one state mapping, refilled per row: the setter copies its values
-        pcg = {"state": 0, "inc": 0}
-        state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
+        words = {"state": None}
+        state = {"bit_generator": "SFC64", "state": words, "has_uint32": 0,
                  "uinteger": 0}
-        for state_hi, state_lo, inc_hi, inc_lo in \
-                self._states[start:stop].tolist():
-            pcg["state"] = state_hi << 64 | state_lo
-            pcg["inc"] = inc_hi << 64 | inc_lo
+        for row in self._states[start:start + count]:
+            words["state"] = row
             bit_generator.state = state
             yield rng
-        for i in range(max(start, len(self._states)), stop):
-            yield self.sampler.rng(i)
 
 
 def _fill(rng: np.random.Generator, distribution: str, out: np.ndarray):

@@ -1046,7 +1046,11 @@ def test_divergent_white_sweep_fails_before_any_draw_as_the_full_check(
 
 
 def _weights(delta, cross, noise):
-    return analysis._McWeights(delta, 0.25, (cross, noise))
+    # the smallest bias that makes these the weights of some estimator, by
+    # Cauchy-Schwarz: bias^2 - 2 delta <cross, xi> + delta^2 <noise, xi^2>
+    # is then a squared error, >= 0, for every xi
+    bias = float(np.sqrt(np.sum(cross ** 2 / noise)))
+    return analysis._McWeights(delta, bias, (cross, noise))
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])

@@ -6,6 +6,7 @@ import json
 import re
 import tempfile
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -586,9 +587,9 @@ STUDIES["white_halfline_rademacher_lavrentiev"] = \
 # output bytes must be deliberate
 GOLDEN = {
     ("white_counting", "run", "rows.csv"):
-        "b49b5b8429fc72fbe55633ecec4c9ba859aae40df6010317ac8294e1e55810ae",
+        "c89ea7a8877ae1a4bfb9813146e56178c5a5205bed99ea84f151226073a32837",
     ("white_counting", "run", "report.json"):
-        "a9df90c8b48701e05bec3e1e3745e14e911141c95e2aed45f9674638ba09e2b9",
+        "3bfb33c74f0ea000173dfaf9842e42be8c6b8a4fa81a6423a782c28f2a82b7dd",
     ("deterministic_counting", "run", "rows.csv"):
         "d9716da955133e4bc3f14b754d91e9d43f3d2557d3329f2000442b47a6273e45",
     ("deterministic_counting", "run", "report.json"):
@@ -604,13 +605,13 @@ GOLDEN = {
     ("white_halfline_rademacher", "run", "report.json"):
         "34fe04467589df2d4a3de5e935600060614dea8ec471674a8f3b52b76c152adc",
     ("white_halfline_rademacher_lavrentiev", "run", "rows.csv"):
-        "dfb6d840de5eebaad315224b2ad46fd9961e2d652b637edb14fc88bd78843cae",
+        "2a758da5775c7b03c3e0085021c93cf70ad8e9b28b15bd80638520843434d313",
     ("white_halfline_rademacher_lavrentiev", "run", "report.json"):
-        "ff16e5b490eb6133bc7c9afb6d2b7918e97b491f893d713f4871482d4621c6f1",
+        "e3b7f297198c9e7b6ee88f11bf9a944ada98421fc5c9949d4c0c1af56d714097",
     ("white_lavrentiev", "run", "rows.csv"):
-        "0f68b6e0a02e2d5846f077e6eab52cb8b824cf0759f6297d88740c2953c42822",
+        "f96375cad37ca8baa8ad9c072792d3aed79f4f9adca4571150c4124d4e902eeb",
     ("white_lavrentiev", "run", "report.json"):
-        "02b893a0a013bfa24f243869e86cd01ae74b7e65ca5720955f6d4d3dd3ebcc71",
+        "6f879956c5c87aed0ccf9d18e0d7c57955395da540f950a0c3cd72b4f6c6bc6e",
     ("deconvolution_exponential", "rearrange", "distribution.csv"):
         "cc1806e968505b20cbf2b4ef211e4499fb24b19d46ab2c0ca6310ee9a278b269",
     ("deconvolution_exponential", "rearrange", "decreasing_rearrangement.csv"):
@@ -635,16 +636,45 @@ def test_shipped_config_outputs_match_golden_digests(tmp_path):
     assert digests == GOLDEN
 
 
-#: the first data row of each white study: its delta still draws streams
-#: 100000 + r, now shared with the study's other deltas, so these bytes are
-#: those of the rows that drew per-delta streams
+def test_white_golden_rows_agree_with_the_exact_expected_error(tmp_path):
+    # the estimator is linear in centred unit-variance noise, so a row's
+    # expected squared error is exactly bias^2 + delta^2 sum(w phi^2) on the
+    # sampled grid; the Monte Carlo mean of the squared errors, rms^2, may
+    # stray from it by a z-score within a two-sided Bonferroni bound for
+    # 1e-4 false alarms over all rows.  A row with no spread (Rademacher
+    # noise and no cross term) must meet it to rounding.
+    rows = []
+    for name in sorted({name for name, _, _ in GOLDEN
+                        if name.startswith("white_")}):
+        path = SHIPPED / f"{name}.yaml"
+        if name in STUDIES:
+            path = write_config(tmp_path, STUDIES[name], name=f"{name}.yaml")
+        config = load_config(path)
+        problem, scheme = build_problem(config), scheme_by_name(config.scheme)
+        vals = problem.b.values_on(problem.space)
+        for row in run(config, out_dir=tmp_path / name).rows:
+            phi_v = scheme.phi(row.alpha_star, vals)
+            noise = np.sum(problem.space.weights * phi_v ** 2)
+            rows.append((name, row, row.bias ** 2 + row.delta ** 2 * noise))
+    z_max = -NormalDist().inv_cdf(1e-4 / len(rows) / 2)
+    for name, row, oracle in rows:
+        if row.stderr == 0.0:
+            assert row.error ** 2 == pytest.approx(oracle, rel=1e-12)
+        else:
+            z = (row.error ** 2 - oracle) / (2.0 * row.error * row.stderr)
+            assert abs(z) < z_max, (name, row.delta, z)
+
+
+#: the first data row of each white study: replication r draws stream
+#: 100000 + r of the study's seed once, for all its deltas.  The Rademacher
+#: cut-off row does not depend on the draws.
 FIRST_ROWS = {
-    "white_counting": "0.01,0.125,0.12448886093936941,0.0027647088517715919,"
-                      "0.036090442396366204,0.014194956465616226,"
+    "white_counting": "0.01,0.125,0.12356558421925376,0.0029247502247320384,"
+                      "0.036090442396366204,0.013965933571080065,"
                       "0.35355339059327379,0",
-    "white_lavrentiev": "0.01,0.00095881290221149287,0.030593800497331142,"
-                        "0.00093704754004095617,0.001345349593197858,"
-                        "0.00093381051708570724,0.087581409087156989,0",
+    "white_lavrentiev": "0.01,0.00095881290221149287,0.029584687907607897,"
+                        "0.00071019482716042721,0.001345349593197858,"
+                        "0.00087286157766260379,0.087581409087156989,0",
     "white_halfline_rademacher": "0.01,0.091923171195326878,"
                                  "0.092962331295543099,0,0.01386093926460028,"
                                  "0.0084498694026053749,0.25999799080155023,0",

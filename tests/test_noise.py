@@ -1,10 +1,12 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
 from multreg import (MeasureSpace, NoiseStreams, WhiteNoiseSampler,
                      ZeroDirection, concentrated_direction, sample_white,
                      spectral_cutoff, worst_case_deterministic)
-from multreg.noise import DeterministicNoise, _pcg64_states, concentrated_noise
+from multreg.noise import DeterministicNoise, concentrated_noise
 from multreg.analysis import FIRST_STREAM as STREAM_STRIDE
 from multreg.gallery import compact_case
 
@@ -20,7 +22,7 @@ def test_same_seed_and_stream_reproduce():
 
 def test_single_node_moments():
     # pool 1e5 draws of the first node: mean within 0.02, variance within 0.03
-    # row r is the first node of stream r, default_rng([7, r]), bit for bit
+    # row r is the first node of stream r
     draws = sample_white(WhiteNoiseSampler(7), MeasureSpace.counting(1),
                          out=np.empty((10**5, 1)))
     assert abs(draws.mean()) < 0.02
@@ -56,82 +58,108 @@ def test_block_rows_are_stream_prefixes(distribution):
             assert np.array_equal(block[i], full[:k])
 
 
-SEEDER_SEEDS = [0, 1, 7, 20260810, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3,
-                2**96 + 11]
-
-
-@pytest.mark.parametrize("seed", SEEDER_SEEDS)
-def test_block_seeder_equals_default_rng(seed):
-    # stream s is default_rng([seed, s]); the block seeder hashes SeedSequence
-    # and seeds PCG64 itself, so a numpy release that changes either must
-    # fail here rather than move the streams.  Seeds of 1 to 4 words put s
-    # inside and beyond SeedSequence's pool of four; base 2**32 - 20 crosses
-    # into two-word stream ids, which fall back to default_rng.
-    k = 6
-    space = MeasureSpace.counting(k)
-    for base in (0, STREAM_STRIDE * (SEEDER_SEEDS.index(seed) + 1), 2**32 - 20):
-        for count in (1, 16, 4000):
-            for distribution in ("gaussian", "rademacher"):
-                sampler = WhiteNoiseSampler(seed, base, distribution)
-                block = sample_white(NoiseStreams(sampler, count), space,
-                                     np.empty((count, k)))
-                # every row of the small blocks; in the large one the rows
-                # around the fallback and a stride through the rest
-                rows = set(range(min(count, 40))) | set(range(0, count, 97)) \
-                    | set(range(max(0, count - 3), count))
-                for i in sorted(rows):
-                    rng = np.random.default_rng([seed, base + i])
-                    want = rng.standard_normal(k) if distribution == "gaussian" \
-                        else 2.0 * rng.integers(0, 2, size=k) - 1.0
-                    assert np.array_equal(block[i], want), (base, count, i)
-
-
 _M64 = (1 << 64) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_G = 0x9E3779B97F4A7C15
 
 
-def _pcg64_state_oracle(words):
-    """PCG64's seeding step in Python integers: ``(state, inc)``."""
-    w0, w1, w2, w3 = words
-    inc = ((((w2 << 64) | w3) << 1) | 1) & ((1 << 128) - 1)
-    state = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & ((1 << 128) - 1)
-    return state, inc
+def _splitmix64(x):
+    """splitmix64's output from state x, in Python integers."""
+    z = (x + _G) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
 
 
-def test_pcg64_states_equal_the_integer_formula():
-    # every 4-tuple of words with an extreme or high-bit pattern, and
-    # random words; the limb arithmetic must carry exactly where the
-    # 128-bit integers do
-    patterns = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0xFFFFFFFF00000000,
-                0x8000000080000000]
-    rows = [(a, b, c, d) for a in patterns for b in patterns
-            for c in patterns for d in patterns]
-    rows += np.random.default_rng(3).integers(
-        0, 2**64, (2000, 4), dtype=np.uint64, endpoint=False).tolist()
-    got = _pcg64_states(np.array(rows, np.uint64)).tolist()
-    carries = set()
-    for words, (state_hi, state_lo, inc_hi, inc_lo) in zip(rows, got):
-        state, inc = _pcg64_state_oracle(words)
-        assert (state_hi << 64 | state_lo, inc_hi << 64 | inc_lo) == \
-            (state, inc), words
-        # the carries of inc + (w0:w1), of the low 64x64 product's middle
-        # partial sum and of the final + inc
-        s = (inc + (words[0] << 64 | words[1])) & ((1 << 128) - 1)
-        s_lo, m_lo = s & _M64, _PCG_MULT & _M64
-        mid = ((s_lo & 0xFFFFFFFF) * (m_lo & 0xFFFFFFFF) >> 32) \
-            + ((s_lo & 0xFFFFFFFF) * (m_lo >> 32) & 0xFFFFFFFF) \
-            + ((s_lo >> 32) * (m_lo & 0xFFFFFFFF) & 0xFFFFFFFF)
-        product = (s * _PCG_MULT) & ((1 << 128) - 1)
-        carries |= {name for name, hit in (
-            ("add", (inc & _M64) + words[1] > _M64),
-            ("mid", mid >> 32 > 0),
-            ("final", (product & _M64) + (inc & _M64) > _M64)) if hit}
-    assert carries == {"add", "mid", "final"}
-    assert _pcg64_states(np.empty((0, 4), np.uint64)).shape == (0, 4)
+def _sfc64_oracle(seed, stream):
+    """Stream ``stream`` of ``seed`` as numpy's own SFC64: the key folds the
+    seed's 64-bit words, the stream's three splitmix64 outputs seed
+    ``(a, b, c, 1)``, and ``random_raw(12)`` discards 12 outputs."""
+    key, words = 0, seed
+    while True:
+        key = _splitmix64(key ^ (words & _M64))
+        words >>= 64
+        if not words:
+            break
+    x = key + 3 * stream * _G
+    abc = [_splitmix64((x + i * _G) & _M64) for i in range(3)]
+    bit_generator = np.random.SFC64(0)
+    bit_generator.state = {"bit_generator": "SFC64",
+                           "state": {"state": np.array(abc + [1], np.uint64)},
+                           "has_uint32": 0, "uinteger": 0}
+    bit_generator.random_raw(12)
+    return bit_generator.state["state"]["state"].tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**64 - 1, 2**64 + 3,
+                                  2**96 + 11])
+def test_vectorised_rounds_equal_numpy_sfc64(seed):
+    # seeds of one and of two 64-bit words; the streams from 2**32 - 20
+    # cross 2**32, and 2**63 sets the top bit; rng() keys each stream alone
+    for first in (0, STREAM_STRIDE, 2**32 - 20, 2**63):
+        sampler = WhiteNoiseSampler(seed, first)
+        for i, rng in enumerate(NoiseStreams(sampler, 25).generators(0, 25)):
+            want = _sfc64_oracle(seed, first + i)
+            assert rng.bit_generator.state["state"]["state"].tolist() == want
+            assert sampler.rng(i).bit_generator.state["state"]["state"] \
+                .tolist() == want
+
+
+def test_first_raw_outputs_are_pinned():
+    # a numpy release that changed SFC64's step would fail here rather than
+    # move the streams
+    for seed, stream, raw in (
+            (0, 0, [0x7906304FFA5A4787, 0xFF8CB662A1D02E81,
+                    0x86A5C9D7AA8923F1, 0x92CCAEBA1C8FC1A5]),
+            (20261018, STREAM_STRIDE,
+             [0xE0FC962E2CD18AD4, 0xCEA95DD06A2D31E1,
+              0xDAD7350460B9BA40, 0x537EA04603A5A350])):
+        rng = WhiteNoiseSampler(seed, stream).rng()
+        assert rng.bit_generator.random_raw(4).tolist() == raw
+
+
+def test_negative_or_non_integer_seed_or_stream_raises():
+    space = MeasureSpace.counting(3)
+    for sampler in (WhiteNoiseSampler(-1), WhiteNoiseSampler(0, -1),
+                    WhiteNoiseSampler(1.5), WhiteNoiseSampler(0, 2.0)):
+        with pytest.raises(ValueError):
+            sample_white(sampler, space)
+        with pytest.raises(ValueError):
+            sample_white(sampler, space, np.empty((2, 3)))
+    # the last stream is 2**64 - 1
+    assert sample_white(WhiteNoiseSampler(0, 2**64 - 1), space).shape == (3,)
+    with pytest.raises(ValueError):
+        NoiseStreams(WhiteNoiseSampler(0, 2**64 - 1), 2)
+
+
+def _largest_correlation(draws):
+    """The largest |r| between two rows of ``draws``, by one matmul."""
+    draws -= draws.mean(axis=1, keepdims=True)
+    draws /= np.linalg.norm(draws, axis=1, keepdims=True)
+    r = draws @ draws.T
+    np.fill_diagonal(r, 0.0)
+    return float(np.max(np.abs(r)))
+
+
+def test_adjacent_streams_and_seeds_are_uncorrelated():
+    # under independence atanh(r) sqrt(k - 3) is about N(0, 1) for each of
+    # the m (m - 1) / 2 pairs; the bound allows 1e-4 false alarms in all
+    m, k = 1000, 2**12
+    pairs = m * (m - 1) // 2
+    z = -NormalDist().inv_cdf(1e-4 / pairs / 2)
+    bound = np.tanh(z / np.sqrt(k - 3))
+    space = MeasureSpace.counting(k)
+    streams = sample_white(WhiteNoiseSampler(20261018, STREAM_STRIDE), space,
+                           np.empty((m, k)))
+    assert _largest_correlation(streams) < bound
+    seeds = np.empty((m, k))
+    for seed in range(m):
+        sample_white(WhiteNoiseSampler(seed, STREAM_STRIDE), space,
+                     seeds[seed:seed + 1])
+    assert _largest_correlation(seeds) < bound
 
 
 def test_block_seeder_views_share_the_seeding():
-    # from base 2**32 - 30, the last views cross 2**32 into the fallback
+    # from base 2**32 - 30, the last views cross 2**32
     space = MeasureSpace.counting(5)
     for base in (50, 2**32 - 30):
         streams = NoiseStreams(WhiteNoiseSampler(3, base), 40)
