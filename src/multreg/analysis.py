@@ -24,7 +24,7 @@ from .noise import (GAUSSIAN, DeterministicNoise, NoiseStreams,
 from .rearrangement import (_check_decreasing, _distribution, _sorted_view,
                             _superlevel_count, vanishes_at_infinity)
 from .schemes import Scheme, require_certified
-from .spaces import MeasureSpace
+from .spaces import _PIECE, MeasureSpace
 
 
 def reconstruct(scheme: Scheme, alpha: float, b: Multiplier,
@@ -70,8 +70,6 @@ def _square_sum(alpha, weights, phi_v):
 _EXTENSIONS = (2.0, 4.0)
 #: relative growth per doubling of the radius that the divergence check flags
 _GROWTH_THRESHOLD = 0.01
-#: most nodes at a time on which ``_Study`` evaluates b beyond a radius
-_TAIL_CHUNK = 2**14
 
 
 class _Study:
@@ -100,12 +98,12 @@ class _Study:
 
     def _sup_beyond(self, radius: float, factors) -> float:
         """b's largest value on the nodes beyond ``radius`` of the grids at
-        ``factors`` times R, taken on pieces of ``_TAIL_CHUNK`` nodes, no
+        ``factors`` times R, taken on pieces of ``_PIECE`` nodes, no
         grid built (-inf if there is none)."""
         return float(np.max([
             np.max(self.b(s[np.abs(s) > radius]), initial=-np.inf)
             for factor in factors
-            for s in self.space.extended_nodes(factor, _TAIL_CHUNK)]))
+            for s in self.space.extended_nodes(factor, _PIECE)]))
 
     @cached_property
     def tail_sup(self) -> float:
@@ -205,52 +203,53 @@ class _Study:
         """The body of ``evaluate_deterministic``; without ``noise``, the
         worst admissible one: all mass at the node where |phi| is largest.
 
-        Error and bias are evaluated only on the span of nodes that holds
-        the filter's nonzeros and the noise's support.  Off the noise's
-        support the noise adds +0.0, which at most flips the sign of a zero.
-        Where the filter is zero the residual is exactly 1 (1 - t * 0, or
-        the cut-off and truncated forms), so with finite data both squared
-        terms are w f^2 outside the span.  The one length-n buffer takes
-        |phi| for the worst node, then holds w f^2 off the span; each term
-        is computed into it on the span (the residual by
+        The filter is evaluated on pieces of ``_PIECE`` nodes, twice: for
+        the bias, which also finds the worst node and the pieces where the
+        filter is zero, then for the error.  Each term is computed into the
+        one length-n buffer, squared and weighted in place (the residual by
         ``Scheme.residual_into``, the exact data as vals * f, then filtered
-        and subtracted from f) and squared and weighted in place.  The
-        buffer is then the dense w x^2 array, so the norms equal those of
-        the dense expressions f - phi (vals f + delta noise) and R(b) f bit
-        for bit, for finite filter values.
+        and subtracted from f).  Where the filter is zero the residual is
+        exactly 1 (1 - t * 0, or the cut-off and truncated forms), so with
+        finite data both terms are w f^2 there, and such a piece is filled
+        once.  The noise's support is patched last.  The buffer is then the
+        dense w x^2 array, so the norms equal those of the dense
+        expressions f - phi (vals f + delta noise) and R(b) f bit for bit,
+        for finite filter values.
         """
         # the data's finiteness first: its temporaries then come and go
-        # before the filter and the buffer are allocated
+        # before the buffer is allocated
         finite, vals, f, space = self.finite, self.vals, self.f, self.space
-        phi_v = scheme.phi(alpha, vals)
-        w_sq = np.empty(phi_v.size)
+        w, n = space.weights, vals.size
+        w_sq = np.empty(n)
+        pieces = [slice(lo, lo + _PIECE) for lo in range(0, n, _PIECE)]
+        zero, tops, worst = [], [], []
+        for p in pieces:
+            x, phi_p = w_sq[p], scheme.phi(alpha, vals[p])
+            i = int(np.argmax(top := np.abs(phi_p)))  # the first largest
+            tops.append(top[i])
+            worst.append(p.start + i)
+            zero.append(finite and top[i] == 0)
+            if zero[-1]:
+                np.multiply(w[p], np.multiply(f[p], f[p], out=x), out=x)
+                continue
+            scheme.residual_into(alpha, vals[p], phi_p, x)
+            x *= f[p]
+            np.multiply(w[p], np.multiply(x, x, out=x), out=x)
+        bias_ = float(np.sqrt(np.sum(w_sq)))
         if noise is None:
-            noise = concentrated_noise(space, int(np.argmax(np.abs(phi_v, out=w_sq))))
-        n, on = phi_v.size, noise.support
-        first, stop, _ = on.indices(n)
-        lo, hi = _nonzero_span(phi_v) if finite else (0, n)
-        lo, hi = min(lo, first), max(hi, stop)
-        span = slice(lo, hi)
-        w = space.weights
-        for off in (slice(None, lo), slice(hi, None)):
-            np.multiply(f[off], f[off], out=w_sq[off])
-            w_sq[off] *= w[off]
-        x = w_sq[span]  # each term on the span, then its w x^2
-
-        def norm():
-            np.multiply(w[span], np.multiply(x, x, out=x), out=x)
-            return float(np.sqrt(np.sum(w_sq)))
-
-        scheme.residual_into(alpha, vals[span], phi_v[span], x)
-        x *= f[span]
-        bias_ = norm()
-        np.multiply(vals[span], f[span], out=x)
-        np.subtract(f[span], np.multiply(phi_v[span], x, out=x), out=x)
-        x[first - lo:stop - lo] = \
-            f[on] - phi_v[on] * (vals[on] * f[on] + delta * noise.values)
+            noise = concentrated_noise(space, worst[int(np.argmax(tops))])
+        for p in (p for p, z in zip(pieces, zero) if not z):
+            x = w_sq[p]
+            np.multiply(vals[p], f[p], out=x)
+            np.subtract(f[p], np.multiply(scheme.phi(alpha, vals[p]), x, out=x), out=x)
+            np.multiply(w[p], np.multiply(x, x, out=x), out=x)
+        on = noise.support
+        phi_on = scheme.phi(alpha, vals[on])
+        x = f[on] - phi_on * (vals[on] * f[on] + delta * noise.values)
+        w_sq[on] = w[on] * (x * x)
         return ErrorBudget(bias=bias_,
-                           noise_term=delta * space.norm(phi_v[on] * noise.values, on),
-                           total=norm())
+                           noise_term=delta * space.norm(phi_on * noise.values, on),
+                           total=float(np.sqrt(np.sum(w_sq))))
 
 
 def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
@@ -338,7 +337,7 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
     prefix = np.empty(n + 1)
     vals = b.values_on(space)
     if alpha_grid is None:
-        lo = max(float(np.min(vals[vals > 0])), _SQUARE_FLOOR)
+        lo = max(float(np.min(vals, where=vals > 0, initial=np.inf)), _SQUARE_FLOOR)
         hi = float(b.sup_bound) * (1 - 1e-9)
         if lo >= hi:
             raise PreconditionFailed(
@@ -351,13 +350,13 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
     # b_* and its cell widths, the node weights in its order (not the
     # differences of running sums, which lose small weights)
     r_vals, widths = _sorted_view(vals, space.weights, True)
-    terms = np.empty(n)  # widths / b_*^2, then w / b^2
+    terms = prefix[1:]  # widths / b_*^2, then their running sum in place
     scale = 1.0  # D = sqrt(prefix) * scale
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # {b_* > alpha} is a prefix of the descending rearrangement
         prefix[0] = 0.0
         np.cumsum(np.divide(widths, np.square(r_vals, out=terms), out=terms),
-                  out=prefix[1:])
+                  out=terms)
         positive = int(_superlevel_count(r_vals, 0.0))
         if not np.isfinite(prefix[positive]):
             # only the sum overflows, and it is below 2^top: sum the terms
@@ -368,7 +367,7 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
                 - 2 * np.frexp(r_vals[:positive])[1]))
             scale = 2.0 ** min(max(-(-(top - 1023) // 2), 1), 511)
             np.cumsum(np.divide(widths / scale**2, np.square(r_vals, out=terms),
-                                out=terms), out=prefix[1:])
+                                out=terms), out=terms)
         d_sq = prefix[_superlevel_count(r_vals, alpha_grid)]
     overflow = ~np.isfinite(d_sq)
     if np.any(overflow):
@@ -377,14 +376,15 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
             "D(alpha) is beyond double precision there"
         )
     d_b = _distribution(b, space, alpha_grid, True, lambda: (r_vals, widths))
-    del widths
+    # domain side, without the sort: w / b^2 binned by the number of grid
+    # points below each node, then summed over the bins above each alpha;
+    # piece by piece, as it is only compared to 1e-9
+    binned = np.zeros(alpha_grid.size + 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # domain side, without the sort: w / b^2 binned by the number of grid
-        # points below each node, then summed over the bins above each alpha
-        below = np.searchsorted(alpha_grid, vals, side="left")
-        weights = space.weights if scale == 1.0 else space.weights / scale**2
-        np.divide(weights, np.square(vals, out=terms), out=terms)
-        binned = np.bincount(below, weights=terms, minlength=alpha_grid.size + 1)
+        for lo in range(0, n, _PIECE):
+            v, w = vals[lo:lo + _PIECE], space.weights[lo:lo + _PIECE]
+            binned += np.bincount(np.searchsorted(alpha_grid, v, side="left"),
+                                  weights=w / scale**2 / v**2, minlength=binned.size)
         from_domain = np.cumsum(binned[::-1])[::-1][1:]
     if np.any(np.abs(d_sq - from_domain) > 1e-9 * (1.0 + from_domain)):
         raise CrossCheckFailed(
@@ -502,8 +502,8 @@ def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
                            space: MeasureSpace, f, delta: float,
                            noise: DeterministicNoise) -> ErrorBudget:
     """Error of one reconstruction from data corrupted by a fixed noise,
-    evaluated on the span of the filter's nonzeros and the noise's support
-    with the dense expressions' bits (``_Study.deterministic``)."""
+    evaluated in pieces of the nodes with the dense expressions' bits
+    (``_Study.deterministic``)."""
     return _Study(b, space, f).deterministic(scheme, alpha, delta, noise)
 
 

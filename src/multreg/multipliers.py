@@ -283,7 +283,8 @@ def read_table(path) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class Tabulated(Multiplier):
     """Values aligned with a fixed space's nodes; ``sup_bound`` is their
-    largest.
+    largest.  The table is a read-only copy of the values given, and
+    ``values_on`` returns it.
 
     ``tail_vanishes`` declares the tail model when the space is infinite:
     True means superlevel sets have finite measure beyond the truncation.
@@ -295,7 +296,8 @@ class Tabulated(Multiplier):
     evaluable = False
 
     def __post_init__(self):
-        vals = np.asarray(self.values, float)
+        vals = np.array(self.values, float)  # a copy, read-only from here
+        vals.flags.writeable = False
         if np.any(vals < 0):
             raise ValueError("multiplier values must be nonnegative")
         object.__setattr__(self, "values", vals)

@@ -123,9 +123,15 @@ def _superlevel_count(descending: np.ndarray, t):
 
 def _sorted_view(values: np.ndarray, weights: np.ndarray, descending: bool):
     """Node values sorted stably (ties by node index), weights alike; equal
-    weights stored as one value (stride 0) are returned as they are."""
+    weights stored as one value (stride 0) are returned as they are, and a
+    copy of the values alone is sorted: ``values[order]`` bit for bit, as a
+    stable sort keeps equal keys (+-0.0, NaNs) in node order."""
+    if weights.strides == (0,):
+        v = np.negative(values) if descending else values.copy()
+        v.sort(kind="stable")
+        return np.negative(v, out=v) if descending else v, weights
     order = np.argsort(-values if descending else values, kind="stable")
-    return values[order], weights if weights.strides == (0,) else weights[order]
+    return values[order], weights[order]
 
 
 def _sorted_step(values: np.ndarray, weights: np.ndarray, descending: bool) -> Rearrangement:

@@ -17,7 +17,7 @@ from .errors import NotInSourceSet, PreconditionFailed, UnboundedRatio
 from .indexfuncs import IndexFunction, TableIndex
 from .multipliers import Multiplier
 from .rearrangement import _distribution, _sorted_view, vanishes_at_infinity
-from .spaces import MeasureSpace
+from .spaces import _PIECE, MeasureSpace
 
 #: acceptance band for two-sided "comparable" checks: ratios within [1/K, K]
 _RATIO_BAND = 10.0
@@ -49,7 +49,7 @@ def phi_star(b: Multiplier, space: MeasureSpace) -> TableIndex:
         raise PreconditionFailed("phi_star requires b vanishing at infinity")
 
     vals = b.values_on(space)
-    abs_s = np.abs(space.nodes)
+    abs_s = space._map(np.abs)
     # the smallest |s| with b(s) <= sup/2 separates the inner and outer regions
     cut = float(np.min(abs_s, where=vals <= 0.5 * b.sup_bound, initial=np.inf))
     if cut == np.inf:
@@ -117,15 +117,18 @@ def source_function(v, b: Multiplier, space: MeasureSpace,
 
 
 def _source_on(v: np.ndarray, vals: np.ndarray, phi: IndexFunction) -> np.ndarray:
-    """``source_function`` on b's node values ``vals``.  Where v has no zero
-    phi takes all of them, with no gather or scatter, and f is formed in
-    phi's own array: the same bits, as phi acts node by node."""
-    support = v != 0.0
-    if support.all():
-        return np.multiply(f := np.asarray(phi(vals)), v, out=f)
+    """``source_function`` on b's node values ``vals``, formed piece by
+    piece: phi takes all of a piece's values where v has no zero there,
+    with no gather or scatter, and the support's otherwise.  The same bits,
+    as phi acts node by node."""
     f = np.zeros_like(v)
-    if np.any(support):
-        f[support] = np.asarray(phi(vals[support])) * v[support]
+    for lo in range(0, v.size, _PIECE):
+        p = slice(lo, lo + _PIECE)
+        support = v[p] != 0.0
+        if support.all():
+            np.multiply(phi(vals[p]), v[p], out=f[p])
+        elif support.any():
+            f[p][support] = np.asarray(phi(vals[p][support])) * v[p][support]
     return f
 
 
@@ -192,7 +195,7 @@ def sobolev_equivalence_check(b: Multiplier, space: MeasureSpace, p: float = 1.0
 
 def _band(b, space, phi):
     vals = b.values_on(space)
-    abs_s = np.abs(space.nodes)
+    abs_s = space._map(np.abs)
     usable = (vals >= phi.ts[0]) & (vals <= phi.ts[-1]) & (vals > 0)
     if np.sum(usable) < 2:
         raise PreconditionFailed("too few nodes inside the phi* table")

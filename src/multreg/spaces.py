@@ -49,6 +49,15 @@ class MeasureSpace:
         nodes = nodes if callable(nodes) else np.asarray(nodes, dtype=float)
         vars(self).update(kind=kind, weights=weights, _nodes=nodes,
                           truncation_radius=truncation_radius)
+        if not isinstance(self, _Deferred):
+            for _ in self._checked(_PIECE):
+                pass
+
+    def _checked(self, chunk: int):
+        """The nodes of ``_pieces(chunk)``, checked as the constructor checks
+        the space: each piece before it is yielded, the weights and radius
+        after."""
+        weights, nodes = self.weights, self._nodes
         if weights.ndim != 1 or not callable(nodes) and nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be matching 1-d arrays")
         if weights.size == 0:
@@ -56,21 +65,22 @@ class MeasureSpace:
         # each node above the one before, piece by piece: then no node is
         # NaN, -inf fails at the first, and +inf can only be a piece's last
         last = -np.inf
-        for _, s in self._pieces():
+        for _, s in self._pieces(chunk):
             if not (last < s[0] and np.all(s[1:] > s[:-1]) and s[-1] < np.inf):
                 raise ValueError("nodes must be finite" if not np.isfinite(s).all()
                                  else "nodes must be strictly increasing")
             last = s[-1]
+            yield s
         w = weights[:1] if weights.strides == (0,) else weights  # one value
         if not (np.min(w) >= 0 and np.max(w) < np.inf):
             raise ValueError("weights must be nonnegative and finite")
-        if kind == COUNTING and not np.allclose(w, 1.0):
+        if self.kind == COUNTING and not np.allclose(w, 1.0):
             raise ValueError("counting measure requires unit weights")
-        r = truncation_radius
+        r = self.truncation_radius
         if r is not None and not np.isfinite(r):
             raise ValueError("truncation_radius must be finite")
-        if kind in _INFINITE_KINDS and (r is None or r <= 0):
-            raise ValueError(f"{kind} requires truncation_radius > 0")
+        if self.kind in _INFINITE_KINDS and (r is None or r <= 0):
+            raise ValueError(f"{self.kind} requires truncation_radius > 0")
 
     @property
     def nodes(self) -> np.ndarray:
@@ -189,20 +199,26 @@ class MeasureSpace:
 
         Used by tail diagnostics; raises unless the space is ``extensible``.
         """
-        return self._extension(factor)
+        return self._extension(factor, MeasureSpace)
 
     def extended_nodes(self, factor: float, chunk: int):
         """``extended(factor).nodes`` in consecutive pieces of at most
-        ``chunk`` nodes, bit for bit, without building that grid."""
-        return (s for _, s in self._extension(factor)._pieces(chunk))
+        ``chunk`` nodes, bit for bit, without building that grid: each piece
+        is formed once and checked as it is yielded, with the constructor's
+        rejections."""
+        return self._extension(factor, _Deferred)._checked(chunk)
 
-    def _extension(self, factor: float) -> "MeasureSpace":
+    def _extension(self, factor: float, cls: type) -> "MeasureSpace":
         if not self.extensible:
             raise ValueError(f"cannot extend a {self.kind} space")
-        build = MeasureSpace.halfline if self.kind == LEBESGUE_HALFLINE \
-            else MeasureSpace.line
+        build = cls.halfline if self.kind == LEBESGUE_HALFLINE else cls.line
         return build(self.truncation_radius * factor,
                      int(round(self.weights.size * factor)))
+
+
+class _Deferred(MeasureSpace):
+    """A space built without the constructor's checks, for ``_checked`` to
+    make as it yields the pieces."""
 
 
 def _uniform_weights(h: float, n: int) -> np.ndarray:

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multreg import (DETERMINISTIC, WHITE, BracketingFailed, Divergent, DivergentProfile,
+from multreg import (DETERMINISTIC, WHITE, BracketingFailed, CrossCheckFailed,
+                     Divergent, DivergentProfile,
                      FilterOverflow, IllposednessProfile, MeasureSpace,
                      LogPowerIndex, MultiplicationProblem, MultRegError, PowerIndex,
                      PreconditionFailed, Scheme, TableIndex, Tabulated,
@@ -294,6 +295,18 @@ def test_illposedness_matches_per_alpha_sums():
         assert bound == np.sqrt(distribution_function(b, space, alpha)) / alpha
     with pytest.raises(ValueError):
         effective_illposedness(b, space, alpha_grid=[0.5, 0.1])
+
+
+def test_illposedness_cross_check_flags_a_wrong_rearrangement(monkeypatch):
+    # the domain side, binned piece by piece on a grid of several pieces,
+    # agrees with the sorted side, and flags a b_* that is not b's
+    b, space = power_decay_pair(0.5, 50.0, 2**16 + 5)
+    effective_illposedness(b, space)
+    sort = analysis._sorted_view
+    monkeypatch.setattr(analysis, "_sorted_view", lambda values, weights, descending: (
+        sort(values, weights, descending)[0] * 1.001, weights))
+    with pytest.raises(CrossCheckFailed):
+        effective_illposedness(b, space)
 
 
 def test_illposedness_on_a_graded_grid():
@@ -878,12 +891,12 @@ def _full_check(b, space, f):
 
 @pytest.mark.parametrize("n", [2**17, 2**17 + 6])
 def test_chunked_tail_sup_equals_the_grids_maximum_beyond_r(n):
-    # pieces of at most _TAIL_CHUNK nodes, the last one short at 2^17 + 6
+    # pieces of at most _PIECE nodes, the last one short at 2^17 + 6
     # nodes; at 2^17, and only there, a piece edge of each grid falls at R.
     # The pieces are the grid's nodes bit for bit, and the tail sup is the
     # built grids' largest b value beyond R, ==
     from multreg import FinalValueProblem, fvp_multiplier
-    chunk = analysis._TAIL_CHUNK
+    chunk = analysis._PIECE
     for b, space in (power_decay_pair(0.5, 50.0, n),
                      fvp_multiplier(FinalValueProblem("whole_space", n_grid=n)),
                      plateau_pair(50.0, n)):
@@ -1132,8 +1145,8 @@ def _dense_budget(scheme, alpha, b, space, f, delta, noise):
                                     tikhonov_wiener(), truncate(lavrentiev())],
                          ids=lambda s: s.name)
 def test_deterministic_rows_equal_the_dense_reference(scheme):
-    # the one-node worst-case noise and the error evaluated on the filter's
-    # span give the rows of the dense expressions, with no tolerance
+    # the one-node worst-case noise and the error evaluated in pieces of
+    # the nodes give the rows of the dense expressions, with no tolerance
     phi = PowerIndex(0.5)
     deltas = [1e-2, 1e-3, 1e-4, 1e-5]
     for problem in _deterministic_problems():
@@ -1153,7 +1166,7 @@ def test_deterministic_rows_equal_the_dense_reference(scheme):
             assert (row.alpha_star, row.bias, row.variance_term, row.error) \
                 == (alpha, *reference)
         # the noise at the first and the last node; above sup b the cut-off
-        # is zero everywhere, and the span holds the noise's node alone
+        # is zero on every piece, and only the noise's node is patched
         for alpha in (swept.rows[-1].alpha_star, 2.0 * float(b.sup_bound)):
             for node in (0, space.nodes.size - 1):
                 dense = worst_case_deterministic(
@@ -1165,15 +1178,16 @@ def test_deterministic_rows_equal_the_dense_reference(scheme):
 
 
 def test_deterministic_error_with_a_non_finite_signal():
-    # f - 0 * inf is nan, not f: the dense expressions' values stand
+    # f - 0 * inf is nan, not f: the dense expressions' values stand, also
+    # at alpha = 2, where the cut-off is zero on the whole piece
     b, space = compact_case([1.0, 0.5, 0.25, 0.125])
     dense = worst_case_deterministic(concentrated_direction(space, 0), space)
-    for last in (np.inf, np.nan):
+    for last, alpha in itertools.product((np.inf, np.nan), (0.3, 2.0)):
         f = np.array([1.0, 0.5, 0.25, last])
         with np.errstate(invalid="ignore"):
-            budget = evaluate_deterministic(spectral_cutoff(), 0.3, b, space,
+            budget = evaluate_deterministic(spectral_cutoff(), alpha, b, space,
                                             f, 1e-2, concentrated_noise(space, 0))
-            reference = _dense_budget(spectral_cutoff(), 0.3, b, space, f,
+            reference = _dense_budget(spectral_cutoff(), alpha, b, space, f,
                                       1e-2, dense)
         assert repr((budget.bias, budget.noise_term, budget.total)) == \
             repr(reference)

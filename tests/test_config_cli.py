@@ -933,3 +933,20 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, case, command):
     err = capsys.readouterr().err
     assert re.search(f"config error: {message}", err), err
     assert "Traceback" not in err
+
+
+def test_an_all_zero_table_is_refused_without_a_traceback(tmp_path, capsys):
+    # with no positive b value there is no alpha grid between min b and
+    # sup b: a failed precondition, reported with no traceback
+    table = tmp_path / "b.txt"
+    table.write_text("0.5 0\n1.5 0\n2.5 0\n")
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump({
+        "problem": {"kind": "tabulated", "space": "interval", "file": str(table)},
+        "scheme": "lavrentiev", "index_function": {"family": "power", "nu": 0.5},
+        "noise": {"mode": "white", "deltas": [1e-2], "replications": 2}}))
+    capsys.readouterr()
+    assert main(["dalpha", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_VIOLATION
+    err = capsys.readouterr().err
+    assert "degenerate multiplier range" in err and "Traceback" not in err

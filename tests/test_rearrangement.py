@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from multreg import (CallableMultiplier, DominationNotDetected, MeasureSpace,
-                     PowerIndex, RearrangementUndefined, TableIndex,
+                     PowerDecay, PowerIndex, RearrangementUndefined, TableIndex,
                      PurePower, RequiresFiniteMeasure, Tabulated, compact_case,
                      decreasing_rearrangement, distribution_function,
-                     increasing_rearrangement, piecewise_rearrangement_bounds,
+                     effective_illposedness, increasing_rearrangement,
+                     phi_star, piecewise_rearrangement_bounds,
                      truncated_shift_check, vanishes_at_infinity)
 from multreg.gallery import exp_decay_pair, plateau_pair, power_decay_pair
 from multreg.multipliers import (BackgroundPart, GaussianFrequency,
                                  MonotonePiece, PiecewiseMonotone)
+from multreg.rearrangement import _sorted_view
 
 from support import brute_force_increasing, random_mixed_multipliers, random_piecewise
 
@@ -134,6 +136,47 @@ def test_decreasing_requires_vanishing():
     b, space = plateau_pair(20.0, 512)
     with pytest.raises(RearrangementUndefined):
         decreasing_rearrangement(b, space)
+
+
+def test_uniform_weight_sort_equals_the_argsort_path_bit_for_bit():
+    # equal weights stored as one value: the values alone are sorted, on a
+    # copy, and give the stable argsort's result bit for bit, ties, +-0.0
+    # and NaNs of either sign included, in both directions
+    rng = np.random.default_rng(27)
+    nan = np.float64(np.nan)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, np.inf, -np.inf, nan, -nan])
+    for values in (rng.choice(pool, 4096), np.concatenate((pool, rng.random(999))),
+                   rng.choice(pool, 4096) * rng.random(4096)):
+        values.flags.writeable = False  # as a table's stored array
+        kept = values.copy()
+        uniform = np.broadcast_to(np.float64(0.5), values.shape)
+        for descending in (True, False):
+            order = np.argsort(-values if descending else values, kind="stable")
+            sorted_values, weights = _sorted_view(values, uniform, descending)
+            assert np.array_equal(sorted_values.view(np.int64),
+                                  values[order].view(np.int64))
+            assert weights is uniform
+        assert np.array_equal(values.view(np.int64), kept.view(np.int64))
+
+
+def test_calculus_leaves_a_tables_values_as_they_are():
+    # unsorted, tied values on uniform and array grids: each rearrangement,
+    # D(alpha) and phi* call reads the table and leaves it in node order
+    n = 2**12
+    for space in (MeasureSpace.halfline(50.0, n), MeasureSpace.interval(0.0, 1.0, n),
+                  MeasureSpace("lebesgue_halfline", np.arange(1, n + 1) * 0.01,
+                               np.full(n, 0.01), truncation_radius=n * 0.01)):
+        paired = np.round(PowerDecay(1.0).values_on(space), 4)
+        b = Tabulated(paired.reshape(-1, 2)[:, ::-1].ravel())
+        kept = b.values.copy()
+        distribution_function(b, space, [0.1, 0.5])
+        decreasing_rearrangement(b, space)
+        effective_illposedness(b, space)
+        if space.measure_is_finite:
+            increasing_rearrangement(b, space)
+        else:
+            phi_star(b, space)
+        assert np.array_equal(b.values, kept)
 
 
 def test_rearrangement_outputs_are_monotone():

@@ -74,6 +74,49 @@ def test_extended_keeps_density():
         MeasureSpace.counting(5).extended(2.0)
 
 
+def test_extended_nodes_are_the_extension_checked_as_yielded():
+    # the pieces are extended(f).nodes bit for bit, on uniform and array
+    # spaces; an extension that cannot be built fails alike either way
+    array_space = MeasureSpace("lebesgue_halfline", [0.5, 2.0, 3.0], np.ones(3),
+                               truncation_radius=3.5)
+    for space in (MeasureSpace.halfline(50.0, 1000), MeasureSpace.line(8.0, 1001),
+                  array_space):
+        for factor in (2.0, 2.5, 4.0, 8.0):
+            wide = space.extended(factor).nodes
+            for chunk in (1, 7, 2**14):
+                pieces = list(space.extended_nodes(factor, chunk))
+                assert max(p.size for p in pieces) <= chunk
+                assert np.array_equal(np.concatenate(pieces).view(np.int64),
+                                      wide.view(np.int64))
+    for space, factor in ((MeasureSpace.counting(5), 2.0),  # not extensible
+                          (MeasureSpace.interval(0.0, 1.0, 8), 2.0),
+                          (MeasureSpace.halfline(1e308, 4), 2.0),  # inf nodes
+                          (MeasureSpace.line(5e307, 4), 2.0),
+                          (MeasureSpace.line(1.0, 4), 2.0**55),  # nodes round equal
+                          (MeasureSpace.halfline(1.0, 4), 0.0),
+                          (MeasureSpace.halfline(1.0, 4), -1.0),
+                          (array_space, np.nan)):
+        with pytest.raises(Exception) as built:
+            space.extended(factor)
+        with pytest.raises(Exception) as pieces:
+            list(space.extended_nodes(factor, 3))
+        assert type(pieces.value) is type(built.value)
+        assert str(pieces.value) == str(built.value)
+
+
+def test_tabulated_keeps_a_read_only_copy():
+    # a table neither follows later writes to the caller's array nor lets
+    # its own be written through values_on
+    arr = np.array([0.5, 1.0, 0.25])
+    b = Tabulated(arr)
+    arr[1] = 9.0
+    assert b.values.tolist() == [0.5, 1.0, 0.25] and b.sup_bound == 1.0
+    table = b.values_on(MeasureSpace.interval(0.0, 1.0, 3))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 2.0
+
+
 def test_exponential_sequence_guards():
     with pytest.raises(EigenvaluesNotDivergent):
         ExponentialSequence(1.0, 1.0, (3.0, 2.0, 1.0))

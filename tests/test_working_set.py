@@ -7,17 +7,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from multreg import (DETERMINISTIC, WHITE, DeconvolutionProblem,
-                     ExponentialSequence, MeasureSpace, PowerDecay, Tabulated,
-                     WhiteNoiseSampler, build_problem, concentrated_noise,
-                     effective_illposedness, lavrentiev, lavrentiev_deconvolve,
+from multreg import (DETERMINISTIC, WHITE, CallableMultiplier,
+                     DeconvolutionProblem, ExponentialSequence, MeasureSpace,
+                     PowerDecay, PurePower, Tabulated, WhiteNoiseSampler,
+                     build_problem, concentrated_noise, decreasing_rearrangement,
+                     distribution_function, effective_illposedness,
+                     increasing_rearrangement, lavrentiev, lavrentiev_deconvolve,
                      parse_config, sample_white, truncate)
 from multreg.analysis import sweep_deltas
 from multreg.noise import concentrated_direction
+from multreg.spaces import _PIECE
 
-N = 2**16
+N = 2**18
+#: one piece of the nodes (see ``MeasureSpace._pieces``), in arrays of N doubles
+PIECE = _PIECE / N
 #: Python objects made along the way, in arrays of N doubles (26 kB)
-SLACK = 0.05
+SLACK = 0.0125
 
 
 def _transient_arrays(call) -> float:
@@ -56,24 +61,44 @@ def pure_power():
 
 
 def test_effective_illposedness_working_set():
-    # b's values with the sort's negated copy and order, then with the
-    # one terms buffer and the domain side's bin index
+    # b's values: the sorted copy is b_* and the running sum is formed in
+    # the profile's own array, both returned; then four pieces of the
+    # domain side's cross-check
     b, space = PowerDecay(0.5), MeasureSpace.halfline(50.0, N)
-    assert _transient_arrays(lambda: effective_illposedness(b, space)) <= 6 + SLACK
+    assert _transient_arrays(lambda: effective_illposedness(b, space)) \
+        <= 1 + 4 * PIECE + SLACK
 
 
 def test_deterministic_sweep_working_set(pure_power):
-    # b's values, the filter and the one buffer of each delta
+    # b's values and the one buffer of each delta; the filter is formed in
+    # pieces
     problem = build_problem(pure_power)
     assert _transient_arrays(lambda: sweep_deltas(
         problem, lavrentiev(), problem.phi, pure_power.deltas, DETERMINISTIC,
-        1.0)) <= 3 + SLACK
+        1.0)) <= 2 + 4 * PIECE + SLACK
 
 
 def test_build_problem_working_set(pure_power):
-    # a uniform grid stores no weights array, and the solution is formed
-    # from the b values that clip the source element
-    assert _transient_arrays(lambda: build_problem(pure_power)) <= 5 + SLACK
+    # a uniform grid stores no weights array: b's values and the source
+    # element they clip, and the solution, returned, formed piece by piece
+    assert _transient_arrays(lambda: build_problem(pure_power)) \
+        <= 2 + PIECE + SLACK
+
+
+def test_distribution_function_working_set():
+    # b has no closed form: its values and their sorted copy
+    b = CallableMultiplier(lambda s: 1.0 / (1.0 + s * s), sup_bound=1.0)
+    space = MeasureSpace.halfline(50.0, N)
+    assert _transient_arrays(lambda: distribution_function(
+        b, space, np.geomspace(1e-6, 1.0, 64))) <= 2 + SLACK
+
+
+def test_rearrangements_working_set():
+    # b's values; the sorted copy and the knots are returned
+    for rearrange, b, space in (
+            (decreasing_rearrangement, PowerDecay(0.5), MeasureSpace.halfline(50.0, N)),
+            (increasing_rearrangement, PurePower(1.5), MeasureSpace.interval(0.0, 1.0, N))):
+        assert _transient_arrays(lambda: rearrange(b, space)) <= 1 + SLACK
 
 
 def test_uniform_grids_hold_no_node_array():
@@ -101,9 +126,10 @@ def test_lavrentiev_deconvolve_working_set():
 
 
 def test_uniform_grid_studies_and_size_checks_form_no_node_array(monkeypatch):
-    # on uniform grids, building a problem, deterministic and white sweeps
-    # (with the divergence check's 2R and 4R grids) and the size checks of
-    # the noise and the multipliers never form the node array
+    # on uniform grids, building a problem (a deconvolution problem's with
+    # phi*), deterministic and white sweeps (with the divergence check's 2R
+    # and 4R grids) and the size checks of the noise and the multipliers
+    # never form the node array
     formed = []
     nodes = MeasureSpace.nodes
 
@@ -112,10 +138,13 @@ def test_uniform_grid_studies_and_size_checks_form_no_node_array(monkeypatch):
         return nodes.fget(space)
 
     monkeypatch.setattr(MeasureSpace, "nodes", property(counted))
-    for kind in ("pure_power", "power_decay"):
+    power = {"family": "power", "nu": 0.5}
+    for problem, index in (({"kind": "pure_power", "kappa": 0.5}, power),
+                           ({"kind": "power_decay", "kappa": 0.5}, power),
+                           ({"kind": "deconvolution", "kernel": "exponential",
+                             "half_width": 40.0}, {"family": "reciprocal_measure"})):
         config = parse_config({
-            "problem": {"kind": kind, "kappa": 0.5}, "scheme": "lavrentiev",
-            "index_function": {"family": "power", "nu": 0.5},
+            "problem": problem, "scheme": "lavrentiev", "index_function": index,
             "discretization": {"n_nodes": 2**12}})
         problem = build_problem(config)
         for mode, scheme in ((DETERMINISTIC, lavrentiev()),
