@@ -10,7 +10,7 @@ proportion to the added measure, the integral has no finite limit.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -74,8 +74,9 @@ _GROWTH_THRESHOLD = 0.01
 
 class _Study:
     """What every delta of a study of b on a space (and a solution f) reads,
-    each found once, on first use: b's values, whether the exact data
-    ``vals * f`` are finite, the ``tail_sup`` and the 2R and 4R ``grids``.
+    each found once, on first use: b's values and their largest on each
+    piece (``piece_sups``), whether the exact data ``vals * f`` are finite,
+    the ``tail_sup`` and the 2R and 4R ``grids``.
 
     The methods are the bodies of ``variance_integral``,
     ``evaluate_deterministic`` and one delta's part of ``monte_carlo_rms``.
@@ -88,6 +89,11 @@ class _Study:
     @cached_property
     def vals(self) -> np.ndarray:
         return self.b.values_on(self.space)
+
+    @cached_property
+    def piece_sups(self) -> np.ndarray:
+        """b's largest value on each piece of ``_PIECE`` nodes."""
+        return np.maximum.reduceat(self.vals, np.arange(0, self.vals.size, _PIECE))
 
     @cached_property
     def finite(self) -> bool:
@@ -182,7 +188,9 @@ class _Study:
 
         The filter is evaluated on b's values once: the variance check
         (``variance``) takes its base sum, and its FilterOverflow check,
-        from those values.
+        from those values.  An all-zero cross vector (every cut-off's, as
+        the residual is 0 wherever the filter is not) is returned as an
+        empty array.
         """
         vals, space = self.vals, self.space
         with np.errstate(divide="ignore", over="ignore"):
@@ -193,10 +201,14 @@ class _Study:
             except Divergent as exc:
                 raise DivergentProfile(str(exc), diagnosis=exc.diagnosis) from exc
         res_f = scheme.residual(alpha, vals) * self.f
+        bias_ = space.norm(res_f)
         k = _nonzero_span(phi_v)[1]
         w_k, phi_k = space.weights[:k], phi_v[:k]
-        return _McWeights(delta, space.norm(res_f),
-                          (w_k * res_f[:k] * phi_k, w_k * phi_k ** 2))
+        cross = w_k * res_f[:k] * phi_k
+        del res_f
+        if not cross.any():
+            cross = np.empty(0)
+        return _McWeights(delta, bias_, (cross, w_k * phi_k ** 2))
 
     def deterministic(self, scheme: Scheme, alpha: float, delta: float,
                       noise: DeterministicNoise | None = None) -> ErrorBudget:
@@ -205,7 +217,9 @@ class _Study:
 
         The filter is evaluated on pieces of ``_PIECE`` nodes, twice: for
         the bias, which also finds the worst node and the pieces where the
-        filter is zero, then for the error.  Each term is computed into the
+        filter is zero, then for the error.  With finite data, a truncated
+        filter is not evaluated on a piece where b is at most alpha
+        (``piece_sups``): it is zero there.  Each term is computed into the
         one length-n buffer, squared and weighted in place (the residual by
         ``Scheme.residual_into``, the exact data as vals * f, then filtered
         and subtracted from f).  Where the filter is zero the residual is
@@ -223,9 +237,14 @@ class _Study:
         w_sq = np.empty(n)
         pieces = [slice(lo, lo + _PIECE) for lo in range(0, n, _PIECE)]
         zero, tops, worst = [], [], []
-        for p in pieces:
-            x, phi_p = w_sq[p], scheme.phi(alpha, vals[p])
-            i = int(np.argmax(top := np.abs(phi_p)))  # the first largest
+        skip = finite and scheme.truncated
+        for p, sup in zip(pieces, self.piece_sups):
+            x = w_sq[p]
+            if skip and sup <= alpha:  # a truncated filter is 0 on {b <= alpha}
+                top, i = [0.0], 0
+            else:
+                phi_p = scheme.phi(alpha, vals[p])
+                i = int(np.argmax(top := np.abs(phi_p)))  # the first largest
             tops.append(top[i])
             worst.append(p.start + i)
             zero.append(finite and top[i] == 0)
@@ -515,11 +534,19 @@ BLOCK = 8192
 @dataclass(frozen=True)
 class _McWeights:
     """One delta's exact bias and the weights ``(w R(b)f phi, w phi^2)`` of
-    its two sums on the filter's first k nodes, k its last nonzero + 1."""
+    its two sums on the filter's first k nodes, k its last nonzero + 1.
+    The cross vector is empty where it would be all zero; in a sweep, the
+    noise vector may be a view of a later delta's (see ``_Sweep``)."""
 
     delta: float
     bias: float
     sum_w: tuple
+
+
+def _is_prefix(v: np.ndarray, wide: np.ndarray) -> bool:
+    """Whether v equals the first ``v.size`` entries of ``wide``, bit for bit."""
+    return v.size <= wide.size and np.array_equal(
+        wide[:v.size].view(np.int64), v.view(np.int64))
 
 
 def _shared_products(vectors: list) -> list:
@@ -531,9 +558,8 @@ def _shared_products(vectors: list) -> list:
         v = vectors[i]
         if not v.any():
             continue
-        bits = v.view(np.int64)
         for wide, readers in products:
-            if np.array_equal(wide[:v.size].view(np.int64), bits):
+            if _is_prefix(v, wide):
                 readers.append((i, v.size))
                 break
         else:
@@ -549,18 +575,21 @@ def _monte_carlo(weights: list, space: MeasureSpace,
     its first k_max values, k_max the widest filter's, and each delta reads
     its own prefix of them.
 
-    An all-zero weight vector (every cut-off's ``w R(b)f phi``) sums to
-    0.0 in every replication; it is in no product, and its sum is never
-    formed.  A vector that equals the first k_d entries of a wider one, bit
-    for bit, reads that one's product (``_shared_products``): each block
-    forms it once, and the delta sums its first k_d columns.  Every
-    cut-off's ``w phi^2`` does, as the filter is 1/b wherever it is nonzero.
-    The row sums of that view equal those of a contiguous product.
+    An all-zero weight vector (every cut-off's ``w R(b)f phi``, which
+    ``_Study.mc_weights`` passes as an empty array) sums to 0.0 in every
+    replication; it is in no product, and its sum is never formed, so k_max
+    is read from the noise weights.  A vector that equals the first k_d
+    entries of a wider one, bit for bit, reads that one's product
+    (``_shared_products``), also where it is a view of it, as in a sweep:
+    each block forms it once, and the delta sums its first k_d columns.
+    Every cut-off's ``w phi^2`` does, as the filter is 1/b wherever it is
+    nonzero.  The row sums of that view equal those of a contiguous product.
 
     ``threads`` workers take contiguous ranges of the replications, none
-    empty.  Each product is formed in a contiguous buffer, so a
-    replication's sums do not depend on the range or block that holds it,
-    and neither do the results.
+    empty; each worker's draw and product buffers are allocated by the
+    calling thread before the workers start.  Each product is formed in a
+    contiguous buffer, so a replication's sums do not depend on the range
+    or block that holds it, and neither do the results.
     """
     if not weights:
         return []
@@ -575,15 +604,18 @@ def _monte_carlo(weights: list, space: MeasureSpace,
         read = {d for _, readers in products for d, _ in readers}
         for d in set(range(len(weights))) - read:
             sums[j, d] = 0.0
-    k_max = max(w.sum_w[0].size for w in weights)
+    k_max = max(w.sum_w[1].size for w in weights)
     rows = max(1, BLOCK // max(k_max, 1))
     workers = max(1, min(threads, n_reps))
     edges = [n_reps * i // workers for i in range(workers + 1)]
+    # each worker's draws and products, allocated here: a pool thread's
+    # own allocations would open a malloc arena of its own
+    buffers = [(np.empty((rows, k_max)), np.empty(rows * k_max))
+               for _ in range(workers)]
 
-    def part(lo, hi):
+    def part(lo, hi, xi, scratch):
         streams = NoiseStreams(sampler.with_stream(sampler.stream_id + lo),
                                hi - lo)
-        xi, scratch = np.empty((rows, k_max)), np.empty(rows * k_max)
         for r0 in range(lo, hi, rows):
             m = min(rows, hi - r0)
             xi_m = sample_white(streams, space, xi[:m], r0 - lo)
@@ -600,9 +632,9 @@ def _monte_carlo(weights: list, space: MeasureSpace,
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(part, edges[:-1], edges[1:]))
+            list(pool.map(part, edges[:-1], edges[1:], *zip(*buffers)))
     else:
-        part(0, n_reps)
+        part(0, n_reps, *buffers[0])
     results = []
     for w, cross, noise in zip(weights, *sums):
         crosses, noise_sq = 2.0 * w.delta * cross, w.delta**2 * noise
@@ -732,7 +764,14 @@ class _Sweep:
     """What the rows of one sweep share: the ``_Study`` of the problem and,
     in white mode, ``white``, each delta's alpha* and ``McResult`` from one
     Monte Carlo pass.  Each delta's alpha* and divergence check, any grid
-    build included, run in order before any draw."""
+    build included, run in order before any draw.
+
+    Through that pass a white sweep holds only what ``_monte_carlo`` reads.
+    Without a ``profile`` it builds D(alpha) itself and drops it once the
+    last alpha* is chosen, before that delta's weights are formed.  An
+    earlier delta's noise weights that equal the first entries of a later
+    delta's, bit for bit (every cut-off's), become a view of the later ones.
+    """
 
     def __init__(self, problem: MultiplicationProblem, scheme: Scheme,
                  phi: IndexFunction, deltas, mode: str, n_reps: int,
@@ -740,10 +779,19 @@ class _Sweep:
         self.study = _Study(problem.b, problem.space, problem.f_true)
         self.white = {}
         if mode == WHITE:
+            if profile is None:
+                profile = effective_illposedness(problem.b, problem.space)
             alphas, weights = [], []
-            for delta in deltas:
+            for i, delta in enumerate(deltas, 1):
                 alphas.append(choose_alpha(problem, phi, delta, WHITE, profile))
-                weights.append(self.study.mc_weights(scheme, alphas[-1], delta))
+                if i == len(deltas):
+                    profile = None
+                new = self.study.mc_weights(scheme, alphas[-1], delta)
+                noise = new.sum_w[1]
+                weights = [replace(w, sum_w=(w.sum_w[0], noise[:w.sum_w[1].size]))
+                           if _is_prefix(w.sum_w[1], noise) else w
+                           for w in weights]
+                weights.append(new)
             results = _monte_carlo(weights, problem.space, sampler, n_reps,
                                    threads)
             self.white = dict(zip(deltas, zip(alphas, results)))
@@ -815,11 +863,9 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
     check reads, built only if a delta runs it.
     """
     deltas = [float(delta) for delta in deltas]
-    profile = effective_illposedness(problem.b, problem.space) \
-        if mode == WHITE else None
     sweep = _Sweep(problem, scheme, phi, deltas, mode, n_reps,
                    WhiteNoiseSampler(seed, FIRST_STREAM, distribution),
-                   profile, threads)
+                   None, threads)
     rows = [evaluate_delta(problem, scheme, phi, delta, mode, c_phi,
                            _sweep=sweep)
             for delta in deltas]

@@ -98,15 +98,27 @@ def phi_star(b: Multiplier, space: MeasureSpace) -> TableIndex:
         raise PreconditionFailed("distribution function is flat over the table range")
     table = TableIndex(ts[keep], phi_vals[keep], name="reciprocal_measure")
 
-    # asymptotics: |s| * phi*(b(s)) within a constant band on the outer half
-    half = abs_s > 0.5 * np.max(abs_s)
-    usable = half & (vals >= table.ts[0]) & (vals <= table.ts[-1]) & (vals > 0)
-    if np.sum(usable) >= 2:
-        ratios = abs_s[usable] * np.asarray(table(vals[usable]))
-        if np.max(ratios) > _RATIO_BAND * np.min(ratios):
-            raise PreconditionFailed(
-                "phi*(b(s)) is not comparable to 1/|s| on the outer half"
-            )
+    # asymptotics: |s| * phi*(b(s)) within a constant band on the outer
+    # half {|s| > max|s| / 2}, the nodes before j1 and from j2 on; a slice
+    # is gathered only where some node in it lies outside the table
+    near = abs_s <= 0.5 * np.max(abs_s)
+    j1 = int(np.argmax(near)) if near.any() else near.size
+    j2 = near.size - int(np.argmax(near[::-1]))
+    usable, tops, bottoms = 0, [], []
+    for half in (slice(0, j1), slice(j2, None)):
+        s_h, v_h = abs_s[half], vals[half]
+        inside = (v_h >= table.ts[0]) & (v_h <= table.ts[-1]) & (v_h > 0)
+        if not inside.all():
+            s_h, v_h = s_h[inside], v_h[inside]
+        if v_h.size:
+            ratios = s_h * np.asarray(table(v_h))
+            usable += ratios.size
+            tops.append(np.max(ratios))
+            bottoms.append(np.min(ratios))
+    if usable >= 2 and np.max(tops) > _RATIO_BAND * np.min(bottoms):
+        raise PreconditionFailed(
+            "phi*(b(s)) is not comparable to 1/|s| on the outer half"
+        )
     return table
 
 

@@ -1177,6 +1177,29 @@ def test_deterministic_rows_equal_the_dense_reference(scheme):
                     _dense_budget(scheme, alpha, b, space, f, 1e-3, dense)
 
 
+@pytest.mark.parametrize("scheme", [spectral_cutoff(), truncate(lavrentiev())],
+                         ids=lambda s: s.name)
+def test_truncated_filter_is_not_evaluated_where_b_is_at_most_alpha(
+        scheme, monkeypatch):
+    # b_j = 1/j on 2^17 + 3 nodes: the filter is zero on every piece past
+    # the one where b falls to alpha, and above sup b on all of them; only
+    # the worst node's one value may then lie at or below alpha
+    problem = counting_problem(2**17 + 3, PowerIndex(1.0))
+    study = analysis._Study(problem.b, problem.space, problem.f_true)
+    calls, phi = [], Scheme.phi
+
+    def counted(scheme_, alpha, t):
+        calls.append((alpha, np.size(t), np.max(t)))
+        return phi(scheme_, alpha, t)
+
+    monkeypatch.setattr(Scheme, "phi", counted)
+    for alpha in (1e-2, 1e-5, 2.0):
+        study.deterministic(scheme, alpha, 1e-3)
+    assert calls and all(top > alpha for alpha, size, top in calls if size > 1)
+    assert [size for alpha, size, _ in calls if alpha == 1e-5 and size > 1] \
+        == [analysis._PIECE] * 14  # pieces 0 to 6, twice
+
+
 def test_deterministic_error_with_a_non_finite_signal():
     # f - 0 * inf is nan, not f: the dense expressions' values stand, also
     # at alpha = 2, where the cut-off is zero on the whole piece

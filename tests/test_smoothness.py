@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -190,6 +191,25 @@ def test_phi_star_rejects_plateau_superlevel_growth():
     b = CallableMultiplier(b_fn, sup_bound=1.0)
     with pytest.raises(PreconditionFailed):
         phi_star(b, space)
+
+
+def test_phi_star_rejects_a_bump_on_either_end_of_the_outer_half():
+    # a narrow bump between the superlevel probes, at one end of the outer
+    # half {|s| > max|s| / 2}: mu{b > b(s)} is small there, so |s| phi*(b(s))
+    # leaves the band; b = 0 beyond |s| = 49 puts nodes of that end outside
+    # the table
+    for space, centres in ((MeasureSpace.halfline(50.0, 2**12), (40.0,)),
+                           (MeasureSpace.line(50.0, 2**12), (40.0, -40.0))):
+        for centre, edge in itertools.product(centres, (np.inf, 49.0)):
+            def b_fn(s, height, centre=centre, edge=edge):
+                return ((np.abs(s) < edge) / (1.0 + np.abs(s))
+                        + height * (np.abs(s - centre) < 0.05))
+
+            phi_star(CallableMultiplier(lambda s: b_fn(s, 0.0), sup_bound=1.0),
+                     space)
+            with pytest.raises(PreconditionFailed, match="on the outer half"):
+                phi_star(CallableMultiplier(lambda s: b_fn(s, 0.4), sup_bound=1.4),
+                         space)
 
 
 def _plateau_case():

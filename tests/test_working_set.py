@@ -5,15 +5,21 @@ reports its array buffers to it)."""
 import tracemalloc
 
 import numpy as np
+# numpy imports numpy.random on first use: a white sweep that did would
+# count the module as held, and its own peak as that much lower
+import numpy.random  # noqa: F401
 import pytest
 
 from multreg import (DETERMINISTIC, WHITE, CallableMultiplier,
                      DeconvolutionProblem, ExponentialSequence, MeasureSpace,
-                     PowerDecay, PurePower, Tabulated, WhiteNoiseSampler,
-                     build_problem, concentrated_noise, decreasing_rearrangement,
+                     PowerDecay, PowerIndex, PurePower, Tabulated,
+                     WhiteNoiseSampler, build_problem, concentrated_noise,
+                     counting_problem, decreasing_rearrangement,
                      distribution_function, effective_illposedness,
                      increasing_rearrangement, lavrentiev, lavrentiev_deconvolve,
-                     parse_config, sample_white, truncate)
+                     parse_config, phi_star, sample_white, spectral_cutoff,
+                     truncate)
+from multreg import analysis
 from multreg.analysis import sweep_deltas
 from multreg.noise import concentrated_direction
 from multreg.spaces import _PIECE
@@ -60,6 +66,26 @@ def pure_power():
         "discretization": {"n_nodes": N}})
 
 
+#: the deltas of a white sweep, 1e-2 down to 1e-6 in half decades
+DELTAS = list(np.logspace(-2, -6, 9))
+
+
+@pytest.fixture(scope="module")
+def power_decay():
+    config = parse_config({
+        "problem": {"kind": "power_decay", "kappa": 0.5},
+        "scheme": "truncated:cutoff",
+        "index_function": {"family": "power", "nu": 1.0},
+        "noise": {"mode": "white", "deltas": DELTAS, "replications": 4},
+        "discretization": {"n_nodes": N, "truncation_radius": 50.0}})
+    return build_problem(config)
+
+
+def _white_sweep(problem, scheme, deltas):
+    return lambda: sweep_deltas(problem, scheme, problem.phi, deltas, WHITE,
+                                1.0, n_reps=4, seed=3)
+
+
 def test_effective_illposedness_working_set():
     # b's values: the sorted copy is b_* and the running sum is formed in
     # the profile's own array, both returned; then four pieces of the
@@ -76,6 +102,46 @@ def test_deterministic_sweep_working_set(pure_power):
     assert _transient_arrays(lambda: sweep_deltas(
         problem, lavrentiev(), problem.phi, pure_power.deltas, DETERMINISTIC,
         1.0)) <= 2 + 4 * PIECE + SLACK
+
+
+def test_white_sweep_working_sets(power_decay):
+    # b's values and D(alpha)'s two arrays, held until the last alpha* is
+    # chosen; each delta's filter, residual and their temporaries (about 3
+    # arrays) beside the earlier deltas' weights.  A cut-off's noise
+    # weights are one buffer, prefixes of the widest, and it keeps no cross
+    # vector; a truncated Lavrentiev sweep keeps both vectors of every
+    # delta on its support, which is every node of the counting problem
+    # (measured: 6.43, 8.38 and 12.00 arrays)
+    counting = counting_problem(N, PowerIndex(1.0))
+    for problem, scheme, deltas, bound in (
+            (power_decay, truncate(spectral_cutoff()), DELTAS, 6.5),
+            (power_decay, truncate(lavrentiev()), DELTAS, 8.5),
+            (counting, lavrentiev(), DELTAS[::2], 12.125)):
+        assert _transient_arrays(_white_sweep(problem, scheme, deltas)) \
+            <= bound + SLACK
+
+
+def test_cutoff_sweep_keeps_one_noise_buffer_and_no_cross_vector(
+        power_decay, monkeypatch):
+    held, monte_carlo = [], analysis._monte_carlo
+    monkeypatch.setattr(analysis, "_monte_carlo", lambda weights, *args:
+                        held.extend(weights) or monte_carlo(weights, *args))
+    _white_sweep(power_decay, truncate(spectral_cutoff()), DELTAS)()
+    noise = [w.sum_w[1] for w in held]
+    widest = max(noise, key=np.size)
+    assert [w.sum_w[0].size for w in held] == [0] * len(DELTAS)
+    assert all(v is widest or v.base is widest for v in noise)
+    assert widest.size > noise[0].size > 0
+
+
+def test_phi_star_working_set():
+    # b's values, |s|, the inner-region mask (1/8) and the sorted copy of
+    # the values; the outer half is read from slices of the nodes, not
+    # gathered
+    problem = DeconvolutionProblem("exponential", 40.0, N)
+    assert _transient_arrays(lambda: phi_star(problem.multiplier,
+                                              problem.freq_space)) \
+        <= 3 + 1 / 8 + SLACK
 
 
 def test_build_problem_working_set(pure_power):
