@@ -202,7 +202,7 @@ class _Study:
                 raise DivergentProfile(str(exc), diagnosis=exc.diagnosis) from exc
         res_f = scheme.residual(alpha, vals) * self.f
         bias_ = space.norm(res_f)
-        k = _nonzero_span(phi_v)[1]
+        k = _nonzero_end(phi_v)
         w_k, phi_k = space.weights[:k], phi_v[:k]
         cross = w_k * res_f[:k] * phi_k
         del res_f
@@ -223,7 +223,7 @@ class _Study:
         one length-n buffer, squared and weighted in place (the residual by
         ``Scheme.residual_into``, the exact data as vals * f, then filtered
         and subtracted from f).  Where the filter is zero the residual is
-        exactly 1 (1 - t * 0, or the cut-off and truncated forms), so with
+        exactly 1 (1 - t * 0, or the cut-off's indicator), so with
         finite data both terms are w f^2 there, and such a piece is filled
         once.  The noise's support is patched last.  The buffer is then the
         dense w x^2 array, so the norms equal those of the dense
@@ -505,16 +505,13 @@ class McResult:
     cross_term_stderr: float
 
 
-def _nonzero_span(x: np.ndarray) -> tuple:
-    """``(lo, hi)`` with every nonzero of x in ``x[lo:hi]``; ``(x.size, 0)``
-    if there is none."""
-    if x[0] != 0 and x[-1] != 0:
-        return 0, x.size
-    nonzero = x != 0
-    lo = int(np.argmax(nonzero))
-    if not nonzero[lo]:
-        return x.size, 0
-    return lo, x.size - int(np.argmax(nonzero[::-1]))
+def _nonzero_end(x: np.ndarray) -> int:
+    """One past the last nonzero entry of x; 0 if there is none."""
+    if x[-1] != 0:
+        return x.size
+    nonzero = x[::-1] != 0
+    last = int(np.argmax(nonzero))
+    return x.size - last if nonzero[last] else 0
 
 
 def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,

@@ -141,7 +141,8 @@ class TableIndex(IndexFunction):
         self.ts = ts
         self.values = values
         self.name = name
-        self.domain = (float(ts[0]) * (1 - 1e-12), float(ts[-1]))
+        lo = min(ts[0] * (1 - 1e-12), np.nextafter(ts[0], 0))  # also below a subnormal
+        self.domain = (float(lo), float(ts[-1]))
 
     def _eval(self, t):
         return np.exp(np.interp(np.log(t), self._log_t, self._log_v))

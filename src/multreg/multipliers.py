@@ -298,8 +298,8 @@ class Tabulated(Multiplier):
     def __post_init__(self):
         vals = np.array(self.values, float)  # a copy, read-only from here
         vals.flags.writeable = False
-        if np.any(vals < 0):
-            raise ValueError("multiplier values must be nonnegative")
+        if not np.isfinite(vals).all() or np.any(vals < 0):
+            raise ValueError("multiplier values must be nonnegative and finite")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "sup_bound", float(np.max(vals)))
 

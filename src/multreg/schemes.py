@@ -13,7 +13,7 @@ all t >= 0 and all alpha > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -30,10 +30,11 @@ class Scheme:
     """Filter family phi(alpha, t) with stored constants.
 
     ``c_minus1`` bounds |phi| <= c_minus1 / alpha, ``c_0`` bounds the
-    residual; ``truncated`` records that phi vanishes on {t <= alpha} by
-    construction.  ``_residual`` optionally holds the analytically
-    simplified form of 1 - t*phi (the cut-off indicator, say), which
-    avoids amplifying the roundoff of t*(1/t) in qualification suprema.
+    residual.  ``phi`` evaluates ``_filter`` (a new array) on all t and, if
+    ``truncated``, zeroes it wherever not t > alpha: the one truncation
+    rule.  ``_residual`` optionally holds the simplified form of 1 - t*phi
+    (the cut-off indicator, say), which avoids amplifying the roundoff of
+    t*(1/t) in qualification suprema; it must agree with the truncation.
     """
 
     name: str
@@ -49,6 +50,8 @@ class Scheme:
             raise ValueError("alpha must be positive")
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = self._filter(alpha, t_arr)
+        if self.truncated:  # zero wherever not t > alpha, NaN t included
+            np.copyto(out, 0.0, where=~(t_arr > alpha))
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def residual(self, alpha: float, t):
@@ -57,15 +60,16 @@ class Scheme:
         if self._residual is not None:
             out = self._residual(alpha, t_arr)
         else:
-            out = 1.0 - t_arr * self._filter(alpha, t_arr)
+            phi_t = self.phi(alpha, t_arr)
+            out = self.residual_into(alpha, t_arr, phi_t, out=phi_t)
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def residual_into(self, alpha: float, t: np.ndarray, phi_t: np.ndarray,
                       out: np.ndarray) -> np.ndarray:
         """``residual(alpha, t)`` written into ``out``, bit for bit, given the
         filter values ``phi_t = phi(alpha, t)``: a scheme without a
-        simplified residual forms 1 - t * phi_t in ``out``, allocating
-        nothing."""
+        simplified residual forms 1 - t * phi_t in ``out``, which may be
+        ``phi_t`` itself, allocating nothing."""
         if self._residual is not None:
             out[...] = self._residual(alpha, t)
         else:
@@ -75,10 +79,7 @@ class Scheme:
 
 def spectral_cutoff() -> Scheme:
     def f(alpha, t):
-        out = np.zeros_like(t)
-        above = t > alpha
-        out[above] = 1.0 / t[above]
-        return out
+        return np.divide(1.0, t, out=np.zeros_like(t), where=t > alpha)
 
     def r(alpha, t):
         # 1 - t*(1/t) simplified exactly: the indicator of {t <= alpha}
@@ -111,22 +112,14 @@ def tikhonov_wiener() -> Scheme:
 def truncate(scheme: Scheme) -> Scheme:
     """Modified family chi_(alpha,inf)(t) * phi(alpha, t); same constants.
 
-    The residual becomes chi_(alpha,inf) * R_parent + chi_(0,alpha].
+    The flag does the truncation (``Scheme.phi``); a simplified residual is
+    kept only if the scheme is truncated already, so truncating a truncated
+    family changes its name alone.
     """
-    base = scheme._filter
-    parent_residual = scheme.residual
-
-    def f(alpha, t):
-        out = base(alpha, t)
-        return np.where(t > alpha, out, 0.0)
-
-    def r(alpha, t):
-        return np.where(t > alpha, parent_residual(alpha, t), 1.0)
-
     name = scheme.name if scheme.name.startswith("truncated:") \
         else f"truncated:{scheme.name}"
-    return Scheme(name, scheme.c_minus1, scheme.c_0, truncated=True,
-                  _filter=f, _residual=r)
+    return replace(scheme, name=name, truncated=True,
+                   _residual=scheme._residual if scheme.truncated else None)
 
 
 _BUILTINS = {

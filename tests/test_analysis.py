@@ -368,6 +368,7 @@ def test_illposedness_is_the_exact_step_function(case):
 
 @pytest.mark.parametrize("lo, hi", [(0.0, np.finfo(float).max), (1e-300, 1e300),
                                     (1e-12, 1.0)])
+@pytest.mark.numpy_floor
 def test_solve_increasing_returns_the_exact_smallest_root(lo, hi):
     roots = [c for c in np.geomspace(1e-300, 1e300, 61) if lo < c <= hi]
     roots += [np.nextafter(lo, np.inf), hi]
@@ -390,6 +391,7 @@ SOLVER_PHIS = {"t^0.5": PowerIndex(0.5), "t": PowerIndex(1.0),
 
 
 @pytest.mark.parametrize("name", SOLVER_PHIS)
+@pytest.mark.numpy_floor
 def test_choose_alpha_deterministic_and_inverse_are_the_smallest_root(name):
     # the smallest double meeting the rule, so the bracket does not matter
     phi = SOLVER_PHIS[name]
@@ -470,6 +472,7 @@ def test_choose_alpha_white_guards():
         choose_alpha_white(PowerIndex(1.0), prof, 10.0)
 
 
+@pytest.mark.numpy_floor
 def test_choose_alpha_white_where_d_is_flat_below_the_smallest_node():
     # D = 1 on [1e-9, 1) and 1e9 below, so phi - delta D ties by rounding
     # on the probes below 1e-9; the smallest root is delta itself
@@ -552,6 +555,7 @@ def test_monte_carlo_cross_term_centered():
     assert mc.cross_term_stderr > 0
 
 
+@pytest.mark.numpy_floor
 def test_monte_carlo_budget_identity():
     # mean squared error = bias^2 + mean noise term - mean cross term,
     # an exact per-replication identity up to roundoff
@@ -565,6 +569,7 @@ def test_monte_carlo_budget_identity():
 
 @pytest.mark.parametrize("scheme", [spectral_cutoff(), truncate(spectral_cutoff())],
                          ids=["cutoff", "truncated_cutoff"])
+@pytest.mark.numpy_floor
 def test_monte_carlo_cutoff_cross_term_is_zero(scheme):
     # a cut-off's residual is exactly 0 where its filter is not, so every
     # replication's cross term is; the support is not a prefix of the nodes
@@ -688,6 +693,7 @@ MC_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(MC_CASES))
+@pytest.mark.numpy_floor
 def test_monte_carlo_matches_per_replication_reference(case):
     make, scheme, alpha, delta, n_reps, distribution = MC_CASES[case]
     b, space, f = make()
@@ -817,6 +823,7 @@ def _shared_stream_problems():
 @pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
 @pytest.mark.parametrize("n_reps", [2, 7, 8])
 @pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.numpy_floor
 def test_white_sweep_rows_equal_single_delta_rows_on_shared_streams(
         threads, n_reps, distribution, monkeypatch):
     # each row is the one-delta row on the sweep's streams, ==, whatever the
@@ -890,6 +897,7 @@ def _full_check(b, space, f):
 
 
 @pytest.mark.parametrize("n", [2**17, 2**17 + 6])
+@pytest.mark.numpy_floor
 def test_chunked_tail_sup_equals_the_grids_maximum_beyond_r(n):
     # pieces of at most _PIECE nodes, the last one short at 2^17 + 6
     # nodes; at 2^17, and only there, a piece edge of each grid falls at R.
@@ -915,6 +923,7 @@ def test_chunked_tail_sup_equals_the_grids_maximum_beyond_r(n):
         assert tail.tail_sup == max(sups)
 
 
+@pytest.mark.numpy_floor
 def test_white_sweep_skips_the_divergence_sums_where_the_tail_is_zero(monkeypatch):
     # truncated cut-off on a power-decay half-line: the alpha* of the first
     # four deltas lie above every b value beyond R, the fifth's below them
@@ -973,6 +982,7 @@ def _outcome(scheme, alpha, study):
 @pytest.mark.parametrize("scheme", [spectral_cutoff(), truncate(lavrentiev()),
                                     truncate(tikhonov_wiener()), lavrentiev()],
                          ids=lambda s: s.name)
+@pytest.mark.numpy_floor
 def test_zero_tail_skip_agrees_with_the_full_divergence_check(scheme, monkeypatch):
     # with the sweep's ``_Study`` each alpha gives the weights, or the
     # DivergentProfile message and diagnosis, of the full 2R/4R check
@@ -1067,6 +1077,7 @@ def _weights(delta, cross, noise):
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.numpy_floor
 def test_monte_carlo_shares_products_between_prefix_equal_weights(threads):
     # the 120-node vectors are prefixes of the 300-node ones; the 200-node
     # noise weights differ from that prefix in their last entry alone
@@ -1089,6 +1100,7 @@ def test_monte_carlo_shares_products_between_prefix_equal_weights(threads):
 
 @pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
 @pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.numpy_floor
 def test_monte_carlo_on_mixed_cutoff_and_lavrentiev_weights(threads, distribution):
     # each result equals its one-delta call, ==, at 500 nodes and above
     # BLOCK nodes, where a block holds one replication
@@ -1144,6 +1156,7 @@ def _dense_budget(scheme, alpha, b, space, f, delta, noise):
 @pytest.mark.parametrize("scheme", [spectral_cutoff(), lavrentiev(),
                                     tikhonov_wiener(), truncate(lavrentiev())],
                          ids=lambda s: s.name)
+@pytest.mark.numpy_floor
 def test_deterministic_rows_equal_the_dense_reference(scheme):
     # the one-node worst-case noise and the error evaluated in pieces of
     # the nodes give the rows of the dense expressions, with no tolerance
@@ -1179,6 +1192,7 @@ def test_deterministic_rows_equal_the_dense_reference(scheme):
 
 @pytest.mark.parametrize("scheme", [spectral_cutoff(), truncate(lavrentiev())],
                          ids=lambda s: s.name)
+@pytest.mark.numpy_floor
 def test_truncated_filter_is_not_evaluated_where_b_is_at_most_alpha(
         scheme, monkeypatch):
     # b_j = 1/j on 2^17 + 3 nodes: the filter is zero on every piece past
@@ -1198,6 +1212,29 @@ def test_truncated_filter_is_not_evaluated_where_b_is_at_most_alpha(
     assert calls and all(top > alpha for alpha, size, top in calls if size > 1)
     assert [size for alpha, size, _ in calls if alpha == 1e-5 and size > 1] \
         == [analysis._PIECE] * 14  # pieces 0 to 6, twice
+
+
+def test_monte_carlo_weights_end_at_the_filters_last_nonzero_node():
+    # b_j = 1/j: the cut-off is nonzero on j <= 3 at alpha = 0.3, on every
+    # node at alpha = 1e-3, and on none at alpha = 2
+    problem = counting_problem(50, PowerIndex(1.0))
+    study = analysis._Study(problem.b, problem.space, problem.f_true)
+    for alpha, k in ((0.3, 3), (1e-3, 50), (2.0, 0)):
+        assert study.mc_weights(spectral_cutoff(), alpha, 1e-3).sum_w[1].size == k
+
+
+@pytest.mark.numpy_floor
+def test_a_hand_built_truncated_scheme_sweeps_like_truncated_lavrentiev():
+    # the flag, not the builder, truncates: the zero-tail and zero-piece
+    # shortcuts that read it then hold for a filter written without a mask
+    b, space = power_decay_pair(0.5, 50.0, 2**15)
+    problem = MultiplicationProblem(b, space, b.values_on(space) ** 0.5)
+    fake = Scheme("fake", 1.0, 1.0, True, lambda a, t: 1 / (t + a))
+    for mode, n_reps in ((WHITE, 20), (DETERMINISTIC, 1)):
+        rows = [sweep_deltas(problem, scheme, PowerIndex(0.5), [1e-2, 1e-3], mode,
+                             1.0, n_reps=n_reps, seed=3).rows
+                for scheme in (fake, truncate(lavrentiev()))]
+        assert rows[0] == rows[1]
 
 
 def test_deterministic_error_with_a_non_finite_signal():

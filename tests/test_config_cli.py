@@ -724,6 +724,22 @@ output: {directory: OUTDIR}
     assert len(calls) == 1
 
 
+def test_reciprocal_measure_of_a_gaussian_deconvolution_runs(tmp_path):
+    # phi* = 1/d_b has a subnormal smallest level on 1000 nodes; its table
+    # takes its own first knot
+    path = write_config(tmp_path, """\
+problem: {kind: deconvolution, kernel: gaussian}
+scheme: truncated:lavrentiev
+index_function: {family: reciprocal_measure}
+noise: {mode: deterministic, deltas: [1.0e-2, 1.0e-3, 1.0e-4, 1.0e-5]}
+discretization: {n_nodes: 1000}
+output: {directory: OUTDIR}
+""")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) \
+        == EXIT_OK
+    assert len((tmp_path / "out" / "rows.csv").read_text().splitlines()) == 5
+
+
 def test_reconstruct_chooses_alpha_like_run(tmp_path, capsys):
     text = """\
 problem: {kind: fvp_bounded}

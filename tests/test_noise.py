@@ -10,6 +10,8 @@ from multreg.noise import DeterministicNoise, concentrated_noise
 from multreg.analysis import FIRST_STREAM as STREAM_STRIDE
 from multreg.gallery import compact_case
 
+pytestmark = pytest.mark.numpy_floor
+
 
 def test_same_seed_and_stream_reproduce():
     space = MeasureSpace.counting(512)

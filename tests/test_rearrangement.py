@@ -138,6 +138,7 @@ def test_decreasing_requires_vanishing():
         decreasing_rearrangement(b, space)
 
 
+@pytest.mark.numpy_floor
 def test_uniform_weight_sort_equals_the_argsort_path_bit_for_bit():
     # equal weights stored as one value: the values alone are sorted, on a
     # copy, and give the stable argsort's result bit for bit, ties, +-0.0

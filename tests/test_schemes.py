@@ -210,3 +210,76 @@ def test_qualification_estimate_equals_the_per_alpha_grids(name):
     for phi in (PowerIndex(0.5), PowerIndex(1.0), PowerIndex(1.5)):
         assert _cphi_estimate(scheme, phi, alphas, ts) == \
             _scalar_cphi(scheme, phi, alphas, ts)
+
+
+EDGE_ALPHAS = (1e-300, 1e-8, 1e-3, 0.5, 2.0)
+
+
+def _edge_grid(a):
+    # t = 0, the smallest subnormal, a subnormal, inf, alpha and its two
+    # neighbours, then 3000 values from 1e-320 to 1e300
+    return np.concatenate([[0.0, 5e-324, 1e-310, np.inf, a, np.nextafter(a, 0),
+                            np.nextafter(a, np.inf)],
+                           np.geomspace(1e-320, 1e300, 2000), np.linspace(0, 3, 1000)])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _same_bits(scheme, reference, a, t):
+    """phi and residual of ``scheme`` at (a, t) have the reference's bits,
+    as an array call and as scalar calls; ``reference(fn, a, t)``."""
+    for fn in ("phi", "residual"):
+        assert np.array_equal(_bits(getattr(scheme, fn)(a, t)), _bits(reference(fn, a, t)))
+        for x in t[::41]:
+            assert _bits(getattr(scheme, fn)(a, float(x))) == \
+                _bits(reference(fn, a, np.array([x])))[0]
+
+
+@pytest.mark.numpy_floor
+@pytest.mark.parametrize("parent", [lavrentiev(), tikhonov_wiener()], ids=lambda s: s.name)
+def test_truncation_equals_the_reference_composition_bit_for_bit(parent):
+    below = {"phi": 0.0, "residual": 1.0}
+
+    def composed(fn, a, t):
+        return np.where(t > a, getattr(parent, fn)(a, t), below[fn])
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for a in EDGE_ALPHAS:
+            _same_bits(truncate(parent), composed, a, _edge_grid(a))
+        # at t = NaN the filter is 0 and the residual 1 - NaN * 0 is NaN
+        assert truncate(parent).phi(0.1, np.nan) == 0.0
+        assert np.isnan(truncate(parent).residual(0.1, np.nan))
+
+
+@pytest.mark.numpy_floor
+def test_truncated_cutoff_is_the_cutoff_bit_for_bit():
+    cut = spectral_cutoff()
+    for a in EDGE_ALPHAS:
+        t = np.append(_edge_grid(a), np.nan)
+        _same_bits(truncate(cut), lambda fn, a, t: getattr(cut, fn)(a, t), a, t)
+    assert truncate(cut).name == "truncated:cutoff"
+
+
+def test_the_truncated_flag_truncates_a_hand_built_filter():
+    fake = Scheme("fake", 1.0, 1.0, True, lambda a, t: 1 / (t + a))
+    for a in EDGE_ALPHAS:
+        t = _edge_grid(a)
+        below = ~(t > a)
+        with np.errstate(invalid="ignore"):  # 1 - inf * 0 at t = inf
+            assert np.all(fake.phi(a, t)[below] == 0.0)
+            assert np.all(fake.residual(a, t)[below] == 1.0)
+        assert fake.phi(a, a) == 0.0 and fake.residual(a, a) == 1.0
+
+
+def test_truncate_drops_the_simplified_residual_of_an_untruncated_scheme():
+    lav = Scheme("lav", 1.0, 1.0, False, lambda a, t: 1 / (t + a),
+                 _residual=lambda a, t: a / (t + a))
+    for a in PROBE_ALPHA:
+        below = PROBE_T <= a
+        residual = truncate(lav).residual(a, PROBE_T)
+        assert np.all(residual[below] == 1.0)
+        # above alpha: 1 - t * phi, not the dropped simplified form
+        assert np.array_equal(residual[~below],
+                              lavrentiev().residual(a, PROBE_T)[~below])

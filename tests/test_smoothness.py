@@ -91,6 +91,7 @@ SCALAR_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(SCALAR_CASES))
+@pytest.mark.numpy_floor
 def test_scalar_call_equals_the_array_path(name):
     # 20,000 points across the domain and its ends: a float, an int, a 0-d
     # array and a numpy scalar give the 0-d array evaluation, ==, and the
@@ -138,6 +139,17 @@ def test_validate_needs_room_to_probe():
         validate_index_function(TableIndex([0.1, 0.2, 0.4], [1.0, 2.0, 4.0]))
     with pytest.raises(ValueError):
         TableIndex([0.1, 0.2], [2.0, 1.0])  # not increasing
+
+
+def test_a_table_accepts_its_subnormal_first_knot():
+    # ts[0] * (1 - 1e-12) rounds back to ts[0] there: the domain's lower
+    # edge must still lie below it
+    table = TableIndex([1e-323, 1e-3], [1e-3, 1.0])
+    assert table.domain[0] < 1e-323
+    assert table(1e-323) == pytest.approx(1e-3, rel=1e-12)
+    assert table(np.array([1e-323, 1e-3])) == pytest.approx([1e-3, 1.0], rel=1e-12)
+    normal = TableIndex([1e-6, 1e-3], [1e-3, 1.0])
+    assert normal.domain[0] == 1e-6 * (1 - 1e-12)
 
 
 # --- phi* ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from multreg import (DETERMINISTIC, WHITE, DeconvolutionProblem,
                      EigenvaluesNotDivergent, ExponentialSequence,
                      GaussianFrequency, MeasureSpace, MultiplicationProblem,
                      MultRegError, PowerDecay, PowerIndex,
-                     PurePower, Tabulated, distribution_function,
+                     PurePower, Tabulated, compact_case, distribution_function,
                      effective_illposedness, from_frequency, lavrentiev,
                      lavrentiev_deconvolve, to_frequency, truncate)
 from multreg.analysis import sweep_deltas
@@ -117,6 +117,14 @@ def test_tabulated_keeps_a_read_only_copy():
         table[0] = 2.0
 
 
+def test_tables_refuse_non_finite_values():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            Tabulated([1.0, bad])
+        with pytest.raises(ValueError):
+            compact_case([1.0, bad])
+
+
 def test_exponential_sequence_guards():
     with pytest.raises(EigenvaluesNotDivergent):
         ExponentialSequence(1.0, 1.0, (3.0, 2.0, 1.0))
@@ -156,6 +164,7 @@ def _study_rows(b, space):
 
 
 @pytest.mark.parametrize("n", [10, 8193, 2**17 + 3])
+@pytest.mark.numpy_floor
 def test_uniform_weights_are_one_read_only_value_read_as_dense(n):
     # each uniform space stores its weight once, with stride 0, and refuses
     # writes; every quadrature, rearrangement and study reads it exactly as
@@ -187,6 +196,7 @@ def _bits(x):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 2**17 + 3])
+@pytest.mark.numpy_floor
 def test_uniform_nodes_are_the_array_expressions_bit_for_bit(n):
     # a uniform space stores a node formula; its nodes, its pieces and b's
     # values on them are the closed-form arrays, and b of those, bit for bit
@@ -217,6 +227,7 @@ def test_uniform_nodes_are_the_array_expressions_bit_for_bit(n):
 
 
 @pytest.mark.parametrize("n", [4, 6, 1002, 2**17 + 2])
+@pytest.mark.numpy_floor
 def test_lavrentiev_deconvolve_is_the_full_spectrum_composition(n):
     # filtering the half spectrum equals the estimator on all n frequencies
     # composed with the transforms, ==
