@@ -54,10 +54,44 @@ class VarianceValue:
         return self.value
 
 
+def _half(n: int) -> int:
+    """Where numpy's pairwise sum splits a node of n > 128 values: at half,
+    rounded down to a multiple of 8."""
+    return n // 2 - n // 2 % 8
+
+
+def _leaves(n: int, cap: int = _PIECE) -> list:
+    """The slices of numpy's pairwise-sum tree over n values that hold at
+    most ``cap`` values, ``cap`` >= 128, and whose parent holds more, in
+    order.  ``np.sum`` of a leaf is its subtree's sum, so ``_fold`` of the
+    leaves' sums is ``np.sum`` of the n values bit for bit, formed one leaf
+    at a time (Higham, SIAM J. Sci. Comput. 14, 1993)."""
+    if n <= cap:
+        return [slice(0, n)]
+    half = _half(n)
+    return _leaves(half, cap) + [slice(p.start + half, p.stop + half)
+                                 for p in _leaves(n - half, cap)]
+
+
+def _fold(sums, n: int, cap: int = _PIECE) -> float:
+    """The sum of n values from the sums of their ``_leaves(n, cap)``, added
+    as numpy adds them."""
+    sums = iter(sums)
+
+    def node(m):
+        return next(sums) if m <= cap else node(_half(m)) + node(m - _half(m))
+
+    return float(node(n))
+
+
 def _square_sum(alpha, weights, phi_v):
-    """``sum(weights * phi_v ** 2)``; raises FilterOverflow unless finite."""
+    """``np.sum(weights * phi_v ** 2)``, bit for bit, formed leaf by leaf;
+    ``phi_v`` is the filter's values, or a function that gives them on a
+    slice of the nodes.  Raises FilterOverflow unless finite."""
+    on = phi_v if callable(phi_v) else phi_v.__getitem__
     with np.errstate(divide="ignore", over="ignore"):
-        out = float(np.sum(weights * phi_v ** 2))
+        out = _fold([np.sum(weights[p] * on(p) ** 2)
+                     for p in _leaves(weights.size)], weights.size)
     if not np.isfinite(out):
         raise FilterOverflow(
             f"filter values overflow at alpha = {alpha:.3g}; the requested "
@@ -74,12 +108,14 @@ _GROWTH_THRESHOLD = 0.01
 
 class _Study:
     """What every delta of a study of b on a space (and a solution f) reads,
-    each found once, on first use: b's values and their largest on each
-    piece (``piece_sups``), whether the exact data ``vals * f`` are finite,
-    the ``tail_sup`` and the 2R and 4R ``grids``.
+    each found once, on first use: b's values, whether the exact data
+    ``vals * f`` are finite, the ``tail_sup`` and the 2R and 4R ``grids``.
 
     The methods are the bodies of ``variance_integral``,
-    ``evaluate_deterministic`` and one delta's part of ``monte_carlo_rms``.
+    ``evaluate_deterministic`` and one delta's part of ``monte_carlo_rms``
+    (``mc_weights``: ``white_check``, then ``white_weights``).  Each node
+    sum is formed leaf by leaf on numpy's pairwise tree (``_leaves``), with
+    the dense sum's bits and no node-length temporary.
     """
 
     def __init__(self, b: Multiplier, space: MeasureSpace, f=None):
@@ -91,16 +127,12 @@ class _Study:
         return self.b.values_on(self.space)
 
     @cached_property
-    def piece_sups(self) -> np.ndarray:
-        """b's largest value on each piece of ``_PIECE`` nodes."""
-        return np.maximum.reduceat(self.vals, np.arange(0, self.vals.size, _PIECE))
-
-    @cached_property
     def finite(self) -> bool:
-        """Whether ``vals * f`` is finite.  Where the filter is zero, the
-        error f - 0 * (vals f) and the bias term 1 * f are then f up to the
-        sign of a zero."""
-        return bool(np.isfinite(self.vals * self.f).all())
+        """Whether ``vals * f`` is finite, taken leaf by leaf.  Where the
+        filter is zero, the error f - 0 * (vals f) and the bias term 1 * f
+        are then f up to the sign of a zero."""
+        vals, f = self.vals, self.f
+        return all(np.isfinite(vals[p] * f[p]).all() for p in _leaves(vals.size))
 
     def _sup_beyond(self, radius: float, factors) -> float:
         """b's largest value on the nodes beyond ``radius`` of the grids at
@@ -125,15 +157,14 @@ class _Study:
         return tuple((sp, self.b.values_on(sp)) for sp in
                      map(self.space.extended, _EXTENSIONS))
 
-    def variance(self, scheme: Scheme, alpha: float,
-                 phi_v: np.ndarray | None = None) -> VarianceValue:
-        """The body of ``variance_integral``; ``phi_v``, when given, is the
-        filter on b's values, and the base sum is taken from it."""
+    def variance(self, scheme: Scheme, alpha: float) -> VarianceValue:
+        """The body of ``variance_integral``; each grid's sum evaluates the
+        filter leaf by leaf."""
         b, space, vals = self.b, self.space, self.vals
 
         def square_sum(weights, values):
-            with np.errstate(divide="ignore", over="ignore"):
-                return _square_sum(alpha, weights, scheme.phi(alpha, values))
+            return _square_sum(alpha, weights,
+                               lambda p: scheme.phi(alpha, values[p]))
 
         if space.extensible and not b.evaluable:
             # fixed tables on an infinite-measure space: judge the tail analytically
@@ -153,8 +184,7 @@ class _Study:
                     "the filter is positive",
                     diagnosis={"alpha": alpha, "tail_level": tail_level},
                 )
-        base = square_sum(space.weights, vals) if phi_v is None \
-            else _square_sum(alpha, space.weights, phi_v)
+        base = square_sum(space.weights, vals)
         if not (space.extensible and b.evaluable) or (
                 scheme.truncated and alpha >= self.tail_sup):
             return VarianceValue(base)
@@ -184,91 +214,130 @@ class _Study:
     def mc_weights(self, scheme: Scheme, alpha: float,
                    delta: float) -> _McWeights:
         """One delta's Monte Carlo weights, once its variance integral is
-        known to converge (see ``monte_carlo_rms``).
+        known to converge (see ``monte_carlo_rms``)."""
+        self.white_check(scheme, alpha, delta)
+        return self.white_weights(scheme, alpha, delta)
 
-        The filter is evaluated on b's values once: the variance check
-        (``variance``) takes its base sum, and its FilterOverflow check,
-        from those values.  An all-zero cross vector (every cut-off's, as
-        the residual is 0 wherever the filter is not) is returned as an
-        empty array.
-        """
-        vals, space = self.vals, self.space
-        with np.errstate(divide="ignore", over="ignore"):
-            phi_v = scheme.phi(alpha, vals)
+    def white_check(self, scheme: Scheme, alpha: float, delta: float) -> None:
+        """A white delta's divergence check, none at delta = 0: ``variance``,
+        a Divergent raised as DivergentProfile.  It holds no node-length
+        array beyond the study's: the base sum and its FilterOverflow test
+        evaluate the filter leaf by leaf."""
         if delta > 0:
             try:
-                self.variance(scheme, alpha, phi_v)
+                self.variance(scheme, alpha)
             except Divergent as exc:
                 raise DivergentProfile(str(exc), diagnosis=exc.diagnosis) from exc
-        res_f = scheme.residual(alpha, vals) * self.f
-        bias_ = space.norm(res_f)
+
+    def white_weights(self, scheme: Scheme, alpha: float,
+                      delta: float) -> _McWeights:
+        """One delta's ``_McWeights``, after its ``white_check``.
+
+        The filter is evaluated on b's values once; the weights end at k,
+        its last nonzero node + 1.  The bias is summed leaf by leaf, each
+        leaf's R(b) f formed in one scratch buffer, which also tells
+        whether the cross vector w R(b)f phi has a nonzero entry on [0, k).
+        Only then is it allocated, and formed in place; otherwise (every
+        cut-off's, as the residual is 0 wherever the filter is not) it is
+        an empty array.
+        """
+        vals, f, w, n = self.vals, self.f, self.space.weights, self.vals.size
+        with np.errstate(divide="ignore", over="ignore"):
+            phi_v = scheme.phi(alpha, vals)
         k = _nonzero_end(phi_v)
-        w_k, phi_k = space.weights[:k], phi_v[:k]
-        cross = w_k * res_f[:k] * phi_k
-        del res_f
-        if not cross.any():
-            cross = np.empty(0)
-        return _McWeights(delta, bias_, (cross, w_k * phi_k ** 2))
+
+        def residual_f(p, out):  # R(b) f on the nodes p, into out
+            scheme.residual_into(alpha, vals[p], phi_v[p], out)
+            return np.multiply(out, f[p], out=out)
+
+        x, sums, crossed = np.empty(min(n, _PIECE)), [], False
+        for p in _leaves(n):
+            x_p = residual_f(p, x[:p.stop - p.start])
+            on = slice(p.start, max(p.start, min(p.stop, k)))  # below k
+            crossed = crossed or bool(np.any(w[on] * x_p[:on.stop - on.start]
+                                             * phi_v[on]))
+            np.multiply(w[p], np.multiply(x_p, x_p, out=x_p), out=x_p)
+            sums.append(np.sum(x_p))
+        cross = np.empty(k if crossed else 0)
+        if crossed:
+            residual_f(slice(0, k), cross)
+            np.multiply(np.multiply(w[:k], cross, out=cross), phi_v[:k], out=cross)
+        return _McWeights(delta, float(np.sqrt(_fold(sums, n))),
+                          (cross, w[:k] * phi_v[:k] ** 2))
 
     def deterministic(self, scheme: Scheme, alpha: float, delta: float,
                       noise: DeterministicNoise | None = None) -> ErrorBudget:
         """The body of ``evaluate_deterministic``; without ``noise``, the
         worst admissible one: all mass at the node where |phi| is largest.
 
-        The filter is evaluated on pieces of ``_PIECE`` nodes, twice: for
-        the bias, which also finds the worst node and the pieces where the
-        filter is zero, then for the error.  With finite data, a truncated
-        filter is not evaluated on a piece where b is at most alpha
-        (``piece_sups``): it is zero there.  Each term is computed into the
-        one length-n buffer, squared and weighted in place (the residual by
-        ``Scheme.residual_into``, the exact data as vals * f, then filtered
-        and subtracted from f).  Where the filter is zero the residual is
-        exactly 1 (1 - t * 0, or the cut-off's indicator), so with
-        finite data both terms are w f^2 there, and such a piece is filled
-        once.  The noise's support is patched last.  The buffer is then the
-        dense w x^2 array, so the norms equal those of the dense
-        expressions f - phi (vals f + delta noise) and R(b) f bit for bit,
-        for finite filter values.
+        One pass over the leaves of numpy's pairwise tree (``_leaves``)
+        evaluates the filter once on each node and forms the leaf's bias
+        and error sums, each term in one leaf buffer, squared and weighted
+        in place (the residual by ``Scheme.residual_into``, the exact data
+        as vals * f, then filtered and subtracted from f).  With finite
+        data, a truncated filter is not evaluated on a leaf where b is at
+        most alpha: it is zero there.  Where the filter is zero the
+        residual is exactly 1 (1 - t * 0, or the cut-off's indicator), so
+        with finite data both terms are w f^2 there, formed once.  The
+        error on the noise's support is patched into the leaves that hold
+        it: as they are formed for a given noise; for the worst one, into
+        the worst node's leaf, held until the pass ends and then summed
+        again.  The folded sums are those of the dense expressions
+        f - phi (vals f + delta noise) and R(b) f, bit for bit, for finite
+        filter values.
         """
-        # the data's finiteness first: its temporaries then come and go
-        # before the buffer is allocated
         finite, vals, f, space = self.finite, self.vals, self.f, self.space
         w, n = space.weights, vals.size
-        w_sq = np.empty(n)
-        pieces = [slice(lo, lo + _PIECE) for lo in range(0, n, _PIECE)]
-        zero, tops, worst = [], [], []
         skip = finite and scheme.truncated
-        for p, sup in zip(pieces, self.piece_sups):
-            x = w_sq[p]
-            if skip and sup <= alpha:  # a truncated filter is 0 on {b <= alpha}
+
+        def patch(noise):  # the error's w x^2 on the noise's support
+            on = noise.support
+            phi_on = scheme.phi(alpha, vals[on])
+            x = f[on] - phi_on * (vals[on] * f[on] + delta * noise.values)
+            return ((*on.indices(n)[:2], w[on] * (x * x)),
+                    delta * space.norm(phi_on * noise.values, on))
+
+        def summed(p, x_p):  # np.sum of the leaf p's error, patched
+            lo, hi, values = support
+            a, b = max(p.start, lo), min(p.stop, hi)
+            if a < b:
+                x_p[a - p.start:b - p.start] = values[a - lo:b - lo]
+            return np.sum(x_p)
+
+        support, noise_term = ((0, 0, None), None) if noise is None \
+            else patch(noise)
+        x, held = np.empty(min(n, _PIECE)), np.empty(min(n, _PIECE))
+        leaves, bias, error, tops, worst = _leaves(n), [], [], [], []
+        for p in leaves:
+            x_p = x[:p.stop - p.start]
+            if skip and np.max(vals[p]) <= alpha:  # truncated: 0 on {b <= alpha}
                 top, i = [0.0], 0
             else:
                 phi_p = scheme.phi(alpha, vals[p])
                 i = int(np.argmax(top := np.abs(phi_p)))  # the first largest
             tops.append(top[i])
             worst.append(p.start + i)
-            zero.append(finite and top[i] == 0)
-            if zero[-1]:
-                np.multiply(w[p], np.multiply(f[p], f[p], out=x), out=x)
-                continue
-            scheme.residual_into(alpha, vals[p], phi_p, x)
-            x *= f[p]
-            np.multiply(w[p], np.multiply(x, x, out=x), out=x)
-        bias_ = float(np.sqrt(np.sum(w_sq)))
+            if finite and top[i] == 0:
+                np.multiply(w[p], np.multiply(f[p], f[p], out=x_p), out=x_p)
+                bias.append(np.sum(x_p))
+            else:
+                scheme.residual_into(alpha, vals[p], phi_p, x_p)
+                x_p *= f[p]
+                np.multiply(w[p], np.multiply(x_p, x_p, out=x_p), out=x_p)
+                bias.append(np.sum(x_p))
+                np.multiply(vals[p], f[p], out=x_p)
+                np.subtract(f[p], np.multiply(phi_p, x_p, out=x_p), out=x_p)
+                np.multiply(w[p], np.multiply(x_p, x_p, out=x_p), out=x_p)
+            error.append(summed(p, x_p))
+            if noise is None and np.argmax(tops) == len(tops) - 1:
+                x, held = held, x  # the worst node's leaf so far
         if noise is None:
-            noise = concentrated_noise(space, worst[int(np.argmax(tops))])
-        for p in (p for p, z in zip(pieces, zero) if not z):
-            x = w_sq[p]
-            np.multiply(vals[p], f[p], out=x)
-            np.subtract(f[p], np.multiply(scheme.phi(alpha, vals[p]), x, out=x), out=x)
-            np.multiply(w[p], np.multiply(x, x, out=x), out=x)
-        on = noise.support
-        phi_on = scheme.phi(alpha, vals[on])
-        x = f[on] - phi_on * (vals[on] * f[on] + delta * noise.values)
-        w_sq[on] = w[on] * (x * x)
-        return ErrorBudget(bias=bias_,
-                           noise_term=delta * space.norm(phi_on * noise.values, on),
-                           total=float(np.sqrt(np.sum(w_sq))))
+            j = int(np.argmax(tops))
+            support, noise_term = patch(concentrated_noise(space, worst[j]))
+            error[j] = summed(leaves[j], held[:leaves[j].stop - leaves[j].start])
+        return ErrorBudget(bias=float(np.sqrt(_fold(bias, n))),
+                           noise_term=noise_term,
+                           total=float(np.sqrt(_fold(error, n))))
 
 
 def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
@@ -518,7 +587,7 @@ def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
                            space: MeasureSpace, f, delta: float,
                            noise: DeterministicNoise) -> ErrorBudget:
     """Error of one reconstruction from data corrupted by a fixed noise,
-    evaluated in pieces of the nodes with the dense expressions' bits
+    evaluated leaf by leaf with the dense expressions' bits
     (``_Study.deterministic``)."""
     return _Study(b, space, f).deterministic(scheme, alpha, delta, noise)
 
@@ -573,7 +642,7 @@ def _monte_carlo(weights: list, space: MeasureSpace,
     its own prefix of them.
 
     An all-zero weight vector (every cut-off's ``w R(b)f phi``, which
-    ``_Study.mc_weights`` passes as an empty array) sums to 0.0 in every
+    ``_Study.white_weights`` passes as an empty array) sums to 0.0 in every
     replication; it is in no product, and its sum is never formed, so k_max
     is read from the noise weights.  A vector that equals the first k_d
     entries of a wider one, bit for bit, reads that one's product
@@ -758,40 +827,50 @@ def choose_alpha(problem: MultiplicationProblem, phi: IndexFunction,
 
 
 class _Sweep:
-    """What the rows of one sweep share: the ``_Study`` of the problem and,
-    in white mode, ``white``, each delta's alpha* and ``McResult`` from one
-    Monte Carlo pass.  Each delta's alpha* and divergence check, any grid
-    build included, run in order before any draw.
+    """What the rows of one sweep share: in deterministic mode the
+    ``_Study`` of the problem (``study``), in white mode ``white``, each
+    delta's alpha* and ``McResult`` from one Monte Carlo pass.
 
-    Through that pass a white sweep holds only what ``_monte_carlo`` reads.
-    Without a ``profile`` it builds D(alpha) itself and drops it once the
-    last alpha* is chosen, before that delta's weights are formed.  An
-    earlier delta's noise weights that equal the first entries of a later
-    delta's, bit for bit (every cut-off's), become a view of the later ones.
+    A white sweep runs two loops over its deltas, in order, before any
+    draw.  The first chooses each delta's alpha* and runs its
+    ``white_check`` (any grid build included), so a failing delta's later
+    deltas get no alpha*.  Without a ``profile`` the sweep builds D(alpha)
+    itself and drops it once the last alpha* is chosen, before that
+    delta's check; the checks' 2R and 4R grids are dropped after the loop.
+    The second forms each delta's ``white_weights``; an earlier delta's
+    noise weights that equal the first entries of a later delta's, bit for
+    bit (every cut-off's), become a view of the later ones.  The study,
+    b's values with it, is dropped before the Monte Carlo pass, which then
+    holds only what it reads.
     """
 
     def __init__(self, problem: MultiplicationProblem, scheme: Scheme,
                  phi: IndexFunction, deltas, mode: str, n_reps: int,
                  sampler: WhiteNoiseSampler, profile, threads: int = 1):
-        self.study = _Study(problem.b, problem.space, problem.f_true)
-        self.white = {}
-        if mode == WHITE:
-            if profile is None:
-                profile = effective_illposedness(problem.b, problem.space)
-            alphas, weights = [], []
-            for i, delta in enumerate(deltas, 1):
-                alphas.append(choose_alpha(problem, phi, delta, WHITE, profile))
-                if i == len(deltas):
-                    profile = None
-                new = self.study.mc_weights(scheme, alphas[-1], delta)
-                noise = new.sum_w[1]
-                weights = [replace(w, sum_w=(w.sum_w[0], noise[:w.sum_w[1].size]))
-                           if _is_prefix(w.sum_w[1], noise) else w
-                           for w in weights]
-                weights.append(new)
-            results = _monte_carlo(weights, problem.space, sampler, n_reps,
-                                   threads)
-            self.white = dict(zip(deltas, zip(alphas, results)))
+        study = _Study(problem.b, problem.space, problem.f_true)
+        if mode != WHITE:
+            self.study = study
+            return
+        if profile is None:
+            profile = effective_illposedness(problem.b, problem.space)
+        alphas = []
+        for delta in deltas:
+            alphas.append(choose_alpha(problem, phi, delta, WHITE, profile))
+            if len(alphas) == len(deltas):
+                profile = None
+            study.white_check(scheme, alphas[-1], delta)
+        vars(study).pop("grids", None)  # only the checks read them
+        weights = []
+        for alpha, delta in zip(alphas, deltas):
+            new = study.white_weights(scheme, alpha, delta)
+            noise = new.sum_w[1]
+            weights = [replace(w, sum_w=(w.sum_w[0], noise[:w.sum_w[1].size]))
+                       if _is_prefix(w.sum_w[1], noise) else w
+                       for w in weights]
+            weights.append(new)
+        del study
+        results = _monte_carlo(weights, problem.space, sampler, n_reps, threads)
+        self.white = dict(zip(deltas, zip(alphas, results)))
 
 
 def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
@@ -842,7 +921,8 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
 
     A white sweep first chooses alpha* and checks the variance integral of
     every delta in order, so a failing sweep raises its first failing
-    delta's failure before any noise is drawn.  One Monte Carlo pass then
+    delta's failure before any noise is drawn.  It then drops D(alpha) and
+    forms every delta's weights (see ``_Sweep``).  One Monte Carlo pass then
     draws each replication once, replication r from stream
     ``FIRST_STREAM + r`` up to the widest filter's support, and every delta
     reads its own prefix of those draws (common random numbers).  Each row

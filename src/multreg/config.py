@@ -353,4 +353,4 @@ def _solution_on(b, space: MeasureSpace, p: dict,
     lo, hi = phi.domain
     v[~((vals > lo) & (vals <= hi))] = 0.0
     scale = float(space.norm(v))  # before f, so that its square is not live
-    return _source_on(v, vals, phi), scale
+    return _source_on(v, vals, phi, out=v), scale  # v's zeros are +0.0

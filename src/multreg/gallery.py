@@ -238,12 +238,16 @@ def compact_case(b_values=None, n_max: int | None = None,
 # ---------------------------------------------------------------------------
 # ready-made problems for the experiment runner
 
-# source element name -> v_j as a function of j = 1, ..., n
+def _indices(n: int) -> np.ndarray:
+    return np.arange(1, n + 1, dtype=float)
+
+
+# source element name -> (v_1, ..., v_n) as a function of n
 _SOURCE_ELEMENTS = {
-    "constant": np.ones_like,
-    "inverse": lambda j: 1.0 / j,
-    "inverse_sqrt": lambda j: 1.0 / np.sqrt(j),
-    "unit_first": lambda j: (j == 1.0).astype(float),
+    "constant": np.ones,  # no index array to discard
+    "inverse": lambda n: 1.0 / _indices(n),
+    "inverse_sqrt": lambda n: 1.0 / np.sqrt(_indices(n)),
+    "unit_first": lambda n: (_indices(n) == 1.0).astype(float),
 }
 
 
@@ -251,7 +255,7 @@ def source_element_vector(name: str, n: int) -> np.ndarray:
     if not isinstance(name, str) or name not in _SOURCE_ELEMENTS:
         raise ValueError(f"unknown source element '{name}' "
                          f"(choose from {tuple(_SOURCE_ELEMENTS)})")
-    return _SOURCE_ELEMENTS[name](np.arange(1, n + 1, dtype=float))
+    return _SOURCE_ELEMENTS[name](n)
 
 
 def counting_problem(n_max: int, phi: IndexFunction,

@@ -267,9 +267,11 @@ def certify_qualification(scheme: Scheme, phi: IndexFunction,
 
 def certify(scheme: Scheme, phi: IndexFunction) -> tuple[bool, QualificationCertificate]:
     """(axioms passed, qualification certificate) on the default grids; a
-    truncated scheme must also keep C_phi <= max(parent C_phi, C_0)."""
+    family that ``truncate`` made must also keep C_phi <= max(parent C_phi,
+    C_0), its parent being the same ``Scheme`` untruncated."""
     base = scheme.name.removeprefix("truncated:")
-    parent = certify_qualification(scheme_by_name(base), phi) \
+    parent = certify_qualification(
+        replace(scheme, name=base, truncated=False), phi) \
         if base != scheme.name else None
     return (certify_axioms(scheme),
             certify_qualification(scheme, phi, parent_certificate=parent))

@@ -128,12 +128,15 @@ def source_function(v, b: Multiplier, space: MeasureSpace,
     return _source_on(np.asarray(v, float), b.values_on(space), phi)
 
 
-def _source_on(v: np.ndarray, vals: np.ndarray, phi: IndexFunction) -> np.ndarray:
+def _source_on(v: np.ndarray, vals: np.ndarray, phi: IndexFunction,
+               out: np.ndarray | None = None) -> np.ndarray:
     """``source_function`` on b's node values ``vals``, formed piece by
-    piece: phi takes all of a piece's values where v has no zero there,
-    with no gather or scatter, and the support's otherwise.  The same bits,
-    as phi acts node by node."""
-    f = np.zeros_like(v)
+    piece into ``out`` (a new array by default): phi takes all of a piece's
+    values where v has no zero there, with no gather or scatter, and the
+    support's otherwise.  The same bits, as phi acts node by node.  ``out``
+    may be v itself, whose zeros are then kept: +0.0 gives the bits of the
+    default."""
+    f = np.zeros_like(v) if out is None else out
     for lo in range(0, v.size, _PIECE):
         p = slice(lo, lo + _PIECE)
         support = v[p] != 0.0

@@ -31,6 +31,42 @@ from multreg.gallery import (counting_problem, exp_decay_pair, plateau_pair,
 from multreg.indexfuncs import solve_increasing
 
 
+# --- numpy's pairwise-sum tree ----------------------------------------------------
+
+def _fold_of_leaves(x, cap):
+    leaves = analysis._leaves(x.size, cap)
+    assert [p.start for p in leaves[1:]] == [p.stop for p in leaves[:-1]]
+    assert leaves[0].start == 0 and leaves[-1].stop == x.size
+    assert all(p.stop - p.start <= cap for p in leaves)
+    return analysis._fold([np.sum(x[p]) for p in leaves], x.size, cap)
+
+
+@pytest.mark.numpy_floor
+def test_the_fold_of_the_leaves_sums_is_numpys_sum_bit_for_bit():
+    # numpy splits a node of more than 128 values at half its size rounded
+    # down to a multiple of 8; contiguous vectors of one sign, of mixed
+    # signs and magnitudes, and of cancelling pairs, and stride-0 uniform
+    # weights, at caps down to 128
+    rng = np.random.default_rng(31)
+    mixed = rng.standard_normal(2**21) * 10.0 ** rng.integers(-30, 30, 2**21)
+    uniform = np.broadcast_to(np.float64(0.1), (2**21,))
+    small = (rng.uniform(0.0, 1.0, 3000), np.repeat(rng.uniform(-1, 1, 1500), 2)
+             * np.tile([1.0, -1.0], 1500))
+
+    def check(n, caps, vectors):
+        for x in vectors:
+            for cap in caps:
+                assert np.float64(_fold_of_leaves(x[:n], cap)).tobytes() \
+                    == np.sum(x[:n]).tobytes(), (n, cap)
+
+    for n in range(3001):
+        check(n, (128,), small)
+        check(n, (128, 1000), (mixed, uniform))
+    for i, n in enumerate(rng.integers(3001, 2**21, 200)):
+        check(int(n), ((analysis._PIECE, 2**17 + 8)[i % 2],), (mixed, uniform))
+    check(2**21, (128,), (mixed, uniform))
+
+
 # --- reconstruction -------------------------------------------------------------
 
 def test_reconstruct_cutoff_counting():
@@ -1012,9 +1048,11 @@ def test_zero_tail_skip_agrees_with_the_full_divergence_check(scheme, monkeypatc
                      if scheme.truncated else {(False, True)})
 
 
-def test_white_delta_evaluates_its_filter_once_on_the_base_grid(monkeypatch):
+def test_white_delta_evaluates_its_filter_once_per_step_on_the_base_grid(
+        monkeypatch):
     # the first four deltas skip the divergence check, the fifth runs it on
-    # 2R and 4R: each takes its weights and its base sum from one filter
+    # 2R and 4R: each evaluates its filter once on the base grid (one leaf
+    # at 2^11 nodes) for its check, and once for its weights
     b, space = power_decay_pair(0.5, 50.0, 2**11)
     problem = MultiplicationProblem(b, space, b.values_on(space) ** 0.5)
     n, sizes, phi = space.nodes.size, [], Scheme.phi
@@ -1027,7 +1065,7 @@ def test_white_delta_evaluates_its_filter_once_on_the_base_grid(monkeypatch):
     monkeypatch.setattr(Scheme, "phi", counted)
     sweep_deltas(problem, truncate(spectral_cutoff()), PowerIndex(0.5), deltas,
                  WHITE, 1.0, n_reps=2)
-    assert sorted(sizes) == [n] * len(deltas) + [2 * n, 4 * n]
+    assert sorted(sizes) == [n] * 2 * len(deltas) + [2 * n, 4 * n]
 
 
 @pytest.mark.parametrize("name", ["plateau_truncated_cutoff",
@@ -1211,7 +1249,7 @@ def test_truncated_filter_is_not_evaluated_where_b_is_at_most_alpha(
         study.deterministic(scheme, alpha, 1e-3)
     assert calls and all(top > alpha for alpha, size, top in calls if size > 1)
     assert [size for alpha, size, _ in calls if alpha == 1e-5 and size > 1] \
-        == [analysis._PIECE] * 14  # pieces 0 to 6, twice
+        == [analysis._PIECE] * 7  # leaves 0 to 6, once each
 
 
 def test_monte_carlo_weights_end_at_the_filters_last_nonzero_node():

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from multreg import (AxiomViolation, PowerIndex, Scheme, certify_axioms,
                      certify_qualification, lavrentiev, scheme_by_name,
                      spectral_cutoff, tikhonov_wiener, truncate)
+from multreg.schemes import certify
 
 PROBE_T = np.geomspace(1e-8, 1.0, 200)
 PROBE_ALPHA = (1e-6, 1e-3, 0.1, 0.9)
@@ -283,3 +286,27 @@ def test_truncate_drops_the_simplified_residual_of_an_untruncated_scheme():
         # above alpha: 1 - t * phi, not the dropped simplified form
         assert np.array_equal(residual[~below],
                               lavrentiev().residual(a, PROBE_T)[~below])
+
+
+def test_certify_derives_a_truncated_familys_parent_from_the_scheme():
+    # a hand-built family truncates and certifies as the built-in it copies
+    fake = truncate(Scheme("fake", 1.0, 1.0, False, lambda a, t: 1 / (t + a)))
+    for nu in (0.5, 1.0):
+        axioms, cert = certify(fake, PowerIndex(nu))
+        reference = certify(truncate(lavrentiev()), PowerIndex(nu))[1]
+        assert axioms and cert.passed == reference.passed
+        assert cert.c_phi == reference.c_phi
+
+
+def test_a_hand_built_truncated_lavrentiev_is_checked_against_its_own_parent():
+    # 1/(t + 3 alpha): its parent's C_phi at nu = 1 is 3, the built-in
+    # Lavrentiev's 1, and the truncated family's C_phi is 3 as well
+    slow = Scheme("truncated:lavrentiev", 1.0, 1.0, True,
+                  lambda a, t: 1 / (t + 3 * a))
+    parent = certify_qualification(replace(slow, truncated=False), PowerIndex(1.0))
+    axioms, cert = certify(slow, PowerIndex(1.0))
+    assert axioms and cert.passed
+    assert cert.c_phi == pytest.approx(3.0, rel=1e-6)
+    assert cert.c_phi <= parent.c_phi * (1 + 1e-9)
+    assert certify_qualification(lavrentiev(), PowerIndex(1.0)).c_phi \
+        == pytest.approx(1.0, rel=1e-6)

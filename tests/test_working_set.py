@@ -96,29 +96,45 @@ def test_effective_illposedness_working_set():
 
 
 def test_deterministic_sweep_working_set(pure_power):
-    # b's values and the one buffer of each delta; the filter is formed in
-    # pieces
+    # b's values, and pieces: the two leaf buffers, and while a leaf's
+    # filter and its temporary are formed, the last leaf's filter and its
+    # magnitude
     problem = build_problem(pure_power)
     assert _transient_arrays(lambda: sweep_deltas(
         problem, lavrentiev(), problem.phi, pure_power.deltas, DETERMINISTIC,
-        1.0)) <= 2 + 4 * PIECE + SLACK
+        1.0)) <= 1 + 6 * PIECE + SLACK
 
 
 def test_white_sweep_working_sets(power_decay):
-    # b's values and D(alpha)'s two arrays, held until the last alpha* is
-    # chosen; each delta's filter, residual and their temporaries (about 3
-    # arrays) beside the earlier deltas' weights.  A cut-off's noise
+    # b's values and D(alpha)'s two arrays while the alpha* are chosen and
+    # checked, leaf by leaf; then, D(alpha) dropped, each delta's filter and
+    # its weights beside the earlier deltas' weights.  A cut-off's noise
     # weights are one buffer, prefixes of the widest, and it keeps no cross
     # vector; a truncated Lavrentiev sweep keeps both vectors of every
     # delta on its support, which is every node of the counting problem
-    # (measured: 6.43, 8.38 and 12.00 arrays)
+    # (measured: 3.24, 6.14 and 12.00 arrays)
     counting = counting_problem(N, PowerIndex(1.0))
     for problem, scheme, deltas, bound in (
-            (power_decay, truncate(spectral_cutoff()), DELTAS, 6.5),
-            (power_decay, truncate(lavrentiev()), DELTAS, 8.5),
-            (counting, lavrentiev(), DELTAS[::2], 12.125)):
+            (power_decay, truncate(spectral_cutoff()), DELTAS, 3.25),
+            (power_decay, truncate(lavrentiev()), DELTAS, 6.25),
+            (counting, lavrentiev(), DELTAS[::2], 12.0)):
         assert _transient_arrays(_white_sweep(problem, scheme, deltas)) \
             <= bound + SLACK
+
+
+def test_white_sweep_drops_the_divergence_grids_before_its_weights(
+        power_decay, monkeypatch):
+    # the last delta's alpha* is below b's largest value beyond R: its check
+    # builds the 2R and 4R grids, 6 arrays beside b's values, which no
+    # weights step reads (measured: 7.25 arrays)
+    built, extended = [], MeasureSpace.extended
+    monkeypatch.setattr(MeasureSpace, "extended", lambda space, factor:
+                        built.append(factor) or extended(space, factor))
+    assert _transient_arrays(lambda: sweep_deltas(
+        power_decay, truncate(spectral_cutoff()), PowerIndex(0.5),
+        [1e-2, 1e-3, 1e-4, 1e-5, 2e-6], WHITE, 1.0, n_reps=4, seed=3)) \
+        <= 7.25 + SLACK
+    assert built == [2.0, 4.0]
 
 
 def test_cutoff_sweep_keeps_one_noise_buffer_and_no_cross_vector(
@@ -145,10 +161,10 @@ def test_phi_star_working_set():
 
 
 def test_build_problem_working_set(pure_power):
-    # a uniform grid stores no weights array: b's values and the source
-    # element they clip, and the solution, returned, formed piece by piece
-    assert _transient_arrays(lambda: build_problem(pure_power)) \
-        <= 2 + PIECE + SLACK
+    # a uniform grid stores no weights array: b's values and the square
+    # in the source element's norm beside the solution, returned, formed
+    # piece by piece in the element's buffer
+    assert _transient_arrays(lambda: build_problem(pure_power)) <= 2 + SLACK
 
 
 def test_distribution_function_working_set():
