@@ -10,7 +10,7 @@ proportion to the added measure, the integral has no finite limit.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +24,7 @@ from .noise import (GAUSSIAN, DeterministicNoise, NoiseStreams,
 from .rearrangement import (_check_decreasing, _distribution, _sorted_view,
                             _superlevel_count, vanishes_at_infinity)
 from .schemes import Scheme, require_certified
-from .spaces import _PIECE, MeasureSpace
+from .spaces import _PIECE, LEBESGUE_LINE, MeasureSpace
 
 
 def reconstruct(scheme: Scheme, alpha: float, b: Multiplier,
@@ -109,13 +109,15 @@ _GROWTH_THRESHOLD = 0.01
 class _Study:
     """What every delta of a study of b on a space (and a solution f) reads,
     each found once, on first use: b's values, whether the exact data
-    ``vals * f`` are finite, the ``tail_sup`` and the 2R and 4R ``grids``.
+    ``vals * f`` are finite, the 2R and 4R ``extensions`` (node formulas,
+    on which b is evaluated piece by piece or leaf by leaf, never as a
+    whole grid) and the ``tail_sup``.
 
     The methods are the bodies of ``variance_integral``,
     ``evaluate_deterministic`` and one delta's part of ``monte_carlo_rms``
-    (``mc_weights``: ``white_check``, then ``white_weights``).  Each node
-    sum is formed leaf by leaf on numpy's pairwise tree (``_leaves``), with
-    the dense sum's bits and no node-length temporary.
+    (``white_check``, then ``white_weights``).  Each node sum is formed
+    leaf by leaf on numpy's pairwise tree (``_leaves``), with the dense
+    sum's bits and no node-length temporary.
     """
 
     def __init__(self, b: Multiplier, space: MeasureSpace, f=None):
@@ -134,14 +136,15 @@ class _Study:
         vals, f = self.vals, self.f
         return all(np.isfinite(vals[p] * f[p]).all() for p in _leaves(vals.size))
 
-    def _sup_beyond(self, radius: float, factors) -> float:
-        """b's largest value on the nodes beyond ``radius`` of the grids at
-        ``factors`` times R, taken on pieces of ``_PIECE`` nodes, no
-        grid built (-inf if there is none)."""
-        return float(np.max([
-            np.max(self.b(s[np.abs(s) > radius]), initial=-np.inf)
-            for factor in factors
-            for s in self.space.extended_nodes(factor, _PIECE)]))
+    @cached_property
+    def extensions(self) -> tuple:
+        """The spaces at the ``_EXTENSIONS`` of R: node formulas, no array."""
+        return tuple(map(self.space.extended, _EXTENSIONS))
+
+    def _sup_beyond(self, radius: float, spaces) -> float:
+        """b's largest value on ``spaces``' nodes beyond ``radius`` (or -inf)."""
+        return float(np.max([np.max(self.b(s[np.abs(s) > radius]), initial=-np.inf)
+                             for sp in spaces for _, s in sp._pieces()]))
 
     @cached_property
     def tail_sup(self) -> float:
@@ -149,28 +152,21 @@ class _Study:
         infinite where b or the space cannot be extended."""
         if not (self.b.evaluable and self.space.extensible):
             return np.inf
-        return self._sup_beyond(self.space.truncation_radius, _EXTENSIONS)
-
-    @cached_property
-    def grids(self) -> tuple:
-        """``(space, b's values)`` at each of the ``_EXTENSIONS`` of R."""
-        return tuple((sp, self.b.values_on(sp)) for sp in
-                     map(self.space.extended, _EXTENSIONS))
+        return self._sup_beyond(self.space.truncation_radius, self.extensions)
 
     def variance(self, scheme: Scheme, alpha: float) -> VarianceValue:
-        """The body of ``variance_integral``; each grid's sum evaluates the
-        filter leaf by leaf."""
+        """The body of ``variance_integral``; each grid's sum evaluates b
+        (on the extensions) and the filter leaf by leaf."""
         b, space, vals = self.b, self.space, self.vals
 
-        def square_sum(weights, values):
+        def square_sum(weights, values_at):
             return _square_sum(alpha, weights,
-                               lambda p: scheme.phi(alpha, values[p]))
+                               lambda p: scheme.phi(alpha, values_at(p)))
 
         if space.extensible and not b.evaluable:
             # fixed tables on an infinite-measure space: judge the tail analytically
             tail_probe = np.geomspace(alpha * 1e-12, alpha, 64)
             filter_floor = float(np.min(np.abs(scheme.phi(alpha, tail_probe))))
-            tail_level = float(vals[-1])
             if vanishes_at_infinity(b, space):
                 if filter_floor > 0:
                     raise Divergent(
@@ -178,19 +174,22 @@ class _Study:
                         "while {b <= alpha} has infinite measure",
                         diagnosis={"alpha": alpha, "filter_floor": filter_floor},
                     )
-            elif tail_level > 0 and abs(scheme.phi(alpha, tail_level)) > 0:
-                raise Divergent(
-                    f"declared non-vanishing tail at level {tail_level:.4g} where "
-                    "the filter is positive",
-                    diagnosis={"alpha": alpha, "tail_level": tail_level},
-                )
-        base = square_sum(space.weights, vals)
+            else:  # a line has a tail at each end: the higher is judged first
+                ends = vals[[0, -1]] if space.kind == LEBESGUE_LINE else vals[-1:]
+                for tail_level in sorted(map(float, ends), reverse=True):
+                    if tail_level > 0 and abs(scheme.phi(alpha, tail_level)) > 0:
+                        raise Divergent(
+                            f"declared non-vanishing tail at level {tail_level:.4g} "
+                            "where the filter is positive",
+                            diagnosis={"alpha": alpha, "tail_level": tail_level},
+                        )
+        base = square_sum(space.weights, vals.__getitem__)
         if not (space.extensible and b.evaluable) or (
                 scheme.truncated and alpha >= self.tail_sup):
             return VarianceValue(base)
         sums, measures = [base], [space.total_measure]
-        for sp, values in self.grids:
-            sums.append(square_sum(sp.weights, values))
+        for sp in self.extensions:
+            sums.append(square_sum(sp.weights, lambda p: b(sp._at(p))))
             measures.append(sp.total_measure)
         g1, g2 = sums[1] - sums[0], sums[2] - sums[1]
         grew_twice = (sums[1] > sums[0] * (1 + _GROWTH_THRESHOLD)
@@ -203,20 +202,14 @@ class _Study:
             outer = _EXTENSIONS[-1]
             if dens1 > 0 and dens2 > 0.5 * dens1 and not (
                     scheme.truncated and alpha >= self._sup_beyond(
-                        outer * space.truncation_radius, (2 * outer,))):
+                        outer * space.truncation_radius,
+                        (space.extended(2 * outer),))):
                 raise Divergent(
                     f"variance grows with the truncation radius at alpha={alpha:.4g} "
                     f"(values {sums[0]:.6g}, {sums[1]:.6g}, {sums[2]:.6g})",
                     diagnosis={"alpha": alpha, "sums": sums, "measures": measures},
                 )
         return VarianceValue(sums[2], tail_estimate=abs(g2))
-
-    def mc_weights(self, scheme: Scheme, alpha: float,
-                   delta: float) -> _McWeights:
-        """One delta's Monte Carlo weights, once its variance integral is
-        known to converge (see ``monte_carlo_rms``)."""
-        self.white_check(scheme, alpha, delta)
-        return self.white_weights(scheme, alpha, delta)
 
     def white_check(self, scheme: Scheme, alpha: float, delta: float) -> None:
         """A white delta's divergence check, none at delta = 0: ``variance``,
@@ -229,17 +222,18 @@ class _Study:
             except Divergent as exc:
                 raise DivergentProfile(str(exc), diagnosis=exc.diagnosis) from exc
 
-    def white_weights(self, scheme: Scheme, alpha: float,
-                      delta: float) -> _McWeights:
-        """One delta's ``_McWeights``, after its ``white_check``.
+    def white_weights(self, scheme: Scheme, alpha: float, d: int,
+                      groups: tuple) -> float:
+        """Row d's exact bias, after its ``white_check``; its weights
+        ``w R(b)f phi`` and ``w phi^2`` join the products of ``groups``
+        (``_share``).
 
         The filter is evaluated on b's values once; the weights end at k,
         its last nonzero node + 1.  The bias is summed leaf by leaf, each
         leaf's R(b) f formed in one scratch buffer, which also tells
-        whether the cross vector w R(b)f phi has a nonzero entry on [0, k).
-        Only then is it allocated, and formed in place; otherwise (every
-        cut-off's, as the residual is 0 wherever the filter is not) it is
-        an empty array.
+        whether the cross vector has a nonzero entry on [0, k).  Only then
+        is it allocated, and formed in place; otherwise (every cut-off's, as
+        the residual is 0 wherever the filter is not) it reads no product.
         """
         vals, f, w, n = self.vals, self.f, self.space.weights, self.vals.size
         with np.errstate(divide="ignore", over="ignore"):
@@ -258,12 +252,12 @@ class _Study:
                                              * phi_v[on]))
             np.multiply(w[p], np.multiply(x_p, x_p, out=x_p), out=x_p)
             sums.append(np.sum(x_p))
-        cross = np.empty(k if crossed else 0)
         if crossed:
-            residual_f(slice(0, k), cross)
+            cross = residual_f(slice(0, k), np.empty(k))
             np.multiply(np.multiply(w[:k], cross, out=cross), phi_v[:k], out=cross)
-        return _McWeights(delta, float(np.sqrt(_fold(sums, n))),
-                          (cross, w[:k] * phi_v[:k] ** 2))
+            _share(groups[0], d, cross)
+        _share(groups[1], d, w[:k] * phi_v[:k] ** 2)
+        return float(np.sqrt(_fold(sums, n)))
 
     def deterministic(self, scheme: Scheme, alpha: float, delta: float,
                       noise: DeterministicNoise | None = None) -> ErrorBudget:
@@ -331,6 +325,7 @@ class _Study:
             error.append(summed(p, x_p))
             if noise is None and np.argmax(tops) == len(tops) - 1:
                 x, held = held, x  # the worst node's leaf so far
+            phi_p = top = None  # not held while the next leaf's are formed
         if noise is None:
             j = int(np.argmax(tops))
             support, noise_term = patch(concentrated_noise(space, worst[j]))
@@ -350,18 +345,19 @@ def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
     ``_GROWTH_THRESHOLD`` twice in a row and the per-measure growth density
     does not decay, the integral is declared Divergent (carrying the three
     values as diagnosis), unless a truncated filter's alpha is at or above
-    b's largest value on the 8R grid's nodes beyond 4R (found in pieces):
-    the sum has stopped growing, and the 4R sum is returned.  A truncated
-    filter whose alpha is at or above b's largest value on the 2R and 4R
-    grids' nodes beyond R (``_Study.tail_sup``) is exactly 0 on the nodes
-    those grids add, so their sums differ by rounding alone: the check is
-    not run, nor are the grids built, and the base sum is returned.
+    b's largest value on the 8R grid's nodes beyond 4R: the sum has stopped
+    growing, and the 4R sum is returned.  A truncated filter whose alpha is
+    at or above b's largest value on the 2R and 4R grids' nodes beyond R
+    (``_Study.tail_sup``) is exactly 0 on the nodes those grids add, so
+    their sums differ by rounding alone: the check is not run, and the base
+    sum is returned.  The larger grids are node formulas: b and the filter
+    are evaluated on them piece by piece or leaf by leaf.
 
     Tabulated multipliers cannot be extended, so their tail is judged
     analytically: a vanishing tail puts infinite measure below every
     positive level, which diverges unless the filter vanishes there; a
-    non-vanishing tail sits at the last tabulated value, which diverges
-    whenever the filter is positive at that level.
+    non-vanishing tail sits at the end tabulated value (on a line, at
+    either end), which diverges whenever the filter is positive there.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -597,59 +593,53 @@ def evaluate_deterministic(scheme: Scheme, alpha: float, b: Multiplier,
 BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class _McWeights:
-    """One delta's exact bias and the weights ``(w R(b)f phi, w phi^2)`` of
-    its two sums on the filter's first k nodes, k its last nonzero + 1.
-    The cross vector is empty where it would be all zero; in a sweep, the
-    noise vector may be a view of a later delta's (see ``_Sweep``)."""
-
-    delta: float
-    bias: float
-    sum_w: tuple
-
-
 def _is_prefix(v: np.ndarray, wide: np.ndarray) -> bool:
-    """Whether v equals the first ``v.size`` entries of ``wide``, bit for bit."""
-    return v.size <= wide.size and np.array_equal(
-        wide[:v.size].view(np.int64), v.view(np.int64))
+    """Whether the nonempty v equals the first ``v.size`` entries of
+    ``wide``, bit for bit: the first entry alone, then leaf by leaf, so no
+    temporary outgrows a leaf."""
+    v, wide = v.view(np.int64), wide.view(np.int64)
+    return v.size <= wide.size and v[0] == wide[0] and all(
+        np.array_equal(wide[p], v[p]) for p in _leaves(v.size))
 
 
-def _shared_products(vectors: list) -> list:
-    """``[(wide, [(i, k_i), ...]), ...]``: each nonzero vector i of
-    ``vectors`` reads the product of the first ``wide`` whose first k_i
-    entries it equals bit for bit, widest first."""
-    products = []
-    for i in sorted(range(len(vectors)), key=lambda i: -vectors[i].size):
-        v = vectors[i]
-        if not v.any():
-            continue
-        for wide, readers in products:
-            if _is_prefix(v, wide):
-                readers.append((i, v.size))
-                break
+def _share(group: list, d: int, v: np.ndarray) -> None:
+    """Let row d read the product of its weight vector v in ``group``, a
+    list of ``(wide, readers)``, each reader a ``(row, k)`` that sums the
+    product's first k columns.  v joins a product whose vector starts with
+    v, bit for bit; otherwise v heads a new one and takes in the readers of
+    those whose vectors are prefixes of v, whose buffers are dropped.  An
+    all-zero v joins none: its sums are 0.0 in every replication."""
+    if not np.count_nonzero(v):  # counted in place: np.any would buffer
+        return
+    for wide, readers in group:
+        if _is_prefix(v, wide):
+            readers.append((d, v.size))
+            return
+    kept, readers = [], [(d, v.size)]
+    for product in group:
+        if _is_prefix(product[0], v):
+            readers += product[1]
         else:
-            products.append((v, [(i, v.size)]))
-    return products
+            kept.append(product)
+    group[:] = kept + [(v, readers)]
 
 
-def _monte_carlo(weights: list, space: MeasureSpace,
+def _monte_carlo(rows: list, groups: tuple, space: MeasureSpace,
                  sampler: WhiteNoiseSampler, n_reps: int,
                  threads: int = 1) -> list:
-    """One ``McResult`` per entry of ``weights``, all from one set of
-    replications: replication r draws stream ``sampler.stream_id + r`` once,
-    its first k_max values, k_max the widest filter's, and each delta reads
-    its own prefix of them.
+    """One ``McResult`` per ``(delta, bias)`` of ``rows``, all from one set
+    of replications: replication r draws stream ``sampler.stream_id + r``
+    once, its first k_max values, k_max the widest product's, and each
+    product reads its own prefix of them.
 
-    An all-zero weight vector (every cut-off's ``w R(b)f phi``, which
-    ``_Study.white_weights`` passes as an empty array) sums to 0.0 in every
-    replication; it is in no product, and its sum is never formed, so k_max
-    is read from the noise weights.  A vector that equals the first k_d
-    entries of a wider one, bit for bit, reads that one's product
-    (``_shared_products``), also where it is a view of it, as in a sweep:
-    each block forms it once, and the delta sums its first k_d columns.
-    Every cut-off's ``w phi^2`` does, as the filter is 1/b wherever it is
-    nonzero.  The row sums of that view equal those of a contiguous product.
+    ``groups`` holds the products of the rows' weights, ``w R(b)f phi``
+    first and ``w phi^2`` second, as ``_share`` forms them: each block
+    forms a product once, and each of its readers sums its first k
+    columns, which equal that reader's own product, bit for bit; the row
+    sums of that view equal those of a contiguous product.  A row in no
+    product of a group (an all-zero vector: every cut-off's cross vector,
+    which ``_Study.white_weights`` never forms) sums to 0.0 there in every
+    replication.
 
     ``threads`` workers take contiguous ranges of the replications, none
     empty; each worker's draw and product buffers are allocated by the
@@ -657,35 +647,34 @@ def _monte_carlo(weights: list, space: MeasureSpace,
     contiguous buffer, so a replication's sums do not depend on the range
     or block that holds it, and neither do the results.
     """
-    if not weights:
+    if not rows:
         return []
     if n_reps < 2:
         raise ValueError("need n_reps >= 2")
     # [j, d, r]: <w R(b)f phi, xi> (j = 0), <w phi^2, xi^2> (j = 1)
     # (np.zeros in place of the unread rows' 0.0 raised the peak RSS of a
     # 500-node, 4000-replication study by 0.3 MB)
-    sums = np.empty((2, len(weights), n_reps))
-    shared = [_shared_products([w.sum_w[j] for w in weights]) for j in (0, 1)]
-    for j, products in enumerate(shared):
+    sums = np.empty((2, len(rows), n_reps))
+    for j, products in enumerate(groups):
         read = {d for _, readers in products for d, _ in readers}
-        for d in set(range(len(weights))) - read:
+        for d in set(range(len(rows))) - read:
             sums[j, d] = 0.0
-    k_max = max(w.sum_w[1].size for w in weights)
-    rows = max(1, BLOCK // max(k_max, 1))
+    k_max = max([w.size for products in groups for w, _ in products], default=0)
+    block = max(1, BLOCK // max(k_max, 1))
     workers = max(1, min(threads, n_reps))
     edges = [n_reps * i // workers for i in range(workers + 1)]
     # each worker's draws and products, allocated here: a pool thread's
     # own allocations would open a malloc arena of its own
-    buffers = [(np.empty((rows, k_max)), np.empty(rows * k_max))
+    buffers = [(np.empty((block, k_max)), np.empty(block * k_max))
                for _ in range(workers)]
 
     def part(lo, hi, xi, scratch):
         streams = NoiseStreams(sampler.with_stream(sampler.stream_id + lo),
                                hi - lo)
-        for r0 in range(lo, hi, rows):
-            m = min(rows, hi - r0)
+        for r0 in range(lo, hi, block):
+            m = min(block, hi - r0)
             xi_m = sample_white(streams, space, xi[:m], r0 - lo)
-            for j, products in enumerate(shared):
+            for j, products in enumerate(groups):
                 if j:
                     np.square(xi_m, out=xi_m)
                 for wide, readers in products:
@@ -702,14 +691,14 @@ def _monte_carlo(weights: list, space: MeasureSpace,
     else:
         part(0, n_reps, *buffers[0])
     results = []
-    for w, cross, noise in zip(weights, *sums):
-        crosses, noise_sq = 2.0 * w.delta * cross, w.delta**2 * noise
-        sq_errors = (w.bias ** 2 - crosses) + noise_sq
+    for (delta, bias), cross, noise in zip(rows, *sums):
+        crosses, noise_sq = 2.0 * delta * cross, delta**2 * noise
+        sq_errors = (bias ** 2 - crosses) + noise_sq
         rms = float(np.sqrt(float(np.mean(sq_errors))))
         se_mean = float(np.std(sq_errors, ddof=1) / np.sqrt(n_reps))
         results.append(McResult(
             rms=rms, stderr=se_mean / (2.0 * rms) if rms > 0 else 0.0,
-            bias=w.bias, noise_term=float(np.mean(noise_sq)),
+            bias=bias, noise_term=float(np.mean(noise_sq)),
             cross_term_mean=float(np.mean(crosses)),
             cross_term_stderr=float(np.std(crosses, ddof=1) / np.sqrt(n_reps))))
     return results
@@ -737,12 +726,15 @@ def monte_carlo_rms(scheme: Scheme, alpha: float, b: Multiplier,
     so a replication costs two weighted row sums of its k draws, each one
     ``np.sum`` (pairwise, whatever the BLAS); each value agrees with a full
     per-replication |err|_w^2 to a few ulp of bias^2 + delta^2 |phi xi|_w^2.
-    A cut-off filter's cross term is exactly zero and is not formed.  A white
-    ``sweep_deltas`` runs the same kernel on all its deltas at once, where
-    the cut-off noise sums of every delta read one shared product.
+    A cut-off filter's cross term is exactly zero and is not formed.  This
+    is ``white_check``, ``white_weights`` and ``_monte_carlo`` on one row;
+    a white ``sweep_deltas`` runs them on all its deltas at once, where the
+    cut-off noise sums of every delta read one shared product.
     """
-    weights = _Study(b, space, f).mc_weights(scheme, alpha, delta)
-    return _monte_carlo([weights], space, sampler, n_reps)[0]
+    study, groups = _Study(b, space, f), ([], [])
+    study.white_check(scheme, alpha, delta)
+    rows = [(delta, study.white_weights(scheme, alpha, 0, groups))]
+    return _monte_carlo(rows, groups, space, sampler, n_reps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -833,15 +825,14 @@ class _Sweep:
 
     A white sweep runs two loops over its deltas, in order, before any
     draw.  The first chooses each delta's alpha* and runs its
-    ``white_check`` (any grid build included), so a failing delta's later
-    deltas get no alpha*.  Without a ``profile`` the sweep builds D(alpha)
-    itself and drops it once the last alpha* is chosen, before that
-    delta's check; the checks' 2R and 4R grids are dropped after the loop.
-    The second forms each delta's ``white_weights``; an earlier delta's
-    noise weights that equal the first entries of a later delta's, bit for
-    bit (every cut-off's), become a view of the later ones.  The study,
-    b's values with it, is dropped before the Monte Carlo pass, which then
-    holds only what it reads.
+    ``white_check``, so a failing delta's later deltas get no alpha*.
+    Without a ``profile`` the sweep builds D(alpha) itself and drops it once
+    the last alpha* is chosen, before that delta's check.  The second forms
+    each delta's ``white_weights``, whose vectors ``_share`` puts into the
+    products of the pass: an earlier delta's noise weights that equal the
+    first entries of a later delta's, bit for bit (every cut-off's), are
+    dropped for the later ones.  The study, b's values with it, is dropped
+    before the Monte Carlo pass, which then holds only what it reads.
     """
 
     def __init__(self, problem: MultiplicationProblem, scheme: Scheme,
@@ -859,17 +850,12 @@ class _Sweep:
             if len(alphas) == len(deltas):
                 profile = None
             study.white_check(scheme, alphas[-1], delta)
-        vars(study).pop("grids", None)  # only the checks read them
-        weights = []
-        for alpha, delta in zip(alphas, deltas):
-            new = study.white_weights(scheme, alpha, delta)
-            noise = new.sum_w[1]
-            weights = [replace(w, sum_w=(w.sum_w[0], noise[:w.sum_w[1].size]))
-                       if _is_prefix(w.sum_w[1], noise) else w
-                       for w in weights]
-            weights.append(new)
+        rows, groups = [], ([], [])
+        for d, (alpha, delta) in enumerate(zip(alphas, deltas)):
+            rows.append((delta, study.white_weights(scheme, alpha, d, groups)))
         del study
-        results = _monte_carlo(weights, problem.space, sampler, n_reps, threads)
+        results = _monte_carlo(rows, groups, problem.space, sampler, n_reps,
+                               threads)
         self.white = dict(zip(deltas, zip(alphas, results)))
 
 
@@ -934,10 +920,9 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
     The slopes fit log(error) and log(phi(alpha*)) against log(delta) on
     the middle 80% of the points; they are None below 4 rows.
 
-    Every row reads one ``_Sweep``, whose ``_Study`` finds each array that
-    all deltas need once: b's values, and in white mode b's largest value
-    beyond R, found in pieces, and the 2R and 4R grids that the divergence
-    check reads, built only if a delta runs it.
+    Every row reads one ``_Sweep``, whose ``_Study`` finds what all deltas
+    need once: b's values, and in white mode the 2R and 4R grids' node
+    formulas and b's largest value on them beyond R, found piece by piece.
     """
     deltas = [float(delta) for delta in deltas]
     sweep = _Sweep(problem, scheme, phi, deltas, mode, n_reps,

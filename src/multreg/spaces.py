@@ -49,15 +49,6 @@ class MeasureSpace:
         nodes = nodes if callable(nodes) else np.asarray(nodes, dtype=float)
         vars(self).update(kind=kind, weights=weights, _nodes=nodes,
                           truncation_radius=truncation_radius)
-        if not isinstance(self, _Deferred):
-            for _ in self._checked(_PIECE):
-                pass
-
-    def _checked(self, chunk: int):
-        """The nodes of ``_pieces(chunk)``, checked as the constructor checks
-        the space: each piece before it is yielded, the weights and radius
-        after."""
-        weights, nodes = self.weights, self._nodes
         if weights.ndim != 1 or not callable(nodes) and nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be matching 1-d arrays")
         if weights.size == 0:
@@ -65,12 +56,11 @@ class MeasureSpace:
         # each node above the one before, piece by piece: then no node is
         # NaN, -inf fails at the first, and +inf can only be a piece's last
         last = -np.inf
-        for _, s in self._pieces(chunk):
+        for _, s in self._pieces():
             if not (last < s[0] and np.all(s[1:] > s[:-1]) and s[-1] < np.inf):
                 raise ValueError("nodes must be finite" if not np.isfinite(s).all()
                                  else "nodes must be strictly increasing")
             last = s[-1]
-            yield s
         w = weights[:1] if weights.strides == (0,) else weights  # one value
         if not (np.min(w) >= 0 and np.max(w) < np.inf):
             raise ValueError("weights must be nonnegative and finite")
@@ -87,21 +77,25 @@ class MeasureSpace:
         """The stored array, or the formula's values, built on each access."""
         return self._map(lambda s: s) if callable(self._nodes) else self._nodes
 
-    def _pieces(self, chunk: int = _PIECE):
-        """``(first index, nodes)`` of consecutive pieces of at most
-        ``chunk`` nodes; a stored array's pieces are its slices."""
+    def _at(self, p: slice) -> np.ndarray:
+        """The nodes of the slice p: the formula's values on its indices, or
+        the stored array's slice."""
+        return (self._nodes(np.arange(p.start, p.stop)) if callable(self._nodes)
+                else self._nodes[p])
+
+    def _pieces(self):
+        """``(slice, nodes)`` of consecutive pieces of at most ``_PIECE`` nodes."""
         n = self.weights.size
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            yield lo, (self._nodes(np.arange(lo, hi)) if callable(self._nodes)
-                       else self._nodes[lo:hi])
+        for lo in range(0, n, _PIECE):
+            p = slice(lo, min(lo + _PIECE, n))
+            yield p, self._at(p)
 
     def _map(self, fn) -> np.ndarray:
         """``fn(nodes)`` for a node-by-node ``fn``, evaluated on the pieces
         into one array: no node array, nor a full-length temporary of fn."""
         out = np.empty(self.weights.size)
-        for lo, s in self._pieces():
-            out[lo:lo + s.size] = fn(s)
+        for p, s in self._pieces():
+            out[p] = fn(s)
         return out
 
     # -- basic quadrature ------------------------------------------------
@@ -195,30 +189,16 @@ class MeasureSpace:
                    truncation_radius=float(n_max))
 
     def extended(self, factor: float) -> "MeasureSpace":
-        """Same node density, truncation radius scaled by ``factor``.
+        """Same node density, truncation radius scaled by ``factor``: a node
+        formula and one weight, no array.
 
         Used by tail diagnostics; raises unless the space is ``extensible``.
         """
-        return self._extension(factor, MeasureSpace)
-
-    def extended_nodes(self, factor: float, chunk: int):
-        """``extended(factor).nodes`` in consecutive pieces of at most
-        ``chunk`` nodes, bit for bit, without building that grid: each piece
-        is formed once and checked as it is yielded, with the constructor's
-        rejections."""
-        return self._extension(factor, _Deferred)._checked(chunk)
-
-    def _extension(self, factor: float, cls: type) -> "MeasureSpace":
         if not self.extensible:
             raise ValueError(f"cannot extend a {self.kind} space")
-        build = cls.halfline if self.kind == LEBESGUE_HALFLINE else cls.line
+        build = self.halfline if self.kind == LEBESGUE_HALFLINE else self.line
         return build(self.truncation_radius * factor,
                      int(round(self.weights.size * factor)))
-
-
-class _Deferred(MeasureSpace):
-    """A space built without the constructor's checks, for ``_checked`` to
-    make as it yields the pieces."""
 
 
 def _uniform_weights(h: float, n: int) -> np.ndarray:

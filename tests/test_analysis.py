@@ -167,23 +167,21 @@ def test_truncated_filter_ending_between_2r_and_4r_converges():
 
 def test_variance_of_a_truncated_filter_zero_beyond_r_is_the_base_sum(monkeypatch):
     # at or above b's largest value beyond R the filter adds nothing on the
-    # 2R and 4R grids: the check returns the base grid's sum, no grid built
+    # 2R and 4R grids: the check returns the base grid's sum, and sums
+    # neither of them
     b, space = power_decay_pair(0.5, 50.0, 2**11)
     scheme = truncate(spectral_cutoff())
     tail = analysis._Study(b, space).tail_sup
-    built, build = [], MeasureSpace.extended
-
-    def counted(sp, factor):
-        built.append(factor)
-        return build(sp, factor)
-
-    monkeypatch.setattr(MeasureSpace, "extended", counted)
+    summed, square_sum = [], analysis._square_sum
+    monkeypatch.setattr(analysis, "_square_sum", lambda alpha, weights, phi_v:
+                        summed.append(weights.size) or
+                        square_sum(alpha, weights, phi_v))
     for alpha in (tail, 4 * tail):
         v = variance_integral(scheme, alpha, b, space)
-        assert v.value == analysis._square_sum(
+        assert v.value == square_sum(
             alpha, space.weights, scheme.phi(alpha, b.values_on(space)))
         assert v.value > 0 and v.tail_estimate == 0.0
-    assert built == []
+    assert summed == [space.weights.size] * 2
 
 
 def test_variance_divergent_plateau_all_schemes():
@@ -210,6 +208,38 @@ def test_variance_tabulated_tail_rules():
         variance_integral(spectral_cutoff(), 0.1, b2, space)
 
 
+@pytest.mark.parametrize("name", ["cutoff", "truncated:lavrentiev", "lavrentiev"])
+def test_a_tabulated_line_and_its_mirror_image_judge_both_tails(name):
+    # non-vanishing tails on [-10, 10] at alpha = 0.01.  Reflecting the line
+    # preserves the measure, so b and its mirror image get the same
+    # outcome: b falling from 0.5 to 0.001 diverges at its left tail's level
+    # 0.5, where every filter is positive; b rising from 0.005 to 0.5 and
+    # falling to 0.001 has both tails below alpha, where only Lavrentiev's
+    # filter is positive, and it diverges at the higher level
+    from multreg import scheme_by_name
+    scheme = scheme_by_name(name)
+    space = MeasureSpace("lebesgue_line", np.linspace(-10.0, 10.0, 201),
+                         np.full(201, 0.1), truncation_radius=10.0)
+
+    def outcome(vals):
+        try:
+            return float(variance_integral(scheme, 0.01, Tabulated(
+                vals, tail_vanishes=False), space))
+        except Divergent as exc:
+            return str(exc), exc.diagnosis
+
+    falling = np.linspace(0.5, 0.001, 201)
+    peaked = np.concatenate((np.linspace(0.005, 0.5, 100)[:-1],
+                             np.linspace(0.5, 0.001, 102)))
+    for vals, level in ((falling, 0.5), (peaked, 0.005)):
+        found, mirrored = outcome(vals), outcome(vals[::-1])
+        if name != "lavrentiev" and level < 0.01:
+            assert found == pytest.approx(mirrored, rel=1e-12) and found > 0
+        else:
+            assert found == mirrored
+            assert found[1] == {"alpha": 0.01, "tail_level": level}
+
+
 def test_variance_filter_overflow_is_a_multreg_error():
     # Lavrentiev's 1/(alpha + t) squared leaves double range at t ~ 1e-200
     b, space = compact_case([1.0, 1e-200])
@@ -229,7 +259,7 @@ def test_variance_filter_overflow_on_an_extended_grid():
     with pytest.raises(FilterOverflow):
         variance_integral(lavrentiev(), 1e-200, b, space)
     with pytest.raises(FilterOverflow):  # a white study's full check
-        analysis._Study(b, space, b.values_on(space)).mc_weights(
+        analysis._Study(b, space, b.values_on(space)).white_check(
             lavrentiev(), 1e-200, 1e-3)
 
 
@@ -255,6 +285,60 @@ def test_illposedness_above_sup_is_zero():
     b, space = compact_case(1.0 / np.arange(1, 51))
     prof = effective_illposedness(b, space, alpha_grid=[1.5])
     assert prof.d_values[0] == 0.0
+
+
+def _tabulated_problems():
+    # tabulated b with ties, on a graded interval (array weights), on a
+    # counting space and on a line whose tail vanishes, beside a solution f
+    rng = np.random.default_rng(41)
+    n = 3001
+    vals = np.round(rng.uniform(0.0, 1.0, n) ** 3, 3) + 1e-4
+    yield MeasureSpace.interval_graded(2.0, n, s_min=1e-4), vals, truncate(lavrentiev())
+    yield MeasureSpace.counting(n), vals, lavrentiev()
+    line = MeasureSpace.line(10.0, n)
+    yield (MeasureSpace("lebesgue_line", line.nodes, rng.uniform(0.5, 1.5, n) *
+                        line.max_weight, truncation_radius=10.0),
+           vals, truncate(spectral_cutoff()))
+
+
+def _rearrangement_invariants(b, space, f, scheme):
+    """D(alpha) on a grid and at alpha*, alpha* for three deltas, and each
+    alpha*'s variance integral and bias, in that order."""
+    phi, grid = PowerIndex(0.5), np.geomspace(1e-3, 0.9, 40)
+    profile = effective_illposedness(b, space, alpha_grid=grid)
+    alphas = [choose_alpha_white(phi, profile, delta) for delta in (1e-2, 1e-3, 1e-4)]
+    return (*profile.d_values, *map(profile.d_at, alphas), *alphas,
+            *(float(variance_integral(scheme, a, b, space)) for a in alphas),
+            *(bias(scheme, a, b, space, f) for a in alphas))
+
+
+@pytest.mark.numpy_floor
+def test_illposedness_depends_on_b_only_through_its_distribution():
+    # metamorphic relations: permuting b's values, the weights and f
+    # together over the (still increasing) nodes leaves D(alpha), alpha*,
+    # the variance integral and the bias unchanged; on a finite measure, so
+    # does passing to b's decreasing rearrangement as a problem of its own,
+    # bias aside.  Up to the rounding of reordered sums: a few ulp times the
+    # number of nodes
+    from multreg import decreasing_rearrangement
+    rng = np.random.default_rng(42)
+    for space, vals, scheme in _tabulated_problems():
+        n, w = vals.size, space.weights
+        f = rng.standard_normal(n)
+        rel = 4 * n * np.finfo(float).eps
+        found = _rearrangement_invariants(Tabulated(vals), space, f, scheme)
+        perm = rng.permutation(n)
+        weights = w if w.strides == (0,) else w[perm]
+        permuted = MeasureSpace(space.kind, space.nodes, weights,
+                                space.truncation_radius)
+        assert _rearrangement_invariants(Tabulated(vals[perm]), permuted, f[perm],
+                                         scheme) == pytest.approx(found, rel=rel)
+        if space.measure_is_finite:
+            left, right, values = map(np.array, zip(
+                *decreasing_rearrangement(Tabulated(vals), space).cells()))
+            cells = MeasureSpace(space.kind, (left + right) / 2, right - left)
+            assert _rearrangement_invariants(Tabulated(values), cells, f, scheme)[
+                :-3] == pytest.approx(found[:-3], rel=rel)  # f is not moved
 
 
 def test_illposedness_lemma_bound_on_grid():
@@ -817,11 +901,12 @@ def _white_sweep_problems():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_shares_extended_grids_with_identical_rows(threads, monkeypatch):
-    # the 2R and 4R grids are built at most once per sweep: never when every
-    # alpha* is at or above the tail sup, once when some are below it (on
-    # the half-line, those of the last two deltas of the second sweep)
+    # the 2R and 4R spaces are formed once per sweep, for the tail sup;
+    # their sums are formed for no delta when every alpha* is at or above
+    # the tail sup, and for each delta below it (on the half-line, the last
+    # two deltas of the second sweep)
     scheme, phi = truncate(spectral_cutoff()), PowerIndex(0.5)
-    runs_check = set()
+    runs_check, square_sum = set(), analysis._square_sum
     for problem, deltas in itertools.product(
             _white_sweep_problems(),
             ([1e-2, 1e-3, 1e-4], [1e-2, 1e-3, 2e-6, 1.5e-6])):
@@ -830,21 +915,22 @@ def test_sweep_shares_extended_grids_with_identical_rows(threads, monkeypatch):
                                sampler=WhiteNoiseSampler(3, STREAM_STRIDE),
                                profile=profile)
                 for delta in deltas]
-        built, build = [], MeasureSpace.extended
-
-        def counted(space, factor):
-            built.append(factor)
-            return build(space, factor)
-
-        monkeypatch.setattr(MeasureSpace, "extended", counted)
+        built, build, summed = [], MeasureSpace.extended, []
+        monkeypatch.setattr(MeasureSpace, "extended", lambda space, factor:
+                            built.append(factor) or build(space, factor))
+        monkeypatch.setattr(analysis, "_square_sum", lambda alpha, weights, phi_v:
+                            summed.append(weights.size) or
+                            square_sum(alpha, weights, phi_v))
         study = sweep_deltas(problem, scheme, phi, deltas, WHITE, 1.0, n_reps=8,
                              seed=3, threads=threads)
         monkeypatch.undo()
         assert list(study.rows) == each
         tail = analysis._Study(problem.b, problem.space).tail_sup
-        runs = any(row.alpha_star < tail for row in study.rows)
-        assert built == (list(analysis._EXTENSIONS) if runs else [])
-        runs_check.add(runs)
+        below = sum(row.alpha_star < tail for row in study.rows)
+        assert built == list(analysis._EXTENSIONS)
+        n = problem.space.weights.size
+        assert summed.count(2 * n) == summed.count(4 * n) == below
+        runs_check.add(below > 0)
     assert runs_check == {False, True}
 
 
@@ -926,10 +1012,20 @@ def _extension(b, space, f=None):
 
 
 def _full_check(b, space, f):
-    """A ``_Study`` that never skips: ``mc_weights`` runs the full check."""
+    """A ``_Study`` that never skips: ``white_check`` runs the full check."""
     extension = analysis._Study(b, space, f)
     extension.tail_sup = np.inf
     return extension
+
+
+def _white_weights(study, scheme, alpha, delta):
+    """One delta's bias and its two weight vectors, as ``monte_carlo_rms``
+    forms them: ``white_check``, then ``white_weights``; a vector that reads
+    no product is all zero, and given empty."""
+    groups = ([], [])
+    study.white_check(scheme, alpha, delta)
+    bias = study.white_weights(scheme, alpha, 0, groups)
+    return bias, *(group[0][0] if group else np.empty(0) for group in groups)
 
 
 @pytest.mark.parametrize("n", [2**17, 2**17 + 6])
@@ -938,7 +1034,7 @@ def test_chunked_tail_sup_equals_the_grids_maximum_beyond_r(n):
     # pieces of at most _PIECE nodes, the last one short at 2^17 + 6
     # nodes; at 2^17, and only there, a piece edge of each grid falls at R.
     # The pieces are the grid's nodes bit for bit, and the tail sup is the
-    # built grids' largest b value beyond R, ==
+    # largest of b's values beyond R on the built grids, ==
     from multreg import FinalValueProblem, fvp_multiplier
     chunk = analysis._PIECE
     for b, space in (power_decay_pair(0.5, 50.0, n),
@@ -946,8 +1042,10 @@ def test_chunked_tail_sup_equals_the_grids_maximum_beyond_r(n):
                      plateau_pair(50.0, n)):
         tail = analysis._Study(b, space)
         radius, sups = space.truncation_radius, []
-        for factor, (sp, values) in zip(analysis._EXTENSIONS, tail.grids):
-            pieces = list(space.extended_nodes(factor, chunk))
+        for factor, sp in zip(analysis._EXTENSIONS, tail.extensions):
+            assert sp.weights.size == factor * n
+            values = b.values_on(sp)
+            pieces = [s for _, s in sp._pieces()]
             assert [p.size for p in pieces[:-1]] == [chunk] * (len(pieces) - 1)
             assert 0 < pieces[-1].size <= chunk
             nodes = np.concatenate(pieces)
@@ -968,7 +1066,8 @@ def test_white_sweep_skips_the_divergence_sums_where_the_tail_is_zero(monkeypatc
     scheme, phi = truncate(spectral_cutoff()), PowerIndex(0.5)
     n = space.nodes.size
     extension, tail = _extension(b, space)
-    assert tail == extension.grids[0][1][n]  # b decreases: the first node past R
+    # b decreases: its value at the first node past R
+    assert tail == b.values_on(extension.extensions[0])[n]
     profile = effective_illposedness(b, space)
     summed, square_sum = [], analysis._square_sum
 
@@ -1009,10 +1108,10 @@ def _zero_tail_problems():
 
 def _outcome(scheme, alpha, study):
     try:
-        w = study.mc_weights(scheme, alpha, 1e-3)
+        bias, *vectors = _white_weights(study, scheme, alpha, 1e-3)
     except DivergentProfile as exc:
         return str(exc), repr(exc.diagnosis)
-    return w.bias, *(v.tolist() for v in w.sum_w)
+    return bias, *(v.tolist() for v in vectors)
 
 
 @pytest.mark.parametrize("scheme", [spectral_cutoff(), truncate(lavrentiev()),
@@ -1041,7 +1140,7 @@ def test_zero_tail_skip_agrees_with_the_full_divergence_check(scheme, monkeypatc
             monkeypatch.undo()
             skipped = scheme.truncated and alpha >= tail
             assert summed == [space.nodes.size] + ([] if skipped else [
-                sp.weights.size for sp, _ in extension.grids])
+                sp.weights.size for sp in extension.extensions])
             kinds.add((skipped, isinstance(full[0], str)))
     # (skipped, diverged): Lavrentiev's tail never vanishes
     assert kinds == ({(True, False), (False, False), (False, True)}
@@ -1099,41 +1198,67 @@ def test_divergent_white_sweep_fails_before_any_draw_as_the_full_check(
     alpha = analysis.choose_alpha(problem, phi, deltas[0], WHITE, profile)
     assert not (scheme.truncated and alpha >= tail)
     with pytest.raises(DivergentProfile) as full:
-        _full_check(b, space, problem.f_true).mc_weights(scheme, alpha,
-                                                         deltas[0])
+        _full_check(b, space, problem.f_true).white_check(scheme, alpha,
+                                                          deltas[0])
     assert str(swept.value) == str(full.value)
     assert swept.value.diagnosis == full.value.diagnosis
     assert draws == []
 
 
-def _weights(delta, cross, noise):
+def _bias(cross, noise):
     # the smallest bias that makes these the weights of some estimator, by
     # Cauchy-Schwarz: bias^2 - 2 delta <cross, xi> + delta^2 <noise, xi^2>
     # is then a squared error, >= 0, for every xi
-    bias = float(np.sqrt(np.sum(cross ** 2 / noise)))
-    return analysis._McWeights(delta, bias, (cross, noise))
+    return float(np.sqrt(np.sum(cross ** 2 / noise)))
+
+
+def _shared(weights, order):
+    """The rows and the two product groups of ``weights``, a list of
+    ``(delta, cross, noise)``, shared in the given arrival order."""
+    groups = ([], [])
+    for d in order:
+        for group, v in zip(groups, weights[d][1:]):
+            analysis._share(group, d, v)
+    return [(delta, _bias(cross, noise)) for delta, cross, noise in weights], groups
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.numpy_floor
 def test_monte_carlo_shares_products_between_prefix_equal_weights(threads):
     # the 120-node vectors are prefixes of the 300-node ones; the 200-node
-    # noise weights differ from that prefix in their last entry alone
+    # noise weights differ from that prefix in their last entry alone, so
+    # the 120-node ones are a prefix of them too; the fourth row's cross
+    # vector is all zero.  Whatever the order of arrival, each vector reads
+    # a product whose first entries it equals, the widest of its kind heads
+    # each product, and no product's vector is a prefix of another's
     rng = np.random.default_rng(8)
     cross, noise = rng.standard_normal(300), rng.uniform(0.5, 2.0, 300)
     off = noise[:200].copy()
     off[-1] *= 2.0
-    weights = [_weights(1e-2, cross, noise),
-               _weights(1e-3, cross[:120].copy(), noise[:120].copy()),
-               _weights(1e-4, cross[:200].copy(), off)]
-    products = [[[d for d, _ in readers] for _, readers in
-                 analysis._shared_products([w.sum_w[j] for w in weights])]
-                for j in (0, 1)]
-    assert products == [[[0, 2, 1]], [[0, 1], [2]]]
+    weights = [(1e-2, cross, noise),
+               (1e-3, cross[:120].copy(), noise[:120].copy()),
+               (1e-4, cross[:200].copy(), off),
+               (1e-3, np.zeros(50), noise[:50].copy())]
     space = MeasureSpace.counting(300)
     sampler = WhiteNoiseSampler(5, stream_id=700)
-    each = [analysis._monte_carlo([w], space, sampler, 7)[0] for w in weights]
-    assert analysis._monte_carlo(weights, space, sampler, 7, threads) == each
+    each = [analysis._monte_carlo(*_shared([w], [0]), space, sampler, 7)[0]
+            for w in weights]
+    assert each[3].cross_term_mean == each[3].cross_term_stderr == 0.0
+    for order, readers in (([0, 1, 2, 3], [[[0, 1, 2]], [[0, 1, 3], [2]]]),
+                           ([3, 2, 1, 0], [[[0, 1, 2]], [[2, 3, 1], [0]]]),
+                           ([1, 3, 2, 0], [[[0, 1, 2]], [[2, 1, 3], [0]]])):
+        rows, groups = _shared(weights, order)
+        for group, j in zip(groups, (1, 2)):
+            for wide, group_readers in group:
+                assert wide is weights[group_readers[0][0]][j]
+                assert all(analysis._is_prefix(weights[d][j], wide) and
+                           k == weights[d][j].size for d, k in group_readers)
+            assert not any(analysis._is_prefix(a, b) for (a, _), (b, _)
+                           in itertools.permutations(group, 2))
+        assert [[sorted(d for d, _ in group_readers) for _, group_readers in group]
+                for group in groups] == [[sorted(r) for r in g] for g in readers]
+        assert analysis._monte_carlo(rows, groups, space, sampler, 7,
+                                     threads) == each
 
 
 @pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
@@ -1145,26 +1270,29 @@ def test_monte_carlo_on_mixed_cutoff_and_lavrentiev_weights(threads, distributio
     for n in (500, analysis.BLOCK + 1000):
         b, space, f = _counting(n)
         study = analysis._Study(b, space, f)
-        weights = [study.mc_weights(scheme, alpha, delta)
-                   for scheme, alpha, delta in (
-                       (spectral_cutoff(), 0.01, 1e-3),
-                       (lavrentiev(), 0.01, 1e-3),
-                       (truncate(spectral_cutoff()), 0.003, 1e-4),
-                       (truncate(lavrentiev()), 0.005, 1e-3),
-                       (spectral_cutoff(), 0.05, 0.0),
-                       (spectral_cutoff(), 2.0, 1e-2),
-                       (truncate(spectral_cutoff()), 0.02, 1e-2),
-                       (spectral_cutoff(), 1e-4, 1e-5))]
-        # the cut-offs' noise weights share one product; 5 is above sup b,
+        cases = ((spectral_cutoff(), 0.01, 1e-3),
+                 (lavrentiev(), 0.01, 1e-3),
+                 (truncate(spectral_cutoff()), 0.003, 1e-4),
+                 (truncate(lavrentiev()), 0.005, 1e-3),
+                 (spectral_cutoff(), 0.05, 0.0),
+                 (spectral_cutoff(), 2.0, 1e-2),
+                 (truncate(spectral_cutoff()), 0.02, 1e-2),
+                 (spectral_cutoff(), 1e-4, 1e-5))
+        groups = ([], [])
+        rows = []
+        for d, (scheme, alpha, delta) in enumerate(cases):
+            study.white_check(scheme, alpha, delta)
+            rows.append((delta, study.white_weights(scheme, alpha, d, groups)))
+        # the cut-offs' noise weights share one product; 2 is above sup b,
         # all zero; Lavrentiev's two, at different alphas, share nothing
-        readers = [sorted(d for d, _ in group) for _, group in
-                   analysis._shared_products([w.sum_w[1] for w in weights])]
+        readers = [sorted(d for d, _ in group) for _, group in groups[1]]
         assert sorted(readers) == [[0, 2, 4, 6, 7], [1], [3]]
-        assert [d for _, group in analysis._shared_products(
-            [w.sum_w[0] for w in weights]) for d, _ in group] == [1, 3]
+        assert [d for _, group in groups[0] for d, _ in group] == [1, 3]
         sampler = WhiteNoiseSampler(9, stream_id=300, distribution=distribution)
-        each = [analysis._monte_carlo([w], space, sampler, 5)[0] for w in weights]
-        assert analysis._monte_carlo(weights, space, sampler, 5, threads) == each
+        each = [monte_carlo_rms(scheme, alpha, b, space, f, delta, sampler, 5)
+                for scheme, alpha, delta in cases]
+        assert analysis._monte_carlo(rows, groups, space, sampler, 5,
+                                     threads) == each
 
 
 def _deterministic_problems():
@@ -1258,7 +1386,7 @@ def test_monte_carlo_weights_end_at_the_filters_last_nonzero_node():
     problem = counting_problem(50, PowerIndex(1.0))
     study = analysis._Study(problem.b, problem.space, problem.f_true)
     for alpha, k in ((0.3, 3), (1e-3, 50), (2.0, 0)):
-        assert study.mc_weights(spectral_cutoff(), alpha, 1e-3).sum_w[1].size == k
+        assert _white_weights(study, spectral_cutoff(), alpha, 1e-3)[2].size == k
 
 
 @pytest.mark.numpy_floor

@@ -581,6 +581,22 @@ discretization: {n_nodes: 4096}
 STUDIES["white_halfline_rademacher_lavrentiev"] = \
     STUDIES["white_halfline_rademacher"].replace("truncated:cutoff",
                                                  "truncated:lavrentiev")
+# white studies whose last delta's alpha* lies below b's largest value
+# beyond R, so that delta runs the full 2R/4R divergence check
+STUDIES["white_halfline_full_check"] = """\
+problem: {kind: power_decay, kappa: 0.5}
+scheme: truncated:cutoff
+index_function: {family: power, nu: 0.5}
+noise:
+  mode: white
+  deltas: [1.0e-2, 1.0e-3, 1.0e-4, 1.0e-5, 2.0e-6]
+  replications: 40
+discretization: {n_nodes: 4096, truncation_radius: 50.0}
+seed: 20261018
+"""
+STUDIES["white_halfline_full_check_lavrentiev"] = \
+    STUDIES["white_halfline_full_check"].replace("truncated:cutoff",
+                                                 "truncated:lavrentiev")
 # SHA-256 of what `run` writes for the shipped configs and the studies
 # above, of what `reconstruct` writes for backward_heat.yaml and of the
 # `rearrange` and `dalpha` tables of the deconvolution: a change of these
@@ -608,6 +624,14 @@ GOLDEN = {
         "2a758da5775c7b03c3e0085021c93cf70ad8e9b28b15bd80638520843434d313",
     ("white_halfline_rademacher_lavrentiev", "run", "report.json"):
         "e3b7f297198c9e7b6ee88f11bf9a944ada98421fc5c9949d4c0c1af56d714097",
+    ("white_halfline_full_check", "run", "rows.csv"):
+        "b2f665cd1d60586b97f508b978fe0cb8f90d1f37f2ead761622babf112973753",
+    ("white_halfline_full_check", "run", "report.json"):
+        "ccd53406428aa143e7878cfea73f19509e7924c082a02578a6dcebf420d6323f",
+    ("white_halfline_full_check_lavrentiev", "run", "rows.csv"):
+        "88683f3974eff443edc2572a4e411bce03aed67a0680bdc39ce5d132025a04ab",
+    ("white_halfline_full_check_lavrentiev", "run", "report.json"):
+        "16780dfeef2d6f9c50b8140146b4d1a17a94589bcd4891d9c9b34002e79cd356",
     ("white_lavrentiev", "run", "rows.csv"):
         "f96375cad37ca8baa8ad9c072792d3aed79f4f9adca4571150c4124d4e902eeb",
     ("white_lavrentiev", "run", "report.json"):

@@ -74,34 +74,39 @@ def test_extended_keeps_density():
         MeasureSpace.counting(5).extended(2.0)
 
 
-def test_extended_nodes_are_the_extension_checked_as_yielded():
-    # the pieces are extended(f).nodes bit for bit, on uniform and array
-    # spaces; an extension that cannot be built fails alike either way
+def test_extended_nodes_are_the_formula_on_any_slice():
+    # the nodes of any slice of an extension, in pieces of 1, 7 or 2^14
+    # nodes, are its nodes bit for bit, on uniform and array spaces; an
+    # extension that cannot be built is refused by the constructor's checks
     array_space = MeasureSpace("lebesgue_halfline", [0.5, 2.0, 3.0], np.ones(3),
                                truncation_radius=3.5)
     for space in (MeasureSpace.halfline(50.0, 1000), MeasureSpace.line(8.0, 1001),
                   array_space):
         for factor in (2.0, 2.5, 4.0, 8.0):
-            wide = space.extended(factor).nodes
+            wide = space.extended(factor)
+            nodes = wide.nodes
+            assert nodes.size == round(space.weights.size * factor)
             for chunk in (1, 7, 2**14):
-                pieces = list(space.extended_nodes(factor, chunk))
-                assert max(p.size for p in pieces) <= chunk
+                pieces = [wide._at(slice(lo, min(lo + chunk, nodes.size)))
+                          for lo in range(0, nodes.size, chunk)]
                 assert np.array_equal(np.concatenate(pieces).view(np.int64),
-                                      wide.view(np.int64))
-    for space, factor in ((MeasureSpace.counting(5), 2.0),  # not extensible
-                          (MeasureSpace.interval(0.0, 1.0, 8), 2.0),
-                          (MeasureSpace.halfline(1e308, 4), 2.0),  # inf nodes
-                          (MeasureSpace.line(5e307, 4), 2.0),
-                          (MeasureSpace.line(1.0, 4), 2.0**55),  # nodes round equal
-                          (MeasureSpace.halfline(1.0, 4), 0.0),
-                          (MeasureSpace.halfline(1.0, 4), -1.0),
-                          (array_space, np.nan)):
-        with pytest.raises(Exception) as built:
+                                      nodes.view(np.int64))
+    # (numpy's own refusals, of a negative or NaN size, are matched by type)
+    for space, factor, error, message in (
+            (MeasureSpace.counting(5), 2.0, ValueError,
+             "cannot extend a counting space"),
+            (MeasureSpace.interval(0.0, 1.0, 8), 2.0, ValueError,
+             "cannot extend a lebesgue_interval space"),
+            (MeasureSpace.halfline(1e308, 4), 2.0, ValueError,
+             "nodes must be finite"),
+            (MeasureSpace.line(5e307, 4), 2.0, ValueError, "nodes must be finite"),
+            (MeasureSpace.line(1.0, 4), 2.0**55, ValueError,  # nodes round equal
+             "nodes must be strictly increasing"),
+            (MeasureSpace.halfline(1.0, 4), 0.0, ZeroDivisionError, None),
+            (MeasureSpace.halfline(1.0, 4), -1.0, ValueError, None),
+            (array_space, np.nan, ValueError, None)):
+        with pytest.raises(error, match=message):
             space.extended(factor)
-        with pytest.raises(Exception) as pieces:
-            list(space.extended_nodes(factor, 3))
-        assert type(pieces.value) is type(built.value)
-        assert str(pieces.value) == str(built.value)
 
 
 def test_tabulated_keeps_a_read_only_copy():

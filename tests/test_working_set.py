@@ -96,19 +96,19 @@ def test_effective_illposedness_working_set():
 
 
 def test_deterministic_sweep_working_set(pure_power):
-    # b's values, and pieces: the two leaf buffers, and while a leaf's
-    # filter and its temporary are formed, the last leaf's filter and its
-    # magnitude
+    # b's values, and pieces: the two leaf buffers, and a leaf's filter
+    # with its temporary; the last leaf's filter and its magnitude are
+    # released before the next leaf's are formed
     problem = build_problem(pure_power)
     assert _transient_arrays(lambda: sweep_deltas(
         problem, lavrentiev(), problem.phi, pure_power.deltas, DETERMINISTIC,
-        1.0)) <= 1 + 6 * PIECE + SLACK
+        1.0)) <= 1 + 4 * PIECE + SLACK
 
 
 def test_white_sweep_working_sets(power_decay):
     # b's values and D(alpha)'s two arrays while the alpha* are chosen and
     # checked, leaf by leaf; then, D(alpha) dropped, each delta's filter and
-    # its weights beside the earlier deltas' weights.  A cut-off's noise
+    # its weights beside the earlier deltas' products.  A cut-off's noise
     # weights are one buffer, prefixes of the widest, and it keeps no cross
     # vector; a truncated Lavrentiev sweep keeps both vectors of every
     # delta on its support, which is every node of the counting problem
@@ -125,29 +125,34 @@ def test_white_sweep_working_sets(power_decay):
 def test_white_sweep_drops_the_divergence_grids_before_its_weights(
         power_decay, monkeypatch):
     # the last delta's alpha* is below b's largest value beyond R: its check
-    # builds the 2R and 4R grids, 6 arrays beside b's values, which no
-    # weights step reads (measured: 7.25 arrays)
+    # sums the 2R and 4R grids leaf by leaf, evaluating b on each leaf of
+    # their node formulas, and holds no array of their nodes or of b's
+    # values there.  The peak is the last delta's weights step: b's values,
+    # its filter and noise weights on every node, the earlier deltas' noise
+    # product and a leaf buffer (measured: 3.75 arrays)
     built, extended = [], MeasureSpace.extended
     monkeypatch.setattr(MeasureSpace, "extended", lambda space, factor:
                         built.append(factor) or extended(space, factor))
     assert _transient_arrays(lambda: sweep_deltas(
         power_decay, truncate(spectral_cutoff()), PowerIndex(0.5),
         [1e-2, 1e-3, 1e-4, 1e-5, 2e-6], WHITE, 1.0, n_reps=4, seed=3)) \
-        <= 7.25 + SLACK
+        <= 3.75 + SLACK
     assert built == [2.0, 4.0]
 
 
 def test_cutoff_sweep_keeps_one_noise_buffer_and_no_cross_vector(
         power_decay, monkeypatch):
+    # every delta's noise weights read one product, the last delta's, whose
+    # first entries they equal; no delta reads a cross product
     held, monte_carlo = [], analysis._monte_carlo
-    monkeypatch.setattr(analysis, "_monte_carlo", lambda weights, *args:
-                        held.extend(weights) or monte_carlo(weights, *args))
+    monkeypatch.setattr(analysis, "_monte_carlo", lambda rows, groups, *args:
+                        held.extend(groups) or monte_carlo(rows, groups, *args))
     _white_sweep(power_decay, truncate(spectral_cutoff()), DELTAS)()
-    noise = [w.sum_w[1] for w in held]
-    widest = max(noise, key=np.size)
-    assert [w.sum_w[0].size for w in held] == [0] * len(DELTAS)
-    assert all(v is widest or v.base is widest for v in noise)
-    assert widest.size > noise[0].size > 0
+    (cross, [(widest, readers)]) = held
+    assert cross == [] and widest.base is None
+    assert sorted(d for d, _ in readers) == list(range(len(DELTAS)))
+    sizes = dict(readers)
+    assert widest.size == sizes[len(DELTAS) - 1] > sizes[0] > 0
 
 
 def test_phi_star_working_set():
