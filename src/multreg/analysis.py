@@ -24,7 +24,7 @@ from .noise import (GAUSSIAN, DeterministicNoise, NoiseStreams,
 from .rearrangement import (_check_decreasing, _distribution, _sorted_view,
                             _superlevel_count, vanishes_at_infinity)
 from .schemes import Scheme, require_certified
-from .spaces import _PIECE, LEBESGUE_LINE, MeasureSpace
+from .spaces import _PIECE, LEBESGUE_LINE, MeasureSpace, _fold, _leaves
 
 
 def reconstruct(scheme: Scheme, alpha: float, b: Multiplier,
@@ -52,36 +52,6 @@ class VarianceValue:
 
     def __float__(self):
         return self.value
-
-
-def _half(n: int) -> int:
-    """Where numpy's pairwise sum splits a node of n > 128 values: at half,
-    rounded down to a multiple of 8."""
-    return n // 2 - n // 2 % 8
-
-
-def _leaves(n: int, cap: int = _PIECE) -> list:
-    """The slices of numpy's pairwise-sum tree over n values that hold at
-    most ``cap`` values, ``cap`` >= 128, and whose parent holds more, in
-    order.  ``np.sum`` of a leaf is its subtree's sum, so ``_fold`` of the
-    leaves' sums is ``np.sum`` of the n values bit for bit, formed one leaf
-    at a time (Higham, SIAM J. Sci. Comput. 14, 1993)."""
-    if n <= cap:
-        return [slice(0, n)]
-    half = _half(n)
-    return _leaves(half, cap) + [slice(p.start + half, p.stop + half)
-                                 for p in _leaves(n - half, cap)]
-
-
-def _fold(sums, n: int, cap: int = _PIECE) -> float:
-    """The sum of n values from the sums of their ``_leaves(n, cap)``, added
-    as numpy adds them."""
-    sums = iter(sums)
-
-    def node(m):
-        return next(sums) if m <= cap else node(_half(m)) + node(m - _half(m))
-
-    return float(node(n))
 
 
 def _square_sum(alpha, weights, phi_v):
@@ -818,45 +788,40 @@ def choose_alpha(problem: MultiplicationProblem, phi: IndexFunction,
     raise ValueError(f"unknown mode '{mode}'")
 
 
-class _Sweep:
-    """What the rows of one sweep share: in deterministic mode the
-    ``_Study`` of the problem (``study``), in white mode ``white``, each
-    delta's alpha* and ``McResult`` from one Monte Carlo pass.
+def _white_sweep(problem: MultiplicationProblem, scheme: Scheme,
+                 phi: IndexFunction, deltas, n_reps: int,
+                 sampler: WhiteNoiseSampler, profile,
+                 threads: int = 1) -> list:
+    """Each delta's alpha* and ``McResult``, in order, from one Monte Carlo
+    pass.
 
-    A white sweep runs two loops over its deltas, in order, before any
-    draw.  The first chooses each delta's alpha* and runs its
-    ``white_check``, so a failing delta's later deltas get no alpha*.
-    Without a ``profile`` the sweep builds D(alpha) itself and drops it once
-    the last alpha* is chosen, before that delta's check.  The second forms
-    each delta's ``white_weights``, whose vectors ``_share`` puts into the
-    products of the pass: an earlier delta's noise weights that equal the
-    first entries of a later delta's, bit for bit (every cut-off's), are
-    dropped for the later ones.  The study, b's values with it, is dropped
-    before the Monte Carlo pass, which then holds only what it reads.
+    Two loops over the deltas, in order, run before any draw.  The first
+    chooses each delta's alpha* and runs its ``white_check``, so a failing
+    delta's later deltas get no alpha*.  Without a ``profile`` the sweep
+    builds D(alpha) itself and drops it once the last alpha* is chosen,
+    before that delta's check.  The second forms each delta's
+    ``white_weights``, whose vectors ``_share`` puts into the products of
+    the pass: an earlier delta's noise weights that equal the first entries
+    of a later delta's, bit for bit (every cut-off's), are dropped for the
+    later ones.  The study, b's values with it, is dropped before the Monte
+    Carlo pass, which then holds only what it reads.
     """
-
-    def __init__(self, problem: MultiplicationProblem, scheme: Scheme,
-                 phi: IndexFunction, deltas, mode: str, n_reps: int,
-                 sampler: WhiteNoiseSampler, profile, threads: int = 1):
-        study = _Study(problem.b, problem.space, problem.f_true)
-        if mode != WHITE:
-            self.study = study
-            return
-        if profile is None:
-            profile = effective_illposedness(problem.b, problem.space)
-        alphas = []
-        for delta in deltas:
-            alphas.append(choose_alpha(problem, phi, delta, WHITE, profile))
-            if len(alphas) == len(deltas):
-                profile = None
-            study.white_check(scheme, alphas[-1], delta)
-        rows, groups = [], ([], [])
-        for d, (alpha, delta) in enumerate(zip(alphas, deltas)):
-            rows.append((delta, study.white_weights(scheme, alpha, d, groups)))
-        del study
-        results = _monte_carlo(rows, groups, problem.space, sampler, n_reps,
-                               threads)
-        self.white = dict(zip(deltas, zip(alphas, results)))
+    study = _Study(problem.b, problem.space, problem.f_true)
+    if profile is None:
+        profile = effective_illposedness(problem.b, problem.space)
+    alphas = []
+    for delta in deltas:
+        alphas.append(choose_alpha(problem, phi, delta, WHITE, profile))
+        if len(alphas) == len(deltas):
+            profile = None
+        study.white_check(scheme, alphas[-1], delta)
+    rows, groups = [], ([], [])
+    for d, (alpha, delta) in enumerate(zip(alphas, deltas)):
+        rows.append((delta, study.white_weights(scheme, alpha, d, groups)))
+    del study
+    results = _monte_carlo(rows, groups, problem.space, sampler, n_reps,
+                           threads)
+    return list(zip(alphas, results))
 
 
 def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
@@ -864,7 +829,7 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
                    c_phi: float, n_reps: int = 1,
                    sampler: WhiteNoiseSampler = WhiteNoiseSampler(0),
                    profile: IllposednessProfile | None = None, *,
-                   _sweep: _Sweep | None = None) -> RateRow:
+                   _shared=None) -> RateRow:
     """One row of a rate study: alpha* from ``choose_alpha``, error and bound.
 
     Deterministic mode perturbs the data with the worst admissible noise
@@ -874,15 +839,15 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
     The bound column is the simplified at-alpha-star form of the
     a-priori error estimate.
 
-    ``_sweep`` is the ``_Sweep`` of the ``sweep_deltas`` call that this row
-    belongs to; without it the row is a one-delta sweep's.
+    ``_shared`` is what the ``sweep_deltas`` call that this row belongs to
+    found for it: in white mode its ``(alpha*, McResult)`` from
+    ``_white_sweep``, in deterministic mode the ``_Study`` of the problem.
+    Without it the row is a one-delta sweep's.
     """
     delta = float(delta)
-    if _sweep is None:
-        _sweep = _Sweep(problem, scheme, phi, [delta], mode, n_reps, sampler,
-                        profile)
     if mode == WHITE:
-        alpha, mc = _sweep.white[delta]
+        alpha, mc = _shared if _shared is not None else _white_sweep(
+            problem, scheme, phi, [delta], n_reps, sampler, profile)[0]
         bound = white_bound_at_star(c_phi, scheme.c_0, phi, alpha,
                                     problem.source_scale)
         return RateRow(delta=delta, alpha_star=alpha, error=mc.rms,
@@ -892,7 +857,9 @@ def evaluate_delta(problem: MultiplicationProblem, scheme: Scheme,
     alpha_star = choose_alpha(problem, phi, delta, mode, profile)
     bound = deterministic_bound_at_star(c_phi, scheme.c_minus1, phi,
                                         alpha_star, problem.source_scale)
-    budget = _sweep.study.deterministic(scheme, alpha_star, delta)
+    study = _shared if _shared is not None else _Study(
+        problem.b, problem.space, problem.f_true)
+    budget = study.deterministic(scheme, alpha_star, delta)
     return RateRow(delta=delta, alpha_star=alpha_star,
                    error=budget.total, stderr=0.0, bias=budget.bias,
                    variance_term=budget.noise_term, bound=bound,
@@ -908,8 +875,8 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
     A white sweep first chooses alpha* and checks the variance integral of
     every delta in order, so a failing sweep raises its first failing
     delta's failure before any noise is drawn.  It then drops D(alpha) and
-    forms every delta's weights (see ``_Sweep``).  One Monte Carlo pass then
-    draws each replication once, replication r from stream
+    forms every delta's weights (see ``_white_sweep``).  One Monte Carlo
+    pass then draws each replication once, replication r from stream
     ``FIRST_STREAM + r`` up to the widest filter's support, and every delta
     reads its own prefix of those draws (common random numbers).  Each row
     is thus the row ``evaluate_delta`` gives on ``WhiteNoiseSampler(seed,
@@ -920,17 +887,21 @@ def sweep_deltas(problem: MultiplicationProblem, scheme: Scheme,
     The slopes fit log(error) and log(phi(alpha*)) against log(delta) on
     the middle 80% of the points; they are None below 4 rows.
 
-    Every row reads one ``_Sweep``, whose ``_Study`` finds what all deltas
-    need once: b's values, and in white mode the 2R and 4R grids' node
-    formulas and b's largest value on them beyond R, found piece by piece.
+    One ``_Study`` finds what all deltas need once: b's values, and in
+    white mode the 2R and 4R grids' node formulas and b's largest value on
+    them beyond R, found piece by piece.  A deterministic row reads it
+    through ``evaluate_delta``, a white row its own ``(alpha*, McResult)``.
     """
     deltas = [float(delta) for delta in deltas]
-    sweep = _Sweep(problem, scheme, phi, deltas, mode, n_reps,
-                   WhiteNoiseSampler(seed, FIRST_STREAM, distribution),
-                   None, threads)
+    if mode == WHITE:
+        shared = _white_sweep(problem, scheme, phi, deltas, n_reps,
+                              WhiteNoiseSampler(seed, FIRST_STREAM, distribution),
+                              None, threads)
+    else:
+        shared = [_Study(problem.b, problem.space, problem.f_true)] * len(deltas)
     rows = [evaluate_delta(problem, scheme, phi, delta, mode, c_phi,
-                           _sweep=sweep)
-            for delta in deltas]
+                           _shared=row)
+            for delta, row in zip(deltas, shared)]
 
     fitted = theoretical = None
     if len(rows) >= 4:

@@ -5,7 +5,8 @@ config's full pipeline, ``rearrange`` dumps distribution and
 rearrangement tables, ``dalpha`` the effective ill-posedness profile with
 its simple upper bound, ``check-scheme`` certifies axioms and
 qualification, ``reconstruct`` writes one reconstruction as two-column
-text.
+text.  Each subcommand accepts only the options it reads; argparse
+refuses any other with exit code 2.
 
 Exit codes: 0 success, 2 config error, 3 invariant/bound violation,
 4 divergent problem.
@@ -48,17 +49,17 @@ def cmd_run(config, args) -> int:
 def cmd_rearrange(config, args) -> int:
     problem = build_problem(config)
     b, space = problem.b, problem.space
-    out = Path(args.out or config.out_dir)
+    out, fmt = Path(args.out or config.out_dir), args.format or config.out_format
     sup = float(b.sup_bound)
     ts = np.geomspace(sup * 1e-6, sup, 64)
-    write_table(out / f"distribution.{args.format}", ("t", "d_b"),
+    write_table(out / f"distribution.{fmt}", ("t", "d_b"),
                 zip(ts, distribution_function(b, space, ts)))
     dec = decreasing_rearrangement(b, space)
-    write_table(out / f"decreasing_rearrangement.{args.format}",
+    write_table(out / f"decreasing_rearrangement.{fmt}",
                 ("t_left", "t_right", "value"), dec.cells())
     try:
         inc = increasing_rearrangement(b, space)
-        write_table(out / f"increasing_rearrangement.{args.format}",
+        write_table(out / f"increasing_rearrangement.{fmt}",
                     ("t_left", "t_right", "value"), inc.cells())
     except RequiresFiniteMeasure:
         print("increasing rearrangement skipped (infinite measure)")
@@ -71,8 +72,8 @@ def cmd_dalpha(config, args) -> int:
     profile = effective_illposedness(problem.b, problem.space)
     out = Path(args.out or config.out_dir)
     rows = list(zip(profile.alpha_grid, profile.d_values, profile.upper_bounds))
-    write_table(out / f"dalpha.{args.format}", ("alpha", "D", "upper_bound"),
-                rows)
+    write_table(out / f"dalpha.{args.format or config.out_format}",
+                ("alpha", "D", "upper_bound"), rows)
     print(f"D(alpha) profile ({len(rows)} points) written to {out}")
     return EXIT_OK
 
@@ -115,16 +116,31 @@ def cmd_reconstruct(config, args) -> int:
     return EXIT_OK
 
 
-# subcommand -> (handler, help text)
+# option -> its argparse settings
+_OPTIONS = {
+    "--out": {"default": None, "help": "output directory"},
+    "--seed": {"type": int, "default": None, "help": "override the config seed"},
+    "--threads": {"type": int, "default": 1,
+                  "help": "parallel workers over Monte Carlo replications"},
+    "--format": {"choices": ("csv", "json"), "default": None,
+                 "help": "output table format"},
+}
+_STUDY = ("--out", "--seed", "--threads", "--format")
+
+# subcommand -> (handler, help text, the options it reads besides --config)
 _COMMANDS = {
-    "run": (cmd_run, "execute the configured experiment pipeline"),
-    "rates": (cmd_run, "alias of run: full rate study"),
+    "run": (cmd_run, "execute the configured experiment pipeline", _STUDY),
+    "rates": (cmd_run, "alias of run: full rate study", _STUDY),
     "rearrange": (cmd_rearrange,
-                  "dump distribution function and rearrangement tables"),
-    "dalpha": (cmd_dalpha, "dump the effective ill-posedness profile D(alpha)"),
-    "check-scheme": (cmd_check_scheme, "certify scheme axioms and qualification"),
+                  "dump distribution function and rearrangement tables",
+                  ("--out", "--format")),
+    "dalpha": (cmd_dalpha, "dump the effective ill-posedness profile D(alpha)",
+               ("--out", "--format")),
+    "check-scheme": (cmd_check_scheme, "certify scheme axioms and qualification",
+                     ()),
     "reconstruct": (cmd_reconstruct,
-                    "write a single reconstruction as two-column text"),
+                    "write a single reconstruction as two-column text",
+                    ("--out", "--seed")),
 }
 
 
@@ -134,25 +150,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral regularization experiments for multiplication "
                     "operator equations")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the YAML config")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallel workers over Monte Carlo replications")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output table format")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, seed=args.seed)
-        if args.format is None:
-            args.format = config.out_format
+        config = load_config(args.config, seed=vars(args).get("seed"))
         return _COMMANDS[args.command][0](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -216,9 +216,13 @@ def fvp_multiplier(fvp: FinalValueProblem) -> tuple[Multiplier, MeasureSpace]:
     lam = fvp.eigenvalues
     if lam is None:
         lam = tuple(float(k) for k in range(1, fvp.n_max + 1))
-    mult = ExponentialSequence(fvp.c, fvp.tau, tuple(lam),
-                               exponent_power=fvp.exponent_power)
-    return mult, MeasureSpace.counting(fvp.n_max)
+    # every eigenvalue is checked, then the table keeps the first n_max
+    table = ExponentialSequence(fvp.c, fvp.tau, lam,
+                                exponent_power=fvp.exponent_power).values
+    space = MeasureSpace.counting(fvp.n_max)
+    if table.size < fvp.n_max:
+        raise ValueError("not enough eigenvalues for this space")
+    return Tabulated(table[:fvp.n_max]), space
 
 
 def compact_case(b_values=None, n_max: int | None = None,

@@ -77,7 +77,11 @@ class IndexFunction:
 
     def power(self, p: float) -> "IndexFunction":
         """phi**p, again an index function for p > 0."""
-        return _PowerOf(self, p)
+        if p <= 0:
+            raise ValueError("p must be positive")
+        return _Derived(f"{self.name}^{p:g}", self.domain,
+                        lambda t: np.asarray(self(t)) ** p,
+                        lambda y: self.inverse(float(y) ** (1.0 / p)))
 
 
 @dataclass(frozen=True)
@@ -153,20 +157,14 @@ class TableIndex(IndexFunction):
         return float(np.exp(np.interp(np.log(y), self._log_v, self._log_t)))
 
 
-class _PowerOf(IndexFunction):
-    def __init__(self, base: IndexFunction, p: float):
-        if p <= 0:
-            raise ValueError("p must be positive")
-        self._base = base
-        self._p = p
-        self.name = f"{base.name}^{p:g}"
-        self.domain = base.domain
+class _Derived(IndexFunction):
+    """An index function given by its evaluator ``fn`` and ``inverse``,
+    derived from another one: ``IndexFunction.power``, and the lower
+    sandwich bound b_k(s / (C m)) of ``piecewise_rearrangement_bounds``."""
 
-    def _eval(self, t):
-        return np.asarray(self._base(t)) ** self._p
-
-    def inverse(self, y):
-        return self._base.inverse(float(y) ** (1.0 / self._p))
+    def __init__(self, name: str, domain: tuple, fn, inverse):
+        self.name, self.domain = name, domain
+        self._eval, self.inverse = fn, inverse
 
 
 def validate_index_function(phi: IndexFunction) -> None:

@@ -4,10 +4,11 @@ The calculus uses four facts about b: its values on the nodes, its sup,
 an optional closed-form distribution function d_b(t), and the tail model
 ``tail_vanishes`` (every superlevel set {b > t}, t > 0, has finite
 measure).  Closed-form families are ``CallableMultiplier`` constructors;
-``ExponentialSequence`` and ``Tabulated`` live on fixed nodes and are not
-``evaluable`` off them.  Zeros are only allowed where a family explicitly
-declares them (the plateau counterexample on s < 0, piecewise-monotone
-multipliers at their declared zero locations).
+``Tabulated`` lives on fixed nodes and is not ``evaluable`` off them, and
+``ExponentialSequence`` builds the eigenvalue multiplier of the bounded
+final value problem as such a table.  Zeros are only allowed where a
+family explicitly declares them (the plateau counterexample on s < 0,
+piecewise-monotone multipliers at their declared zero locations).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import EigenvaluesNotDivergent
 from .indexfuncs import IndexFunction
-from .spaces import COUNTING, LEBESGUE_HALFLINE, LEBESGUE_LINE, MeasureSpace
+from .spaces import LEBESGUE_HALFLINE, LEBESGUE_LINE, MeasureSpace
 
 INCREASING_RIGHT = "increasing_right"
 INCREASING_LEFT = "increasing_left"
@@ -125,47 +126,6 @@ def PlateauCounterexample() -> CallableMultiplier:
         lambda s: np.clip(s, 0.0, 1.0), sup_bound=1.0, tail_vanishes=False,
         exact_distribution=lambda t, space: 0.0 if t >= 1.0 else np.inf,
         family="plateau_counterexample")
-
-
-@dataclass(frozen=True)
-class ExponentialSequence(Multiplier):
-    """b(n) = exp(-c^2 * lambda_n**p * tau) on the counting measure.
-
-    ``exponent_power`` p defaults to 2 (eigenvalues enter squared); p = 1
-    gives the standard semigroup variant.
-    """
-
-    c: float
-    tau: float
-    eigenvalues: tuple
-    exponent_power: int = 2
-    family = "exponential_sequence"
-    evaluable = False
-
-    def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, float)
-        if self.c <= 0 or self.tau <= 0:
-            raise ValueError("c and tau must be positive")
-        if lam.size < 2 or np.any(np.diff(lam) < 0):
-            raise EigenvaluesNotDivergent("eigenvalues must be nondecreasing")
-        if lam[-1] <= lam[0]:
-            raise EigenvaluesNotDivergent(
-                "eigenvalue sequence looks bounded (no growth across the section)"
-            )
-        object.__setattr__(self, "eigenvalues", tuple(float(x) for x in lam))
-        object.__setattr__(
-            self, "sup_bound",
-            float(np.exp(-(self.c**2) * lam[0] ** self.exponent_power * self.tau)),
-        )
-
-    def values_on(self, space):
-        if space.kind != COUNTING:
-            raise ValueError("exponential_sequence lives on a counting space")
-        lam = np.asarray(self.eigenvalues)
-        if space.weights.size > lam.size:
-            raise ValueError("not enough eigenvalues for this space")
-        idx = space.nodes.astype(int) - 1
-        return np.exp(-(self.c**2) * lam[idx] ** self.exponent_power * self.tau)
 
 
 @dataclass(frozen=True)
@@ -308,3 +268,23 @@ class Tabulated(Multiplier):
             raise ValueError("tabulated values not aligned with this space")
         return self.values
 
+
+def ExponentialSequence(c: float, tau: float, eigenvalues,
+                        exponent_power: int = 2) -> Tabulated:
+    """b(n) = exp(-c^2 * lambda_n**p * tau), n = 1, 2, ..., as a table on
+    the counting measure, one value per eigenvalue.
+
+    ``exponent_power`` p defaults to 2 (eigenvalues enter squared); p = 1
+    gives the standard semigroup variant.  The eigenvalues must be
+    nondecreasing and grow across the section.
+    """
+    lam = np.asarray(eigenvalues, float)
+    if c <= 0 or tau <= 0:
+        raise ValueError("c and tau must be positive")
+    if lam.size < 2 or np.any(np.diff(lam) < 0):
+        raise EigenvaluesNotDivergent("eigenvalues must be nondecreasing")
+    if lam[-1] <= lam[0]:
+        raise EigenvaluesNotDivergent(
+            "eigenvalue sequence looks bounded (no growth across the section)"
+        )
+    return Tabulated(np.exp(-(c**2) * lam ** exponent_power * tau))

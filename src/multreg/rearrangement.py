@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (DominationNotDetected, RearrangementUndefined,
                      RequiresFiniteMeasure)
-from .indexfuncs import IndexFunction
+from .indexfuncs import IndexFunction, _Derived
 from .multipliers import Multiplier, PiecewiseMonotone, Tabulated
 from .spaces import LEBESGUE_HALFLINE, MeasureSpace
 
@@ -171,23 +171,6 @@ def increasing_rearrangement(b: Multiplier, space: MeasureSpace) -> Rearrangemen
     return _sorted_step(b.values_on(space), space.weights, descending=False)
 
 
-class _ScaledArgument(IndexFunction):
-    """phi(scale * s); used for the lower sandwich bound b_k(s / (C m))."""
-
-    def __init__(self, base: IndexFunction, scale: float, name: str):
-        self._base = base
-        self._scale = scale
-        self.name = name
-        lo, hi = base.domain
-        self.domain = (lo / scale if lo > 0 else 0.0, hi / scale)
-
-    def _eval(self, t):
-        return np.asarray(self._base(t * self._scale))
-
-    def inverse(self, y):
-        return self._base.inverse(y) / self._scale
-
-
 @dataclass(frozen=True)
 class PiecewiseBounds:
     """Sandwich for the increasing rearrangement of a piecewise multiplier."""
@@ -242,7 +225,12 @@ def piecewise_rearrangement_bounds(b: PiecewiseMonotone) -> PiecewiseBounds:
 
     prof_k = pieces[k].profile
     upper = prof_k
-    lower = _ScaledArgument(prof_k, 1.0 / (C * m), name=f"{prof_k.name}(s/(C*m))")
+    scale = 1.0 / (C * m)
+    lo, hi = prof_k.domain
+    lower = _Derived(f"{prof_k.name}(s/(C*m))",
+                     (lo / scale if lo > 0 else 0.0, hi / scale),
+                     lambda t: np.asarray(prof_k(t * scale)),
+                     lambda y: prof_k.inverse(y) / scale)
 
     # verify against the numeric increasing rearrangement
     space = MeasureSpace.interval(0.0, b.hi, 2**14)

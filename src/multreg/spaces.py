@@ -131,10 +131,12 @@ class MeasureSpace:
         v = np.asarray(values)
         w = self.weights[support]
         # on reals v * v equals np.abs(v) ** 2 bit for bit, one pass less;
-        # unnamed, the square's temporary takes the product in place
+        # summed leaf by leaf (``_leaves``), no temporary outgrows a leaf
         if np.issubdtype(v.dtype, np.floating):
-            return float(np.sqrt(np.sum(w * (v * v))))
-        return float(np.sqrt(np.sum(w * np.abs(v) ** 2)))
+            return float(np.sqrt(_fold([np.sum(w[p] * (v[p] * v[p]))
+                                        for p in _leaves(v.size)], v.size)))
+        return float(np.sqrt(_fold([np.sum(w[p] * np.abs(v[p]) ** 2)
+                                    for p in _leaves(v.size)], v.size)))
 
     def inner(self, u, v) -> float:
         return float(np.real(np.sum(self.weights * np.conj(np.asarray(u)) * np.asarray(v))))
@@ -199,6 +201,36 @@ class MeasureSpace:
         build = self.halfline if self.kind == LEBESGUE_HALFLINE else self.line
         return build(self.truncation_radius * factor,
                      int(round(self.weights.size * factor)))
+
+
+def _half(n: int) -> int:
+    """Where numpy's pairwise sum splits a node of n > 128 values: at half,
+    rounded down to a multiple of 8."""
+    return n // 2 - n // 2 % 8
+
+
+def _leaves(n: int, cap: int = _PIECE) -> list:
+    """The slices of numpy's pairwise-sum tree over n values that hold at
+    most ``cap`` values, ``cap`` >= 128, and whose parent holds more, in
+    order.  ``np.sum`` of a leaf is its subtree's sum, so ``_fold`` of the
+    leaves' sums is ``np.sum`` of the n values bit for bit, formed one leaf
+    at a time (Higham, SIAM J. Sci. Comput. 14, 1993)."""
+    if n <= cap:
+        return [slice(0, n)]
+    half = _half(n)
+    return _leaves(half, cap) + [slice(p.start + half, p.stop + half)
+                                 for p in _leaves(n - half, cap)]
+
+
+def _fold(sums, n: int, cap: int = _PIECE) -> float:
+    """The sum of n values from the sums of their ``_leaves(n, cap)``, added
+    as numpy adds them."""
+    sums = iter(sums)
+
+    def node(m):
+        return next(sums) if m <= cap else node(_half(m)) + node(m - _half(m))
+
+    return float(node(n))
 
 
 def _uniform_weights(h: float, n: int) -> np.ndarray:

@@ -1193,8 +1193,8 @@ def test_divergent_white_sweep_fails_before_any_draw_as_the_full_check(
                         sample(*args, **kwargs))
     _, tail = _extension(b, space)
     with pytest.raises(DivergentProfile) as swept:
-        analysis._Sweep(problem, scheme, phi, deltas, WHITE, 4,
-                        WhiteNoiseSampler(0, STREAM_STRIDE), profile)
+        analysis._white_sweep(problem, scheme, phi, deltas, 4,
+                              WhiteNoiseSampler(0, STREAM_STRIDE), profile)
     alpha = analysis.choose_alpha(problem, phi, deltas[0], WHITE, profile)
     assert not (scheme.truncated and alpha >= tail)
     with pytest.raises(DivergentProfile) as full:

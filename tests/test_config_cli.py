@@ -3,7 +3,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from statistics import NormalDist
@@ -523,8 +526,9 @@ def test_cli_exits_with_a_contract_code(config, command):
         path.write_text(yaml.safe_dump(config))
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, "--config", str(path),
-                         "--out", str(Path(tmp) / "out")])
+            out = ([] if command == "check-scheme"
+                   else ["--out", str(Path(tmp) / "out")])
+            code = main([command, "--config", str(path), *out])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VIOLATION, EXIT_DIVERGENT)
 
 
@@ -798,6 +802,74 @@ scheme: lavrentiev
 index_function: {family: power, nu: 1.5}
 """, name="badq.yaml")
     assert main(["check-scheme", "--config", str(bad)]) == EXIT_VIOLATION
+
+
+def test_fvp_bounded_eigenvalues_through_a_config(tmp_path, capsys):
+    # a growth after the first n_max eigenvalues is accepted; fewer
+    # eigenvalues than nodes is a config error, exit 2 with no traceback
+    for k, (eigenvalues, code) in enumerate((([1.0, 1.0, 1.0, 1.0, 2.0], EXIT_OK),
+                                             ([1.0, 2.0, 3.0], EXIT_CONFIG))):
+        path = tmp_path / f"fvp{k}.yaml"
+        path.write_text(yaml.safe_dump({
+            "problem": {"kind": "fvp_bounded", "n_max": 4,
+                        "eigenvalues": eigenvalues}}))
+        capsys.readouterr()
+        assert main(["rearrange", "--config", str(path),
+                     "--out", str(tmp_path / f"out{k}")]) == code
+    err = capsys.readouterr().err
+    assert "config error: problem.fvp_bounded: not enough eigenvalues" in err
+    assert "Traceback" not in err
+
+
+#: an option each command does not read
+REFUSED = [("dalpha", "--threads", "4"), ("dalpha", "--seed", "9"),
+           ("rearrange", "--threads", "2"), ("rearrange", "--seed", "9"),
+           ("reconstruct", "--threads", "2"), ("reconstruct", "--format", "json"),
+           ("check-scheme", "--format", "json"), ("check-scheme", "--out", "x"),
+           ("check-scheme", "--seed", "9"), ("check-scheme", "--threads", "2")]
+
+
+@pytest.mark.parametrize("command, option, value", REFUSED)
+def test_cli_refuses_options_a_command_does_not_read(tmp_path, capsys,
+                                                     command, option, value):
+    path = write_config(tmp_path, WHITE_STUDY)
+    with pytest.raises(SystemExit) as refused:
+        main([command, "--config", str(path), option, value])
+    assert refused.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {option} {value}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_refusal_exits_2_from_the_interpreter(tmp_path):
+    path = write_config(tmp_path, WHITE_STUDY)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "multreg.cli", "dalpha",
+                           "--config", str(path), "--threads", "2"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_CONFIG
+    assert "unrecognized arguments" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_cli_study_commands_keep_every_option(tmp_path):
+    path = write_config(tmp_path, WHITE_STUDY)
+    for command in ("run", "rates"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--threads", "2",
+                     "--seed", "5", "--format", "json", "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["seed"] == 5
+        assert (out / "rows.json").exists()
+    assert main(["reconstruct", "--config", str(path), "--seed", "5",
+                 "--out", str(tmp_path / "r")]) == 0
+    for command in ("rearrange", "dalpha"):
+        assert main([command, "--config", str(path), "--format", "json",
+                     "--out", str(tmp_path / command)]) == 0
+    assert (tmp_path / "dalpha" / "dalpha.json").exists()
+    assert (tmp_path / "rearrange" / "distribution.json").exists()
 
 
 def test_cli_rearrange_and_dalpha(tmp_path):

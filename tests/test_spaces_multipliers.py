@@ -3,10 +3,11 @@ import pytest
 
 from multreg import (DETERMINISTIC, WHITE, DeconvolutionProblem,
                      EigenvaluesNotDivergent, ExponentialSequence,
-                     GaussianFrequency, MeasureSpace, MultiplicationProblem,
-                     MultRegError, PowerDecay, PowerIndex,
-                     PurePower, Tabulated, compact_case, distribution_function,
-                     effective_illposedness, from_frequency, lavrentiev,
+                     FinalValueProblem, GaussianFrequency, MeasureSpace,
+                     MultiplicationProblem, MultRegError, PowerDecay,
+                     PowerIndex, PurePower, Tabulated, compact_case,
+                     distribution_function, effective_illposedness,
+                     from_frequency, fvp_multiplier, lavrentiev,
                      lavrentiev_deconvolve, to_frequency, truncate)
 from multreg.analysis import sweep_deltas
 
@@ -63,6 +64,22 @@ def test_norm_of_real_vectors_keeps_its_bytes():
         assert space.norm(x) == float(np.sqrt(np.sum(weights * np.abs(x) ** 2)))
     z = v + 1j * v[::-1]
     assert space.norm(z) == float(np.sqrt(np.sum(weights * np.abs(z) ** 2)))
+
+
+@pytest.mark.numpy_floor
+def test_norm_of_vectors_longer_than_a_leaf_keeps_its_bytes():
+    # summed leaf by leaf on numpy's pairwise tree, the dense sum's bits;
+    # 17 leaves, whose sums added in order differ in the last bit for most
+    # such vectors
+    n = 2**18 + 1001
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-3, 4, (3, n))
+    for space in (MeasureSpace.halfline(7.0, n),
+                  MeasureSpace("lebesgue_interval", np.arange(n) / n,
+                               rng.uniform(0.5, 2.0, n))):
+        w = space.weights
+        for v in (*x, x[0] + 1j * x[1]):
+            assert space.norm(v) == float(np.sqrt(np.sum(w * np.abs(v) ** 2)))
 
 
 def test_extended_keeps_density():
@@ -138,6 +155,39 @@ def test_exponential_sequence_guards():
     assert b.values_on(space)[0] == pytest.approx(np.exp(-1.0))
     with pytest.raises(ValueError):
         b.values_on(MeasureSpace.counting(9))
+
+
+def test_exponential_sequence_is_the_table_of_its_formula():
+    lam = np.array([0.5, 1.0, 1.0, 2.5, 3.0, 7.25])
+    for p in (1, 2):
+        for c, tau in ((1.0, 1.0), (0.7, 0.3)):
+            b = ExponentialSequence(c, tau, tuple(lam), exponent_power=p)
+            assert isinstance(b, Tabulated)
+            assert b.values.tobytes() == \
+                np.exp(-(c**2) * lam ** p * tau).tobytes()
+            assert b.sup_bound == b.values[0]
+    for c, tau in ((0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="c and tau must be positive"):
+            ExponentialSequence(c, tau, (1.0, 2.0))
+    for bounded in ((2.0,), (1.0, 1.0, 1.0)):
+        with pytest.raises(EigenvaluesNotDivergent):
+            ExponentialSequence(1.0, 1.0, bounded)
+
+
+def test_fvp_multiplier_checks_every_eigenvalue_and_keeps_n_max():
+    # the growth comes after the first n_max eigenvalues: still accepted
+    lam = (1.0, 1.0, 1.0, 1.0, 2.0)
+    b, space = fvp_multiplier(FinalValueProblem("bounded_domain", n_max=4,
+                                                eigenvalues=lam))
+    assert space.weights.size == 4
+    assert b.values.tobytes() == \
+        ExponentialSequence(1.0, 1.0, lam).values[:4].tobytes()
+    with pytest.raises(EigenvaluesNotDivergent):
+        fvp_multiplier(FinalValueProblem("bounded_domain", n_max=4,
+                                         eigenvalues=lam[:4]))
+    with pytest.raises(ValueError, match="not enough eigenvalues"):
+        fvp_multiplier(FinalValueProblem("bounded_domain", n_max=6,
+                                         eigenvalues=lam))
 
 
 def _uniform_spaces(n):

@@ -11,11 +11,12 @@ import numpy.random  # noqa: F401
 import pytest
 
 from multreg import (DETERMINISTIC, WHITE, CallableMultiplier,
-                     DeconvolutionProblem, ExponentialSequence, MeasureSpace,
-                     PowerDecay, PowerIndex, PurePower, Tabulated,
-                     WhiteNoiseSampler, build_problem, concentrated_noise,
-                     counting_problem, decreasing_rearrangement,
-                     distribution_function, effective_illposedness,
+                     DeconvolutionProblem, ExponentialSequence,
+                     FinalValueProblem, MeasureSpace, PowerDecay, PowerIndex,
+                     PurePower, Tabulated, WhiteNoiseSampler, build_problem,
+                     concentrated_noise, counting_problem,
+                     decreasing_rearrangement, distribution_function,
+                     effective_illposedness, fvp_multiplier,
                      increasing_rearrangement, lavrentiev, lavrentiev_deconvolve,
                      parse_config, phi_star, sample_white, spectral_cutoff,
                      truncate)
@@ -166,10 +167,12 @@ def test_phi_star_working_set():
 
 
 def test_build_problem_working_set(pure_power):
-    # a uniform grid stores no weights array: b's values and the square
-    # in the source element's norm beside the solution, returned, formed
-    # piece by piece in the element's buffer
-    assert _transient_arrays(lambda: build_problem(pure_power)) <= 2 + SLACK
+    # a uniform grid stores no weights array: b's values and two masks of
+    # phi's validity window (1/8 each) beside the solution, returned,
+    # formed piece by piece in the element's buffer; the element's norm is
+    # summed leaf by leaf
+    assert _transient_arrays(lambda: build_problem(pure_power)) \
+        <= 1 + 2 / 8 + SLACK
 
 
 def test_distribution_function_working_set():
@@ -244,5 +247,8 @@ def test_uniform_grid_studies_and_size_checks_form_no_node_array(monkeypatch):
     concentrated_direction(space, 3)
     Tabulated(np.ones(N)).values_on(space)
     with pytest.raises(ValueError, match="not enough eigenvalues"):
+        fvp_multiplier(FinalValueProblem("bounded_domain", n_max=N,
+                                         eigenvalues=(1.0, 2.0)))
+    with pytest.raises(ValueError, match="not aligned"):
         ExponentialSequence(1.0, 1.0, (1.0, 2.0)).values_on(space)
     assert formed == []
