@@ -9,7 +9,7 @@ eigenvalue multiplier; no PDE is time-stepped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -218,11 +218,11 @@ def fvp_multiplier(fvp: FinalValueProblem) -> tuple[Multiplier, MeasureSpace]:
         lam = tuple(float(k) for k in range(1, fvp.n_max + 1))
     # every eigenvalue is checked, then the table keeps the first n_max
     table = ExponentialSequence(fvp.c, fvp.tau, lam,
-                                exponent_power=fvp.exponent_power).values
+                                exponent_power=fvp.exponent_power)
     space = MeasureSpace.counting(fvp.n_max)
-    if table.size < fvp.n_max:
+    if table.values.size < fvp.n_max:
         raise ValueError("not enough eigenvalues for this space")
-    return Tabulated(table[:fvp.n_max]), space
+    return replace(table, values=table.values[:fvp.n_max]), space
 
 
 def compact_case(b_values=None, n_max: int | None = None,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EigenvaluesNotDivergent
 from .indexfuncs import IndexFunction
-from .spaces import LEBESGUE_HALFLINE, LEBESGUE_LINE, MeasureSpace
+from .spaces import COUNTING, LEBESGUE_HALFLINE, LEBESGUE_LINE, MeasureSpace
 
 INCREASING_RIGHT = "increasing_right"
 INCREASING_LEFT = "increasing_left"
@@ -248,10 +248,13 @@ class Tabulated(Multiplier):
 
     ``tail_vanishes`` declares the tail model when the space is infinite:
     True means superlevel sets have finite measure beyond the truncation.
+    ``space_kind``, if given, is the kind of space the table was built
+    for, and ``values_on`` refuses a space of any other kind.
     """
 
     values: np.ndarray
     tail_vanishes: bool = True
+    space_kind: str | None = None
     family = "tabulated"
     evaluable = False
 
@@ -264,6 +267,8 @@ class Tabulated(Multiplier):
         object.__setattr__(self, "sup_bound", float(np.max(vals)))
 
     def values_on(self, space):
+        if self.space_kind not in (None, space.kind):
+            raise ValueError(f"this table lives on a {self.space_kind} space")
         if self.values.shape != space.weights.shape:
             raise ValueError("tabulated values not aligned with this space")
         return self.values
@@ -287,4 +292,5 @@ def ExponentialSequence(c: float, tau: float, eigenvalues,
         raise EigenvaluesNotDivergent(
             "eigenvalue sequence looks bounded (no growth across the section)"
         )
-    return Tabulated(np.exp(-(c**2) * lam ** exponent_power * tau))
+    return Tabulated(np.exp(-(c**2) * lam ** exponent_power * tau),
+                     space_kind=COUNTING)

@@ -115,12 +115,18 @@ class NoiseStreams:
             yield rng
 
 
-def _fill(rng: np.random.Generator, distribution: str, out: np.ndarray):
-    if distribution == GAUSSIAN:
-        return rng.standard_normal(out=out)
+def _gaussian(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    return rng.standard_normal(out=out)
+
+
+def _rademacher(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     np.multiply(rng.integers(0, 2, size=out.size), 2.0, out=out)
     out -= 1.0
     return out
+
+
+#: ``fill(rng, out)``: fills ``out`` with draws of the distribution, in order
+_FILLS = {GAUSSIAN: _gaussian, RADEMACHER: _rademacher}
 
 
 def sample_white(sampler: WhiteNoiseSampler | NoiseStreams,
@@ -134,18 +140,20 @@ def sample_white(sampler: WhiteNoiseSampler | NoiseStreams,
     is returned; numpy fills a stream in sequence, so these are the first k
     entries of that stream's full vector.  The rows are rows
     ``start .. start + m - 1`` of the NoiseStreams passed as ``sampler``,
-    or are seeded as one m-stream NoiseStreams (``start`` 0).
+    or are seeded as one m-stream NoiseStreams (``start`` 0).  The
+    distribution's fill is picked once per call, not per row, so a Monte
+    Carlo block of m replications is one call and one dispatch.
     """
+    fill = _FILLS[sampler.distribution]
     if out is None:
-        return _fill(sampler.rng(), sampler.distribution,
-                     np.empty(space.weights.size))
+        return fill(sampler.rng(), np.empty(space.weights.size))
     streams = sampler if isinstance(sampler, NoiseStreams) else \
         NoiseStreams(sampler, len(out))
     if not 0 <= start <= streams.count - len(out):
         raise ValueError(f"rows {start} to {start + len(out) - 1} of "
                          f"{streams.count} streams")
     for row, rng in zip(out, streams.generators(start, len(out))):
-        _fill(rng, streams.distribution, row)
+        fill(rng, row)
     return out
 
 

@@ -259,22 +259,36 @@ def certify_qualification(scheme: Scheme, phi: IndexFunction,
                   and refined <= 1.1 * base + 1e-12)
     c_phi = max(base, refined)
     if passed and parent_certificate is not None:
-        limit = max(parent_certificate.c_phi, scheme.c_0)
-        passed = c_phi <= limit * (1 + 1e-9)
+        passed = _within_parent(c_phi, parent_certificate.c_phi, scheme.c_0)
     return QualificationCertificate(scheme.name, phi, c_phi,
                                     alpha_grid, t_grid, passed)
+
+
+def _within_parent(c_phi: float, parent_c_phi: float, c_0: float):
+    """C_phi <= max(parent C_phi, C_0), up to a relative 1e-9."""
+    return c_phi <= max(parent_c_phi, c_0) * (1 + 1e-9)
 
 
 def certify(scheme: Scheme, phi: IndexFunction) -> tuple[bool, QualificationCertificate]:
     """(axioms passed, qualification certificate) on the default grids; a
     family that ``truncate`` made must also keep C_phi <= max(parent C_phi,
-    C_0), its parent being the same ``Scheme`` untruncated."""
+    C_0), its parent being the same ``Scheme`` untruncated.
+
+    The parent's grid runs only where it can decide: the family's own
+    certificate comes first, and a failed one, or one within the bound for
+    a parent C_phi of 0 (C_phi <= C_0 (1 + 1e-9)), is within it for any
+    parent.  The certificate is the one that ``certify_qualification``
+    gives with the parent's.
+    """
+    axioms, cert = certify_axioms(scheme), certify_qualification(scheme, phi)
     base = scheme.name.removeprefix("truncated:")
-    parent = certify_qualification(
-        replace(scheme, name=base, truncated=False), phi) \
-        if base != scheme.name else None
-    return (certify_axioms(scheme),
-            certify_qualification(scheme, phi, parent_certificate=parent))
+    if base != scheme.name and cert.passed and \
+            not _within_parent(cert.c_phi, 0.0, scheme.c_0):
+        parent = certify_qualification(
+            replace(scheme, name=base, truncated=False), phi)
+        cert = replace(cert, passed=_within_parent(cert.c_phi, parent.c_phi,
+                                                   scheme.c_0))
+    return axioms, cert
 
 
 def require_certified(scheme: Scheme, phi: IndexFunction) -> QualificationCertificate:

@@ -771,15 +771,28 @@ def _counting_support(n, k, n_reps=3):
             "gaussian")
 
 
-#: n > BLOCK: k at, one below and one above every node of the leftmost
-#: spine of numpy's pairwise summation tree over n values, and k = 0
+#: k at, one below and one above every node of the leftmost spine of
+#: numpy's pairwise summation tree over n values, and k = 0; n is 8192 +
+#: 1000, the grid of the block-edge cases at BLOCK = 8192
 SPINE_N = 9192
 SPINE_K = [0, 63, 64, 65, 135, 136, 137, 279, 280, 281, 567, 568, 569, 1143,
            1144, 1145, 2295, 2296, 2297, 4591, 4592, 4593, 9191, 9192]
-#: k around BLOCK / 2 and BLOCK, where the replications per block,
-#: max(1, BLOCK // k), step from 2 to 1: n_reps, an odd number, leaves a
-#: partial last block where a block holds two
-BLOCK_EDGE_K = {4095: 5, 4096: 5, 4097: 3, 8192: 3, 8193: 3}
+
+
+def _block_edges(block):
+    """k at block / 2 +- 1 and block +- 1, where the replications per
+    block, max(1, block // k), step from 2 to 1, on block + 1000 nodes:
+    n_reps, an odd number, leaves a partial last block where a block holds
+    two."""
+    half = block // 2
+    return {k: _counting_support(block + 1000, k, n_reps) for k, n_reps in
+            ((half - 1, 5), (half, 5), (half + 1, 3), (block, 3), (block + 1, 3))}
+
+
+#: the BLOCK of each block-edge case: the default, and 8192, where the
+#: cases stay on SPINE_N nodes
+BLOCK_EDGE_BUDGET = {f"block_edge_k{k}": block for block in (8192, analysis.BLOCK)
+                     for k in _block_edges(block)}
 
 
 MC_CASES = {
@@ -804,17 +817,19 @@ MC_CASES = {
                       truncate(spectral_cutoff()), 0.1, 1e-2, 3, "gaussian"),
     "n_below_leaf": _counting_support(100, 37),
     **{f"spine_k{k}": _counting_support(SPINE_N, k) for k in SPINE_K},
-    **{f"block_edge_k{k}": _counting_support(SPINE_N, k, n_reps)
-       for k, n_reps in BLOCK_EDGE_K.items()},
+    **{f"block_edge_k{k}": edge for block in (8192, analysis.BLOCK)
+       for k, edge in _block_edges(block).items()},
     # k of 500 nodes, each over more than one block and ending in a partial one
     **{f"partial_block_k{k}": _counting_support(500, k, n_reps)
-       for k, n_reps in ((119, 70), (121, 70), (247, 35), (249, 37))},
+       for k, n_reps in ((119, 277), (121, 277), (247, 137), (249, 137))},
 }
 
 
 @pytest.mark.parametrize("case", sorted(MC_CASES))
 @pytest.mark.numpy_floor
-def test_monte_carlo_matches_per_replication_reference(case):
+def test_monte_carlo_matches_per_replication_reference(case, monkeypatch):
+    monkeypatch.setattr(analysis, "BLOCK",
+                        BLOCK_EDGE_BUDGET.get(case, analysis.BLOCK))
     make, scheme, alpha, delta, n_reps, distribution = MC_CASES[case]
     b, space, f = make()
     sampler = WhiteNoiseSampler(9, stream_id=300, distribution=distribution)
@@ -845,7 +860,8 @@ def test_monte_carlo_matches_per_replication_reference(case):
     if case.startswith("block_edge_k"):
         assert support.size == k == int(case[len("block_edge_k"):])
         rows = max(1, analysis.BLOCK // k)
-        assert n == SPINE_N and n_reps > rows and (rows == 1 or n_reps % rows)
+        assert n == analysis.BLOCK + 1000 and n_reps > rows
+        assert rows == 1 or n_reps % rows
     if case.startswith("partial_block_k"):
         rows = analysis.BLOCK // k
         assert support.size == k == int(case[len("partial_block_k"):])
@@ -1259,6 +1275,35 @@ def test_monte_carlo_shares_products_between_prefix_equal_weights(threads):
                 for group in groups] == [[sorted(r) for r in g] for g in readers]
         assert analysis._monte_carlo(rows, groups, space, sampler, 7,
                                      threads) == each
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.numpy_floor
+def test_monte_carlo_rows_do_not_depend_on_the_block_size(threads, monkeypatch):
+    # one replication per block, the default BLOCK, and all replications in
+    # one block give the same rows, ==: for a cut-off sweep (one product)
+    # and a truncated Lavrentiev sweep (cross and noise products at several
+    # widths)
+    b, space, f = _counting(500)
+    n_reps = 23
+    sweeps = {"truncated:cutoff": (truncate(spectral_cutoff()),
+                                   (0.01, 0.003, 0.03, 0.002)),
+              "truncated:lavrentiev": (truncate(lavrentiev()),
+                                       (0.01, 0.003, 0.03))}
+    for name, (scheme, alphas) in sweeps.items():
+        study, groups = analysis._Study(b, space, f), ([], [])
+        rows = [(1e-3, study.white_weights(scheme, alpha, d, groups))
+                for d, alpha in enumerate(alphas)]
+        shapes = [len(products) for products in groups]
+        assert shapes == ([0, 1] if name == "truncated:cutoff" else [3, 3])
+        k_max = max(w.size for products in groups for w, _ in products)
+        sampler = WhiteNoiseSampler(9, stream_id=300)
+        default = analysis._monte_carlo(rows, groups, space, sampler, n_reps)
+        for block in (1, analysis.BLOCK, n_reps * k_max):
+            monkeypatch.setattr(analysis, "BLOCK", block)
+            assert analysis._monte_carlo(rows, groups, space, sampler, n_reps,
+                                         threads) == default, (name, block)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])

@@ -310,3 +310,50 @@ def test_a_hand_built_truncated_lavrentiev_is_checked_against_its_own_parent():
     assert cert.c_phi <= parent.c_phi * (1 + 1e-9)
     assert certify_qualification(lavrentiev(), PowerIndex(1.0)).c_phi \
         == pytest.approx(1.0, rel=1e-6)
+
+
+def _certified_index_functions():
+    from multreg import LogPowerIndex, TableIndex
+    from multreg.gallery import DeconvolutionProblem
+    from multreg.smoothness import phi_star
+    dec = DeconvolutionProblem("exponential", 40.0, 2**10)
+    return {**{f"power{nu}": PowerIndex(nu) for nu in (0.5, 1.0, 1.5, 2.5)},
+            "log_power": LogPowerIndex(1.0, 1.0),
+            "table": TableIndex([1e-3, 1.0], [1e-3, 1.0]),
+            "phi_star": phi_star(dec.multiplier, dec.freq_space)}
+
+
+def test_certify_runs_a_parent_grid_only_where_it_decides(monkeypatch):
+    # certify equals the eager reference, which certifies every truncated
+    # family's parent first; a parent's grid runs only for a family that
+    # passed its own with C_phi above C_0
+    from multreg import schemes
+    eager, calls = schemes.certify_qualification, []
+
+    def counted(scheme, phi, parent_certificate=None):
+        calls.append(scheme.name)
+        return eager(scheme, phi, parent_certificate)
+
+    monkeypatch.setattr(schemes, "certify_qualification", counted)
+    runs = {}
+    for name in ("cutoff", "lavrentiev", "tikhonov", "truncated:cutoff",
+                 "truncated:lavrentiev", "truncated:tikhonov"):
+        scheme = scheme_by_name(name)
+        for label, phi in _certified_index_functions().items():
+            parent = eager(replace(scheme, truncated=False), phi) \
+                if name.startswith("truncated:") else None
+            reference = eager(scheme, phi, parent_certificate=parent)
+            calls.clear()
+            axioms, cert = certify(scheme, phi)
+            runs[name, label] = len(calls)
+            assert axioms == certify_axioms(scheme)
+            assert (cert.scheme_name, cert.phi, cert.passed) == \
+                (reference.scheme_name, reference.phi, reference.passed)
+            assert cert.c_phi.hex() == reference.c_phi.hex()
+            assert np.array_equal(cert.alpha_grid, reference.alpha_grid)
+            assert np.array_equal(cert.t_grid, reference.t_grid)
+    assert runs["truncated:tikhonov", "table"] == 2
+    assert runs["truncated:cutoff", "power1.0"] == 1
+    assert runs["truncated:lavrentiev", "power0.5"] == 1
+    assert all(n == 1 for (name, _), n in runs.items()
+               if not name.startswith("truncated:"))

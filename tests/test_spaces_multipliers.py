@@ -174,6 +174,22 @@ def test_exponential_sequence_is_the_table_of_its_formula():
             ExponentialSequence(1.0, 1.0, bounded)
 
 
+def test_an_eigenvalue_table_refuses_a_space_that_is_not_counting():
+    b = ExponentialSequence(1.0, 1.0, (1.0, 2.0))
+    assert b.values_on(MeasureSpace.counting(2)).tobytes() == b.values.tobytes()
+    for space in (MeasureSpace.interval(0.0, 1.0, 2),
+                  MeasureSpace.halfline(1.0, 2), MeasureSpace.line(1.0, 2)):
+        with pytest.raises(ValueError, match="lives on a counting space"):
+            b.values_on(space)
+    fvp, space = fvp_multiplier(FinalValueProblem("bounded_domain", n_max=2))
+    with pytest.raises(ValueError, match="lives on a counting space"):
+        fvp.values_on(MeasureSpace.interval(0.0, 1.0, 2))
+    # a table built without a kind, as a config builds it, takes any space
+    plain = Tabulated(b.values)
+    assert plain.space_kind is None
+    assert plain.values_on(MeasureSpace.interval(0.0, 1.0, 2)) is plain.values
+
+
 def test_fvp_multiplier_checks_every_eigenvalue_and_keeps_n_max():
     # the growth comes after the first n_max eigenvalues: still accepted
     lam = (1.0, 1.0, 1.0, 1.0, 2.0)
