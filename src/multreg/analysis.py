@@ -10,14 +10,14 @@ proportion to the added measure, the integral has no finite limit.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (BracketingFailed, CrossCheckFailed, Divergent,
                      DivergentProfile, FilterOverflow, PreconditionFailed)
-from .indexfuncs import IndexFunction, solve_increasing
+from .indexfuncs import IndexFunction, _bracket_from, solve_increasing
 from .multipliers import Multiplier
 from .noise import (GAUSSIAN, DeterministicNoise, NoiseStreams,
                     WhiteNoiseSampler, concentrated_noise, sample_white)
@@ -347,12 +347,24 @@ def variance_integral(scheme: Scheme, alpha: float, b: Multiplier,
 @dataclass(frozen=True)
 class IllposednessProfile:
     """D(alpha) with the counting/measure upper bounds on a grid, and
-    ``d_at``, which evaluates D at any alpha > 0."""
+    ``d_at``, which evaluates D at any alpha > 0.
+
+    On a grid D is a step function, held as its steps: ``b_star``, b's
+    node values sorted descending, and ``prefix``, the running sums of
+    w / b_*^2 down them divided by ``scale``^2 (``prefix[0]`` = 0), so
+    that D(alpha) = sqrt(prefix[k]) * scale, k the number of values above
+    alpha.  A profile ``from_callable`` has no steps (``b_star`` and
+    ``prefix`` are None): ``d_at`` calls its closed form.
+    """
 
     alpha_grid: np.ndarray
     d_values: np.ndarray
     upper_bounds: np.ndarray
-    d_at: Callable[[float], float]
+    b_star: np.ndarray | None = None
+    prefix: np.ndarray | None = None
+    scale: float = 1.0
+    _closed_form: Callable[[float], float] | None = field(default=None,
+                                                           repr=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.alpha_grid) <= 0):
@@ -360,12 +372,20 @@ class IllposednessProfile:
         if np.any(np.diff(self.d_values) > 1e-12 * (1 + self.d_values[:-1])):
             raise ValueError("D(alpha) must be nonincreasing")
 
+    def d_at(self, alpha) -> float:
+        """D(alpha): 0 from the largest node value on, constant between
+        consecutive node values, and stepping down at each."""
+        if self.b_star is None:
+            return float(self._closed_form(alpha))
+        return float(np.sqrt(self.prefix[_superlevel_count(self.b_star, alpha)])
+                     * self.scale)
+
     @classmethod
     def from_callable(cls, fn, alpha_grid) -> "IllposednessProfile":
         """Synthetic profile from a closed-form D; used in tests and bounds."""
         alpha_grid = np.asarray(alpha_grid, float)
         d = np.array([fn(a) for a in alpha_grid])
-        return cls(alpha_grid, d, np.full_like(d, np.inf), lambda a: float(fn(a)))
+        return cls(alpha_grid, d, np.full_like(d, np.inf), _closed_form=fn)
 
 
 #: smallest multiplier value whose reciprocal square is representable
@@ -454,21 +474,22 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
         raise CrossCheckFailed(
             "rearrangement- and domain-side variance integrals disagree"
         )
-    return IllposednessProfile(
-        alpha_grid, np.sqrt(d_sq) * scale, np.sqrt(d_b) / alpha_grid,
-        lambda a: float(np.sqrt(prefix[_superlevel_count(r_vals, a)]) * scale))
+    return IllposednessProfile(alpha_grid, np.sqrt(d_sq) * scale,
+                               np.sqrt(d_b) / alpha_grid, r_vals, prefix, scale)
 
 
-def _solve_monotone(fn, target, bracket, phi, label):
+def _solve_monotone(fn, target, bracket, phi, label, solve=None):
     """Root of the increasing fn = target on ``bracket`` clipped to phi's
-    domain.  Only a probe that decreases is an error: fn may be flat up to
-    rounding, as phi - delta D is below the smallest node value, where D
-    is constant."""
+    domain: ``solve(lo, hi)`` where given, after fn is probed at the two
+    ends; otherwise ``solve_increasing`` after 9 probes.  Only a probe that
+    decreases is an error: fn may be flat up to rounding, as phi - delta D
+    is below the smallest node value, where D is constant."""
     lo = bracket[0]
     if phi.domain[0] > 0:
         lo = max(lo, phi.domain[0] * (1 + 1e-9))
     hi = min(bracket[1], phi.domain[1])
-    vals = np.array([fn(a) for a in np.geomspace(lo, hi, 9)])
+    vals = np.array([fn(a) for a in ((lo, hi) if solve
+                                     else np.geomspace(lo, hi, 9))])
     if np.any(np.diff(vals) < 0):
         raise PreconditionFailed(f"{label} decreases on the bracket")
     if not (vals[0] <= target <= vals[-1]):
@@ -476,7 +497,7 @@ def _solve_monotone(fn, target, bracket, phi, label):
             f"{label}: target {target:.6g} outside [{vals[0]:.6g}, {vals[-1]:.6g}] "
             f"on the bracket [{lo:.3g}, {hi:.3g}]"
         )
-    return solve_increasing(fn, target, lo, hi)
+    return solve(lo, hi) if solve else solve_increasing(fn, target, lo, hi)
 
 
 def choose_alpha_deterministic(phi: IndexFunction, delta: float,
@@ -495,7 +516,16 @@ def choose_alpha_white(phi: IndexFunction, profile: IllposednessProfile,
     profile's largest, with phi(alpha) >= delta * D(alpha).
 
     phi - delta D is increasing with upward jumps where D steps down, so
-    alpha* may be a node value.
+    alpha* may be a node value.  On a grid's profile the solve walks D's
+    steps: after the bracket's two ends, it bisects over the node values
+    inside the bracket (about log2 n evaluations) for the step on which
+    phi - delta D turns non-negative, where D is constant.  alpha* is then
+    the smallest double there with phi(alpha) - delta D >= 0, or the
+    step's right end; that search starts from ``phi.inverse`` where phi's
+    class gives it in closed form, and bisects phi alone otherwise.  The
+    rule is evaluated on the same doubles as a bisection over the whole
+    bracket, so alpha* is the same double.  A profile ``from_callable``
+    has no steps: ``solve_increasing`` bisects the bracket, after 9 probes.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -503,8 +533,37 @@ def choose_alpha_white(phi: IndexFunction, profile: IllposednessProfile,
     def gap(a):
         return float(phi(a)) - delta * profile.d_at(a)
 
+    def on_steps(lo, hi):
+        values = profile.b_star
+        # the node values in (lo, hi) are values[first:last], descending
+        first = int(_superlevel_count(values, np.nextafter(hi, 0)))
+        last = int(_superlevel_count(values, lo))
+        i, j = first, last  # the first of them where gap < 0 is values[j]
+        while i < j:
+            m = (i + j) // 2
+            if gap(float(values[m])) < 0:
+                j = m
+            else:
+                i = m + 1
+        left = float(values[j]) if j < last else lo
+        right = float(values[j - 1]) if j > first else hi
+        level = delta * profile.d_at(left)  # delta D on [left, right)
+
+        def above(a):
+            return float(phi(a)) - level
+
+        guess = None
+        if type(phi).inverse is not IndexFunction.inverse:
+            try:
+                guess = phi.inverse(level)
+            except (ValueError, ArithmeticError):  # level outside phi's range
+                pass
+        return solve_increasing(above, 0.0,
+                                *_bracket_from(above, 0.0, left, right, guess))
+
     return _solve_monotone(gap, 0.0, (1e-12, float(profile.alpha_grid[-1])),
-                           phi, "phi(alpha) - delta D(alpha)")
+                           phi, "phi(alpha) - delta D(alpha)",
+                           None if profile.b_star is None else on_steps)
 
 
 def deterministic_error_bound(c_phi: float, c_minus1: float, phi: IndexFunction,

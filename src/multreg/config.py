@@ -116,16 +116,25 @@ def _flag(section: dict, key: str, default: bool, where: str) -> bool:
     return value
 
 
+#: libyaml's safe loader where PyYAML was built with it: the same
+#: documents as ``yaml.SafeLoader``, parsed in C
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path, seed: int | None = None) -> ExperimentConfig:
     """Parse and validate the YAML file at ``path``; ``seed``, when given,
-    replaces the file's seed before validation."""
+    replaces the file's seed before validation.
+
+    The file is parsed by libyaml (``yaml.CSafeLoader``) where PyYAML has
+    it, by ``yaml.SafeLoader`` otherwise; the digest is the SHA-256 of the
+    file's bytes either way."""
     path = Path(path)
     try:
         text = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

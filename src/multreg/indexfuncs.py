@@ -16,6 +16,14 @@ import numpy as np
 from .errors import PreconditionFailed
 
 
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
 def solve_increasing(fn, target: float, lo: float, hi: float) -> float:
     """The smallest double x in (lo, hi] with fn(x) >= target, for increasing
     fn; needs 0 <= lo < hi and fn(hi) >= target.
@@ -24,14 +32,33 @@ def solve_increasing(fn, target: float, lo: float, hi: float) -> float:
     totalOrder): bisecting the patterns until they are adjacent finds that x
     exactly, whatever the bracket, in at most 63 calls of fn.
     """
-    lo_bits, hi_bits = struct.unpack("<2q", struct.pack("<2d", lo, hi))
+    lo_bits, hi_bits = _bits(lo), _bits(hi)
     while hi_bits - lo_bits > 1:
         mid = (lo_bits + hi_bits) // 2
-        if fn(struct.unpack("<d", struct.pack("<q", mid))[0]) < target:
+        if fn(_double(mid)) < target:
             lo_bits = mid
         else:
             hi_bits = mid
-    return struct.unpack("<d", struct.pack("<q", hi_bits))[0]
+    return _double(hi_bits)
+
+
+def _bracket_from(fn, target: float, lo: float, hi: float,
+                  guess: float | None) -> tuple[float, float]:
+    """A bracket inside (lo, hi] for ``solve_increasing``'s root, found from
+    a ``guess`` moved into (lo, hi) (any double, NaN included; None gives
+    (lo, hi) itself): steps of 1, 2, 4, ... bit patterns from the guess
+    toward the root until fn crosses the target.  The root keeps its bits;
+    a guess k patterns off costs about 2 log2(k) + 2 calls of fn."""
+    lo_bits, hi_bits = _bits(lo), _bits(hi)
+    if guess is not None:
+        at, step = min(max(_bits(guess), lo_bits + 1), hi_bits - 1), 1
+        while lo_bits < at < hi_bits:
+            if fn(_double(at)) < target:
+                lo_bits, at = at, at + step
+            else:
+                hi_bits, at = at, at - step
+            step *= 2
+    return _double(lo_bits), _double(hi_bits)
 
 
 class IndexFunction:

@@ -35,6 +35,9 @@ class Scheme:
     rule.  ``_residual`` optionally holds the simplified form of 1 - t*phi
     (the cut-off indicator, say), which avoids amplifying the roundoff of
     t*(1/t) in qualification suprema; it must agree with the truncation.
+    ``_c_phi`` optionally holds C_phi in closed form, valid for every
+    increasing phi (the cut-off's 1), which ``certify`` takes in place of
+    the qualification grid.
     """
 
     name: str
@@ -44,6 +47,7 @@ class Scheme:
     _filter: Callable[[float, np.ndarray], np.ndarray] = field(repr=False)
     _residual: Callable[[float, np.ndarray], np.ndarray] | None = \
         field(default=None, repr=False)
+    _c_phi: float | None = field(default=None, repr=False)
 
     def phi(self, alpha: float, t):
         if alpha <= 0:
@@ -85,8 +89,10 @@ def spectral_cutoff() -> Scheme:
         # 1 - t*(1/t) simplified exactly: the indicator of {t <= alpha}
         return np.where(t > alpha, 0.0, 1.0)
 
+    # sup_t |R_alpha(t)| phi(t) = phi(alpha), attained at t = alpha, for
+    # any increasing phi: C_phi = 1 (Engl, Hanke & Neubauer 1996, ch. 4)
     return Scheme("cutoff", c_minus1=1.0, c_0=1.0, truncated=True,
-                  _filter=f, _residual=r)
+                  _filter=f, _residual=r, _c_phi=1.0)
 
 
 def lavrentiev() -> Scheme:
@@ -112,14 +118,17 @@ def tikhonov_wiener() -> Scheme:
 def truncate(scheme: Scheme) -> Scheme:
     """Modified family chi_(alpha,inf)(t) * phi(alpha, t); same constants.
 
-    The flag does the truncation (``Scheme.phi``); a simplified residual is
-    kept only if the scheme is truncated already, so truncating a truncated
-    family changes its name alone.
+    The flag does the truncation (``Scheme.phi``); a simplified residual,
+    and the closed-form C_phi that rests on it, are kept only if the
+    scheme is truncated already, so truncating a truncated family changes
+    its name alone.
     """
     name = scheme.name if scheme.name.startswith("truncated:") \
         else f"truncated:{scheme.name}"
+    kept = scheme.truncated
     return replace(scheme, name=name, truncated=True,
-                   _residual=scheme._residual if scheme.truncated else None)
+                   _residual=scheme._residual if kept else None,
+                   _c_phi=scheme._c_phi if kept else None)
 
 
 _BUILTINS = {
@@ -204,6 +213,19 @@ class QualificationCertificate:
                 f"{status}, C_phi = {self.c_phi:.6g}")
 
 
+def _probe_grids(phi: IndexFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The alpha grid, clipped to phi's domain, and the t grid of the
+    qualification certificate; PreconditionFailed where no alpha probe is
+    inside the domain."""
+    alpha_grid = np.logspace(-6, 0, 49)
+    lo, hi = phi.domain
+    alpha_grid = alpha_grid[(alpha_grid > lo) & (alpha_grid <= hi)]
+    if alpha_grid.size == 0:
+        raise PreconditionFailed(
+            f"{phi.name}: no admissible alpha probes inside phi's domain")
+    return alpha_grid, np.logspace(-8, 0, 512)
+
+
 def _cphi_estimate(scheme, phi, alphas, ts) -> float:
     """max over alpha of max_t |R_alpha(t)| phi(t) / phi(alpha), t in ``ts``
     and, inside phi's domain, t = alpha; phi is evaluated on ``ts`` once."""
@@ -237,16 +259,8 @@ def certify_qualification(scheme: Scheme, phi: IndexFunction,
     For a truncated scheme, pass the parent's certificate to additionally
     assert C_phi <= max(parent C_phi, C_0).
     """
-    alpha_grid = np.logspace(-6, 0, 49)
-    t_grid = np.logspace(-8, 0, 512)
-
-    # clamp the alpha range into phi's validity window
+    alpha_grid, t_grid = _probe_grids(phi)
     lo, hi = phi.domain
-    alpha_grid = alpha_grid[(alpha_grid > lo) & (alpha_grid <= hi)]
-    if alpha_grid.size == 0:
-        raise PreconditionFailed(
-            f"{phi.name}: no admissible alpha probes inside phi's domain")
-
     base = _cphi_estimate(scheme, phi, alpha_grid, t_grid)
     alpha_fine = np.geomspace(alpha_grid[0] / 10.0, alpha_grid[-1],
                               2 * alpha_grid.size)
@@ -274,13 +288,21 @@ def certify(scheme: Scheme, phi: IndexFunction) -> tuple[bool, QualificationCert
     family that ``truncate`` made must also keep C_phi <= max(parent C_phi,
     C_0), its parent being the same ``Scheme`` untruncated.
 
-    The parent's grid runs only where it can decide: the family's own
-    certificate comes first, and a failed one, or one within the bound for
-    a parent C_phi of 0 (C_phi <= C_0 (1 + 1e-9)), is within it for any
-    parent.  The certificate is the one that ``certify_qualification``
-    gives with the parent's.
+    A scheme built with C_phi in closed form (the cut-off and its
+    truncation: 1, for every increasing phi) gets it as a passed
+    certificate with the grids of ``certify_qualification``, and no grid
+    runs; a phi whose domain lies below the alpha grid is still refused.
+    Otherwise the parent's grid runs only where it can decide: the
+    family's own certificate comes first, and a failed one, or one within
+    the bound for a parent C_phi of 0 (C_phi <= C_0 (1 + 1e-9)), is within
+    it for any parent.  The certificate is the one that
+    ``certify_qualification`` gives with the parent's.
     """
-    axioms, cert = certify_axioms(scheme), certify_qualification(scheme, phi)
+    axioms = certify_axioms(scheme)
+    if scheme._c_phi is not None:
+        return axioms, QualificationCertificate(scheme.name, phi, scheme._c_phi,
+                                                *_probe_grids(phi), True)
+    cert = certify_qualification(scheme, phi)
     base = scheme.name.removeprefix("truncated:")
     if base != scheme.name and cert.passed and \
             not _within_parent(cert.c_phi, 0.0, scheme.c_0):

@@ -54,13 +54,15 @@ class MeasureSpace:
         if weights.size == 0:
             raise ValueError("empty discretization")
         # each node above the one before, piece by piece: then no node is
-        # NaN, -inf fails at the first, and +inf can only be a piece's last
-        last = -np.inf
-        for _, s in self._pieces():
-            if not (last < s[0] and np.all(s[1:] > s[:-1]) and s[-1] < np.inf):
-                raise ValueError("nodes must be finite" if not np.isfinite(s).all()
-                                 else "nodes must be strictly increasing")
-            last = s[-1]
+        # NaN, -inf fails at the first, and +inf can only be a piece's last;
+        # a uniform formula whose step separates its nodes needs no walk
+        if not (isinstance(nodes, _Uniform) and nodes.separates(weights.size)):
+            last = -np.inf
+            for _, s in self._pieces():
+                if not (last < s[0] and np.all(s[1:] > s[:-1]) and s[-1] < np.inf):
+                    raise ValueError("nodes must be finite" if not np.isfinite(s).all()
+                                     else "nodes must be strictly increasing")
+                last = s[-1]
         w = weights[:1] if weights.strides == (0,) else weights  # one value
         if not (np.min(w) >= 0 and np.max(w) < np.inf):
             raise ValueError("weights must be nonnegative and finite")
@@ -149,8 +151,7 @@ class MeasureSpace:
         if hi <= lo:
             raise ValueError("need hi > lo")
         h = (hi - lo) / n
-        return cls(LEBESGUE_INTERVAL, lambda k: lo + (k + 0.5) * h,
-                   _uniform_weights(h, n))
+        return cls(LEBESGUE_INTERVAL, _Uniform(lo, h), _uniform_weights(h, n))
 
     @classmethod
     def interval_graded(cls, hi: float, n: int = DEFAULT_NODES,
@@ -172,22 +173,22 @@ class MeasureSpace:
     def halfline(cls, radius: float, n: int = DEFAULT_NODES) -> "MeasureSpace":
         """Uniform midpoint grid on [0, radius), standing for [0, infinity)."""
         h = radius / n
-        return cls(LEBESGUE_HALFLINE, lambda k: (k + 0.5) * h,
-                   _uniform_weights(h, n), truncation_radius=radius)
+        return cls(LEBESGUE_HALFLINE, _Uniform(0.0, h), _uniform_weights(h, n),
+                   truncation_radius=radius)
 
     @classmethod
     def line(cls, radius: float, n: int = DEFAULT_NODES) -> "MeasureSpace":
         """Uniform midpoint grid on (-radius, radius), standing for the line."""
         h = 2.0 * radius / n
-        return cls(LEBESGUE_LINE, lambda k: -radius + (k + 0.5) * h,
-                   _uniform_weights(h, n), truncation_radius=radius)
+        return cls(LEBESGUE_LINE, _Uniform(-radius, h), _uniform_weights(h, n),
+                   truncation_radius=radius)
 
     @classmethod
     def counting(cls, n_max: int) -> "MeasureSpace":
         """Counting measure on {1, ..., n_max}, standing for the positive integers."""
         if n_max < 1:
             raise ValueError("n_max must be positive")
-        return cls(COUNTING, lambda k: k + 1.0, _uniform_weights(1.0, n_max),
+        return cls(COUNTING, _Uniform(0.5, 1.0), _uniform_weights(1.0, n_max),
                    truncation_radius=float(n_max))
 
     def extended(self, factor: float) -> "MeasureSpace":
@@ -201,6 +202,36 @@ class MeasureSpace:
         build = self.halfline if self.kind == LEBESGUE_HALFLINE else self.line
         return build(self.truncation_radius * factor,
                      int(round(self.weights.size * factor)))
+
+
+@dataclass(frozen=True)
+class _Uniform:
+    """The node formula of the uniform constructors: node k is
+    offset + (k + 1/2) step, rounded as written (for the counting space,
+    offset 1/2 and step 1 give k + 1 exactly)."""
+
+    offset: float
+    step: float
+
+    def __call__(self, k: np.ndarray) -> np.ndarray:
+        x = k + 0.5
+        x *= self.step
+        x += self.offset
+        return x
+
+    def separates(self, n: int) -> bool:
+        """Whether the formula's n nodes are finite and strictly increasing,
+        read off the two end nodes and the step.  With k + 1/2 exact
+        (n < 2^52) and the step positive, the rounded nodes do not
+        decrease, so all lie between the end nodes, within M = max|node|.
+        Each rounding moves a node by at most eps/2 of |(k + 1/2) step| <=
+        2M + step and of |node|, so consecutive nodes stay apart where the
+        step exceeds 8 eps M.  A counting space, a half-line, a line or an
+        interval from 0 of fewer than 2^49 nodes passes, and so do the
+        ``extended`` grids of as many."""
+        ends = self(np.array([0, n - 1]))
+        return bool(n < 2**52 and np.isfinite(ends).all() and
+                    self.step > 8 * np.finfo(float).eps * np.max(np.abs(ends)))
 
 
 def _half(n: int) -> int:

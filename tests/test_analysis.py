@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multreg import (DETERMINISTIC, WHITE, BracketingFailed, CrossCheckFailed,
                      Divergent, DivergentProfile,
@@ -599,6 +601,63 @@ def test_choose_alpha_white_where_d_is_flat_below_the_smallest_node():
     prof = effective_illposedness(*compact_case([1.0, 1e-9]))
     for delta in (0.1, 1e-3):
         assert choose_alpha_white(PowerIndex(1.0), prof, delta) == delta
+
+
+def _solve_outcome(phi, profile, delta):
+    """alpha*'s bits, or the class and message of the solve's refusal (a
+    ValueError where the bracket ends below phi's domain)."""
+    try:
+        return choose_alpha_white(phi, profile, delta).hex()
+    except (BracketingFailed, PreconditionFailed, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _white_solves(draw):
+    """(phi, profile, deltas): a power, log-power or table phi, a profile of
+    tabulated b with ties on a counting space or a graded interval, and
+    deltas whose roots lie across the bracket (on node values too) and
+    beyond both ends."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["power", "log_power", "table"]))
+    if family == "power":
+        phi = PowerIndex(draw(st.floats(0.05, 4.0)))
+    elif family == "log_power":
+        phi = LogPowerIndex(draw(st.floats(0.2, 3.0)), draw(st.floats(-0.1, 2.0)))
+    else:
+        ts = 10.0 ** np.unique(rng.uniform(-13.0, 0.5, draw(st.integers(2, 8))))
+        phi = TableIndex(ts, 10.0 ** np.cumsum(rng.uniform(0.05, 3.0, ts.size))
+                         * 1e-14)
+    pool = 10.0 ** rng.uniform(-10.0, 0.0, draw(st.integers(2, 12)))
+    vals = np.append(rng.choice(pool, draw(st.integers(1, 80))), pool[:2])
+    space = MeasureSpace.counting(vals.size) if draw(st.booleans()) else \
+        MeasureSpace.interval_graded(2.0, vals.size, s_min=1e-4)
+    profile = effective_illposedness(Tabulated(vals), space)
+    lo = max(1e-12, phi.domain[0] * (1 + 1e-9)) if phi.domain[0] > 0 else 1e-12
+    hi = min(float(profile.alpha_grid[-1]), phi.domain[1])
+    alphas = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), 6) if lo < hi else []
+    deltas = [1e-300, 1e30, *(10.0 ** rng.uniform(-14.0, 2.0, 4))]
+    deltas += [float(phi(a)) / profile.d_at(a) for a in alphas if profile.d_at(a)]
+    for v in np.unique(vals):
+        if lo < v < hi and profile.d_at(v) > 0:  # a root on the node value v
+            below = profile.d_at(np.nextafter(v, 0))
+            deltas += [float(phi(v)) / below,
+                       float(phi(v)) / np.sqrt(below * profile.d_at(v))]
+    return phi, profile, deltas
+
+
+@pytest.mark.numpy_floor
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_white_solves())
+def test_white_alpha_on_the_steps_is_the_bisection_root(case):
+    # the solve on D's steps against solve_increasing on phi - delta D over
+    # the whole bracket (a profile from_callable of the same D): the same
+    # double, or the same refusal, class and message
+    phi, profile, deltas = case
+    reference = IllposednessProfile.from_callable(profile.d_at, profile.alpha_grid)
+    for delta in deltas:
+        assert _solve_outcome(phi, profile, delta) == \
+            _solve_outcome(phi, reference, delta), (phi, delta)
 
 
 # --- error bounds ----------------------------------------------------------------------

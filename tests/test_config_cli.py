@@ -752,6 +752,103 @@ output: {directory: OUTDIR}
     assert len(calls) == 1
 
 
+def test_white_counting_work_is_counted_exactly(tmp_path, monkeypatch):
+    # exact work of `run` on configs/white_counting.yaml: index-function and
+    # D evaluations inside the nine alpha* solves (597 and 597 when each
+    # bisected its whole bracket), qualification grids (1 before the
+    # cut-off's closed form) and noise values drawn
+    from collections import Counter
+
+    from multreg import IllposednessProfile, PowerIndex, analysis, schemes
+    counts, solving = Counter(), []
+
+    def counted(name, fn, amount=lambda result: 1, only_solving=False):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            if solving or not only_solving:
+                counts[name] += amount(result)
+            return result
+        return wrapped
+
+    choose_alpha_white = analysis.choose_alpha_white
+
+    def solve(*args):
+        solving.append(True)
+        try:
+            return choose_alpha_white(*args)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(analysis, "choose_alpha_white", solve)
+    monkeypatch.setattr(PowerIndex, "_eval", counted(
+        "phi", PowerIndex._eval, only_solving=True))
+    monkeypatch.setattr(IllposednessProfile, "d_at", counted(
+        "D", IllposednessProfile.d_at, only_solving=True))
+    monkeypatch.setattr(schemes, "certify_qualification", counted(
+        "grids", schemes.certify_qualification))
+    monkeypatch.setattr(analysis, "sample_white", counted(
+        "draws", analysis.sample_white, amount=lambda xi: xi.size))
+    config = load_config(SHIPPED / "white_counting.yaml")
+    assert run(config, out_dir=tmp_path / "out").exit_code == EXIT_OK
+    assert [counts[name] for name in ("phi", "D", "grids", "draws")] == \
+        [112, 107, 0, 200 * 312]
+
+
+def test_both_yaml_loaders_read_every_config_alike(tmp_path, monkeypatch):
+    # load_config parses with libyaml where PyYAML has it; the pure-Python
+    # SafeLoader gives an equal config, or the same error (a parse error at
+    # the same line and column), for the shipped configs, the benchmark's
+    # generated ones and every config text in this module (a string that
+    # holds a problem section)
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    assert multreg.config._LOADER is yaml.CSafeLoader
+    import ast
+    import importlib.util
+    texts = {path.name: path.read_text() for path in sorted(SHIPPED.glob("*.yaml"))}
+    spec = importlib.util.spec_from_file_location(
+        "specs", SHIPPED.parent / "benchmarks" / "specs.py")
+    specs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(specs)
+    for workload in specs.WORKLOADS:
+        for name, cfg in specs.generated_configs(workload, 61, False).items():
+            texts[name] = yaml.safe_dump(cfg, sort_keys=True)
+    module = list(ast.walk(ast.parse(Path(__file__).read_text())))
+    pieces = {id(v) for node in module if isinstance(node, ast.JoinedStr)
+              for v in node.values}  # an f-string's parts are no config
+    for node in module:
+        if isinstance(node, ast.Constant) and "problem:" in str(node.value) \
+                and id(node) not in pieces:
+            texts[f"line {node.lineno}"] = node.value
+    assert len(texts) > 25
+    for k, (name, text) in enumerate(texts.items()):
+        path = write_config(tmp_path, text, name=f"config{k}.yaml")
+        found = []
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            monkeypatch.setattr(multreg.config, "_LOADER", loader)
+            try:
+                found.append(load_config(path))
+            except ConfigError as exc:  # a parse error: its location alone
+                parse_error = re.match(r"config parse error at line \d+, column \d+",
+                                       str(exc))
+                found.append(parse_error[0] if parse_error else str(exc))
+        assert found[0] == found[1], name
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_a_malformed_config_names_its_line_and_column(tmp_path, capsys,
+                                                      monkeypatch, loader):
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML was built without libyaml")
+    monkeypatch.setattr(multreg.config, "_LOADER", getattr(yaml, loader))
+    bad = write_config(tmp_path, "problem: {kind: counting\nscheme: cutoff\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: config parse error at line 2, column 7: " in err
+    assert "Traceback" not in err
+
+
 def test_reciprocal_measure_of_a_gaussian_deconvolution_runs(tmp_path):
     # phi* = 1/d_b has a subnormal smallest level on 1000 nodes; its table
     # takes its own first knot

@@ -326,7 +326,8 @@ def _certified_index_functions():
 def test_certify_runs_a_parent_grid_only_where_it_decides(monkeypatch):
     # certify equals the eager reference, which certifies every truncated
     # family's parent first; a parent's grid runs only for a family that
-    # passed its own with C_phi above C_0
+    # passed its own with C_phi above C_0, and no grid runs for the
+    # cut-off families, whose C_phi is 1 in closed form
     from multreg import schemes
     eager, calls = schemes.certify_qualification, []
 
@@ -353,7 +354,44 @@ def test_certify_runs_a_parent_grid_only_where_it_decides(monkeypatch):
             assert np.array_equal(cert.alpha_grid, reference.alpha_grid)
             assert np.array_equal(cert.t_grid, reference.t_grid)
     assert runs["truncated:tikhonov", "table"] == 2
-    assert runs["truncated:cutoff", "power1.0"] == 1
+    assert runs["truncated:cutoff", "power1.0"] == 0
     assert runs["truncated:lavrentiev", "power0.5"] == 1
-    assert all(n == 1 for (name, _), n in runs.items()
+    assert all(n == (name != "cutoff") for (name, _), n in runs.items()
                if not name.startswith("truncated:"))
+
+
+def test_the_cutoff_closed_form_is_the_grid_certificate(monkeypatch):
+    # C_phi = 1 for every increasing phi: certify gives the certificate the
+    # grid gives (with the parent's, for the truncated family), on the
+    # grids it carries, and runs no grid; the grid stays the reference
+    from multreg import LogPowerIndex, TableIndex
+    from multreg import schemes
+    phis = {**_certified_index_functions(),
+            **{f"power{nu}": PowerIndex(nu) for nu in (0.05, 0.3, 3.0, 10.0, 40.0)},
+            **{f"log_power{nu},{beta}": LogPowerIndex(nu, beta)
+               for nu in (0.2, 2.0) for beta in (-0.1, 0.5, 3.0)}}
+    grid = schemes.certify_qualification
+    for scheme in (spectral_cutoff(), truncate(spectral_cutoff())):
+        for label, phi in phis.items():
+            parent = grid(replace(scheme, truncated=False), phi) \
+                if scheme.name.startswith("truncated:") else None
+            reference = grid(scheme, phi, parent_certificate=parent)
+            monkeypatch.setattr(schemes, "certify_qualification", None)
+            cert = certify(scheme, phi)[1]
+            monkeypatch.undo()
+            assert (cert.scheme_name, cert.phi) == (scheme.name, phi)
+            assert (cert.c_phi.hex(), cert.passed) == \
+                (reference.c_phi.hex(), reference.passed) == ((1.0).hex(), True), label
+            assert np.array_equal(cert.alpha_grid, reference.alpha_grid)
+            assert np.array_equal(cert.t_grid, reference.t_grid)
+    # a phi whose domain lies below the alpha grid is still refused
+    from multreg import PreconditionFailed
+    low = TableIndex([1e-9, 1e-7], [1e-9, 1e-7])
+    for scheme in (spectral_cutoff(), truncate(spectral_cutoff())):
+        with pytest.raises(PreconditionFailed, match="no admissible alpha probes"):
+            certify(scheme, low)
+    # the closed form is the built scheme's, not its name's, and truncate
+    # keeps it only with the simplified residual it rests on
+    assert truncate(truncate(spectral_cutoff()))._c_phi == 1.0
+    assert truncate(lavrentiev())._c_phi is None
+    assert Scheme("cutoff", 1.0, 1.0, True, spectral_cutoff()._filter)._c_phi is None

@@ -126,6 +126,35 @@ def test_extended_nodes_are_the_formula_on_any_slice():
             space.extended(factor)
 
 
+def test_a_uniform_grid_is_checked_by_its_ends_and_step(monkeypatch):
+    # a uniform formula whose step exceeds 8 eps max|node| skips the node
+    # walk, and its nodes are then strictly increasing and finite; one
+    # whose nodes collapse onto one double is walked and refused
+    walked = []
+    pieces = MeasureSpace._pieces
+    monkeypatch.setattr(MeasureSpace, "_pieces",
+                        lambda self: walked.append(self.kind) or pieces(self))
+    eps = np.finfo(float).eps
+    spaces = [MeasureSpace.halfline(50.0, 1000), MeasureSpace.line(8.0, 1001),
+              MeasureSpace.counting(777), MeasureSpace.interval(-3.0, 2.0, 999),
+              MeasureSpace.halfline(50.0, 1000).extended(8.0),
+              # steps just above the bound, far from 0
+              MeasureSpace.interval(1e6, 1e6 + 1000 * 8.01 * eps * 1e6, 1000),
+              MeasureSpace.interval(-2.0**40, -2.0**40 + 64 * 9 * eps * 2.0**40, 64)]
+    assert walked == []
+    for space in spaces:
+        nodes = space.nodes
+        assert np.isfinite(nodes).all() and np.all(nodes[1:] > nodes[:-1])
+    for space, message in ((lambda: MeasureSpace.interval(1e16, 1e16 + 4, 1000),
+                            "nodes must be strictly increasing"),
+                           (lambda: MeasureSpace.halfline(1e308, 4).extended(2.0),
+                            "nodes must be finite")):
+        walked.clear()
+        with pytest.raises(ValueError, match=message):
+            space()
+        assert walked != []
+
+
 def test_tabulated_keeps_a_read_only_copy():
     # a table neither follows later writes to the caller's array nor lets
     # its own be written through values_on
