@@ -9,6 +9,7 @@ proportion to the added measure, the integral has no finite limit.
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import (BracketingFailed, CrossCheckFailed, Divergent,
                      DivergentProfile, FilterOverflow, PreconditionFailed)
-from .indexfuncs import IndexFunction, _bracket_from, solve_increasing
+from .indexfuncs import IndexFunction, solve_increasing
 from .multipliers import Multiplier
 from .noise import (GAUSSIAN, DeterministicNoise, NoiseStreams,
                     WhiteNoiseSampler, concentrated_noise, sample_white)
@@ -478,26 +479,26 @@ def effective_illposedness(b: Multiplier, space: MeasureSpace,
                                np.sqrt(d_b) / alpha_grid, r_vals, prefix, scale)
 
 
-def _solve_monotone(fn, target, bracket, phi, label, solve=None):
-    """Root of the increasing fn = target on ``bracket`` clipped to phi's
-    domain: ``solve(lo, hi)`` where given, after fn is probed at the two
-    ends; otherwise ``solve_increasing`` after 9 probes.  Only a probe that
-    decreases is an error: fn may be flat up to rounding, as phi - delta D
-    is below the smallest node value, where D is constant."""
-    lo = bracket[0]
-    if phi.domain[0] > 0:
-        lo = max(lo, phi.domain[0] * (1 + 1e-9))
+def _bracket(fn, target, bracket, phi, label):
+    """``bracket`` clipped to phi's domain, once the increasing fn, probed
+    at the two ends only, is seen to reach ``target`` there.  A bracket
+    with no point in phi's domain, an fn lower at the right end than at the
+    left and a target outside the two values are refused; fn may be flat
+    up to rounding, as phi - delta D is below the smallest node value."""
+    lo = max(bracket[0], phi.domain[0] * (1 + 1e-9))
     hi = min(bracket[1], phi.domain[1])
-    vals = np.array([fn(a) for a in ((lo, hi) if solve
-                                     else np.geomspace(lo, hi, 9))])
-    if np.any(np.diff(vals) < 0):
-        raise PreconditionFailed(f"{label} decreases on the bracket")
-    if not (vals[0] <= target <= vals[-1]):
+    if not lo < hi:
         raise BracketingFailed(
-            f"{label}: target {target:.6g} outside [{vals[0]:.6g}, {vals[-1]:.6g}] "
-            f"on the bracket [{lo:.3g}, {hi:.3g}]"
-        )
-    return solve(lo, hi) if solve else solve_increasing(fn, target, lo, hi)
+            f"{label}: the bracket [{bracket[0]:.3g}, {bracket[1]:.3g}] has no "
+            f"point in phi's domain ({phi.domain[0]:.3g}, {phi.domain[1]:.3g}]")
+    f_lo, f_hi = fn(lo), fn(hi)
+    if f_hi < f_lo:
+        raise PreconditionFailed(f"{label} decreases on the bracket")
+    if not (f_lo <= target <= f_hi):
+        raise BracketingFailed(
+            f"{label}: target {target:.6g} outside [{f_lo:.6g}, {f_hi:.6g}] "
+            f"on the bracket [{lo:.3g}, {hi:.3g}]")
+    return lo, hi
 
 
 def choose_alpha_deterministic(phi: IndexFunction, delta: float,
@@ -506,8 +507,12 @@ def choose_alpha_deterministic(phi: IndexFunction, delta: float,
     domain) with alpha * phi(alpha) >= delta."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return _solve_monotone(lambda a: a * float(phi(a)), delta, bracket, phi,
-                           "alpha * phi(alpha)")
+
+    def fn(a):
+        return a * float(phi(a))
+
+    return solve_increasing(fn, delta,
+                            *_bracket(fn, delta, bracket, phi, "alpha * phi(alpha)"))
 
 
 def choose_alpha_white(phi: IndexFunction, profile: IllposednessProfile,
@@ -521,49 +526,39 @@ def choose_alpha_white(phi: IndexFunction, profile: IllposednessProfile,
     inside the bracket (about log2 n evaluations) for the step on which
     phi - delta D turns non-negative, where D is constant.  alpha* is then
     the smallest double there with phi(alpha) - delta D >= 0, or the
-    step's right end; that search starts from ``phi.inverse`` where phi's
-    class gives it in closed form, and bisects phi alone otherwise.  The
-    rule is evaluated on the same doubles as a bisection over the whole
-    bracket, so alpha* is the same double.  A profile ``from_callable``
-    has no steps: ``solve_increasing`` bisects the bracket, after 9 probes.
-    """
+    step's right end: ``solve_increasing`` on phi alone, guessing from
+    ``phi.inverse`` where phi's class gives it in closed form.  The rule is
+    evaluated on the same doubles as a bisection over the whole bracket,
+    which a profile ``from_callable`` (no steps) runs, so alpha* is the
+    same double."""
     if delta <= 0:
         raise ValueError("delta must be positive")
 
     def gap(a):
         return float(phi(a)) - delta * profile.d_at(a)
 
-    def on_steps(lo, hi):
-        values = profile.b_star
-        # the node values in (lo, hi) are values[first:last], descending
-        first = int(_superlevel_count(values, np.nextafter(hi, 0)))
-        last = int(_superlevel_count(values, lo))
-        i, j = first, last  # the first of them where gap < 0 is values[j]
-        while i < j:
-            m = (i + j) // 2
-            if gap(float(values[m])) < 0:
-                j = m
-            else:
-                i = m + 1
-        left = float(values[j]) if j < last else lo
-        right = float(values[j - 1]) if j > first else hi
-        level = delta * profile.d_at(left)  # delta D on [left, right)
-
-        def above(a):
-            return float(phi(a)) - level
-
-        guess = None
-        if type(phi).inverse is not IndexFunction.inverse:
-            try:
-                guess = phi.inverse(level)
-            except (ValueError, ArithmeticError):  # level outside phi's range
-                pass
-        return solve_increasing(above, 0.0,
-                                *_bracket_from(above, 0.0, left, right, guess))
-
-    return _solve_monotone(gap, 0.0, (1e-12, float(profile.alpha_grid[-1])),
-                           phi, "phi(alpha) - delta D(alpha)",
-                           None if profile.b_star is None else on_steps)
+    lo, hi = _bracket(gap, 0.0, (1e-12, float(profile.alpha_grid[-1])), phi,
+                      "phi(alpha) - delta D(alpha)")
+    values = profile.b_star
+    if values is None:
+        return solve_increasing(gap, 0.0, lo, hi)
+    # the node values in (lo, hi) are values[first:last], descending; the
+    # first of them where gap < 0 is values[j]
+    first = int(_superlevel_count(values, np.nextafter(hi, 0)))
+    last = int(_superlevel_count(values, lo))
+    j = bisect.bisect_left(range(last), True, first,
+                           key=lambda m: gap(float(values[m])) < 0)
+    left = float(values[j]) if j < last else lo
+    right = float(values[j - 1]) if j > first else hi
+    level = delta * profile.d_at(left)  # delta D on [left, right)
+    guess = None
+    if type(phi).inverse is not IndexFunction.inverse:
+        try:
+            guess = phi.inverse(level)
+        except (ValueError, ArithmeticError):  # level outside phi's range
+            pass
+    return solve_increasing(lambda a: float(phi(a)) - level, 0.0, left, right,
+                            guess)
 
 
 def deterministic_error_bound(c_phi: float, c_minus1: float, phi: IndexFunction,

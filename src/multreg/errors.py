@@ -62,7 +62,8 @@ class ZeroDirection(MultRegError):
 
 
 class BracketingFailed(MultRegError):
-    """The target value lies outside the range of the monotone map on the bracket."""
+    """The target value lies outside the range of the monotone map on the
+    bracket, or the bracket lies outside the index function's domain."""
 
 
 class Divergent(MultRegError):

@@ -24,31 +24,19 @@ def _double(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
-def solve_increasing(fn, target: float, lo: float, hi: float) -> float:
+def solve_increasing(fn, target: float, lo: float, hi: float,
+                     guess: float | None = None) -> float:
     """The smallest double x in (lo, hi] with fn(x) >= target, for increasing
     fn; needs 0 <= lo < hi and fn(hi) >= target.
 
     Non-negative doubles are ordered like their int64 bit patterns (IEEE 754
     totalOrder): bisecting the patterns until they are adjacent finds that x
-    exactly, whatever the bracket, in at most 63 calls of fn.
+    exactly, whatever the bracket, in at most 63 calls of fn.  A ``guess``
+    (any double, NaN included, moved into (lo, hi)) first narrows the
+    bracket by steps of 1, 2, 4, ... patterns toward the root until fn
+    crosses the target: x keeps its bits, and a guess k >= 1 patterns off
+    costs at most 2 log2(k) + 4 calls in all.
     """
-    lo_bits, hi_bits = _bits(lo), _bits(hi)
-    while hi_bits - lo_bits > 1:
-        mid = (lo_bits + hi_bits) // 2
-        if fn(_double(mid)) < target:
-            lo_bits = mid
-        else:
-            hi_bits = mid
-    return _double(hi_bits)
-
-
-def _bracket_from(fn, target: float, lo: float, hi: float,
-                  guess: float | None) -> tuple[float, float]:
-    """A bracket inside (lo, hi] for ``solve_increasing``'s root, found from
-    a ``guess`` moved into (lo, hi) (any double, NaN included; None gives
-    (lo, hi) itself): steps of 1, 2, 4, ... bit patterns from the guess
-    toward the root until fn crosses the target.  The root keeps its bits;
-    a guess k patterns off costs about 2 log2(k) + 2 calls of fn."""
     lo_bits, hi_bits = _bits(lo), _bits(hi)
     if guess is not None:
         at, step = min(max(_bits(guess), lo_bits + 1), hi_bits - 1), 1
@@ -58,7 +46,13 @@ def _bracket_from(fn, target: float, lo: float, hi: float,
             else:
                 hi_bits, at = at, at - step
             step *= 2
-    return _double(lo_bits), _double(hi_bits)
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        if fn(_double(mid)) < target:
+            lo_bits = mid
+        else:
+            hi_bits = mid
+    return _double(hi_bits)
 
 
 class IndexFunction:

@@ -30,7 +30,7 @@ from multreg import analysis
 from multreg.analysis import FIRST_STREAM as STREAM_STRIDE, sweep_deltas
 from multreg.gallery import (counting_problem, exp_decay_pair, plateau_pair,
                              power_decay_pair, pure_power_pair)
-from multreg.indexfuncs import solve_increasing
+from multreg.indexfuncs import _bits, _double, solve_increasing
 
 
 # --- numpy's pairwise-sum tree ----------------------------------------------------
@@ -507,6 +507,33 @@ def test_solve_increasing_returns_the_exact_smallest_root(lo, hi):
         assert len(calls) <= 63
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, np.finfo(float).max), (1e-12, 1.0)])
+def test_solve_increasing_from_a_guess_keeps_the_root_and_gallops(lo, hi):
+    # any guess gives the bits of the plain bisection; one k patterns off
+    # the root costs at most 2 log2(k) + 4 calls
+    for c in (np.nextafter(lo, np.inf), 2.0**-30, 0.3, hi):
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return float(x >= c)
+
+        assert solve_increasing(step, 0.5, lo, hi) == c
+        guesses = [np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, c,
+                   _double(_bits(c) - 1), _double(_bits(c) + 1), lo / 2 - 1,
+                   2.0 * float(hi), -hi]
+        for guess in guesses:
+            assert solve_increasing(step, 0.5, lo, hi, guess).hex() == c.hex()
+        for k in (1, 2, 3, 7, 8, 9, 1000, 2**20 + 1, 2**40):
+            for sign in (1, -1):
+                guess = _double(_bits(c) + sign * k)
+                if not lo < guess < hi:
+                    continue
+                calls.clear()
+                assert solve_increasing(step, 0.5, lo, hi, guess) == c
+                assert len(calls) <= 2 * math.log2(k) + 4, (c, sign * k)
+
+
 SOLVER_PHIS = {"t^0.5": PowerIndex(0.5), "t": PowerIndex(1.0),
                "t^1.5": PowerIndex(1.5), "t^2": PowerIndex(2.0),
                "log_power": LogPowerIndex(1.0, 1.0)}
@@ -594,6 +621,25 @@ def test_choose_alpha_white_guards():
         choose_alpha_white(PowerIndex(1.0), prof, 10.0)
 
 
+def test_a_bracket_below_phis_domain_is_refused_before_phi_is_called():
+    # phi is tabulated on [0.02, 0.05], the bracket ends at 0.01
+    phi = TableIndex([0.02, 0.05], [0.1, 0.2])
+    message = ("{}: the bracket [1e-12, 0.01] has no point in phi's domain "
+               "(0.02, 0.05]")
+    with pytest.raises(BracketingFailed) as err:
+        choose_alpha_deterministic(phi, 1e-3, bracket=(1e-12, 0.01))
+    assert str(err.value) == message.format("alpha * phi(alpha)")
+    prof = effective_illposedness(*compact_case([0.01, 0.005, 0.002, 0.001]))
+    for profile in (prof, IllposednessProfile.from_callable(prof.d_at,
+                                                            prof.alpha_grid)):
+        with pytest.raises(BracketingFailed) as err:
+            choose_alpha_white(phi, profile, 1e-3)
+        assert str(err.value) == message.format("phi(alpha) - delta D(alpha)")
+    # an empty bracket (b below 1e-12) has no point in any domain either
+    with pytest.raises(BracketingFailed, match=r"\[1e-12, 1e-13\] has no point"):
+        choose_alpha_deterministic(PowerIndex(1.0), 1e-3, bracket=(1e-12, 1e-13))
+
+
 @pytest.mark.numpy_floor
 def test_choose_alpha_white_where_d_is_flat_below_the_smallest_node():
     # D = 1 on [1e-9, 1) and 1e9 below, so phi - delta D ties by rounding
@@ -604,11 +650,10 @@ def test_choose_alpha_white_where_d_is_flat_below_the_smallest_node():
 
 
 def _solve_outcome(phi, profile, delta):
-    """alpha*'s bits, or the class and message of the solve's refusal (a
-    ValueError where the bracket ends below phi's domain)."""
+    """alpha*'s bits, or the class and message of the solve's refusal."""
     try:
         return choose_alpha_white(phi, profile, delta).hex()
-    except (BracketingFailed, PreconditionFailed, ValueError) as exc:
+    except (BracketingFailed, PreconditionFailed) as exc:
         return type(exc), str(exc)
 
 
@@ -636,7 +681,7 @@ def _white_solves(draw):
     lo = max(1e-12, phi.domain[0] * (1 + 1e-9)) if phi.domain[0] > 0 else 1e-12
     hi = min(float(profile.alpha_grid[-1]), phi.domain[1])
     alphas = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), 6) if lo < hi else []
-    deltas = [1e-300, 1e30, *(10.0 ** rng.uniform(-14.0, 2.0, 4))]
+    deltas = [1e-300, 1e30, 1e300, *(10.0 ** rng.uniform(-14.0, 2.0, 4))]
     deltas += [float(phi(a)) / profile.d_at(a) for a in alphas if profile.d_at(a)]
     for v in np.unique(vals):
         if lo < v < hi and profile.d_at(v) > 0:  # a root on the node value v

@@ -202,6 +202,28 @@ output: {{directory: OUTDIR}}
     assert alpha == 1.22e-154 and d == pytest.approx(1.3969e154, rel=1e-4)
 
 
+@pytest.mark.parametrize("mode", ["white", "deterministic"])
+def test_a_bracket_below_phis_domain_is_refused_without_a_traceback(
+        tmp_path, capsys, mode):
+    # b up to 0.01 and phi tabulated on [0.02, 0.05]: phi is never
+    # evaluated on the bracket, which lies wholly below its domain
+    path = write_config(tmp_path, f"""\
+problem: {{kind: counting, b_values: [0.01, 0.005, 0.002, 0.001]}}
+scheme: truncated:cutoff
+index_function: {{family: table, ts: [0.02, 0.05], values: [0.1, 0.2]}}
+noise: {{mode: {mode}, deltas: [1.0e-2, 1.0e-3], replications: 4}}
+output: {{directory: OUTDIR}}
+""")
+    label = {"white": "phi(alpha) - delta D(alpha)",
+             "deterministic": "alpha * phi(alpha)"}[mode]
+    for command in ("run", "reconstruct"):
+        assert main([command, "--config", str(path)]) == EXIT_VIOLATION
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert f"{label}: the bracket [1e-12, 0.01] has no point in phi's " \
+            "domain (0.02, 0.05]" in out + err
+
+
 def test_run_unqualified_scheme_is_violation(tmp_path):
     text = WHITE_STUDY.replace("{family: power, nu: 1.0}",
                                "{family: power, nu: 1.5}") \
@@ -792,6 +814,34 @@ def test_white_counting_work_is_counted_exactly(tmp_path, monkeypatch):
     assert run(config, out_dir=tmp_path / "out").exit_code == EXIT_OK
     assert [counts[name] for name in ("phi", "D", "grids", "draws")] == \
         [112, 107, 0, 200 * 312]
+
+
+def test_deterministic_counting_work_is_counted_exactly(tmp_path, monkeypatch):
+    # index-function evaluations inside the nine alpha* solves of `run` on
+    # configs/deterministic_counting.yaml: two end probes, then the
+    # bisection of the bracket (595 after nine probes)
+    from multreg import PowerIndex, analysis
+    calls, solving = [], []
+    choose_alpha_deterministic = analysis.choose_alpha_deterministic
+    evaluate = PowerIndex._eval
+
+    def solve(*args, **kwargs):
+        solving.append(True)
+        try:
+            return choose_alpha_deterministic(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    def counted(*args):
+        if solving:
+            calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(analysis, "choose_alpha_deterministic", solve)
+    monkeypatch.setattr(PowerIndex, "_eval", counted)
+    config = load_config(SHIPPED / "deterministic_counting.yaml")
+    assert run(config, out_dir=tmp_path / "out").exit_code == EXIT_OK
+    assert len(calls) == 532
 
 
 def test_both_yaml_loaders_read_every_config_alike(tmp_path, monkeypatch):
