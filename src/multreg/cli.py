@@ -23,13 +23,11 @@ import numpy as np
 from . import runner
 from .analysis import choose_alpha, effective_illposedness, reconstruct
 from .config import build_problem, load_config
-from .errors import (ConfigError, Divergent, MultRegError,
-                     RearrangementUndefined, RequiresFiniteMeasure)
+from .errors import ConfigError, MultRegError, RequiresFiniteMeasure
 from .noise import WhiteNoiseSampler, sample_white
 from .rearrangement import (decreasing_rearrangement, distribution_function,
                             increasing_rearrangement)
-from .runner import (EXIT_CONFIG, EXIT_DIVERGENT, EXIT_OK, EXIT_VIOLATION,
-                     write_table)
+from .runner import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, write_table
 from .schemes import certify, scheme_by_name
 
 
@@ -166,12 +164,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (Divergent, RearrangementUndefined) as exc:
-        print(f"divergent problem: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENT
     except MultRegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        code, _, prefix = runner.failure_kind(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 """Experiment configuration: a single YAML file with nested sections.
 
 Every physical parameter carries an explicit key (no positional fields),
-so configurations diff cleanly and hash reproducibly.  Parsing errors are
-reported with the YAML position where available; validation errors name
-the offending section and field.
+so configurations diff cleanly and hash reproducibly.  Each section
+declares its fields in one table, ``key -> (default, kind[, minimum])``,
+and ``parse_config`` reads every field through it (``_read``); the
+problem builders take the values it read.  Parsing errors are reported
+with the YAML position where available; validation errors name the
+offending section and field.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import yaml
 
 from .analysis import MultiplicationProblem
 from .errors import ConfigError
-from .gallery import (DeconvolutionProblem, FinalValueProblem, compact_case,
-                      exp_decay_pair, fvp_multiplier, plateau_pair,
-                      power_decay_pair, pure_power_pair, source_element_vector)
+from .gallery import (_KERNELS, _SOURCE_ELEMENTS, DeconvolutionProblem,
+                      FinalValueProblem, compact_case, exp_decay_pair,
+                      fvp_multiplier, plateau_pair, power_decay_pair,
+                      pure_power_pair, source_element_vector)
 from .indexfuncs import (INDEX_FAMILIES, IndexFunction,
                          index_function_from_spec)
 from .multipliers import Tabulated, read_table
@@ -31,8 +35,19 @@ from .spaces import MeasureSpace
 _SPACE_KINDS = {"interval": "lebesgue_interval", "halfline": "lebesgue_halfline",
                 "line": "lebesgue_line", "counting": "counting"}
 MODES = ("deterministic", "white")
-_TOP_LEVEL = ("problem", "scheme", "index_function", "noise", "discretization",
-              "output", "alpha", "seed")
+
+# section -> its fields, key -> (default, kind[, minimum]) (see ``_read``)
+_TOP_LEVEL = {"problem": (..., dict), "scheme": ("cutoff", str),
+              "index_function": ({}, dict), "noise": ({}, dict),
+              "discretization": ({}, dict), "output": ({}, dict),
+              "alpha": (None, float), "seed": (0, int, 0)}
+_NOISE = {"mode": ("deterministic", MODES), "deltas": ([], tuple),
+          "replications": (1, int, 1),
+          "distribution": (GAUSSIAN, (GAUSSIAN, RADEMACHER))}
+_DISCRETIZATION = {"n_nodes": (2**14, int, 2),
+                   "truncation_radius": (None, float), "graded": (False, bool)}
+_OUTPUT = {"directory": ("out", str), "format": ("csv", ("csv", "json"))}
+_FAMILY = ("power", tuple(INDEX_FAMILIES))
 
 
 @dataclass(frozen=True)
@@ -56,23 +71,6 @@ class ExperimentConfig:
     noise_distribution: str = GAUSSIAN
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"{where}: missing required field '{key}'")
-    return section[key]
-
-
-def _section(section, known, where: str) -> dict:
-    """``section``, which must be a mapping with no keys outside ``known``."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected a mapping")
-    unknown = sorted(str(key) for key in section if key not in known)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)} "
-                          f"(choose from {', '.join(known)})")
-    return section
-
-
 def _as_number(value, kind, name: str, finite: bool = True):
     """``value`` as ``kind``; no bool, fractional int or (if ``finite``) inf or NaN."""
     try:
@@ -88,32 +86,58 @@ def _as_number(value, kind, name: str, finite: bool = True):
     return number
 
 
-def _number(section: dict, key: str, default, kind, where: str = "",
-            minimum=None):
-    """``section[key]`` (``default`` when absent) as ``kind`` (see
-    ``_as_number``), at least ``minimum`` when given; None stays None."""
+_WORDS = {bool: "true or false", str: "a string", dict: "a mapping"}
+
+
+def _read(section: dict, key: str, field: tuple, where: str):
+    """``section[key]`` as its table entry ``field``, ``(default, kind[,
+    minimum])``, declares it; a refusal starts with the path ``where.key``.
+
+    An absent key takes the default; ``...`` marks a required key.  null
+    reads as None where the default is None, and the kind refuses it
+    anywhere else.  Kinds: ``int`` and ``float`` (``_as_number``; at least
+    ``minimum``), ``bool`` (a YAML boolean), ``str``, ``dict`` (a mapping),
+    ``list`` (of finite floats, at least ``minimum`` of them), ``tuple``
+    (a list of floats as a tuple; the caller checks inf and NaN) or a
+    tuple of the names to choose from.
+    """
+    default, kind, *minimum = field
+    name = f"{where}.{key}" if where else key
     value = section.get(key, default)
-    if value is None:
+    if value is ...:
+        raise ConfigError(f"{name}: missing required field")
+    if value is None and default is None:
         return None
-    number = _as_number(value, kind, f"{where}{key}")
-    if minimum is not None and number < minimum:
-        raise ConfigError(f"{where}{key}: must be >= {minimum}")
-    return number
-
-
-def _numbers(values, name: str, finite: bool = True) -> list:
-    """``values``, a list, as floats, each entry checked by ``_as_number``."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{name}: expected a list of numbers")
-    return [_as_number(v, float, name, finite) for v in values]
-
-
-def _flag(section: dict, key: str, default: bool, where: str) -> bool:
-    """``section[key]`` (``default`` when absent); only a YAML boolean."""
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}{key}: expected true or false, got {value!r}")
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{name}: unknown {key} {value!r} "
+                              f"(choose from {', '.join(kind)})")
+    elif kind in _WORDS:
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name}: expected {_WORDS[kind]}, got {value!r}")
+    elif kind in (list, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name}: expected a list of numbers")
+        value = kind(_as_number(v, float, name, kind is list) for v in value)
+        if minimum and len(value) < minimum[0]:
+            raise ConfigError(f"{name}: expected at least {minimum[0]} numbers")
+    else:
+        value = _as_number(value, kind, name)
+        if minimum and value < minimum[0]:
+            raise ConfigError(f"{name}: must be >= {minimum[0]}")
     return value
+
+
+def _fields(section, table: dict, where: str) -> dict:
+    """Every field of ``table`` read from ``section`` by ``_read``, in table
+    order; ``section`` must be a mapping with no keys outside ``table``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where or 'top level'}: expected a mapping")
+    unknown = sorted(str(key) for key in section if key not in table)
+    if unknown:
+        raise ConfigError(f"{where or 'top level'}: unknown key(s) "
+                          f"{', '.join(unknown)} (choose from {', '.join(table)})")
+    return {key: _read(section, key, field, where) for key, field in table.items()}
 
 
 #: libyaml's safe loader where PyYAML was built with it: the same
@@ -148,87 +172,54 @@ def load_config(path, seed: int | None = None) -> ExperimentConfig:
 
 
 def parse_config(raw: dict, digest: str = "") -> ExperimentConfig:
-    _section(raw, _TOP_LEVEL, "top level")
-    problem = raw.get("problem")
-    if not isinstance(problem, dict):
-        raise ConfigError("problem: section missing or not a mapping")
-    kind = _require(problem, "kind", "problem")
-    if kind not in PROBLEM_KINDS:
-        raise ConfigError(f"problem.kind: unknown kind '{kind}' "
-                          f"(choose from {', '.join(PROBLEM_KINDS)})")
-    _section(problem, _SHARED_KEYS + _BUILDERS[kind][0], "problem")
+    """The config mapping ``raw`` with every field read through its table.
 
-    scheme = raw.get("scheme", "cutoff")
-    if not isinstance(scheme, str):
-        raise ConfigError("scheme: expected a name string")
+    The first fault found is reported, in this order: the top-level keys
+    and fields (``_TOP_LEVEL``), alpha's sign, the problem (its kind, its
+    keys, its fields, the keys that exclude each other), the scheme name,
+    the index function (its family, keys and fields), noise,
+    discretization, output.  Within a section unknown keys come before
+    the fields, which are read in table order.
+    """
+    top = _fields(raw, _TOP_LEVEL, "")
+    if top["alpha"] is not None and top["alpha"] <= 0:
+        raise ConfigError("alpha: must be positive")
+    kind = _read(top["problem"], "kind", _SHARED["kind"], "problem")
+    problem = _fields(top["problem"], {**_SHARED, **_BUILDERS[kind][0]}, "problem")
+    for group in _EXCLUSIVE:
+        given = [key for key in group if top["problem"].get(key) is not None]
+        if len(given) > 1:
+            raise ConfigError(f"problem.{given[0]}: cannot be combined with "
+                              f"problem.{given[1]}")
     try:
-        scheme_by_name(scheme)
+        scheme_by_name(top["scheme"])
     except ValueError as exc:
         raise ConfigError(f"scheme: {exc}") from None
-
-    index_function = raw.get("index_function", {"family": "power", "nu": 1.0})
-    if not isinstance(index_function, dict):
-        raise ConfigError("index_function: expected a mapping")
-    family = index_function.get("family", "power")
-    if not isinstance(family, str) or family not in INDEX_FAMILIES:
-        raise ConfigError(f"index_function.family: unknown family {family!r} "
-                          f"(choose from {', '.join(INDEX_FAMILIES)})")
-    _section(index_function, ("family",) + INDEX_FAMILIES[family][0],
-             "index_function")
-    for key in ("nu", "beta", "t_max"):
-        _number(index_function, key, None, float, "index_function.")
-    for key in ("ts", "values"):
-        if key in index_function:
-            _numbers(index_function[key], f"index_function.{key}")
-
-    noise = _section(raw.get("noise", {}),
-                     ("mode", "deltas", "replications", "distribution"), "noise")
-    mode = noise.get("mode", "deterministic")
-    if mode not in MODES:
-        raise ConfigError(f"noise.mode: unknown mode '{mode}'")
-    deltas = tuple(_numbers(noise.get("deltas", []), "noise.deltas", False))
-    if not all(0 < d < np.inf for d in deltas):
+    family = _read(top["index_function"], "family", _FAMILY, "index_function")
+    index_function = _fields(top["index_function"],
+                             {"family": _FAMILY, **INDEX_FAMILIES[family][0]},
+                             "index_function")
+    noise = _fields(top["noise"], _NOISE, "noise")
+    if not all(0 < d < np.inf for d in noise["deltas"]):
         raise ConfigError("noise.deltas: noise levels must be positive and finite")
-    replications = _number(noise, "replications", 1, int, "noise.", minimum=1)
-    if mode == "white" and deltas and replications < 2:
+    if noise["mode"] == "white" and noise["deltas"] and noise["replications"] < 2:
         raise ConfigError("noise.replications: white-noise studies need >= 2")
-    distribution = noise.get("distribution", GAUSSIAN)
-    if distribution not in (GAUSSIAN, RADEMACHER):
-        raise ConfigError(f"noise.distribution: unknown distribution "
-                          f"'{distribution}' (choose from {GAUSSIAN}, {RADEMACHER})")
-
-    disc = _section(raw.get("discretization", {}),
-                    ("n_nodes", "truncation_radius", "graded"), "discretization")
-    n_nodes = _number(disc, "n_nodes", 2**14, int, "discretization.", minimum=2)
-    radius = _number(disc, "truncation_radius", None, float, "discretization.")
-    graded = _flag(disc, "graded", False, "discretization.")
-
-    out = _section(raw.get("output", {}), ("directory", "format"), "output")
-    out_format = out.get("format", "csv")
-    if out_format not in ("csv", "json"):
-        raise ConfigError("output.format: must be 'csv' or 'json'")
-    out_dir = out.get("directory", "out")
-    if not isinstance(out_dir, str):
-        raise ConfigError("output.directory: expected a path string")
-
-    alpha = _number(raw, "alpha", None, float)
-    if alpha is not None and not 0 < alpha < np.inf:
-        raise ConfigError("alpha: must be positive")
-    seed = _number(raw, "seed", 0, int, minimum=0)
-
+    disc = _fields(top["discretization"], _DISCRETIZATION, "discretization")
+    out = _fields(top["output"], _OUTPUT, "output")
     return ExperimentConfig(
-        problem=dict(problem), scheme=scheme, index_function=dict(index_function),
-        mode=mode, deltas=deltas, replications=replications,
-        seed=seed, n_nodes=n_nodes,
-        truncation_radius=radius, graded=graded, alpha=alpha,
-        out_dir=out_dir, out_format=out_format,
-        digest=digest, noise_distribution=distribution)
+        problem=problem, scheme=top["scheme"], index_function=index_function,
+        mode=noise["mode"], deltas=noise["deltas"],
+        replications=noise["replications"], seed=top["seed"],
+        n_nodes=disc["n_nodes"], truncation_radius=disc["truncation_radius"],
+        graded=disc["graded"], alpha=top["alpha"], out_dir=out["directory"],
+        out_format=out["format"], digest=digest,
+        noise_distribution=noise["distribution"])
 
 
 def _index_function(spec: dict, b, space: MeasureSpace) -> IndexFunction:
     """phi of f = phi(b) v: phi* = 1/d_b for reciprocal_measure, else the family."""
     try:
-        if spec.get("family") == "reciprocal_measure":
+        if spec["family"] == "reciprocal_measure":
             return phi_star(b, space)
         return index_function_from_spec(spec)
     except Exception as exc:
@@ -236,57 +227,52 @@ def _index_function(spec: dict, b, space: MeasureSpace) -> IndexFunction:
 
 
 def _deconvolution(p: dict, config: ExperimentConfig):
-    prob = DeconvolutionProblem(
-        kernel=p.get("kernel", "exponential"),
-        half_width=_number(p, "half_width", 40.0, float, "problem."),
-        n=config.n_nodes, sigma=_number(p, "sigma", 1.0, float, "problem."))
+    prob = DeconvolutionProblem(kernel=p["kernel"], half_width=p["half_width"],
+                                n=config.n_nodes, sigma=p["sigma"])
     return prob.multiplier, prob.freq_space
 
 
-def _counting(p: dict):
-    """The 1/j sequence on n_max nodes, or one node per ``b_values`` entry."""
-    if p.get("b_values") is None:
-        return compact_case(n_max=_number(p, "n_max", 500, int, "problem."))
-    b_values = _numbers(p["b_values"], "problem.b_values")
-    if "n_max" in p:
-        raise ConfigError("problem.b_values: sets the node count itself; "
-                          "remove problem.n_max")
-    return compact_case(b_values)
-
-
-# keys every problem kind accepts: the kind and the true solution
-_SHARED_KEYS = ("kind", "element", "solution_file", "solution_values")
-
-# problem kind -> (its own keys, builder(problem section, config) ->
+# problem kind -> (its own fields, builder(fields read, config) ->
 # (multiplier, space))
 _BUILDERS = {
-    "counting": (("b_values", "n_max"), lambda p, c: _counting(p)),
-    "power_decay": (("kappa",), lambda p, c: power_decay_pair(
-        _number(p, "kappa", 1.0, float, "problem."), c.truncation_radius or 50.0,
-        c.n_nodes)),
-    "pure_power": (("kappa",), lambda p, c: pure_power_pair(
-        _number(p, "kappa", 1.0, float, "problem."), c.n_nodes, graded=c.graded)),
-    "plateau": ((), lambda p, c: plateau_pair(c.truncation_radius or 50.0,
+    # the 1/j sequence on n_max nodes, or one node per b_values entry
+    "counting": ({"b_values": (None, list), "n_max": (500, int)},
+                 lambda p, c: compact_case(
+        p["b_values"], p["n_max"] if p["b_values"] is None else None)),
+    "power_decay": ({"kappa": (1.0, float)}, lambda p, c: power_decay_pair(
+        p["kappa"], c.truncation_radius or 50.0, c.n_nodes)),
+    "pure_power": ({"kappa": (1.0, float)}, lambda p, c: pure_power_pair(
+        p["kappa"], c.n_nodes, graded=c.graded)),
+    "plateau": ({}, lambda p, c: plateau_pair(c.truncation_radius or 50.0,
                                               c.n_nodes)),
-    "exp_decay": ((), lambda p, c: exp_decay_pair(c.truncation_radius or 30.0,
+    "exp_decay": ({}, lambda p, c: exp_decay_pair(c.truncation_radius or 30.0,
                                                   c.n_nodes)),
-    "fvp_whole_space": (("c", "tau"), lambda p, c: fvp_multiplier(
-        FinalValueProblem("whole_space", c=_number(p, "c", 1.0, float, "problem."),
-                          tau=_number(p, "tau", 1.0, float, "problem."),
-                          radius=c.truncation_radius or 8.0, n_grid=c.n_nodes))),
-    "fvp_bounded": (("c", "tau", "n_max", "eigenvalues", "exponent_power"),
+    "fvp_whole_space": ({"c": (1.0, float), "tau": (1.0, float)},
+                        lambda p, c: fvp_multiplier(FinalValueProblem(
+        "whole_space", c=p["c"], tau=p["tau"],
+        radius=c.truncation_radius or 8.0, n_grid=c.n_nodes))),
+    "fvp_bounded": ({"c": (1.0, float), "tau": (1.0, float), "n_max": (64, int),
+                     "eigenvalues": (None, list, 2), "exponent_power": (2, int)},
                     lambda p, c: fvp_multiplier(FinalValueProblem(
-        "bounded_domain", c=_number(p, "c", 1.0, float, "problem."),
-        tau=_number(p, "tau", 1.0, float, "problem."),
-        n_max=_number(p, "n_max", 64, int, "problem."),
-        eigenvalues=tuple(_numbers(p["eigenvalues"], "problem.eigenvalues"))
-        if p.get("eigenvalues") else None,
-        exponent_power=_number(p, "exponent_power", 2, int, "problem.")))),
-    "deconvolution": (("kernel", "half_width", "sigma"), _deconvolution),
-    "tabulated": (("file", "space", "tail_vanishes"),
+        "bounded_domain", c=p["c"], tau=p["tau"], n_max=p["n_max"],
+        eigenvalues=p["eigenvalues"] and tuple(p["eigenvalues"]),
+        exponent_power=p["exponent_power"]))),
+    "deconvolution": ({"kernel": ("exponential", tuple(_KERNELS)),
+                       "half_width": (40.0, float), "sigma": (1.0, float)},
+                      _deconvolution),
+    "tabulated": ({"file": (..., str), "space": ("halfline", tuple(_SPACE_KINDS)),
+                   "tail_vanishes": (True, bool)},
                   lambda p, c: _tabulated_from_file(p)),
 }
 PROBLEM_KINDS = tuple(_BUILDERS)
+# fields every problem kind reads: the kind and the true solution
+_SHARED = {"kind": (..., PROBLEM_KINDS),
+           "element": (None, tuple(_SOURCE_ELEMENTS)),
+           "solution_file": (None, str), "solution_values": (None, list)}
+# problem keys of which a config gives at most one (null is not given):
+# b_values sets the node count itself, the true solution has one source
+_EXCLUSIVE = (("b_values", "n_max"),
+              ("solution_file", "solution_values", "element"))
 
 
 def build_problem(config: ExperimentConfig) -> MultiplicationProblem:
@@ -312,11 +298,8 @@ def _tabulated_from_file(p: dict):
     nodes (end cells extended by half a gap); counting requires nodes
     1..n with unit weights.
     """
-    nodes, values = read_table(_require(p, "file", "problem.tabulated"))
-    kind_word = p.get("space", "halfline")
-    if kind_word not in _SPACE_KINDS:
-        raise ConfigError(f"problem.tabulated: unknown space '{kind_word}'")
-    kind = _SPACE_KINDS[kind_word]
+    nodes, values = read_table(p["file"])
+    kind = _SPACE_KINDS[p["space"]]
     if kind == "counting":
         if not np.array_equal(nodes, np.arange(1.0, nodes.size + 1)):
             raise ConfigError("problem.tabulated: counting nodes must be 1..n")
@@ -331,9 +314,7 @@ def _tabulated_from_file(p: dict):
         radius = float(max(abs(first), abs(last))) if kind != "lebesgue_interval" \
             else None
         space = MeasureSpace(kind, nodes, np.diff(edges), truncation_radius=radius)
-    b = Tabulated(values,
-                  tail_vanishes=_flag(p, "tail_vanishes", True, "problem."))
-    return b, space
+    return Tabulated(values, tail_vanishes=p["tail_vanishes"]), space
 
 
 def _solution_on(b, space: MeasureSpace, p: dict,
@@ -345,18 +326,14 @@ def _solution_on(b, space: MeasureSpace, p: dict,
     clipped to phi's validity window); file- and value-based solutions
     report source scale 1.
     """
-    if "solution_file" in p:
-        f = read_table(p["solution_file"])[1]
-        if f.shape != space.weights.shape:
-            raise ConfigError("solution_file not aligned with the discretization")
-        return f, 1.0
-    if "solution_values" in p:
-        f = np.array(_numbers(p["solution_values"], "problem.solution_values"))
-        if f.shape != space.weights.shape:
-            raise ConfigError("solution_values not aligned with the space")
-        return f, 1.0
+    for key in ("solution_file", "solution_values"):  # at most one is given
+        if p[key] is not None:
+            f = read_table(p[key])[1] if key == "solution_file" else np.array(p[key])
+            if f.shape != space.weights.shape:
+                raise ConfigError(f"problem.{key}: not aligned with the space")
+            return f, 1.0
     default_element = "inverse_sqrt" if space.kind == "counting" else "constant"
-    v = source_element_vector(p.get("element", default_element), space.weights.size)
+    v = source_element_vector(p["element"] or default_element, space.weights.size)
     v /= space.norm(v)
     vals = b.values_on(space)
     lo, hi = phi.domain

@@ -208,24 +208,26 @@ def validate_index_function(phi: IndexFunction) -> None:
         raise PreconditionFailed(f"{phi.name}: does not appear to vanish at 0+")
 
 
-#: index function family -> (its config keys besides ``family``,
-#: builder(spec)); ``reciprocal_measure``, phi* = 1/d_b, has no builder
-#: here: ``smoothness.phi_star`` builds it from the multiplier
+#: index function family -> (its config fields besides ``family``, key ->
+#: (default, kind) as ``config._read`` reads them, ``...`` for a required
+#: one; the class that takes them); ``reciprocal_measure``, phi* = 1/d_b,
+#: has no class here: ``smoothness.phi_star`` builds it from the multiplier
 INDEX_FAMILIES = {
-    "power": (("nu",), lambda spec: PowerIndex(float(spec.get("nu", 1.0)))),
-    "log_power": (("nu", "beta", "t_max"), lambda spec: LogPowerIndex(
-        float(spec["nu"]), float(spec["beta"]), float(spec.get("t_max", 0.5)))),
-    "table": (("ts", "values"), lambda spec: TableIndex(spec["ts"],
-                                                        spec["values"])),
-    "reciprocal_measure": ((), None),
+    "power": ({"nu": (1.0, float)}, PowerIndex),
+    "log_power": ({"nu": (..., float), "beta": (..., float),
+                   "t_max": (0.5, float)}, LogPowerIndex),
+    "table": ({"ts": (..., list), "values": (..., list)}, TableIndex),
+    "reciprocal_measure": ({}, None),
 }
 
 
 def index_function_from_spec(spec: dict) -> IndexFunction:
-    """Build an index function from a config mapping (``INDEX_FAMILIES``)."""
+    """Build an index function from a config mapping that gives its
+    family's fields (``INDEX_FAMILIES``) as their class takes them."""
     family = spec.get("family", "power")
     if not isinstance(family, str) or \
             INDEX_FAMILIES.get(family, ((), None))[1] is None:
         raise ValueError(f"cannot build index function family {family!r} "
                          "from a spec")
-    return INDEX_FAMILIES[family][1](spec)
+    return INDEX_FAMILIES[family][1](
+        **{key: value for key, value in spec.items() if key != "family"})

@@ -280,13 +280,16 @@ def ExponentialSequence(c: float, tau: float, eigenvalues,
     the counting measure, one value per eigenvalue.
 
     ``exponent_power`` p defaults to 2 (eigenvalues enter squared); p = 1
-    gives the standard semigroup variant.  The eigenvalues must be
-    nondecreasing and grow across the section.
+    gives the standard semigroup variant.  The eigenvalues, at least two,
+    must be nondecreasing and grow across the section.
     """
     lam = np.asarray(eigenvalues, float)
     if c <= 0 or tau <= 0:
         raise ValueError("c and tau must be positive")
-    if lam.size < 2 or np.any(np.diff(lam) < 0):
+    if lam.size < 2:
+        raise EigenvaluesNotDivergent("need at least two eigenvalues to see "
+                                      "their growth")
+    if np.any(np.diff(lam) < 0):
         raise EigenvaluesNotDivergent("eigenvalues must be nondecreasing")
     if lam[-1] <= lam[0]:
         raise EigenvaluesNotDivergent(

@@ -100,6 +100,15 @@ def write_report(report: ExperimentReport, out_dir, out_format: str = "csv") -> 
     _write(out_dir / "report.json", _to_json(report.to_dict()))
 
 
+def failure_kind(exc: MultRegError) -> tuple[int, str, str]:
+    """(exit code, status in report.json, prefix on the CLI's stderr) of a
+    failure: 4 where the problem diverges or b's rearrangement is
+    undefined, 3 for any other."""
+    if isinstance(exc, (Divergent, RearrangementUndefined)):
+        return EXIT_DIVERGENT, "divergent", "divergent problem"
+    return EXIT_VIOLATION, "violation", "error"
+
+
 def run(config: ExperimentConfig, out_dir=None, threads: int = 1,
         out_format: str | None = None) -> ExperimentReport:
     """Execute the full pipeline and write rows + report.
@@ -119,9 +128,6 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1,
                      out_format or config.out_format)
         return report
 
-    def failure(status, message, code):
-        return finish(status=status, failure=message, exit_code=code)
-
     try:
         cert = require_certified(scheme, problem.phi)
         study = sweep_deltas(problem, scheme, problem.phi,
@@ -129,10 +135,9 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1,
                              cert.c_phi, n_reps=config.replications,
                              seed=config.seed, threads=threads,
                              distribution=config.noise_distribution)
-    except (Divergent, RearrangementUndefined) as exc:
-        return failure("divergent", str(exc), EXIT_DIVERGENT)
     except MultRegError as exc:
-        return failure("violation", str(exc), EXIT_VIOLATION)
+        code, status, _ = failure_kind(exc)
+        return finish(status=status, failure=str(exc), exit_code=code)
 
     violations = study.violations
     return finish(rows=study.rows, fitted_slope=study.fitted_slope,

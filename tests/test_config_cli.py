@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import typing
 from pathlib import Path
 from statistics import NormalDist
 
@@ -136,6 +137,23 @@ MALFORMED = [
                          "values": [1.0e-4, True]}}, "index_function.values"),
     ({"index_function": {"family": "table", "ts": 1.0,
                          "values": [1.0e-4, 1.0]}}, "index_function.ts"),
+    # null is a value only where the default is none
+    ({"noise": {"mode": "white", "deltas": [1e-2], "replications": None}},
+     "noise.replications"),
+    ({"seed": None}, "seed"),
+    # an empty eigenvalue table is no "default 1..n_max"
+    ({"problem": {"kind": "fvp_bounded", "eigenvalues": []}},
+     "problem.eigenvalues: expected at least 2"),
+    # the true solution comes from one source
+    ({"problem": {"kind": "counting", "solution_file": "f.txt",
+                  "solution_values": [1.0]}},
+     "problem.solution_file: .*problem.solution_values"),
+    ({"problem": {"kind": "counting", "solution_file": "f.txt",
+                  "element": "constant"}},
+     "problem.solution_file: .*problem.element"),
+    ({"problem": {"kind": "counting", "solution_values": [1.0],
+                  "element": "constant"}},
+     "problem.solution_values: .*problem.element"),
 ]
 
 
@@ -489,9 +507,16 @@ RAW_CONFIGS = st.dictionaries(
 @given(RAW_CONFIGS)
 def test_parse_config_returns_a_config_or_raises_config_error(raw):
     try:
-        assert isinstance(parse_config(raw), ExperimentConfig)
+        config = parse_config(raw)
     except ConfigError:
-        pass
+        return
+    # every field has its declared type: a seed of None is no int
+    types = typing.get_type_hints(ExperimentConfig)
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        assert isinstance(value, types[field.name]), (field.name, value)
+        assert types[field.name] is bool or not isinstance(value, bool), field.name
+    assert all(type(delta) is float for delta in config.deltas)
 
 
 POSITIVE = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0])

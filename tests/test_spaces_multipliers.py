@@ -203,6 +203,12 @@ def test_exponential_sequence_is_the_table_of_its_formula():
             ExponentialSequence(1.0, 1.0, bounded)
 
 
+def test_exponential_sequence_names_what_a_short_table_lacks():
+    for short in ((), (2.0,)):
+        with pytest.raises(EigenvaluesNotDivergent, match="at least two"):
+            ExponentialSequence(1.0, 1.0, short)
+
+
 def test_an_eigenvalue_table_refuses_a_space_that_is_not_counting():
     b = ExponentialSequence(1.0, 1.0, (1.0, 2.0))
     assert b.values_on(MeasureSpace.counting(2)).tobytes() == b.values.tobytes()
