@@ -4,14 +4,18 @@ Every physical parameter carries an explicit key (no positional fields),
 so configurations diff cleanly and hash reproducibly.  Each section
 declares its fields in one table, ``key -> (default, kind[, minimum])``,
 and ``parse_config`` reads every field through it (``_read``); the
-problem builders take the values it read.  Parsing errors are reported
-with the YAML position where available; validation errors name the
-offending section and field.
+problem builders take the values it read.  Each problem kind declares
+its own fields and the ``discretization`` fields it reads.  Parsing
+errors are reported with the YAML position where available; validation
+errors name the offending section and field.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import numbers
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,8 +48,6 @@ _TOP_LEVEL = {"problem": (..., dict), "scheme": ("cutoff", str),
 _NOISE = {"mode": ("deterministic", MODES), "deltas": ([], tuple),
           "replications": (1, int, 1),
           "distribution": (GAUSSIAN, (GAUSSIAN, RADEMACHER))}
-_DISCRETIZATION = {"n_nodes": (2**14, int, 2),
-                   "truncation_radius": (None, float), "graded": (False, bool)}
 _OUTPUT = {"directory": ("out", str), "format": ("csv", ("csv", "json"))}
 _FAMILY = ("power", tuple(INDEX_FAMILIES))
 
@@ -61,9 +63,7 @@ class ExperimentConfig:
     deltas: tuple
     replications: int
     seed: int
-    n_nodes: int
-    truncation_radius: float | None
-    graded: bool
+    discretization: dict
     alpha: float | None
     out_dir: str
     out_format: str
@@ -72,10 +72,11 @@ class ExperimentConfig:
 
 
 def _as_number(value, kind, name: str, finite: bool = True):
-    """``value`` as ``kind``; no bool, fractional int or (if ``finite``) inf or NaN."""
+    """``value`` as ``kind``; no bool, string, fractional int or (if
+    ``finite``) inf or NaN."""
     try:
-        if isinstance(value, bool) or kind is int and isinstance(value, float) \
-                and not value.is_integer():
+        if not isinstance(value, numbers.Real) or isinstance(value, bool) or \
+                kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -120,7 +121,8 @@ def _read(section: dict, key: str, field: tuple, where: str):
             raise ConfigError(f"{name}: expected a list of numbers")
         value = kind(_as_number(v, float, name, kind is list) for v in value)
         if minimum and len(value) < minimum[0]:
-            raise ConfigError(f"{name}: expected at least {minimum[0]} numbers")
+            raise ConfigError(f"{name}: expected at least {minimum[0]} "
+                              f"number{'s' * (minimum[0] > 1)}")
     else:
         value = _as_number(value, kind, name)
         if minimum and value < minimum[0]:
@@ -135,8 +137,9 @@ def _fields(section, table: dict, where: str) -> dict:
         raise ConfigError(f"{where or 'top level'}: expected a mapping")
     unknown = sorted(str(key) for key in section if key not in table)
     if unknown:
+        choices = f"choose from {', '.join(table)}" if table else "none is read"
         raise ConfigError(f"{where or 'top level'}: unknown key(s) "
-                          f"{', '.join(unknown)} (choose from {', '.join(table)})")
+                          f"{', '.join(unknown)} ({choices})")
     return {key: _read(section, key, field, where) for key, field in table.items()}
 
 
@@ -145,20 +148,34 @@ def _fields(section, table: dict, where: str) -> dict:
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+@functools.cache
+def _exponent_floats(loader):
+    """``loader`` that also reads YAML 1.2's exponent floats, which YAML
+    1.1 reads as strings (``1e-3``, ``1.0e5``), as floats; a subclass, so
+    ``loader``'s own resolvers stay as they are."""
+    subclass = type(loader.__name__, (loader,), {})
+    subclass.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
+    return subclass
+
+
 def load_config(path, seed: int | None = None) -> ExperimentConfig:
     """Parse and validate the YAML file at ``path``; ``seed``, when given,
     replaces the file's seed before validation.
 
     The file is parsed by libyaml (``yaml.CSafeLoader``) where PyYAML has
-    it, by ``yaml.SafeLoader`` otherwise; the digest is the SHA-256 of the
-    file's bytes either way."""
+    it, by ``yaml.SafeLoader`` otherwise, and an unquoted exponent number
+    is a float either way; the digest is the SHA-256 of the file's
+    bytes."""
     path = Path(path)
     try:
         text = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        raw = yaml.load(text, Loader=_LOADER)
+        raw = yaml.load(text, Loader=_exponent_floats(_LOADER))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -177,8 +194,9 @@ def parse_config(raw: dict, digest: str = "") -> ExperimentConfig:
     The first fault found is reported, in this order: the top-level keys
     and fields (``_TOP_LEVEL``), alpha's sign, the problem (its kind, its
     keys, its fields, the keys that exclude each other), the scheme name,
-    the index function (its family, keys and fields), noise,
-    discretization, output.  Within a section unknown keys come before
+    the index function (its family, keys and fields), noise, the
+    discretization (the keys and fields the problem kind reads, the
+    radius's sign), output.  Within a section unknown keys come before
     the fields, which are read in table order.
     """
     top = _fields(raw, _TOP_LEVEL, "")
@@ -204,14 +222,15 @@ def parse_config(raw: dict, digest: str = "") -> ExperimentConfig:
         raise ConfigError("noise.deltas: noise levels must be positive and finite")
     if noise["mode"] == "white" and noise["deltas"] and noise["replications"] < 2:
         raise ConfigError("noise.replications: white-noise studies need >= 2")
-    disc = _fields(top["discretization"], _DISCRETIZATION, "discretization")
+    disc = _fields(top["discretization"], _BUILDERS[kind][1], "discretization")
+    if disc.get("truncation_radius", 1.0) <= 0:
+        raise ConfigError("discretization.truncation_radius: must be positive")
     out = _fields(top["output"], _OUTPUT, "output")
     return ExperimentConfig(
         problem=problem, scheme=top["scheme"], index_function=index_function,
         mode=noise["mode"], deltas=noise["deltas"],
         replications=noise["replications"], seed=top["seed"],
-        n_nodes=disc["n_nodes"], truncation_radius=disc["truncation_radius"],
-        graded=disc["graded"], alpha=top["alpha"], out_dir=out["directory"],
+        discretization=disc, alpha=top["alpha"], out_dir=out["directory"],
         out_format=out["format"], digest=digest,
         noise_distribution=noise["distribution"])
 
@@ -226,43 +245,54 @@ def _index_function(spec: dict, b, space: MeasureSpace) -> IndexFunction:
         raise ConfigError(f"index_function: {exc}") from exc
 
 
-def _deconvolution(p: dict, config: ExperimentConfig):
+def _deconvolution(p: dict, d: dict):
     prob = DeconvolutionProblem(kernel=p["kernel"], half_width=p["half_width"],
-                                n=config.n_nodes, sigma=p["sigma"])
+                                n=d["n_nodes"], sigma=p["sigma"])
     return prob.multiplier, prob.freq_space
 
 
-# problem kind -> (its own fields, builder(fields read, config) ->
-# (multiplier, space))
+_NODES = {"n_nodes": (2**14, int, 2)}
+
+
+def _grid(radius: float) -> dict:
+    """A truncated grid's discretization fields: nodes and radius."""
+    return {**_NODES, "truncation_radius": (radius, float)}
+
+
+# problem kind -> (its own fields, the discretization fields it reads,
+# builder(problem fields read, discretization fields read) -> (multiplier,
+# space))
 _BUILDERS = {
     # the 1/j sequence on n_max nodes, or one node per b_values entry
-    "counting": ({"b_values": (None, list), "n_max": (500, int)},
-                 lambda p, c: compact_case(
+    "counting": ({"b_values": (None, list, 1), "n_max": (500, int)}, {},
+                 lambda p, d: compact_case(
         p["b_values"], p["n_max"] if p["b_values"] is None else None)),
-    "power_decay": ({"kappa": (1.0, float)}, lambda p, c: power_decay_pair(
-        p["kappa"], c.truncation_radius or 50.0, c.n_nodes)),
-    "pure_power": ({"kappa": (1.0, float)}, lambda p, c: pure_power_pair(
-        p["kappa"], c.n_nodes, graded=c.graded)),
-    "plateau": ({}, lambda p, c: plateau_pair(c.truncation_radius or 50.0,
-                                              c.n_nodes)),
-    "exp_decay": ({}, lambda p, c: exp_decay_pair(c.truncation_radius or 30.0,
-                                                  c.n_nodes)),
-    "fvp_whole_space": ({"c": (1.0, float), "tau": (1.0, float)},
-                        lambda p, c: fvp_multiplier(FinalValueProblem(
+    "power_decay": ({"kappa": (1.0, float)}, _grid(50.0),
+                    lambda p, d: power_decay_pair(
+        p["kappa"], d["truncation_radius"], d["n_nodes"])),
+    "pure_power": ({"kappa": (1.0, float)}, {**_NODES, "graded": (False, bool)},
+                   lambda p, d: pure_power_pair(p["kappa"], d["n_nodes"],
+                                                graded=d["graded"])),
+    "plateau": ({}, _grid(50.0), lambda p, d: plateau_pair(
+        d["truncation_radius"], d["n_nodes"])),
+    "exp_decay": ({}, _grid(30.0), lambda p, d: exp_decay_pair(
+        d["truncation_radius"], d["n_nodes"])),
+    "fvp_whole_space": ({"c": (1.0, float), "tau": (1.0, float)}, _grid(8.0),
+                        lambda p, d: fvp_multiplier(FinalValueProblem(
         "whole_space", c=p["c"], tau=p["tau"],
-        radius=c.truncation_radius or 8.0, n_grid=c.n_nodes))),
+        radius=d["truncation_radius"], n_grid=d["n_nodes"]))),
     "fvp_bounded": ({"c": (1.0, float), "tau": (1.0, float), "n_max": (64, int),
                      "eigenvalues": (None, list, 2), "exponent_power": (2, int)},
-                    lambda p, c: fvp_multiplier(FinalValueProblem(
+                    {}, lambda p, d: fvp_multiplier(FinalValueProblem(
         "bounded_domain", c=p["c"], tau=p["tau"], n_max=p["n_max"],
         eigenvalues=p["eigenvalues"] and tuple(p["eigenvalues"]),
         exponent_power=p["exponent_power"]))),
     "deconvolution": ({"kernel": ("exponential", tuple(_KERNELS)),
                        "half_width": (40.0, float), "sigma": (1.0, float)},
-                      _deconvolution),
+                      _NODES, _deconvolution),
     "tabulated": ({"file": (..., str), "space": ("halfline", tuple(_SPACE_KINDS)),
                    "tail_vanishes": (True, bool)},
-                  lambda p, c: _tabulated_from_file(p)),
+                  {}, lambda p, d: _tabulated_from_file(p)),
 }
 PROBLEM_KINDS = tuple(_BUILDERS)
 # fields every problem kind reads: the kind and the true solution
@@ -280,7 +310,7 @@ def build_problem(config: ExperimentConfig) -> MultiplicationProblem:
     p = config.problem
     kind = p["kind"]
     try:
-        b, space = _BUILDERS[kind][1](p, config)
+        b, space = _BUILDERS[kind][2](p, config.discretization)
         phi = _index_function(config.index_function, b, space)
         f, scale = _solution_on(b, space, p, phi)
         return MultiplicationProblem(b=b, space=space, f_true=f, name=kind,

@@ -117,10 +117,12 @@ MALFORMED = [
     ({"seed": 1.9}, "seed"),
     ({"seed": True}, "seed"),
     ({"noise": {"replications": 2.9}}, "noise.replications"),
-    ({"discretization": {"n_nodes": 1000.7}}, "discretization.n_nodes"),
+    ({"problem": {"kind": "pure_power"}, "discretization": {"n_nodes": 1000.7}},
+     "discretization.n_nodes"),
     # float fields take no bool, and flags only a YAML boolean
     ({"alpha": True}, "alpha"),
-    ({"discretization": {"truncation_radius": True}},
+    ({"problem": {"kind": "power_decay"},
+      "discretization": {"truncation_radius": True}},
      "discretization.truncation_radius"),
     ({"noise": {"deltas": [1.0e-2, True]}}, "noise.deltas"),
     ({"index_function": {"family": "power", "nu": True}}, "index_function.nu"),
@@ -128,8 +130,15 @@ MALFORMED = [
      "index_function.beta"),
     ({"index_function": {"family": "log_power", "nu": 1.0, "beta": 1.0,
                          "t_max": True}}, "index_function.t_max"),
-    ({"discretization": {"graded": "false"}}, "discretization.graded"),
-    ({"discretization": {"graded": 1}}, "discretization.graded"),
+    ({"problem": {"kind": "pure_power"}, "discretization": {"graded": "false"}},
+     "discretization.graded"),
+    ({"problem": {"kind": "pure_power"}, "discretization": {"graded": 1}},
+     "discretization.graded"),
+    # a quoted number is a string, not a number (yaml.safe_dump quotes
+    # these; it writes the string 1e-3 plain, which reads as a float)
+    ({"seed": "12"}, "seed"),
+    ({"alpha": "1.0e-3"}, "alpha"),
+    ({"noise": {"deltas": ["1.0e-3"]}}, "noise.deltas"),
     # nor do the entries of list fields
     ({"index_function": {"family": "table", "ts": [1.0e-8, True],
                          "values": [1.0e-4, 1.0]}}, "index_function.ts"),
@@ -144,6 +153,9 @@ MALFORMED = [
     # an empty eigenvalue table is no "default 1..n_max"
     ({"problem": {"kind": "fvp_bounded", "eigenvalues": []}},
      "problem.eigenvalues: expected at least 2"),
+    # nor is an empty b_values table a node count
+    ({"problem": {"kind": "counting", "b_values": []}},
+     "problem.b_values: expected at least 1"),
     # the true solution comes from one source
     ({"problem": {"kind": "counting", "solution_file": "f.txt",
                   "solution_values": [1.0]}},
@@ -484,6 +496,92 @@ def test_counting_b_values_are_never_truncated(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+# the discretization keys each problem kind reads, with their defaults; the
+# other kinds (counting, fvp_bounded, tabulated) read none
+READS = {
+    "power_decay": {"n_nodes": 2**14, "truncation_radius": 50.0},
+    "pure_power": {"n_nodes": 2**14, "graded": False},
+    "plateau": {"n_nodes": 2**14, "truncation_radius": 50.0},
+    "exp_decay": {"n_nodes": 2**14, "truncation_radius": 30.0},
+    "fvp_whole_space": {"n_nodes": 2**14, "truncation_radius": 8.0},
+    "deconvolution": {"n_nodes": 2**14},
+}
+
+
+def _discretized(space) -> dict:
+    """The discretization keys' values as a built space shows them."""
+    return {"n_nodes": space.weights.size,
+            "truncation_radius": space.truncation_radius,
+            "graded": bool(np.ptp(space.weights) > 0)}
+
+
+@pytest.mark.parametrize("kind", multreg.config.PROBLEM_KINDS)
+def test_no_discretization_key_is_silently_ignored(tmp_path, capsys, kind):
+    # a key the kind reads changes the problem built, and its default is
+    # the kind's own; any other key exits 2, naming the key
+    problem = {"kind": kind}
+    if kind == "tabulated":
+        problem["file"] = _table(tmp_path)
+    reads = READS.get(kind, {})
+    built = _discretized(build_problem(parse_config({"problem": problem})).space)
+    assert {key: built[key] for key in reads} == reads
+    capsys.readouterr()
+    for key, value in {"n_nodes": 64, "truncation_radius": 12.5,
+                       "graded": True}.items():
+        config = {"problem": problem, "discretization": {key: value}}
+        if key in reads:
+            space = build_problem(parse_config(config)).space
+            assert _discretized(space)[key] == value, key
+            continue
+        path = tmp_path / f"{key}.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG, key
+        err = capsys.readouterr().err
+        assert f"config error: discretization: unknown key(s) {key} (" in err, err
+        assert "choose from )" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("radius", [0, -5.0, None])
+@pytest.mark.parametrize("kind", ["power_decay", "plateau", "exp_decay",
+                                  "fvp_whole_space"])
+def test_a_truncation_radius_is_a_positive_number(tmp_path, capsys, kind, radius):
+    # no radius stands for the kind's default: 0 and null are refused, as
+    # is a negative radius, before any grid is built
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump({"problem": {"kind": kind}, "discretization": {
+        "n_nodes": 64, "truncation_radius": radius}}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: discretization.truncation_radius: " in err, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_unquoted_exponent_numbers_are_floats_and_quoted_numbers_strings(
+        tmp_path, capsys, monkeypatch, loader):
+    # YAML 1.1 reads 1e-3 and 1.0e5 as strings; the config loader reads them
+    # as YAML 1.2 does, as floats, and a quoted number stays a string
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML was built without libyaml")
+    monkeypatch.setattr(multreg.config, "_LOADER", getattr(yaml, loader))
+    path = write_config(tmp_path, WHITE_STUDY.replace(
+        "deltas: [1.0e-2, 1.0e-3, 1.0e-4, 1.0e-5, 1.0e-6]",
+        "deltas: [1e-3, 1E-4, 1.0e5, .5e-6]"))
+    assert load_config(path).deltas == (1e-3, 1e-4, 1e5, 5e-7)
+    capsys.readouterr()
+    for text, message in (('seed: "12"', "seed: expected int"),
+                          ("alpha: '1e-3'", "alpha: expected float"),
+                          ('noise: {deltas: ["1e-3"]}', "noise.deltas: expected float")):
+        bad = write_config(tmp_path, "problem: {kind: counting}\n" + text + "\n")
+        assert main(["run", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG, text
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "Traceback" not in err, err
+
+
 SECTION_NAMES = ["problem", "scheme", "index_function", "noise",
                  "discretization", "output", "alpha", "seed"]
 FIELD_NAMES = ["kind", "mode", "deltas", "replications", "distribution",
@@ -558,10 +656,13 @@ SMALL_CONFIGS = st.fixed_dictionaries({
         "deltas": st.lists(st.sampled_from([1.0e-2, 1.0e-3, 1.0e-4, 1.0e-5]),
                            max_size=3, unique=True),
         "replications": st.integers(2, 4)}),
-    "discretization": st.fixed_dictionaries({
-        "n_nodes": st.sampled_from([8, 63, 64, 256]),
-        "graded": st.booleans()}),
-}, optional={"alpha": st.sampled_from([1.0e-3, 0.1])})
+}, optional={"alpha": st.sampled_from([1.0e-3, 0.1])}).flatmap(
+    # n_nodes and graded where the drawn problem kind reads them
+    lambda config: st.fixed_dictionaries({
+        key: draw for key, draw in (("n_nodes", st.sampled_from([8, 63, 64, 256])),
+                                    ("graded", st.booleans()))
+        if key in multreg.config._BUILDERS[config["problem"]["kind"]][1]}).map(
+        lambda discretization: {**config, "discretization": discretization}))
 COMMANDS = ["run", "check-scheme", "rearrange", "dalpha", "reconstruct"]
 
 
@@ -1170,7 +1271,8 @@ def _table(tmp_path, node=None, value=None):
 NAN, INF = float("nan"), float("inf")
 POWER_DECAY = {"kind": "power_decay", "kappa": 0.5}
 NON_FINITE = {
-    "kappa": ({"problem": {**POWER_DECAY, "kappa": NAN}}, "problem.kappa"),
+    "kappa": ({"problem": {**POWER_DECAY, "kappa": NAN},
+               "discretization": {"n_nodes": 256}}, "problem.kappa"),
     "radius_nan": ({"problem": POWER_DECAY,
                     "discretization": {"n_nodes": 256, "truncation_radius": NAN}},
                    "discretization.truncation_radius"),
@@ -1191,11 +1293,12 @@ NON_FINITE = {
     "table_inf_node": (lambda tmp: {"problem": {"kind": "tabulated",
                                                 "file": _table(tmp, node="inf")}},
                        "problem.tabulated: .*b.txt: every cell"),
-    "nu": ({"problem": POWER_DECAY, "index_function": {"family": "power", "nu": NAN}},
-           "index_function.nu"),
+    "nu": ({"problem": POWER_DECAY, "index_function": {"family": "power", "nu": NAN},
+            "discretization": {"n_nodes": 256}}, "index_function.nu"),
     # the noise levels keep their own message
     "deltas": ({"problem": POWER_DECAY,
-                "noise": {"mode": "deterministic", "deltas": [1e-2, NAN]}},
+                "noise": {"mode": "deterministic", "deltas": [1e-2, NAN]},
+                "discretization": {"n_nodes": 256}},
                "noise.deltas: noise levels must be positive and finite"),
 }
 
@@ -1207,8 +1310,7 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, case, command):
     # computes: exit 2, naming the key or the file, and no traceback
     config, message = NON_FINITE[case]
     config = config(tmp_path) if callable(config) else config
-    config = {"discretization": {"n_nodes": 256},
-              "noise": {"mode": "deterministic", "deltas": [1e-2, 1e-3]}, **config}
+    config = {"noise": {"mode": "deterministic", "deltas": [1e-2, 1e-3]}, **config}
     path = tmp_path / "exp.yaml"
     path.write_text(yaml.safe_dump(config))
     capsys.readouterr()
